@@ -22,7 +22,9 @@ from .arrow import (
     validate,
 )
 from .errors import (
+    InvalidArgument,
     InvalidCoupling,
+    InvariantViolation,
     LabelCountError,
     MissingFactor,
     MissingVariable,

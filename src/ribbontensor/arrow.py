@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import LabelCountError, RegistryMismatch, SizeLimitExceeded, UnknownEdge
+from .errors import (
+    InvalidArgument,
+    InvariantViolation,
+    LabelCountError,
+    RegistryMismatch,
+    SizeLimitExceeded,
+    UnknownEdge,
+)
 
 TAIL, HEAD = 0, 1
 
@@ -384,7 +391,8 @@ def _splice(circles, removed, glue):
         ends.setdefault(find(s), []).append((idx, 0))
         ends.setdefault(find(e), []).append((idx, 1))
     for rep, entries in ends.items():
-        assert len(entries) == 2, "glued point must join exactly two chain ends"
+        if len(entries) != 2:
+            raise InvariantViolation("glued point must join exactly two chain ends")
 
     def walk(start_idx):
         events = []
@@ -652,7 +660,8 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
         bmap, created_b = _transfer_boundaries(
             ap, new_ap, trace, removed_places, via_marker
         )
-        assert not created_b, "contraction preserves every boundary component"
+        if created_b:
+            raise InvariantViolation("contraction preserves every boundary component")
         return EdgeOpResult(
             new_ap, trace.circle_map, trace.created_circles, bmap, created_b,
             trace.occ_map,
@@ -674,8 +683,21 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
 
 
 def edge_cap(default: int) -> int:
+    """The edge cap of an exponential routine: ``default``, unless the
+    environment variable ``RIBBONTENSOR_EDGE_CAP`` sets an integer of at
+    least 1 (any other value raises :class:`InvalidArgument`)."""
     value = os.environ.get("RIBBONTENSOR_EDGE_CAP")
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidArgument(
+            f"RIBBONTENSOR_EDGE_CAP must be an integer of at least 1, got {value!r}"
+        )
+    return cap
 
 
 def _encode_candidate(circ, start, direction, codes, headings, counter):

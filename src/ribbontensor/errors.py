@@ -28,6 +28,14 @@ class SizeLimitExceeded(RibbonTensorError):
     """An operation was asked to run beyond its configured size cap."""
 
 
+class InvalidArgument(RibbonTensorError):
+    """A count or setting lies outside the range it must have."""
+
+
+class InvariantViolation(RibbonTensorError):
+    """An internal consistency check failed: a surgery broke its contract."""
+
+
 class PartitionCoverError(RibbonTensorError):
     """Partition blocks do not cover the universe, or mention foreign items."""
 

@@ -33,6 +33,7 @@ from .arrow import (
 )
 from .errors import (
     InvalidCoupling,
+    InvariantViolation,
     MissingFactor,
     PartitionCoverError,
     PartitionOverlapError,
@@ -191,7 +192,7 @@ def natural_identification(
     """
     res = edge_op_traced(before, e, _ARROW_KIND[kind])
     if res.presentation != after:
-        raise AssertionError("'after' is not the result of the stated operation")
+        raise InvariantViolation("'after' is not the result of the stated operation")
     return OpTrace(
         dict(res.circle_map),
         dict(res.boundary_map),

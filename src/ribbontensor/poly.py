@@ -147,6 +147,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -277,7 +280,7 @@ def parse_poly(text: str, registry: VarRegistry) -> MultiPoly:
                 continue
             if "^" in factor:
                 name, _, exp = factor.partition("^")
-                if not exp.lstrip("-").isdigit():
+                if not exp.isdigit():
                     raise ParseError(f"bad exponent in {factor!r}")
                 power = int(exp)
             else:

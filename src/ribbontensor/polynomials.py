@@ -17,11 +17,18 @@ specialisation or an independent subset expansion used as an oracle.
 Isolated circles split off multiplicatively (one alpha each, a beta/gamma
 when their class dies with them); the recursions strip them eagerly, which
 changes no value and keeps intermediate presentations small.
+
+Both deletion-style recursions, that of Q and that of the transition
+polynomial, run through one engine: :func:`resolution_dag` resolves a
+presentation once into the DAG of its distinct sub-presentations, and
+:func:`fold_dag` evaluates that DAG over a ring, ``MultiPoly`` for the
+polynomial or ``Fraction`` for its value at a point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -138,43 +145,143 @@ def _edge_chooser(order: Optional[Sequence[str]]):
     return lambda edges: min(edges, key=lambda l: (priority.get(l, len(priority)), l))
 
 
+# --------------------------------------------------------------------------
+# the resolution DAG: one builder and one fold serve both deletion-style
+# recursions, symbolically and at a point
+
+# The transition recursion's operations, in the order of its weights (a, b, c).
+TRANSITION_OPS = (contract_edge, delete_edge, penrose_contract_edge)
+
+
+def _strip_bare(ap: ArrowPresentation):
+    """Remove bare circles; return how many there were, as a 1-tuple."""
+    bare = sum(1 for circ in ap.circles if not circ)
+    if not bare:
+        return ap, (0,)
+    return ArrowPresentation(tuple(c for c in ap.circles if c), ap.edges), (bare,)
+
+
+@lru_cache(maxsize=64)
+def resolution_dag(root, order: Optional[tuple], live: tuple):
+    """Resolve ``root`` once into the DAG of its distinct sub-presentations.
+
+    A :class:`PackagedPresentation` follows the five-weight recursion
+    (operations ``OP_ORDER``; isolated circles strip to alpha, beta, gamma
+    exponents), a bare :class:`ArrowPresentation` the transition recursion
+    (operations ``TRANSITION_OPS``; bare circles strip to a t exponent).
+    Only the ``live`` operations are followed; ``order`` ranks the edges as
+    in :func:`q_multivariate`.
+
+    Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
+    sub-presentation with edges once, keyed by value, children first, as
+    ``(label, refs)``: the edge resolved there and, per operation, ``None``
+    if it is not live, else a ref ``(child, strip)``.  ``child`` is a node
+    index, or -1 for an edgeless result; ``strip`` holds the exponents
+    stripped on the way, ``()`` when nothing was.
+    """
+    packaged = isinstance(root, PackagedPresentation)
+    strip = _strip_isolated if packaged else _strip_bare
+    ops = OP_ORDER if packaged else TRANSITION_OPS
+    choose = _edge_chooser(order)
+    index: dict = {}
+    nodes: list = []
+
+    def visit(x):
+        x, exps = strip(x)
+        exps = exps if any(exps) else ()
+        edges = x.ap.edges if packaged else x.edges
+        if not edges:
+            return -1, exps
+        i = index.get(x)
+        if i is None:
+            e = choose(edges)
+            refs = tuple(
+                (visit(apply_edge_op(x, e, op) if packaged else op(x, e)) if op in live else None)
+                for op in ops
+            )
+            i = index[x] = len(nodes)
+            nodes.append((e, refs))
+        return i, exps
+
+    return visit(root), tuple(nodes)
+
+
+def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
+    """Evaluate a resolution DAG in the ring of ``bases``.
+
+    ``weights`` maps each label to its weights in operation order; a strip
+    ``s`` contributes the product of ``bases[j] ** s[j]``.  Over
+    :class:`MultiPoly` this gives the polynomial, over ``Fraction`` its
+    value at a point.  A top-down pass marks the nodes reached through
+    nonzero weights, and only those are evaluated, children first; an empty
+    strip costs no product.  Loops rather than a recursive closure keep the
+    per-call values free of reference cycles, so they go as soon as the call
+    returns.
+    """
+    one = bases[0] ** 0
+    zero = one - one
+    powers: dict = {}
+
+    def factor(strip):
+        value = powers.get(strip)
+        if value is None:
+            value = powers[strip] = math.prod(b**k for b, k in zip(bases, strip) if k)
+        return value
+
+    (root, root_strip), nodes = dag
+    if root < 0:
+        return factor(root_strip) if root_strip else one
+    # Children precede parents, so one descending sweep marks every node
+    # reached from the root.
+    needed = [False] * (root + 1)
+    needed[root] = True
+    for i in range(root, -1, -1):
+        if needed[i]:
+            label, refs = nodes[i]
+            for w, ref in zip(weights[label], refs):
+                if ref is not None and w and ref[0] >= 0:
+                    needed[ref[0]] = True
+    values: list = [None] * (root + 1)
+    for i in range(root + 1):
+        if not needed[i]:
+            continue
+        label, refs = nodes[i]
+        v = zero
+        for w, ref in zip(weights[label], refs):
+            if ref is None or not w:
+                continue
+            child, strip = ref
+            if strip:
+                w = w * factor(strip)
+            v = v + (w if child < 0 else w * values[child])
+        values[i] = v
+    return factor(root_strip) * values[root] if root_strip else values[root]
+
+
+def _live(ops: tuple, weights: Mapping[str, tuple]) -> tuple:
+    """The operations whose weight is nonzero on some edge."""
+    return tuple(
+        op for i, op in enumerate(ops) if any(ws[i] for ws in weights.values())
+    )
+
+
 def q_multivariate(
     pg: PackagedPresentation,
     w: Optional[WeightSystem] = None,
     order: Optional[Sequence[str]] = None,
 ) -> MultiPoly:
-    """The five-weight polynomial, by deletion-style recursion.
+    """The five-weight polynomial, folded over the resolution DAG.
 
     ``order`` overrides the default least-label-first edge choice; the result
     is independent of it.
     """
     if w is None:
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
-    registry = w.registry
-    choose = _edge_chooser(order)
-    alpha = MultiPoly.var(registry, "alpha")
-    beta = MultiPoly.var(registry, "beta")
-    gamma = MultiPoly.var(registry, "gamma")
-
-    memo: dict = {}
-
-    def rec(pg):
-        pg, (da, db, dc) = _strip_isolated(pg)
-        factor = MultiPoly.monomial(registry, {"alpha": da, "beta": db, "gamma": dc})
-        if not pg.ap.edges:
-            return factor
-        cached = memo.get(pg)
-        if cached is None:
-            e = choose(pg.ap.edges)
-            cached = MultiPoly.zero(registry)
-            for weight, kind in zip(w.for_edge(e), OP_ORDER):
-                if weight.is_zero():
-                    continue
-                cached = cached + weight * rec(apply_edge_op(pg, e, kind))
-            memo[pg] = cached
-        return factor * cached
-
-    return rec(pg)
+    weights = {label: w.for_edge(label) for label in pg.ap.edges}
+    order = None if order is None else tuple(order)
+    dag = resolution_dag(pg, order, _live(OP_ORDER, weights))
+    bases = tuple(MultiPoly.var(w.registry, n) for n in ("alpha", "beta", "gamma"))
+    return fold_dag(dag, weights, bases)
 
 
 def q_poly(pg: PackagedPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
@@ -263,79 +370,22 @@ def q_value(
     gamma: Fraction,
 ) -> Fraction:
     """Exact value of the five-weight polynomial at a rational point."""
-    memo: dict = {}
-
-    def rec(pg):
-        pg, (da, db, dc) = _strip_isolated(pg)
-        factor = alpha**da * beta**db * gamma**dc
-        if not pg.ap.edges:
-            return factor
-        cached = memo.get(pg)
-        if cached is None:
-            e = min(pg.ap.edges)
-            cached = Fraction(0)
-            for value, kind in zip(weights[e], OP_ORDER):
-                if value == 0:
-                    continue
-                cached += value * rec(apply_edge_op(pg, e, kind))
-            memo[pg] = cached
-        return factor * cached
-
-    return rec(pg)
+    dag = resolution_dag(pg, None, _live(OP_ORDER, weights))
+    return fold_dag(dag, weights, (alpha, beta, gamma))
 
 
 @lru_cache(maxsize=16)
 def q_state_table(pg: PackagedPresentation):
-    """All resolutions of ``pg``: (labels, entries).
+    """The resolution DAG of ``pg`` with all five operations live.
 
-    Each entry is ``(ops, va, vb, vc)`` where ``ops[i]`` indexes the
-    operation applied to ``labels[i]`` and the exponents give the base value
-    alpha^va * beta^vb * gamma^vc of that resolution.  Collected once, a
-    table supports cheap evaluation at many points.
+    Built once, it supports cheap evaluation at many points through
+    :func:`q_table_value`.
     """
-    labels = sorted(pg.ap.edges)
-    entries = []
-
-    def rec(pg, depth, ops, da, db, dc):
-        pg, (sa, sb, sc) = _strip_isolated(pg)
-        da, db, dc = da + sa, db + sb, dc + sc
-        if depth == len(labels):
-            entries.append((tuple(ops), da, db, dc))
-            return
-        e = labels[depth]
-        for idx, kind in enumerate(OP_ORDER):
-            ops.append(idx)
-            rec(apply_edge_op(pg, e, kind), depth + 1, ops, da, db, dc)
-            ops.pop()
-
-    rec(pg, 0, [], 0, 0, 0)
-    return tuple(labels), tuple(entries)
+    return resolution_dag(pg, None, OP_ORDER)
 
 
 def q_table_value(table, weights, alpha, beta, gamma) -> Fraction:
-    labels, entries = table
-    pows_a: dict = {}
-    pows_b: dict = {}
-    pows_c: dict = {}
-    total = Fraction(0)
-    for ops, da, db, dc in entries:
-        term = Fraction(1)
-        for label, op in zip(labels, ops):
-            value = weights[label][op]
-            if value == 0:
-                term = Fraction(0)
-                break
-            term *= value
-        if term == 0:
-            continue
-        if da not in pows_a:
-            pows_a[da] = alpha**da
-        if db not in pows_b:
-            pows_b[db] = beta**db
-        if dc not in pows_c:
-            pows_c[dc] = gamma**dc
-        total += term * pows_a[da] * pows_b[db] * pows_c[dc]
-    return total
+    return fold_dag(table, weights, (alpha, beta, gamma))
 
 
 # --------------------------------------------------------------------------
@@ -362,71 +412,19 @@ def transition_poly(
             )
             for label in ap.edges
         }
-
-    def rec(ap):
-        bare = sum(1 for circ in ap.circles if not circ)
-        if bare:
-            ap = ArrowPresentation(
-                tuple(c for c in ap.circles if c), ap.edges
-            )
-        factor = MultiPoly.var(registry, "t", bare) if bare else MultiPoly.const(registry, 1)
-        if not ap.edges:
-            return factor
-        e = min(ap.edges)
-        wa, wb, wc = w[e]
-        acc = MultiPoly.zero(registry)
-        for weight, op in ((wa, contract_edge), (wb, delete_edge), (wc, penrose_contract_edge)):
-            if not weight.is_zero():
-                acc = acc + weight * rec(op(ap, e))
-        return factor * acc
-
-    return rec(ap)
+    dag = resolution_dag(ap, None, _live(TRANSITION_OPS, w))
+    return fold_dag(dag, w, (MultiPoly.var(registry, "t"),))
 
 
 @lru_cache(maxsize=32)
 def transition_state_table(ap: ArrowPresentation):
-    """Resolutions of the 3-way transition recursion: (labels, entries) with
-    entries ``(ops, circle_count)`` and op order (contract, delete, penrose)."""
-    labels = sorted(ap.edges)
-    ops_fns = (contract_edge, delete_edge, penrose_contract_edge)
-    entries = []
-
-    def rec(ap, depth, ops, acc):
-        bare = sum(1 for circ in ap.circles if not circ)
-        if bare:
-            ap = ArrowPresentation(tuple(c for c in ap.circles if c), ap.edges)
-            acc += bare
-        if depth == len(labels):
-            entries.append((tuple(ops), acc))
-            return
-        e = labels[depth]
-        for idx, fn in enumerate(ops_fns):
-            ops.append(idx)
-            rec(fn(ap, e), depth + 1, ops, acc)
-            ops.pop()
-
-    rec(ap, 0, [], 0)
-    return tuple(labels), tuple(entries)
+    """The resolution DAG of the 3-way transition recursion, all operations
+    live, in weight order (contract, delete, penrose)."""
+    return resolution_dag(ap, None, TRANSITION_OPS)
 
 
 def transition_table_value(table, weights, t: Fraction) -> Fraction:
-    labels, entries = table
-    pows: dict = {}
-    total = Fraction(0)
-    for ops, count in entries:
-        term = Fraction(1)
-        for label, op in zip(labels, ops):
-            value = weights[label][op]
-            if value == 0:
-                term = Fraction(0)
-                break
-            term *= value
-        if term == 0:
-            continue
-        if count not in pows:
-            pows[count] = t**count
-        total += term * pows[count]
-    return total
+    return fold_dag(table, weights, (t,))
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .arrow import ArrowPresentation, boundary_components, surface_stats
-from .errors import SingularAtPoint
+from .arrow import (
+    HEAD,
+    ArrowPresentation,
+    _boundary_indexes,
+    boundary_components,
+    contract_edge,
+    delete_edge,
+    penrose_contract_edge,
+    surface_stats,
+)
+from .errors import InvalidArgument, SingularAtPoint, SingularMatrix
 from .files import presentation_to_dict
 from .packaged import (
     Coupling,
@@ -38,8 +47,6 @@ from .polynomials import (
     Multigraph,
     graph_tensor,
     mv_br_value,
-    q_state_table,
-    q_table_value,
     q_value,
     transition_state_table,
     transition_table_value,
@@ -76,12 +83,8 @@ _FIVE = (TheoremKind.MAINMV, TheoremKind.MAIN, TheoremKind.CORZ,
 _FOUR = (TheoremKind.BR, TheoremKind.BRZHAT)
 
 
-def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
-    """The exact transfer matrix of ``kind`` at ``pt``.
-
-    Raises :class:`SingularAtPoint` when it degenerates there (the caller
-    resamples the point).
-    """
+def _phi_rows(kind: TheoremKind, pt: Mapping[str, Fraction]):
+    """The rows of the transfer matrix of ``kind`` at ``pt``, unchecked."""
     one = Fraction(1)
     if kind in _FIVE:
         al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
@@ -115,8 +118,22 @@ def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
         matrix = [[a * c, one], [one, c]]
     else:
         raise ValueError(f"unknown theorem kind {kind}")
+    return matrix
+
+
+def _singular(kind: TheoremKind) -> SingularAtPoint:
+    return SingularAtPoint(f"{kind.value} matrix singular at the sampled point")
+
+
+def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
+    """The exact transfer matrix of ``kind`` at ``pt``.
+
+    Raises :class:`SingularAtPoint` when it degenerates there (the caller
+    resamples the point).
+    """
+    matrix = _phi_rows(kind, pt)
     if determinant(matrix) == 0:
-        raise SingularAtPoint(f"{kind.value} matrix singular at the sampled point")
+        raise _singular(kind)
     return matrix
 
 
@@ -150,8 +167,9 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> PhiVecto
     ``ph`` is a packaged presentation for the five- and four-row kinds, a
     bare arrow presentation for the transition and plane kinds, and a
     multigraph for the Tutte kind; ``e`` names (or indexes) its coupled edge.
+    Raises :class:`SingularAtPoint` when the transfer matrix degenerates.
     """
-    matrix = build_phi_matrix(kind, pt)
+    matrix = _phi_rows(kind, pt)
     if kind in _FIVE:
         weights = _five_weights(sorted(ph.ap.edges - {e}), pt, kind)
         rhs = [
@@ -165,8 +183,6 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> PhiVecto
             for op in OP_ORDER[:4]
         ]
     elif kind is TheoremKind.TRANSITION:
-        from .polynomials import contract_edge, delete_edge, penrose_contract_edge
-
         weights = _transition_weights(sorted(ph.edges - {e}), pt)
         rhs = []
         for fn in (contract_edge, delete_edge, penrose_contract_edge):
@@ -179,8 +195,6 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> PhiVecto
             zdot_value(g.contract(e_idx), pt["a"], pt["b"], Fraction(1)),
         ]
     elif kind is TheoremKind.PLANEMVBR:
-        from .arrow import contract_edge, delete_edge
-
         b_by = {l: pt[f"b_{l}"] for l in ph.edges}
         rhs = [
             mv_br_value(delete_edge(ph, e), pt["a"], b_by, pt["c"]),
@@ -188,7 +202,10 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> PhiVecto
         ]
     else:
         raise ValueError(f"unknown theorem kind {kind}")
-    return tuple(solve_linear(matrix, rhs))
+    try:
+        return tuple(solve_linear(matrix, rhs))
+    except SingularMatrix:
+        raise _singular(kind) from None
 
 
 def phi0_structural_zeros(
@@ -204,8 +221,6 @@ def phi0_structural_zeros(
     (c1, p1), (c2, p2) = ph.ap.occurrences(e)
     if c1 == c2 or ph.vparts.block_of(c1) == ph.vparts.block_of(c2):
         zeros.add(0)
-    from .arrow import HEAD, _boundary_indexes
-
     token_to_bd, _, _ = _boundary_indexes(boundary_components(ph.ap))
     a = token_to_bd[(c1, p1, HEAD)]
     b = token_to_bd[(c2, p2, HEAD)]
@@ -274,11 +289,9 @@ def _verify_twosum(pg, ph, coupling: Coupling, pt):
     composed = compose_two_sums(pg, [(coupling.source, ph, coupling.target, coupling.swap)])
     w_comp = _five_weights(sorted(composed.ap.edges), pt, TheoremKind.TWOSUM)
     lhs = q_value(composed, w_comp, al, be, ga)
-    phis = solve_phis(TheoremKind.TWOSUM, ph, coupling.target, pt)
-    g_weights = _five_weights(sorted(pg.ap.edges - {coupling.source}), pt, TheoremKind.TWOSUM)
-    rhs = Fraction(0)
-    for op, phi in zip(OP_ORDER, phis):
-        rhs += phi * q_value(apply_edge_op(pg, coupling.source, op), g_weights, al, be, ga)
+    host_weights = _five_weights(sorted(pg.ap.edges), pt, TheoremKind.TWOSUM)
+    host_weights[coupling.source] = solve_phis(TheoremKind.TWOSUM, ph, coupling.target, pt)
+    rhs = q_value(pg, host_weights, al, be, ga)
     return _outcome(("twosum", lhs, rhs))
 
 
@@ -289,7 +302,7 @@ def _verify_mainmv(kind, pg, factors, couplings, pt):
     ]
     composed = compose_two_sums(pg, parts)
     w_comp = _five_weights(sorted(composed.ap.edges), pt, kind)
-    lhs = q_table_value(q_state_table(composed), w_comp, al, be, ga)
+    lhs = q_value(composed, w_comp, al, be, ga)
 
     host_weights = _five_weights(sorted(pg.ap.edges), pt, kind)
     for f, ph, e, _ in parts:
@@ -306,7 +319,7 @@ def _verify_uniform(kind, pg, factor, couplings, pt):
     parts = [(f, ph, e, couplings.get(f, False)) for f in sorted(pg.ap.edges)]
     composed = compose_two_sums(pg, parts)
     w_comp = _five_weights(sorted(composed.ap.edges), pt, kind)
-    lhs = q_table_value(q_state_table(composed), w_comp, al, be, ga)
+    lhs = q_value(composed, w_comp, al, be, ga)
 
     phis = solve_phis(kind, ph, e, pt)
     host_weights = {f: phis for f in pg.ap.edges}
@@ -320,7 +333,7 @@ def _verify_br(kind, pg, factor, couplings, pt):
     parts = [(f, ph, e, couplings.get(f, False)) for f in sorted(pg.ap.edges)]
     composed = compose_two_sums(pg, parts)
     w_comp = _four_weights(sorted(composed.ap.edges), pt, kind)
-    lhs = q_table_value(q_state_table(composed), w_comp, al, be, one)
+    lhs = q_value(composed, w_comp, al, be, one)
 
     phis = solve_phis(kind, ph, e, pt)
     host_weights = {
@@ -567,7 +580,16 @@ def run_verification(
     max_resample: int = 50,
     size_budget: int = 6,
 ) -> VerifyReport:
-    """Fuzz one identity: random instances, random nonsingular points."""
+    """Fuzz one identity: random instances, random nonsingular points.
+
+    Raises :class:`InvalidArgument` unless ``instances`` and ``points`` are
+    both at least 1, so that a report never passes having checked nothing.
+    """
+    if instances < 1 or points < 1:
+        raise InvalidArgument(
+            f"verification needs at least one instance and one point, got "
+            f"instances={instances} points={points}"
+        )
     rng = random.Random(seed)
     failures = []
     start = time.perf_counter()

@@ -6,21 +6,29 @@ permutation (see the module docstring of ribbontensor.arrow for the
 conventions).
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ribbontensor
 from ribbontensor.arrow import (
     ArrowPresentation,
     boundary_components,
     canonical_form,
     contract_edge,
     delete_edge,
+    edge_cap,
     penrose_contract_edge,
     surface_stats,
     validate,
 )
 from ribbontensor.errors import (
+    InvalidArgument,
     LabelCountError,
     RegistryMismatch,
     SizeLimitExceeded,
@@ -268,3 +276,68 @@ def test_canonical_form_stays_in_the_equivalence_class():
         assert (sp.v, sp.e, sp.k, sp.b, sp.euler_genus, sp.orientable) == (
             sc.v, sc.e, sc.k, sc.b, sc.euler_genus, sc.orientable
         )
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_edge_cap_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", value)
+    with pytest.raises(InvalidArgument, match="RIBBONTENSOR_EDGE_CAP"):
+        edge_cap(8)
+
+
+def test_edge_cap_default_and_override(monkeypatch):
+    monkeypatch.delenv("RIBBONTENSOR_EDGE_CAP", raising=False)
+    assert edge_cap(8) == 8
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "1")
+    assert edge_cap(8) == 1
+
+
+# Each check breaks one invariant of the surgery and expects the error.
+INVARIANT_SCRIPT = """
+import sys
+from ribbontensor import arrow
+from ribbontensor.arrow import ArrowPresentation, _splice, edge_op_traced
+from ribbontensor.errors import InvariantViolation
+from ribbontensor.packaged import EdgeOpKind, natural_identification
+
+if __debug__:
+    sys.exit("assertions are on")
+loop = ArrowPresentation.from_circles([[("e", True), ("e", True)]])
+
+
+def contraction_creating_a_boundary():
+    transfer = arrow._transfer_boundaries
+    arrow._transfer_boundaries = lambda *args: (transfer(*args)[0], (99,))
+    try:
+        edge_op_traced.__wrapped__(loop, "e", "contract")
+    finally:
+        arrow._transfer_boundaries = transfer
+
+
+checks = {
+    # both occurrences removed and their ends never glued
+    "splice": lambda: _splice(loop.circles, {(0, 0), (0, 1)}, []),
+    "contract": contraction_creating_a_boundary,
+    "natural_identification": lambda: natural_identification(
+        loop, loop, "e", EdgeOpKind.DELETE
+    ),
+}
+for name, check in checks.items():
+    try:
+        check()
+    except InvariantViolation:
+        continue
+    sys.exit(f"{name}: no InvariantViolation")
+print("ok")
+"""
+
+
+def test_invariants_survive_python_O():
+    src = str(Path(ribbontensor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(INVARIANT_SCRIPT)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

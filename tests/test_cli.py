@@ -170,3 +170,18 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "run_verification", fake_run)
     assert main(["verify", "tutte"]) == 1
     assert "result=FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_empty_runs(capsys):
+    assert main(["verify", "main", "--instances", "-3", "--points", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "result=" not in captured.out
+    assert "at least one instance and one point" in captured.err
+
+
+def test_bad_edge_cap_exits_2(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "k3.json", K3)
+    for value in ("abc", "0"):
+        monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", value)
+        assert main(["poly", path, "--which", "br"]) == 2
+        assert "RIBBONTENSOR_EDGE_CAP" in capsys.readouterr().err

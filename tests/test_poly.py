@@ -96,6 +96,14 @@ def test_parse_errors():
         parse_poly("", REG)
 
 
+def test_parse_rejects_negative_exponents():
+    # "2*a^-1*b" would otherwise print back as "2*b".
+    for text in ("2*a^-1*b", "a^-2", "b*c^-0"):
+        with pytest.raises(ParseError, match="bad exponent"):
+            parse_poly(text, REG)
+    assert parse_poly("a^0*b", REG) == v("b")
+
+
 def _random_poly(rng, registry):
     terms = {}
     for _ in range(rng.randint(0, 4)):

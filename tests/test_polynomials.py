@@ -6,19 +6,30 @@ from fractions import Fraction
 
 import pytest
 
-from ribbontensor.arrow import ArrowPresentation, boundary_components
+from ribbontensor.arrow import (
+    ArrowPresentation,
+    boundary_components,
+    contract_edge,
+    delete_edge,
+    penrose_contract_edge,
+)
 from ribbontensor.errors import SizeLimitExceeded
 from ribbontensor.packaged import (
+    EdgeOpKind,
     PackagedPresentation,
     Partition,
+    apply_edge_op,
     k_presentations,
     make_packaged,
 )
 from ribbontensor.poly import MultiPoly, VarRegistry, parse_poly, standard_registry
 from ribbontensor.polynomials import (
+    OP_ORDER,
     Multigraph,
     WeightSystem,
+    _strip_isolated,
     br_poly,
+    fold_dag,
     graph_of_presentation,
     mv_br_poly,
     q_multivariate,
@@ -27,8 +38,11 @@ from ribbontensor.polynomials import (
     q_table_value,
     q_value,
     qhat_poly,
+    resolution_dag,
     state_sum_oracle,
     transition_poly,
+    transition_state_table,
+    transition_table_value,
     tutte_poly,
     z_poly,
     zdot_tutte,
@@ -312,18 +326,115 @@ def test_graph_of_presentation():
     assert g.n == 3 and sorted(g.edge_list) == [(0, 1), (0, 2)]
 
 
+def _rational_point(rng, registry):
+    # Numerators from 0 put zero weights in, which the fold skips.
+    return {n: Fraction(rng.randint(0, 9), rng.randint(1, 9)) for n in registry.names}
+
+
 def test_q_table_matches_direct_value():
+    # q_value and q_table_value fold the same resolution DAG, so both are
+    # checked against the independent state-sum oracle at the point.
     rng = random.Random(40)
     for _ in range(15):
         pg = random_packaged(rng, max_edges=3)
-        weights = {
-            l: tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(5))
-            for l in pg.ap.edges
-        }
-        args = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)]
-        assert q_table_value(q_state_table(pg), weights, *args) == q_value(
-            pg, weights, *args
+        w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
+        pt = _rational_point(rng, w.registry)
+        weights = {l: tuple(pt[f"{s}_{l}"] for s in "abcxy") for l in pg.ap.edges}
+        args = (pt["alpha"], pt["beta"], pt["gamma"])
+        expected = state_sum_oracle(pg, w).eval_at(pt)
+        assert q_table_value(q_state_table(pg), weights, *args) == expected
+        assert q_value(pg, weights, *args) == expected
+
+
+def test_fold_is_independent_of_edge_order():
+    rng = random.Random(41)
+    for _ in range(20):
+        pg = random_packaged(rng, max_edges=4, min_edges=1)
+        w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
+        order = sorted(pg.ap.edges, reverse=True)
+        rng.shuffle(order)
+        assert q_multivariate(pg, w, order=order) == q_multivariate(pg, w)
+        pt = _rational_point(rng, w.registry)
+        weights = {l: tuple(pt[f"{s}_{l}"] for s in "abcxy") for l in pg.ap.edges}
+        bases = (pt["alpha"], pt["beta"], pt["gamma"])
+        dag = resolution_dag(pg, tuple(order), OP_ORDER)
+        assert fold_dag(dag, weights, bases) == q_value(pg, weights, *bases)
+
+
+def _transition_state_sum(ap, weights, t):
+    """Sum over every 3-colouring of the edges, resolved in label order."""
+    labels = sorted(ap.edges)
+    total = Fraction(0)
+    for colours in itertools.product(range(3), repeat=len(labels)):
+        resolved, term = ap, Fraction(1)
+        for label, colour in zip(labels, colours):
+            resolved = (contract_edge, delete_edge, penrose_contract_edge)[colour](resolved, label)
+            term *= weights[label][colour]
+        total += term * t ** len(resolved.circles)
+    return total
+
+
+def test_transition_table_matches_polynomial():
+    rng = random.Random(42)
+    for _ in range(20):
+        ap = random_presentation(rng, 4, 0, extra_circle_rate=0.3)
+        reg = standard_registry(ap.edges)
+        pt = _rational_point(rng, reg)
+        weights = {l: tuple(pt[f"{s}_{l}"] for s in "abc") for l in ap.edges}
+        value = transition_table_value(transition_state_table(ap), weights, pt["t"])
+        assert value == _transition_state_sum(ap, weights, pt["t"])
+        assert value == transition_poly(ap, registry=reg).eval_at(pt)
+        # With every Penrose weight zero the polynomial resolves no Penrose
+        # branch and still agrees with the full table.
+        zero = MultiPoly.zero(reg)
+        w = {l: (MultiPoly.var(reg, f"a_{l}"), MultiPoly.var(reg, f"b_{l}"), zero) for l in ap.edges}
+        no_penrose = {l: ws[:2] + (Fraction(0),) for l, ws in weights.items()}
+        assert transition_poly(ap, w, reg).eval_at(pt) == transition_table_value(
+            transition_state_table(ap), no_penrose, pt["t"]
         )
+
+
+def _reachable(pg, kinds):
+    """Distinct stripped sub-presentations with edges that the recursion
+    reaches through ``kinds`` alone, least label first."""
+    seen = set()
+
+    def visit(x):
+        x, _ = _strip_isolated(x)
+        if x.ap.edges and x not in seen:
+            seen.add(x)
+            e = min(x.ap.edges)
+            for kind in kinds:
+                visit(apply_edge_op(x, e, kind))
+
+    visit(pg)
+    return seen
+
+
+def test_dag_resolves_live_operations_only():
+    rng = random.Random(43)
+    live = (EdgeOpKind.DELETE, EdgeOpKind.CONTRACT)
+    for _ in range(20):
+        pg = random_packaged(rng, max_edges=4, min_edges=1)
+        _, nodes = resolution_dag(pg, None, live)
+        assert len(nodes) == len(_reachable(pg, live))
+        assert len(nodes) <= len(q_state_table(pg)[1])
+        for _, refs in nodes:
+            assert all(ref is None for ref in refs[2:])
+            assert all(ref is not None for ref in refs[:2])
+
+
+def test_dag_is_no_larger_than_the_state_table():
+    rng = random.Random(44)
+    for _ in range(20):
+        pg = random_packaged(rng, max_edges=5, min_edges=1)
+        _, nodes = q_state_table(pg)
+        # Nodes are distinct and children come first.
+        assert len(nodes) == len(_reachable(pg, OP_ORDER)) <= 5 ** len(pg.ap.edges)
+        for i, (_, refs) in enumerate(nodes):
+            assert all(child < i for child, _ in refs)
+        _, tnodes = transition_state_table(pg.ap)
+        assert len(tnodes) <= 3 ** len(pg.ap.edges)
 
 
 def test_numeric_fast_paths_match_symbolic_evaluation():

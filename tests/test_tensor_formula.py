@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ribbontensor.arrow import ArrowPresentation
-from ribbontensor.errors import SingularAtPoint
+from ribbontensor.errors import InvalidArgument, SingularAtPoint
 from ribbontensor.packaged import Coupling, k_presentations, make_packaged
 from ribbontensor.polynomials import Multigraph, graph_tensor
 from ribbontensor.randgen import random_packaged, random_point
@@ -40,6 +40,20 @@ def test_matrix_singular_at_unit_point():
             TheoremKind.MAINMV,
             {"alpha": Fraction(1), "beta": Fraction(1), "gamma": Fraction(1)},
         )
+
+
+def test_solve_phis_singular_at_unit_point():
+    ks = k_presentations()
+    unit = {"alpha": Fraction(1), "beta": Fraction(1), "gamma": Fraction(1)}
+    unit.update({s: Fraction(2) for s in ("a", "b", "c", "x", "y")})
+    with pytest.raises(SingularAtPoint):
+        solve_phis(TheoremKind.MAIN, ks[0], "e", unit)
+
+
+@pytest.mark.parametrize("instances, points", [(0, 1), (1, 0), (-3, 0), (-1, 5)])
+def test_verification_rejects_empty_runs(instances, points):
+    with pytest.raises(InvalidArgument, match="at least one instance and one point"):
+        run_verification(TheoremKind.MAIN, instances=instances, points=points)
 
 
 def test_transition_matrix_at_two():
