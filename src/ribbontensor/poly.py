@@ -1,7 +1,15 @@
 """Exact sparse multivariate polynomials over arbitrary-precision integers.
 
-Polynomials are stored as maps from exponent vectors to nonzero int
-coefficients, bound to a :class:`VarRegistry` fixing the variable order.
+Polynomials are bound to a :class:`VarRegistry` fixing the variable order,
+and store their terms as a map from packed exponent vectors to nonzero int
+coefficients.  A packed key is one int holding a 16-bit field per registry
+variable, the first variable in the most significant field; the top bit of
+each field is a guard, so an exponent lies in ``0..MAX_EXPONENT`` (2^15 - 1)
+and a product that would exceed it raises :class:`SizeLimitExceeded`.
+Adding two keys multiplies the monomials (Monagan & Pearce's packed
+exponent vectors), and descending key order is descending exponent vector
+in registry order.  :meth:`MultiPoly.items` decodes keys back to tuples.
+
 Rationals are :class:`fractions.Fraction` (already reduced, positive
 denominator); a rational point is a plain ``{name: Fraction}`` mapping.
 
@@ -13,16 +21,29 @@ registry order.
 
 from __future__ import annotations
 
+import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import MissingVariable, ParseError, RegistryMismatch, SingularMatrix
+from .errors import (
+    MissingVariable,
+    ParseError,
+    RegistryMismatch,
+    SingularMatrix,
+    SizeLimitExceeded,
+)
 
 Rational = Fraction
-RationalPoint = Mapping[str, Fraction]
 
 GLOBAL_VARS = ("a", "b", "c", "x", "y", "alpha", "beta", "gamma", "t")
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -32,22 +53,42 @@ class VarRegistry:
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
+        # The packed-key layout: each name's field offset, the guard bits of
+        # all fields, and the codec that splits a key into its fields.
+        n = len(self.names)
+        shift = {name: FIELD_BITS * (n - 1 - i) for i, name in enumerate(self.names)}
+        guard = sum(1 << (s + FIELD_BITS - 1) for s in shift.values())
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_guard", guard)
+        object.__setattr__(self, "_codec", struct.Struct(f">{n}H"))
+
+    def __reduce__(self):
+        # A Struct does not pickle; the layout is rebuilt from the names.
+        return VarRegistry, (self.names,)
 
     @classmethod
     def of(cls, *names: str) -> "VarRegistry":
         return cls(tuple(names))
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise MissingVariable(name) from None
-
     def __len__(self) -> int:
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._shift
+
+    def _field(self, name: str) -> int:
+        try:
+            return self._shift[name]
+        except KeyError:
+            raise MissingVariable(name) from None
+
+    def _pack(self, powers: Mapping[str, int]) -> int:
+        key = 0
+        for name, power in powers.items():
+            if not 0 <= power <= MAX_EXPONENT:
+                raise ValueError(f"exponent {power} of {name} outside 0..{MAX_EXPONENT}")
+            key |= power << self._field(name)
+        return key
 
 
 def standard_registry(edge_labels: Iterable[str] = ()) -> VarRegistry:
@@ -60,81 +101,125 @@ def standard_registry(edge_labels: Iterable[str] = ()) -> VarRegistry:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with exact integer coefficients."""
+    """Immutable sparse polynomial with exact integer coefficients.
+
+    ``terms`` maps packed exponent keys (see the module docstring) to
+    nonzero coefficients.
+    """
 
     __slots__ = ("registry", "terms")
 
     def __init__(self, registry: VarRegistry, terms: Optional[Mapping] = None):
-        self.registry = registry
-        clean = {}
+        """``terms`` maps exponent tuples, one entry per registry variable,
+        to int coefficients; zero coefficients are dropped."""
+        n = len(registry)
+        packed = {}
         for exps, coeff in (terms or {}).items():
+            if len(exps) != n:
+                raise ValueError(f"exponent vector {exps} has {len(exps)} entries, expected {n}")
             if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+                packed[registry._pack(dict(zip(registry.names, exps)))] = coeff
+        self.registry = registry
+        self.terms = packed
+
+    @classmethod
+    def _make(cls, registry: VarRegistry, terms: dict) -> "MultiPoly":
+        """Wrap packed, zero-free ``terms`` without checking them."""
+        p = object.__new__(cls)
+        p.registry = registry
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, registry: VarRegistry) -> "MultiPoly":
-        return cls(registry)
+        return cls._make(registry, {})
 
     @classmethod
     def const(cls, registry: VarRegistry, value: int) -> "MultiPoly":
-        if value == 0:
-            return cls(registry)
-        return cls(registry, {(0,) * len(registry): value})
+        return cls._make(registry, {0: value} if value else {})
 
     @classmethod
     def var(cls, registry: VarRegistry, name: str, power: int = 1) -> "MultiPoly":
-        exps = [0] * len(registry)
-        exps[registry.index(name)] = power
-        return cls(registry, {tuple(exps): 1})
+        return cls._make(registry, {registry._pack({name: power}): 1})
 
     @classmethod
     def monomial(cls, registry: VarRegistry, powers: Mapping[str, int], coeff: int = 1):
-        exps = [0] * len(registry)
-        for name, power in powers.items():
-            exps[registry.index(name)] = power
-        return cls(registry, {tuple(exps): coeff})
+        key = registry._pack(powers)
+        return cls._make(registry, {key: coeff} if coeff else {})
+
+    def items(self):
+        """Yield ``(exponent tuple, coeff)`` pairs, exponents in registry
+        order."""
+        size = 2 * len(self.registry)
+        unpack = self.registry._codec.unpack
+        for key, coeff in self.terms.items():
+            yield unpack(key.to_bytes(size, "big")), coeff
 
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
-        if self.registry != other.registry:
+        if self.registry is not other.registry and self.registry != other.registry:
             raise RegistryMismatch("operands use different variable registries")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
         self._check(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(self.registry, terms)
+        get = terms.get
+        for key, coeff in other.terms.items():
+            coeff = get(key, 0) + sign * coeff
+            if coeff:
+                terms[key] = coeff
+            else:
+                del terms[key]
+        return MultiPoly._make(self.registry, terms)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) - coeff
-        return MultiPoly(self.registry, terms)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.registry, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.registry, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiPoly(self.registry, terms)
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if len(small) == 1:
+            # Monomial times polynomial: distinct keys stay distinct and
+            # nonzero coefficients stay nonzero.
+            ((k1, c1),) = small.items()
+            if c1 == 1:
+                terms = {k1 + k2: c2 for k2, c2 in large.items()}
+            else:
+                terms = {k1 + k2: c1 * c2 for k2, c2 in large.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for k1, c1 in small.items():
+                for k2, c2 in large.items():
+                    key = k1 + k2
+                    terms[key] = get(key, 0) + c1 * c2
+            if 0 in terms.values():
+                terms = {k: c for k, c in terms.items() if c}
+        # Operand fields are at most MAX_EXPONENT, so a field sum never
+        # carries into its neighbour; an overflow sets that field's guard.
+        if reduce(or_, terms, 0) & self.registry._guard:
+            raise SizeLimitExceeded(f"a product has an exponent above {MAX_EXPONENT}")
+        return MultiPoly._make(self.registry, terms)
 
     __rmul__ = __mul__
 
     def scale(self, value: int) -> "MultiPoly":
-        return MultiPoly(self.registry, {e: c * value for e, c in self.terms.items()})
+        if not value:
+            return MultiPoly.zero(self.registry)
+        return MultiPoly._make(self.registry, {k: c * value for k, c in self.terms.items()})
 
     def __pow__(self, power: int) -> "MultiPoly":
         if power < 0:
@@ -162,7 +247,7 @@ class MultiPoly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def eval_at(self, point: RationalPoint) -> Fraction:
+    def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation; the point must cover the whole registry."""
         values = []
         for name in self.registry.names:
@@ -170,7 +255,7 @@ class MultiPoly:
                 raise MissingVariable(name)
             values.append(Fraction(point[name]))
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.items():
             term = Fraction(coeff)
             for value, power in zip(values, exps):
                 if power:
@@ -180,22 +265,23 @@ class MultiPoly:
 
     def set_to_one(self, name: str) -> "MultiPoly":
         """Substitute 1 for a variable (its exponents collapse)."""
-        i = self.registry.index(name)
+        keep = ~(((1 << FIELD_BITS) - 1) << self.registry._field(name))
         terms: dict = {}
-        for exps, coeff in self.terms.items():
-            key = exps[:i] + (0,) + exps[i + 1 :]
-            terms[key] = terms.get(key, 0) + coeff
-        return MultiPoly(self.registry, terms)
+        get = terms.get
+        for key, coeff in self.terms.items():
+            key &= keep
+            terms[key] = get(key, 0) + coeff
+        return MultiPoly._make(self.registry, {k: c for k, c in terms.items() if c})
 
     def substitute(self, assignments: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Replace variables by polynomials over the same registry."""
+        names = self.registry.names
         result = MultiPoly.zero(self.registry)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.items():
             term = MultiPoly.const(self.registry, coeff)
-            for i, power in enumerate(exps):
+            for name, power in zip(names, exps):
                 if not power:
                     continue
-                name = self.registry.names[i]
                 if name in assignments:
                     term = term * assignments[name] ** power
                 else:
@@ -203,16 +289,17 @@ class MultiPoly:
             result = result + term
         return result
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- canonical text ------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
-        )
+        """``(exponent tuple, coeff)`` pairs in canonical order: ascending
+        total degree, ties by descending packed key."""
+        size = 2 * len(self.registry)
+        unpack = self.registry._codec.unpack
+        terms = self.terms
+        rows = [(unpack(k.to_bytes(size, "big")), terms[k]) for k in sorted(terms, reverse=True)]
+        rows.sort(key=lambda row: sum(row[0]))  # stable: ties keep descending keys
+        return rows
 
     def __repr__(self):
         return f"MultiPoly({to_canonical_string(self)!r})"
@@ -221,75 +308,72 @@ class MultiPoly:
 def to_canonical_string(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
+    names = p.registry.names
     pieces = []
-    for n, (exps, coeff) in enumerate(p.sorted_terms()):
-        factors = []
-        for name, power in zip(p.registry.names, exps):
-            if power == 1:
-                factors.append(name)
-            elif power > 1:
-                factors.append(f"{name}^{power}")
+    for exps, coeff in p.sorted_terms():
+        factors = [
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(compress(names, exps), filter(None, exps))
+        ]
         mag = abs(coeff)
-        if factors:
-            body = "*".join(factors) if mag == 1 else "*".join([str(mag)] + factors)
-        else:
-            body = str(mag)
-        if n == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        pieces.append(" - " if coeff < 0 else " + ")
+        pieces.append("*".join(factors))
+    pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
 
 
+# A sign after a space separates terms; any other "-" belongs to its term.
+_TERM_SIGN = re.compile(r"(?<= )([+-])")
+
+
 def parse_poly(text: str, registry: VarRegistry) -> MultiPoly:
-    """Inverse of :func:`to_canonical_string` (tolerant of extra spaces)."""
+    """Inverse of :func:`to_canonical_string` (tolerant of extra spaces).
+
+    Duplicate monomials are summed.
+    """
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial string")
     if text == "0":
         return MultiPoly.zero(registry)
-    chunks = []
-    sign = 1
+    first = "+"
     if text.startswith("-"):
-        sign = -1
-        text = text[1:].strip()
-    buf = ""
-    i = 0
-    while i < len(text):
-        if text[i] in "+-" and i > 0 and text[i - 1] == " ":
-            chunks.append((sign, buf.strip()))
-            sign = 1 if text[i] == "+" else -1
-            buf = ""
-            i += 2
-        else:
-            buf += text[i]
-            i += 1
-    chunks.append((sign, buf.strip()))
-    result = MultiPoly.zero(registry)
-    for sign, chunk in chunks:
+        first, text = "-", text[1:]
+    parts = _TERM_SIGN.split(text)
+    terms: dict = {}
+    get = terms.get
+    for sign, chunk in zip([first] + parts[1::2], parts[0::2]):
+        chunk = chunk.strip()
         if not chunk:
             raise ParseError(f"dangling sign in {text!r}")
-        coeff = sign
-        powers: dict = {}
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ParseError(f"empty factor in term {chunk!r}")
-            if factor.lstrip("-").isdigit():
-                coeff *= int(factor)
-                continue
-            if "^" in factor:
-                name, _, exp = factor.partition("^")
-                if not exp.isdigit():
-                    raise ParseError(f"bad exponent in {factor!r}")
-                power = int(exp)
-            else:
-                name, power = factor, 1
-            if name not in registry:
-                raise ParseError(f"unknown variable {name!r}")
-            powers[name] = powers.get(name, 0) + power
-        result = result + MultiPoly.monomial(registry, powers, coeff)
-    return result
+        try:
+            key, coeff = _parse_term(chunk, registry)
+        except ValueError as exc:  # an exponent out of range, or too many digits for int()
+            raise ParseError(f"{exc} in term {chunk!r}") from None
+        terms[key] = get(key, 0) + (-coeff if sign == "-" else coeff)
+    return MultiPoly._make(registry, {k: c for k, c in terms.items() if c})
+
+
+def _parse_term(chunk: str, registry: VarRegistry):
+    """The packed key and the coefficient of one unsigned term."""
+    coeff = 1
+    powers: dict = {}
+    for factor in chunk.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise ParseError(f"empty factor in term {chunk!r}")
+        if (factor[1:] if factor[0] == "-" else factor).isdecimal():
+            coeff *= int(factor)
+            continue
+        name, caret, exp = factor.partition("^")
+        if caret and not exp.isdecimal():
+            raise ParseError(f"bad exponent in {factor!r}")
+        if name not in registry:
+            raise ParseError(f"unknown variable {name!r}")
+        powers[name] = powers.get(name, 0) + (int(exp) if caret else 1)
+    return registry._pack(powers), coeff
 
 
 # --------------------------------------------------------------------------

@@ -178,8 +178,12 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     if it is not live, else a ref ``(child, strip)``.  ``child`` is a node
     index, or -1 for an edgeless result; ``strip`` holds the exponents
     stripped on the way, ``()`` when nothing was.
+
+    A root with more edges than ``edge_cap(16)`` raises
+    :class:`SizeLimitExceeded` before any resolution.
     """
     packaged = isinstance(root, PackagedPresentation)
+    _check_cap(root.ap if packaged else root, None, 16, "resolution DAG")
     strip = _strip_isolated if packaged else _strip_bare
     ops = OP_ORDER if packaged else TRANSITION_OPS
     choose = _edge_chooser(order)

@@ -247,7 +247,7 @@ def test_criterion_08_specialisation_identities():
         )
         z = mv_br_poly(ap)
         z_std = MultiPoly.zero(reg)
-        for exps, coeff in z.terms.items():
+        for exps, coeff in z.items():
             z_std = z_std + MultiPoly.monomial(
                 reg, {n: e for n, e in zip(z.registry.names, exps) if e}, coeff
             )

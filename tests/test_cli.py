@@ -8,6 +8,7 @@ from ribbontensor.arrow import canonical_form
 from ribbontensor.cli import main
 from ribbontensor.errors import ParseError
 from ribbontensor.files import dumps_presentation, loads_presentation
+from ribbontensor.polynomials import resolution_dag
 
 FIG_A = {"circles": [["f+", "e+", "g+", "e+"], ["f+", "g+"]]}
 FIG_DELETE = {"circles": [["f+", "g+"], ["f+", "g+"]]}
@@ -185,3 +186,13 @@ def test_bad_edge_cap_exits_2(tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", value)
         assert main(["poly", path, "--which", "br"]) == 2
         assert "RIBBONTENSOR_EDGE_CAP" in capsys.readouterr().err
+
+
+def test_recursions_respect_edge_cap(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "fig_a.json", FIG_A)
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "2")
+    # The cap is checked when a DAG is built, not on a cache hit.
+    resolution_dag.cache_clear()
+    for which in ("q", "qmv", "transition"):
+        assert main(["poly", path, "--which", which]) == 2
+        assert "resolution DAG capped at 2 edges, got 3" in capsys.readouterr().err

@@ -1,17 +1,23 @@
 """Exact polynomial ring, canonical text, and the rational linear solver."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbontensor.errors import (
     MissingVariable,
     ParseError,
     RegistryMismatch,
     SingularMatrix,
+    SizeLimitExceeded,
 )
 from ribbontensor.poly import (
+    MAX_EXPONENT,
     MultiPoly,
     VarRegistry,
     determinant,
@@ -186,3 +192,127 @@ def test_standard_registry_order():
     assert reg.names[:9] == ("a", "b", "c", "x", "y", "alpha", "beta", "gamma", "t")
     assert reg.names[9:14] == ("a_f", "b_f", "c_f", "x_f", "y_f")
     assert reg.names[14:] == ("a_g", "b_g", "c_g", "x_g", "y_g")
+
+
+# --------------------------------------------------------------------------
+# packed storage: properties against tuple-key references
+
+SMALL = VarRegistry.of("a", "b", "c")
+# The criterion-1 registry: global variables and five per edge for six edges.
+WIDE = standard_registry(f"e{i}" for i in range(6))
+
+
+def polys(registry, exponents=st.integers(0, 3), max_terms=6):
+    keys = st.tuples(*[exponents] * len(registry))
+    coeffs = st.integers(-50, 50)
+    return st.dictionaries(keys, coeffs, max_size=max_terms).map(
+        lambda terms: MultiPoly(registry, terms)
+    )
+
+
+any_registry_polys = st.one_of(
+    polys(SMALL, st.integers(0, MAX_EXPONENT)),
+    polys(REG),
+    polys(WIDE, st.sampled_from((0, 0, 0, 1, 2, MAX_EXPONENT)), max_terms=12),
+)
+small_polys = polys(SMALL)
+points = st.fixed_dictionaries(
+    {n: st.fractions(-4, 4, max_denominator=4) for n in SMALL.names}
+)
+
+
+def reference_canonical_string(p):
+    """Sort decoded exponent tuples directly and format each term."""
+    rows = sorted(p.items(), key=lambda row: (sum(row[0]), tuple(-e for e in row[0])))
+    pieces = []
+    for exps, coeff in rows:
+        factors = [
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(p.registry.names, exps)
+            if e
+        ]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
+    if not pieces:
+        return "0"
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@settings(deadline=None)
+@given(any_registry_polys)
+def test_canonical_text_round_trips(p):
+    assert parse_poly(to_canonical_string(p), p.registry) == p
+
+
+@settings(deadline=None)
+@given(any_registry_polys)
+def test_canonical_order_matches_tuple_sort(p):
+    assert to_canonical_string(p) == reference_canonical_string(p)
+    assert dict(p.items()) == {e: c for e, c in p.sorted_terms()}
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_ring_axioms(p, q, r):
+    zero, one = MultiPoly.zero(SMALL), MultiPoly.const(SMALL, 1)
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p * zero == zero
+    assert p - p == zero and p + (-p) == zero and (p - q) + q == p
+    assert 3 * p == p + p + p and p * 0 == zero
+    assert all(coeff for coeff in (p * q).terms.values())
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys, points, st.sampled_from(SMALL.names))
+def test_set_to_one_and_substitute_agree_with_eval(p, q, pt, name):
+    assert p.set_to_one(name).eval_at(pt) == p.eval_at({**pt, name: Fraction(1)})
+    assert p.substitute({name: q}).eval_at(pt) == p.eval_at({**pt, name: q.eval_at(pt)})
+
+
+def test_constructor_rejects_bad_exponent_vectors():
+    with pytest.raises(ValueError):
+        MultiPoly(SMALL, {(1, 2): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(SMALL, {(0, MAX_EXPONENT + 1, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(SMALL, {(0, -1, 0): 1})
+
+
+def test_exponent_overflow_raises():
+    x = MultiPoly.var(REG, "x")
+    top = MultiPoly.var(REG, "x", MAX_EXPONENT)
+    with pytest.raises(SizeLimitExceeded):
+        top * x
+    with pytest.raises(SizeLimitExceeded):
+        (top + v("a")) * (x + v("b"))
+    assert top * v("y") == MultiPoly.monomial(REG, {"x": MAX_EXPONENT, "y": 1})
+
+
+def test_parse_rejects_exponents_beyond_the_field():
+    with pytest.raises(ParseError):
+        parse_poly("x^40000", REG)
+    with pytest.raises(ParseError):
+        parse_poly(f"x^{MAX_EXPONENT}*x", REG)
+    assert parse_poly(f"x^{MAX_EXPONENT}", REG) == MultiPoly.var(REG, "x", MAX_EXPONENT)
+    # Digits int() refuses: a superscript, and more than its 4,300-digit limit.
+    for text in ("x^\u00b2", "\u00b2*x", "9" * 5000 + "*x"):
+        with pytest.raises(ParseError):
+            parse_poly(text, REG)
+
+
+def test_parse_sums_repeated_terms():
+    assert parse_poly("a*b + 2*b*a - 3*a*b + c", REG) == v("c")
+    assert parse_poly("a - a", REG) == MultiPoly.zero(REG)
+
+
+def test_polynomials_pickle_and_copy():
+    p = parse_poly("3*a^2*x - alpha*t + 7", REG)
+    for again in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert again == p and to_canonical_string(again) == to_canonical_string(p)
+        assert again * v("b") == p * v("b")
