@@ -38,8 +38,6 @@ from .errors import (
 
 TAIL, HEAD = 0, 1
 
-Token = tuple  # (circle, position, slot)
-
 
 class Occ(NamedTuple):
     """One arrow lying on a circle."""
@@ -91,14 +89,6 @@ class ArrowPresentation:
             edges = [o.label for circ in circs for o in circ]
         return cls(circs, frozenset(edges))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.circles)
-
     def occurrences(self, label: str):
         """The two ``(circle, position)`` slots of ``label``, in index order."""
         try:
@@ -119,9 +109,6 @@ class ArrowPresentation:
             for circ in self.circles
         )
         return ArrowPresentation.from_circles(circs)
-
-    def heading(self, circle: int, position: int) -> bool:
-        return self.circles[circle][position].forward
 
 
 @lru_cache(maxsize=65536)
@@ -245,21 +232,28 @@ class SurfaceStats:
     orientable: bool
 
 
-def _component_count(ap: ArrowPresentation) -> int:
-    parent = list(range(len(ap.circles)))
+def find(parent: dict, x):
+    """Root of ``x`` in the union-find forest ``parent`` (a key absent from
+    it is a root), compressing the path walked."""
+    r = x
+    while parent.get(r, r) != r:
+        r = parent[r]
+    while parent.get(x, x) != x:
+        parent[x], x = r, parent[x]
+    return r
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for label in ap.edges:
-        (c1, _), (c2, _) = ap.occurrences(label)
-        ra, rb = find(c1), find(c2)
-        if ra != rb:
-            parent[rb] = ra
-    return len({find(i) for i in range(len(ap.circles))})
+def component_count(n: int, pairs: Iterable) -> int:
+    """Connected components of the graph on vertices 0..n-1 with edges
+    ``pairs``."""
+    parent: dict = {}
+    k = n
+    for u, v in pairs:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[rv] = ru
+            k -= 1
+    return k
 
 
 def _orientable(ap: ArrowPresentation) -> bool:
@@ -302,7 +296,9 @@ def _orientable(ap: ArrowPresentation) -> bool:
 def surface_stats(ap: ArrowPresentation) -> SurfaceStats:
     v = len(ap.circles)
     e = len(ap.edges)
-    k = _component_count(ap)
+    k = component_count(
+        v, ((c1, c2) for (c1, _), (c2, _) in map(ap.occurrences, ap.edges))
+    )
     b = len(boundary_components(ap))
     genus = 2 * k - v + e - b
     return SurfaceStats(v, e, k, b, genus, _orientable(ap))
@@ -352,22 +348,13 @@ def _splice(circles, removed, glue):
         new_circles.append(circ)
 
     parent: dict = {}
-
-    def find(x):
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
     for a, b, _ in glue:
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     names_at: dict = {}
     for a, _, name in glue:
-        names_at.setdefault(find(a), []).append(name)
+        names_at.setdefault(find(parent, a), []).append(name)
 
     # Cut affected circles into chains running between removed occurrences.
     chains = []  # (items, start_endpoint, end_endpoint)
@@ -388,8 +375,8 @@ def _splice(circles, removed, glue):
 
     ends: dict = {}
     for idx, (_, s, e) in enumerate(chains):
-        ends.setdefault(find(s), []).append((idx, 0))
-        ends.setdefault(find(e), []).append((idx, 1))
+        ends.setdefault(find(parent, s), []).append((idx, 0))
+        ends.setdefault(find(parent, e), []).append((idx, 1))
     for rep, entries in ends.items():
         if len(entries) != 2:
             raise InvariantViolation("glued point must join exactly two chain ends")
@@ -403,7 +390,7 @@ def _splice(circles, removed, glue):
             for pos in seq:
                 events.append(("occ", pos, direction == BWD))
             node = e if direction == FWD else s
-            rep = find(node)
+            rep = find(parent, node)
             for name in sorted(names_at.get(rep, ())):
                 events.append(("marker", name))
             arrived = (cur, 1 if direction == FWD else 0)
@@ -429,7 +416,7 @@ def _splice(circles, removed, glue):
             _, s, e = chains[cur]
             node = e if direction == FWD else s
             arrived = (cur, 1 if direction == FWD else 0)
-            entries = list(ends[find(node)])
+            entries = list(ends[find(parent, node)])
             entries.remove(arrived)
             nxt, flag = entries[0]
             direction = FWD if flag == 0 else BWD
@@ -448,7 +435,7 @@ def _splice(circles, removed, glue):
             name
             for m in members
             for node in (chains[m][1], chains[m][2])
-            for name in names_at.get(find(node), ())
+            for name in names_at.get(find(parent, node), ())
         ]
         return (1, min(marks))
 
@@ -618,14 +605,6 @@ class EdgeOpResult:
     occ_map: dict  # surviving old (circle, pos) -> new (circle, pos)
 
 
-def _incident_boundaries(ap, e):
-    """The boundaries through the two chords of ``e``: (via head of first
-    occurrence, via head of second occurrence).  They may coincide."""
-    (c1, p1), (c2, p2) = ap.occurrences(e)
-    token_to_bd, _, _ = _boundary_indexes(boundary_components(ap))
-    return token_to_bd[(c1, p1, HEAD)], token_to_bd[(c2, p2, HEAD)]
-
-
 @lru_cache(maxsize=16384)
 def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     """Apply an arrow-level operation and report the natural identifications.
@@ -698,6 +677,14 @@ def edge_cap(default: int) -> int:
             f"RIBBONTENSOR_EDGE_CAP must be an integer of at least 1, got {value!r}"
         )
     return cap
+
+
+def check_edge_cap(n: int, default: int, what: str, cap: Optional[int] = None) -> None:
+    """Refuse ``n`` edges beyond ``cap``, or beyond ``edge_cap(default)`` when
+    ``cap`` is ``None``, with :class:`SizeLimitExceeded` naming ``what``."""
+    cap = edge_cap(default) if cap is None else cap
+    if n > cap:
+        raise SizeLimitExceeded(f"{what} capped at {cap} edges, got {n}")
 
 
 def _encode_candidate(circ, start, direction, codes, headings, counter):
@@ -812,11 +799,7 @@ def canonical_form(ap: ArrowPresentation, cap: Optional[int] = None) -> ArrowPre
     the two arrows of any edge, and relabelling by first appearance.  Two
     presentations are equivalent iff their canonical forms are equal.
     """
-    cap = edge_cap(8) if cap is None else cap
-    if len(ap.edges) > cap:
-        raise SizeLimitExceeded(
-            f"canonical form capped at {cap} edges, got {len(ap.edges)}"
-        )
+    check_edge_cap(len(ap.edges), 8, "canonical form", cap)
     enc, _ = _canonical_search(ap)
     empty = sum(1 for circ in ap.circles if not circ)
     return _rebuild_from_encoding(enc, empty)[0]
@@ -831,11 +814,7 @@ def canonical_transforms(ap: ArrowPresentation, cap: Optional[int] = None):
     both arrows reversed in the canonical form, which swaps its tail and
     head slots.
     """
-    cap = edge_cap(8) if cap is None else cap
-    if len(ap.edges) > cap:
-        raise SizeLimitExceeded(
-            f"canonical form capped at {cap} edges, got {len(ap.edges)}"
-        )
+    check_edge_cap(len(ap.edges), 8, "canonical form", cap)
     enc, transforms = _canonical_search(ap)
     empty = sum(1 for circ in ap.circles if not circ)
     canon, offsets = _rebuild_from_encoding(enc, empty)

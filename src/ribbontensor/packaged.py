@@ -14,6 +14,7 @@ the items incident to the operated edge, plus whatever the surgery created).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -25,6 +26,7 @@ from .arrow import (
     boundary_components,
     canonical_transforms,
     edge_op_traced,
+    find,
     validate,
     _boundary_indexes,
     _resolve_marker,
@@ -79,10 +81,6 @@ class Partition:
         return cls(frozenset(result), universe)
 
     @classmethod
-    def singletons(cls, universe: Iterable[int]):
-        return cls.make(None, universe)
-
-    @classmethod
     def one_block(cls, universe: Iterable[int]):
         universe = frozenset(universe)
         return cls.make([universe] if universe else None, universe)
@@ -132,14 +130,6 @@ class PackagedPresentation:
     ap: ArrowPresentation
     vparts: Partition
     bparts: Partition
-
-    @property
-    def vertex_class_count(self) -> int:
-        return len(self.vparts)
-
-    @property
-    def boundary_class_count(self) -> int:
-        return len(self.bparts)
 
 
 def make_packaged(
@@ -401,37 +391,25 @@ def _fuse(partition, item_map, created, old_groups, new_groups):
     """
     parent: dict = {}
 
-    def find(x):
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    def union(items):
+        root = find(parent, items[0])
+        for other in items[1:]:
+            r = find(parent, other)
+            if r != root:
+                parent[r] = root
 
     for block in partition.blocks:
-        items = [("o", x) for x in block]
-        for other in items[1:]:
-            union(items[0], other)
-    for c in created:
-        find(("n", c))
+        union([("o", x) for x in block])
     for old_group, new_group in zip(old_groups, new_groups):
-        items = [("o", x) for x in old_group] + [("n", x) for x in new_group]
-        for other in items[1:]:
-            union(items[0], other)
+        union([("o", x) for x in old_group] + [("n", x) for x in new_group])
 
     comps: dict = {}
     for x in partition.universe:
-        comps.setdefault(find(("o", x)), set())
+        members = comps.setdefault(find(parent, ("o", x)), set())
         if x in item_map:
-            comps[find(("o", x))].add(item_map[x])
+            members.add(item_map[x])
     for c in created:
-        comps.setdefault(find(("n", c)), set()).add(c)
+        comps.setdefault(find(parent, ("n", c)), set()).add(c)
     blocks = frozenset(frozenset(b) for b in comps.values() if b)
     universe = frozenset(item_map.values()) | frozenset(created)
     return Partition(blocks, universe)
@@ -533,11 +511,8 @@ def k_presentations():
 def _unique_orderings(groups, cap=100000):
     """Distinct arrangements of items where same-group items are
     interchangeable."""
-    total = 1
     counts = [len(g) for g in groups]
     n = sum(counts)
-    import math
-
     total = math.factorial(n)
     for c in counts:
         total //= math.factorial(c)

@@ -22,28 +22,36 @@ Both deletion-style recursions, that of Q and that of the transition
 polynomial, run through one engine: :func:`resolution_dag` resolves a
 presentation once into the DAG of its distinct sub-presentations, and
 :func:`fold_dag` evaluates that DAG over a ring, ``MultiPoly`` for the
-polynomial or ``Fraction`` for its value at a point.
+polynomial or ``Fraction`` for its value at a point.  The subset
+expansions have the same shape: :func:`_spanning_table` enumerates the
+spanning sub-presentations of an arrow presentation once, and
+:func:`_subset_counts` the edge subsets of a multigraph, and one evaluator
+per invariant sums either table in the ring of its arguments.
+
+The edge cap is checked on every call, before any cache is consulted, so a
+cap lowered after an instance was cached still applies.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .arrow import (
     ArrowPresentation,
     boundary_components,
+    check_edge_cap,
+    component_count,
     contract_edge,
     delete_edge,
-    edge_cap,
     penrose_contract_edge,
     surface_stats,
 )
-from .errors import SizeLimitExceeded
 from .packaged import EdgeOpKind, PackagedPresentation, Partition, apply_edge_op
 from .poly import MultiPoly, VarRegistry, standard_registry
 
@@ -54,10 +62,6 @@ OP_ORDER = (
     EdgeOpKind.MERGE_DELETE,
     EdgeOpKind.MERGE_CONTRACT,
 )
-
-# A five-colouring assigns one of the five operations to every edge; state
-# sums iterate over all of them.
-FiveColoring = Mapping[str, EdgeOpKind]
 
 
 class WeightSystem:
@@ -145,6 +149,28 @@ def _edge_chooser(order: Optional[Sequence[str]]):
     return lambda edges: min(edges, key=lambda l: (priority.get(l, len(priority)), l))
 
 
+def _capped_cache(maxsize: int):
+    """``lru_cache(maxsize)`` for a resolution-DAG builder whose first
+    argument, a packaged or bare arrow presentation, is capped at
+    ``edge_cap(16)`` edges.  The cap is checked on every call, cache hits
+    included."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def call(root, *args):
+            ap = root.ap if isinstance(root, PackagedPresentation) else root
+            check_edge_cap(len(ap.edges), 16, "resolution DAG")
+            return cached(root, *args)
+
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return decorate
+
+
 # --------------------------------------------------------------------------
 # the resolution DAG: one builder and one fold serve both deletion-style
 # recursions, symbolically and at a point
@@ -161,7 +187,7 @@ def _strip_bare(ap: ArrowPresentation):
     return ArrowPresentation(tuple(c for c in ap.circles if c), ap.edges), (bare,)
 
 
-@lru_cache(maxsize=64)
+@_capped_cache(64)
 def resolution_dag(root, order: Optional[tuple], live: tuple):
     """Resolve ``root`` once into the DAG of its distinct sub-presentations.
 
@@ -180,10 +206,9 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     stripped on the way, ``()`` when nothing was.
 
     A root with more edges than ``edge_cap(16)`` raises
-    :class:`SizeLimitExceeded` before any resolution.
+    :class:`SizeLimitExceeded`, also when its DAG is cached.
     """
     packaged = isinstance(root, PackagedPresentation)
-    _check_cap(root.ap if packaged else root, None, 16, "resolution DAG")
     strip = _strip_isolated if packaged else _strip_bare
     ops = OP_ORDER if packaged else TRANSITION_OPS
     choose = _edge_chooser(order)
@@ -330,11 +355,7 @@ def state_sum_oracle(
     operation (fixed label order, no stripping) and contributes its weight
     monomial times the base value of the fully resolved presentation.
     """
-    cap = edge_cap(12) if cap is None else cap
-    if len(pg.ap.edges) > cap:
-        raise SizeLimitExceeded(
-            f"state sum capped at {cap} edges, got {len(pg.ap.edges)}"
-        )
+    check_edge_cap(len(pg.ap.edges), 12, "state sum", cap)
     if w is None:
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
     registry = w.registry
@@ -378,7 +399,7 @@ def q_value(
     return fold_dag(dag, weights, (alpha, beta, gamma))
 
 
-@lru_cache(maxsize=16)
+@_capped_cache(16)
 def q_state_table(pg: PackagedPresentation):
     """The resolution DAG of ``pg`` with all five operations live.
 
@@ -420,7 +441,7 @@ def transition_poly(
     return fold_dag(dag, w, (MultiPoly.var(registry, "t"),))
 
 
-@lru_cache(maxsize=32)
+@_capped_cache(32)
 def transition_state_table(ap: ArrowPresentation):
     """The resolution DAG of the 3-way transition recursion, all operations
     live, in weight order (contract, delete, penrose)."""
@@ -432,7 +453,7 @@ def transition_table_value(table, weights, t: Fraction) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# subset expansions over spanning sub-presentations
+# subset expansions: one table per domain, built once, evaluated in any ring
 
 
 def _spanning(ap: ArrowPresentation, subset) -> ArrowPresentation:
@@ -443,14 +464,49 @@ def _spanning(ap: ArrowPresentation, subset) -> ArrowPresentation:
     )
 
 
-def _check_cap(ap, cap, default, what):
-    cap = edge_cap(default) if cap is None else cap
-    if len(ap.edges) > cap:
-        raise SizeLimitExceeded(f"{what} capped at {cap} edges, got {len(ap.edges)}")
+@lru_cache(maxsize=8)
+def _spanning_table(ap: ArrowPresentation) -> tuple:
+    """``(k(A), b(A), euler_genus(A))`` for every spanning sub-presentation
+    of ``ap``, at the index whose bit i is set when A holds the i-th label in
+    sorted order.  Equal rows are one object, so a table keeps little more
+    than a pointer per subset.  Callers check the edge cap first."""
+    labels = sorted(ap.edges)
+    rows: dict = {}
+    table = []
+    for mask in range(1 << len(labels)):
+        subset = [label for i, label in enumerate(labels) if mask >> i & 1]
+        stats = surface_stats(_spanning(ap, subset))
+        row = (stats.k, stats.b, stats.euler_genus)
+        table.append(rows.setdefault(row, row))
+    return tuple(table)
 
 
 def mv_br_registry(ap: ArrowPresentation) -> VarRegistry:
     return VarRegistry(("a", "c") + tuple(f"b_{l}" for l in sorted(ap.edges)))
+
+
+def _mv_br(ap: ArrowPresentation, a, b_by_label: Mapping, c, cap: Optional[int]):
+    check_edge_cap(len(ap.edges), 16, "subset expansion", cap)
+    one = a**0
+    # prods[mask] is the product of b_e over the labels in mask.
+    prods = [one]
+    for label in sorted(ap.edges):
+        b = b_by_label[label]
+        prods += [p * b for p in prods]
+    total = one - one
+    for (k, nb, _), prod in zip(_spanning_table(ap), prods):
+        total = total + a**k * c**nb * prod
+    return total
+
+
+def mv_br_value(ap: ArrowPresentation, a, b_by_label: Mapping, c):
+    """Multivariate Bollobas-Riordan polynomial at ``a``, ``b_e``, ``c``.
+
+    Sum over spanning sub-presentations A of
+    a^{k(A)} * (prod of b_e over A) * c^{b(A)}, in the ring of the
+    arguments: ``Fraction`` for a value, ``MultiPoly`` for the polynomial.
+    """
+    return _mv_br(ap, a, b_by_label, c, None)
 
 
 def mv_br_poly(
@@ -458,39 +514,11 @@ def mv_br_poly(
     registry: Optional[VarRegistry] = None,
     cap: Optional[int] = None,
 ) -> MultiPoly:
-    """Multivariate Bollobas-Riordan polynomial.
-
-    Sum over spanning sub-presentations A of
-    a^{k(A)} * (prod of b_e over A) * c^{b(A)}.
-    """
-    _check_cap(ap, cap, 16, "subset expansion")
+    """:func:`mv_br_value` at the variables a, b_e, c."""
     registry = registry or mv_br_registry(ap)
-    labels = sorted(ap.edges)
-    total = MultiPoly.zero(registry)
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        subset = [l for l, bit in zip(labels, bits) if bit]
-        sub = _spanning(ap, subset)
-        stats = surface_stats(sub)
-        powers = {"a": stats.k, "c": stats.b}
-        for l in subset:
-            powers[f"b_{l}"] = 1
-        total = total + MultiPoly.monomial(registry, powers)
-    return total
-
-
-def mv_br_value(ap, a: Fraction, b_by_label: Mapping[str, Fraction], c: Fraction) -> Fraction:
-    """Exact point value of :func:`mv_br_poly` (no cap; used pointwise)."""
-    labels = sorted(ap.edges)
-    total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        subset = [l for l, bit in zip(labels, bits) if bit]
-        sub = _spanning(ap, subset)
-        stats = surface_stats(sub)
-        term = a**stats.k * c**stats.b
-        for l in subset:
-            term *= b_by_label[l]
-        total += term
-    return total
+    var = lambda name: MultiPoly.var(registry, name)
+    b_by_label = {l: var(f"b_{l}") for l in ap.edges}
+    return _mv_br(ap, var("a"), b_by_label, var("c"), cap)
 
 
 def br_poly(ap: ArrowPresentation, cap: Optional[int] = None) -> MultiPoly:
@@ -498,31 +526,22 @@ def br_poly(ap: ArrowPresentation, cap: Optional[int] = None) -> MultiPoly:
 
     Sum over spanning sub-presentations of
     (x-1)^{r(E)-r(A)} * y^{|A|-r(A)} * z^{genus(A)} with r(A) = v - k(A) and
-    genus the Euler genus, expanded into integer powers of x, y, z.
+    genus the Euler genus, expanded into integer powers of x, y, z.  The
+    spanning table is summed grouped by (k(A), |A|, genus(A)).
     """
-    _check_cap(ap, cap, 16, "subset expansion")
+    check_edge_cap(len(ap.edges), 16, "subset expansion", cap)
     registry = VarRegistry(("x", "y", "z"))
-    labels = sorted(ap.edges)
+    x, y, z = (MultiPoly.var(registry, n) for n in ("x", "y", "z"))
+    rows = _spanning_table(ap)
     v = len(ap.circles)
-    r_full = v - _spanning_k(ap, labels)
-    x = MultiPoly.var(registry, "x")
-    one = MultiPoly.const(registry, 1)
+    k_full = min(k for k, _, _ in rows)
+    groups = Counter((k, mask.bit_count(), genus) for mask, (k, _, genus) in enumerate(rows))
+    x1 = x - x**0
     total = MultiPoly.zero(registry)
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        subset = [l for l, bit in zip(labels, bits) if bit]
-        sub = _spanning(ap, subset)
-        stats = surface_stats(sub)
-        r_a = v - stats.k
-        term = (x - one) ** (r_full - r_a)
-        term = term * MultiPoly.monomial(
-            registry, {"y": len(subset) - r_a, "z": stats.euler_genus}
-        )
-        total = total + term
+    for (k, size, genus), count in groups.items():
+        # r(E) - r(A) = k(A) - k(E) and |A| - r(A) = |A| - v + k(A)
+        total = total + count * x1 ** (k - k_full) * y ** (size - v + k) * z**genus
     return total
-
-
-def _spanning_k(ap, subset):
-    return surface_stats(_spanning(ap, subset)).k
 
 
 # --------------------------------------------------------------------------
@@ -545,25 +564,9 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edge_list)
 
-    def components(self, subset: Optional[Iterable[int]] = None) -> int:
-        idx = range(self.m) if subset is None else subset
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in idx:
-            u, v = self.edge_list[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-        return len({find(i) for i in range(self.n)})
-
     def rank(self, subset: Optional[Iterable[int]] = None) -> int:
-        return self.n - self.components(subset)
+        idx = range(self.m) if subset is None else subset
+        return self.n - component_count(self.n, (self.edge_list[i] for i in idx))
 
     def delete(self, i: int) -> "Multigraph":
         return Multigraph(self.n, self.edge_list[:i] + self.edge_list[i + 1 :])
@@ -601,56 +604,63 @@ def graph_of_presentation(ap: ArrowPresentation) -> Multigraph:
     return Multigraph.make(len(ap.circles), edges)
 
 
-def zdot_tutte(g: Multigraph, cap: Optional[int] = None) -> MultiPoly:
-    """Subset expansion over (a, b, c): a^{k(A)} b^{|A|} c^{|E-A|}."""
-    cap = edge_cap(16) if cap is None else cap
-    if g.m > cap:
-        raise SizeLimitExceeded(f"subset expansion capped at {cap} edges, got {g.m}")
-    registry = VarRegistry(("a", "b", "c"))
-    total = MultiPoly.zero(registry)
+@lru_cache(maxsize=64)
+def _subset_counts(g: Multigraph) -> tuple:
+    """``((k(A), |A|), count)`` over the edge subsets A of ``g``; the
+    Whitney-rank expansions depend on nothing else.  Callers check the edge
+    cap first."""
+    counts: Counter = Counter()
     for bits in itertools.product((0, 1), repeat=g.m):
-        subset = [i for i, bit in enumerate(bits) if bit]
-        total = total + MultiPoly.monomial(
-            registry,
-            {"a": g.components(subset), "b": len(subset), "c": g.m - len(subset)},
-        )
+        subset = tuple(itertools.compress(g.edge_list, bits))
+        counts[component_count(g.n, subset), len(subset)] += 1
+    return tuple(counts.items())
+
+
+def _zdot(g: Multigraph, a, b, c, cap: Optional[int]):
+    check_edge_cap(g.m, 16, "subset expansion", cap)
+    one = a**0
+    total = one - one
+    for (k, size), count in _subset_counts(g):
+        total = total + count * a**k * b**size * c ** (g.m - size)
     return total
+
+
+def _tutte(g: Multigraph, x, y, cap: Optional[int]):
+    check_edge_cap(g.m, 16, "subset expansion", cap)
+    one = x**0
+    rows = _subset_counts(g)
+    k_full = min(k for (k, _), _ in rows)
+    total = one - one
+    for (k, size), count in rows:
+        # r(E) - r(A) = k(A) - k(E) and |A| - r(A) = |A| - n + k(A)
+        total = total + count * (x - one) ** (k - k_full) * (y - one) ** (size - g.n + k)
+    return total
+
+
+def zdot_value(g: Multigraph, a, b, c):
+    """Sum over edge subsets A of a^{k(A)} b^{|A|} c^{|E-A|}, in the ring of
+    the arguments."""
+    return _zdot(g, a, b, c, None)
+
+
+def tutte_value(g: Multigraph, x, y):
+    """Whitney-rank expansion of the Tutte polynomial at ``x``, ``y``, in the
+    ring of the arguments."""
+    return _tutte(g, x, y, None)
+
+
+def zdot_tutte(g: Multigraph, cap: Optional[int] = None) -> MultiPoly:
+    """:func:`zdot_value` at the variables a, b, c."""
+    registry = VarRegistry(("a", "b", "c"))
+    a, b, c = (MultiPoly.var(registry, n) for n in ("a", "b", "c"))
+    return _zdot(g, a, b, c, cap)
 
 
 def tutte_poly(g: Multigraph, cap: Optional[int] = None) -> MultiPoly:
-    """Whitney-rank expansion of the Tutte polynomial, expanded in x and y."""
-    cap = edge_cap(16) if cap is None else cap
-    if g.m > cap:
-        raise SizeLimitExceeded(f"subset expansion capped at {cap} edges, got {g.m}")
+    """:func:`tutte_value` at the variables x, y, expanded."""
     registry = VarRegistry(("x", "y"))
-    x = MultiPoly.var(registry, "x")
-    y = MultiPoly.var(registry, "y")
-    one = MultiPoly.const(registry, 1)
-    r_full = g.rank()
-    total = MultiPoly.zero(registry)
-    for bits in itertools.product((0, 1), repeat=g.m):
-        subset = [i for i, bit in enumerate(bits) if bit]
-        r_a = g.rank(subset)
-        total = total + (x - one) ** (r_full - r_a) * (y - one) ** (len(subset) - r_a)
-    return total
-
-
-def zdot_value(g: Multigraph, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
-    total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=g.m):
-        subset = [i for i, bit in enumerate(bits) if bit]
-        total += a ** g.components(subset) * b ** len(subset) * c ** (g.m - len(subset))
-    return total
-
-
-def tutte_value(g: Multigraph, x: Fraction, y: Fraction) -> Fraction:
-    r_full = g.rank()
-    total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=g.m):
-        subset = [i for i, bit in enumerate(bits) if bit]
-        r_a = g.rank(subset)
-        total += (x - 1) ** (r_full - r_a) * (y - 1) ** (len(subset) - r_a)
-    return total
+    x, y = (MultiPoly.var(registry, n) for n in ("x", "y"))
+    return _tutte(g, x, y, cap)
 
 
 def graph_two_sum(g: Multigraph, i: int, h: Multigraph, j: int, flip: bool = False) -> Multigraph:

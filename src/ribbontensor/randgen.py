@@ -69,16 +69,6 @@ def random_vertex_partitioned(
     )
 
 
-def random_orientable_presentation(
-    rng: random.Random, max_edges: int = 4, min_edges: int = 1
-) -> ArrowPresentation:
-    for _ in range(400):
-        ap = random_presentation(rng, max_edges, min_edges, extra_circle_rate=0.0)
-        if surface_stats(ap).orientable:
-            return ap
-    raise RuntimeError("could not sample an orientable presentation")
-
-
 def _insert_occurrences(rng, circles, label):
     """Place the two arrows of a fresh edge at random positions."""
     circles = [list(c) for c in circles]

@@ -62,8 +62,6 @@ from .randgen import (
     random_vertex_partitioned,
 )
 
-PhiVector = tuple
-
 
 class TheoremKind(Enum):
     MAINMV = "mainmv"
@@ -161,7 +159,7 @@ def _transition_weights(labels, pt):
     return {l: tuple(pt[f"{s}_{l}"] for s in ("a", "b", "c")) for l in labels}
 
 
-def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> PhiVector:
+def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
     """Transfer coefficients of one factor at one point.
 
     ``ph`` is a packaged presentation for the five- and four-row kinds, a
@@ -553,7 +551,7 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
             good = [
                 i
                 for i in range(h.m)
-                if not h.is_loop(i) and h.delete(i).components() == h.components()
+                if not h.is_loop(i) and h.delete(i).rank() == h.rank()
             ]
             if good:
                 break

@@ -8,7 +8,6 @@ from ribbontensor.arrow import canonical_form
 from ribbontensor.cli import main
 from ribbontensor.errors import ParseError
 from ribbontensor.files import dumps_presentation, loads_presentation
-from ribbontensor.polynomials import resolution_dag
 
 FIG_A = {"circles": [["f+", "e+", "g+", "e+"], ["f+", "g+"]]}
 FIG_DELETE = {"circles": [["f+", "g+"], ["f+", "g+"]]}
@@ -191,8 +190,6 @@ def test_bad_edge_cap_exits_2(tmp_path, monkeypatch, capsys):
 def test_recursions_respect_edge_cap(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "fig_a.json", FIG_A)
     monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "2")
-    # The cap is checked when a DAG is built, not on a cache hit.
-    resolution_dag.cache_clear()
     for which in ("q", "qmv", "transition"):
         assert main(["poly", path, "--which", which]) == 2
         assert "resolution DAG capped at 2 edges, got 3" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Polynomial invariants: golden values, specialisations, oracles."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbontensor.arrow import (
     ArrowPresentation,
@@ -27,6 +31,7 @@ from ribbontensor.polynomials import (
     OP_ORDER,
     Multigraph,
     WeightSystem,
+    _spanning_table,
     _strip_isolated,
     br_poly,
     fold_dag,
@@ -36,6 +41,7 @@ from ribbontensor.polynomials import (
     q_poly,
     q_state_table,
     q_table_value,
+    mv_br_value,
     q_value,
     qhat_poly,
     resolution_dag,
@@ -44,8 +50,10 @@ from ribbontensor.polynomials import (
     transition_state_table,
     transition_table_value,
     tutte_poly,
+    tutte_value,
     z_poly,
     zdot_tutte,
+    zdot_value,
     zhat_poly,
 )
 from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
@@ -438,38 +446,137 @@ def test_dag_is_no_larger_than_the_state_table():
 
 
 def test_numeric_fast_paths_match_symbolic_evaluation():
-    # the verifier's rational evaluators must agree with the polynomials
+    # mv_br_value at a point against the Q specialisation that
+    # test_mv_br_is_q_specialised checks symbolically: delete weight 1,
+    # merge-contract weight b_e, alpha = c, beta = a, gamma = 1.
     rng = random.Random(46)
-    from ribbontensor.polynomials import (
-        mv_br_value,
-        transition_state_table,
-        transition_table_value,
-        tutte_value,
-        zdot_value,
-    )
-    from ribbontensor.randgen import random_connected_multigraph
-
     for _ in range(20):
         ap = random_presentation(rng, 4, 0, extra_circle_rate=0.2)
-        reg = standard_registry(ap.edges)
-        pt = {n: Fraction(rng.randint(1, 30), rng.randint(1, 30)) for n in reg.names}
-        # transition
-        tr = transition_poly(ap, registry=reg)
-        weights = {l: (pt[f"a_{l}"], pt[f"b_{l}"], pt[f"c_{l}"]) for l in ap.edges}
-        assert tr.eval_at(pt) == transition_table_value(
-            transition_state_table(ap), weights, pt["t"]
-        )
-        # multivariate subset expansion
-        z = mv_br_poly(ap)
-        zpt = {"a": pt["a"], "c": pt["c"]}
-        zpt.update({f"b_{l}": pt[f"b_{l}"] for l in ap.edges})
-        b_by = {l: pt[f"b_{l}"] for l in ap.edges}
-        assert z.eval_at(zpt) == mv_br_value(ap, pt["a"], b_by, pt["c"])
-        # graph expansions
-        g = random_connected_multigraph(rng, max_edges=4, min_edges=0)
-        gz = zdot_tutte(g)
-        gt = tutte_poly(g)
-        gpt = {"a": pt["a"], "b": pt["b"], "c": pt["c"]}
-        tpt = {"x": pt["x"], "y": pt["y"]}
-        assert gz.eval_at(gpt) == zdot_value(g, pt["a"], pt["b"], pt["c"])
-        assert gt.eval_at(tpt) == tutte_value(g, pt["x"], pt["y"])
+        a, c = (Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(2))
+        b_by = {l: Fraction(rng.randint(1, 30), rng.randint(1, 30)) for l in ap.edges}
+        weights = {l: (1, 0, 0, 0, b) for l, b in b_by.items()}
+        expected = q_value(make_packaged(ap), weights, c, a, Fraction(1))
+        assert mv_br_value(ap, a, b_by, c) == expected
+
+
+# ---- the Whitney-rank expansions against deletion-contraction -------------
+
+
+def _connected(g, u, v):
+    """Whether u reaches v in g (a plain search, independent of the library)."""
+    seen, stack = {u}, [u]
+    while stack:
+        w = stack.pop()
+        for p, q in g.edge_list:
+            for s, t in ((p, q), (q, p)):
+                if s == w and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return v in seen
+
+
+def _zdot_dc(g, a, b, c):
+    if not g.m:
+        return a**g.n
+    return c * _zdot_dc(g.delete(0), a, b, c) + b * _zdot_dc(g.contract(0), a, b, c)
+
+
+def _tutte_dc(g, x, y):
+    if not g.m:
+        return 1
+    u, v = g.edge_list[0]
+    if u == v:
+        return y * _tutte_dc(g.delete(0), x, y)
+    if not _connected(g.delete(0), u, v):
+        return x * _tutte_dc(g.contract(0), x, y)
+    return _tutte_dc(g.delete(0), x, y) + _tutte_dc(g.contract(0), x, y)
+
+
+multigraphs = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6).map(
+        lambda edges: Multigraph.make(n, edges)
+    )
+)
+small_fractions = st.fractions(-5, 5, max_denominator=7)
+
+
+@settings(deadline=None, max_examples=60)
+@given(multigraphs, small_fractions, small_fractions, small_fractions)
+def test_whitney_expansions_satisfy_deletion_contraction(g, p, q, r):
+    assert zdot_value(g, p, q, r) == _zdot_dc(g, p, q, r)
+    assert tutte_value(g, p, q) == _tutte_dc(g, p, q)
+    assert zdot_tutte(g).eval_at({"a": p, "b": q, "c": r}) == _zdot_dc(g, p, q, r)
+    assert tutte_poly(g).eval_at({"x": p, "y": q}) == _tutte_dc(g, p, q)
+
+
+# ---- the edge cap ----------------------------------------------------------
+
+
+def test_edge_cap_is_checked_on_cache_hits(monkeypatch):
+    monkeypatch.delenv("RIBBONTENSOR_EDGE_CAP", raising=False)
+    circles = [[("e", True), ("f", True), ("g", True)], [("e", True), ("f", True), ("g", True)]]
+    pg = make_packaged(ArrowPresentation.from_circles(circles))
+    weights = {l: (Fraction(1),) * 5 for l in pg.ap.edges}
+    args = (Fraction(2), Fraction(3), Fraction(5))
+    q_value(pg, weights, *args)
+    q_state_table(pg)
+    transition_state_table(pg.ap)
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "2")
+    with pytest.raises(SizeLimitExceeded, match="resolution DAG capped at 2 edges, got 3"):
+        q_value(pg, weights, *args)
+    with pytest.raises(SizeLimitExceeded, match="resolution DAG capped at 2 edges, got 3"):
+        q_state_table(pg)
+    with pytest.raises(SizeLimitExceeded, match="resolution DAG capped at 2 edges, got 3"):
+        transition_state_table(pg.ap)
+
+
+def test_value_evaluators_respect_edge_cap(monkeypatch):
+    monkeypatch.delenv("RIBBONTENSOR_EDGE_CAP", raising=False)
+    ap = ArrowPresentation.from_circles([[("e", True), ("f", True), ("g", True)]] * 2)
+    g = graph_of_presentation(ap)
+    one = Fraction(1)
+    b_by = {l: one for l in ap.edges}
+    # Built and cached under the default cap, then refused under a lower one.
+    assert mv_br_value(ap, one, b_by, one) == 8
+    assert zdot_value(g, one, one, one) == 8
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "2")
+    calls = (
+        lambda: mv_br_value(ap, one, b_by, one),
+        lambda: zdot_value(g, one, one, one),
+        lambda: tutte_value(g, one, one),
+        lambda: mv_br_poly(ap),
+        lambda: br_poly(ap),
+        lambda: zdot_tutte(g),
+        lambda: tutte_poly(g),
+    )
+    for call in calls:
+        with pytest.raises(SizeLimitExceeded, match="subset expansion capped at 2 edges, got 3"):
+            call()
+    # An explicit cap overrides the environment; T(1, 1) counts the three
+    # spanning trees.
+    assert tutte_poly(g, cap=3).eval_at({"x": one, "y": one}) == 3
+    assert zdot_tutte(g, cap=3).eval_at({"a": one, "b": one, "c": one}) == 8
+    assert len(mv_br_poly(ap, cap=3).terms) == 8
+    assert len(br_poly(ap, cap=3).terms) == 4
+
+
+def test_spanning_table_keeps_little_memory():
+    # A cached table holds about a pointer per subset (the rows are shared),
+    # and only a few tables are kept: at the 16-edge cap that is about
+    # 0.5 MB each.
+    ap = random_presentation(random.Random(3), 10, 10)
+    one = Fraction(1)
+    b_by = {l: one for l in ap.edges}
+    tracemalloc.start()
+    try:
+        _spanning_table.cache_clear()
+        mv_br_value(ap, one, b_by, one)
+        gc.collect()
+        with_table = tracemalloc.get_traced_memory()[0]
+        _spanning_table.cache_clear()
+        gc.collect()
+        kept = with_table - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < kept < 16 * 2**10 + 4096
+    assert _spanning_table.cache_info().maxsize <= 8
