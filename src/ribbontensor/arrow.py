@@ -4,7 +4,9 @@ An arrow presentation is a set of circles carrying labelled, directed arrows,
 with every label on exactly two arrows.  Circles play the role of vertices,
 labels the role of edges.  This module computes boundary components and
 surface invariants, and implements the three edge operations (deletion,
-contraction, Penrose contraction) as cut-and-rejoin surgery on the circles.
+contraction, Penrose contraction) and the arrow side of a 2-sum as
+cut-and-rejoin surgery on the circles.  Other modules use only the public
+names here.
 
 Conventions fixed here:
 
@@ -18,6 +20,11 @@ Conventions fixed here:
   arrows) and per-edge chords joining the head of one arrow to the tail of
   the other.  Components carrying tokens are enumerated by their least
   token; bare circles (no arrows) come after, ordered by circle index.
+  A component records its tokens only: the arc after arrow ``i`` of circle
+  ``c`` belongs to the component of the token ``(c, i, s)`` whose slot ``s``
+  is the arrow's trailing end (its head when it points forward).
+  :func:`boundary_trace` keeps, per presentation, the components together
+  with the token and bare-circle indexes.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     InvalidArgument,
+    InvalidCoupling,
     InvariantViolation,
     LabelCountError,
     RegistryMismatch,
@@ -62,14 +70,20 @@ def _rotmin(circ):
     Presentations always store this representative, which makes value
     equality rotation-invariant.
     """
+    circ = tuple(circ)
     k = len(circ)
     if k <= 1:
-        return tuple(circ), 0
+        return circ, 0
+    # Only rotations starting at a least element compete; each is a slice
+    # of the doubled tuple, compared in C.
+    doubled = circ + circ
+    first = min(circ)
     best, offset = None, 0
     for r in range(k):
-        cand = tuple(circ[(r + i) % k] for i in range(k))
-        if best is None or cand < best:
-            best, offset = cand, r
+        if circ[r] == first:
+            cand = doubled[r:r + k]
+            if best is None or cand < best:
+                best, offset = cand, r
     return best, offset
 
 
@@ -143,16 +157,23 @@ def validate(ap: ArrowPresentation) -> None:
 class BoundaryComponent:
     """One closed curve of the boundary trace.
 
-    ``crossings`` lists the endpoint tokens in cyclic order (empty for a bare
-    circle, in which case ``circle`` is set).  ``arcs`` records the vertex
-    arcs ``(circle, position-after)`` the curve runs along; it is derived
-    data used to locate points lying between arrows.
+    ``crossings`` lists the endpoint tokens in cyclic order from the least
+    (empty for a bare circle, in which case ``circle`` is set).  Arcs are not
+    stored: the arc after an arrow lies on the component of the arrow's
+    trailing token, which :class:`BoundaryTrace` indexes.
     """
 
     id: int
     crossings: tuple
     circle: Optional[int] = None
-    arcs: frozenset = frozenset()
+
+
+class BoundaryTrace(NamedTuple):
+    """The boundary components of one presentation with their indexes."""
+
+    components: tuple  # BoundaryComponent, by id
+    token_to_bd: dict  # (circle, position, slot) -> boundary id
+    bare_to_bd: dict  # bare circle -> boundary id
 
 
 def _leading_slot(occ: Occ) -> int:
@@ -164,58 +185,69 @@ def _trailing_slot(occ: Occ) -> int:
 
 
 @lru_cache(maxsize=65536)
-def boundary_components(ap: ArrowPresentation):
-    """Trace the boundary curves of ``ap`` in canonical enumeration order."""
-    arc_partner: dict = {}
-    chord_partner: dict = {}
-    for ci, circ in enumerate(ap.circles):
-        k = len(circ)
-        for i, occ in enumerate(circ):
-            j = (i + 1) % k
-            t_trail = (ci, i, _trailing_slot(occ))
-            t_lead = (ci, j, _leading_slot(circ[j]))
-            arc_partner[t_trail] = (t_lead, (ci, i))
-            arc_partner[t_lead] = (t_trail, (ci, i))
-    for label in sorted(ap.edges):
-        (c1, p1), (c2, p2) = ap.occurrences(label)
-        chord_partner[(c1, p1, HEAD)] = (c2, p2, TAIL)
-        chord_partner[(c2, p2, TAIL)] = (c1, p1, HEAD)
-        chord_partner[(c2, p2, HEAD)] = (c1, p1, TAIL)
-        chord_partner[(c1, p1, TAIL)] = (c2, p2, HEAD)
-
-    components = []
-    seen: set = set()
-    for start in sorted(arc_partner):
-        if start in seen:
-            continue
-        seq = []
-        arcs = set()
-        cur, use_arc = start, True
-        while True:
-            seq.append(cur)
-            seen.add(cur)
-            if use_arc:
-                cur, arc = arc_partner[cur]
-                arcs.add(arc)
+def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
+    """The boundary components of ``ap`` and their indexes, cached per
+    presentation (``boundary_trace.__wrapped__`` traces without the cache)."""
+    # Occurrence g (circle offset + position) owns the tokens 2g (tail) and
+    # 2g + 1 (head), so integer order is the order of the token triples.
+    # arc[t] is the token across the vertex arc at t; the chord step joins
+    # slot s of g to slot 1 - s of its mate.  Walking the tokens in
+    # increasing order starts every component at its least token, which is
+    # the canonical enumeration order.
+    tokens: list = []
+    arc: list = []
+    mate: list = []
+    unpaired: dict = {}
+    for c, circ in enumerate(ap.circles):
+        base = len(mate)
+        trail, lead = [], []
+        for i, (label, forward) in enumerate(circ):
+            g = base + i
+            other = unpaired.pop(label, None)
+            if other is None:
+                unpaired[label] = g
+                mate.append(-1)
             else:
-                cur = chord_partner[cur]
-            use_arc = not use_arc
-            if cur == start:
+                mate[other] = g
+                mate.append(other)
+            tokens += ((c, i, TAIL), (c, i, HEAD))
+            arc += (0, 0)
+            trail.append(2 * g + forward)
+            lead.append(2 * g + 1 - forward)
+        for tt, tl in zip(trail, lead[1:] + lead[:1]):
+            arc[tt] = tl
+            arc[tl] = tt
+    if unpaired:
+        label = min(unpaired)
+        raise LabelCountError(label, sum(o.label == label for circ in ap.circles for o in circ))
+
+    bd_of = [-1] * len(arc)
+    components = []
+    for start in range(len(arc)):
+        if bd_of[start] >= 0:
+            continue
+        bid = len(components)
+        seq = []
+        t = start
+        while True:
+            u = arc[t]
+            seq += (t, u)
+            bd_of[t] = bd_of[u] = bid
+            t = 2 * mate[u >> 1] + 1 - (u & 1)
+            if t == start:
                 break
-        components.append((tuple(seq), frozenset(arcs), None))
-    for ci, circ in enumerate(ap.circles):
+        components.append(BoundaryComponent(bid, tuple(map(tokens.__getitem__, seq))))
+    bare_to_bd = {}
+    for c, circ in enumerate(ap.circles):
         if not circ:
-            components.append(((), frozenset(), ci))
+            bare_to_bd[c] = len(components)
+            components.append(BoundaryComponent(len(components), (), c))
+    return BoundaryTrace(tuple(components), dict(zip(tokens, bd_of)), bare_to_bd)
 
-    def key(entry):
-        crossings, _, circle = entry
-        return (1, circle) if circle is not None else (0, crossings[0])
 
-    components.sort(key=key)
-    return tuple(
-        BoundaryComponent(i, crossings, circle, arcs)
-        for i, (crossings, arcs, circle) in enumerate(components)
-    )
+def boundary_components(ap: ArrowPresentation) -> tuple:
+    """Trace the boundary curves of ``ap`` in canonical enumeration order."""
+    return boundary_trace(ap).components
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +288,7 @@ def component_count(n: int, pairs: Iterable) -> int:
     return k
 
 
-def _orientable(ap: ArrowPresentation) -> bool:
+def _orientable(ap: ArrowPresentation, places: dict) -> bool:
     # Choose a direction for every circle so that each edge band attaches
     # without a half twist.  An edge with headings h1, h2 on circles c1, c2
     # forces s(c1)*s(c2) = h1*h2; for a loop this reads h1 = h2.
@@ -264,8 +296,7 @@ def _orientable(ap: ArrowPresentation) -> bool:
     # loop is not (genus 1).
     n = len(ap.circles)
     adj: dict = {i: [] for i in range(n)}
-    for label in ap.edges:
-        (c1, p1), (c2, p2) = ap.occurrences(label)
+    for (c1, p1), (c2, p2) in places.values():
         h1 = ap.circles[c1][p1].forward
         h2 = ap.circles[c2][p2].forward
         want = 0 if h1 == h2 else 1
@@ -293,15 +324,20 @@ def _orientable(ap: ArrowPresentation) -> bool:
     return True
 
 
-def surface_stats(ap: ArrowPresentation) -> SurfaceStats:
+def surface_stats(ap: ArrowPresentation, cached: bool = True) -> SurfaceStats:
+    """Counts and genus of the surface of ``ap``.  With ``cached=False`` no
+    per-presentation cache is read or filled, for callers that visit many
+    presentations once each (the subset expansions)."""
+    if cached:
+        places, trace = _occurrence_index(ap), boundary_trace(ap)
+    else:
+        places, trace = _occurrence_index.__wrapped__(ap), boundary_trace.__wrapped__(ap)
     v = len(ap.circles)
     e = len(ap.edges)
-    k = component_count(
-        v, ((c1, c2) for (c1, _), (c2, _) in map(ap.occurrences, ap.edges))
-    )
-    b = len(boundary_components(ap))
+    k = component_count(v, ((c1, c2) for (c1, _), (c2, _) in places.values()))
+    b = len(trace.components)
     genus = 2 * k - v + e - b
-    return SurfaceStats(v, e, k, b, genus, _orientable(ap))
+    return SurfaceStats(v, e, k, b, genus, _orientable(ap, places))
 
 
 # --------------------------------------------------------------------------
@@ -541,55 +577,42 @@ def penrose_contract_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
 # boundary transfer through a surgery
 
 
-def _resolve_marker(markers, name, arc_to_bd, bare_to_bd):
+def _resolve_marker(new_ap, new, markers, name):
+    """The boundary of ``new_ap`` (traced as ``new``) through a glued point:
+    a bare circle's own boundary, or the boundary of the arc the point lies
+    on, which is that of the arc's trailing token."""
     nc, gap = markers[name]
     if gap is None:
-        return bare_to_bd[nc]
-    return arc_to_bd[(nc, gap)]
-
-
-@lru_cache(maxsize=65536)
-def _boundary_indexes(bds):
-    token_to_bd: dict = {}
-    arc_to_bd: dict = {}
-    bare_to_bd: dict = {}
-    for bd in bds:
-        if bd.circle is not None:
-            bare_to_bd[bd.circle] = bd.id
-        for t in bd.crossings:
-            token_to_bd[t] = bd.id
-        for a in bd.arcs:
-            arc_to_bd[a] = bd.id
-    return token_to_bd, arc_to_bd, bare_to_bd
+        return new.bare_to_bd[nc]
+    return new.token_to_bd[(nc, gap, _trailing_slot(new_ap.circles[nc][gap]))]
 
 
 def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
     """Map old boundary ids to new ones through a surgery.
 
-    ``touched_to_new`` maps an old boundary incident to the operated edge to
-    its new id (or ``None`` when the operation destroys it).  Untouched
-    boundaries are matched by their surviving tokens; bare circles follow the
-    circle map.
+    ``touched_to_new`` maps the id of an old boundary incident to a removed
+    occurrence to its new id (or ``None`` when the operation destroys it).
+    Untouched boundaries are matched by their surviving tokens; bare circles
+    follow the circle map.
     """
-    old_bds = boundary_components(ap)
-    new_bds = boundary_components(new_ap)
-    token_to_bd, _, bare_to_bd = _boundary_indexes(new_bds)
+    old = boundary_trace(ap)
+    new = boundary_trace(new_ap)
+    touched = {old.token_to_bd[(c, p, s)] for c, p in removed_places for s in (TAIL, HEAD)}
     mapping: dict = {}
-    for bd in old_bds:
+    for bd in old.components:
         if bd.circle is not None:
             nc = trace.circle_map.get(bd.circle)
             if nc is not None:
-                mapping[bd.id] = bare_to_bd[nc]
-            continue
-        if any((t[0], t[1]) in removed_places for t in bd.crossings):
-            target = touched_to_new(bd)
+                mapping[bd.id] = new.bare_to_bd[nc]
+        elif bd.id in touched:
+            target = touched_to_new(bd.id)
             if target is not None:
                 mapping[bd.id] = target
-            continue
-        c, p, s = bd.crossings[0]
-        nc, np_ = trace.occ_map[(c, p)]
-        mapping[bd.id] = token_to_bd[(nc, np_, s)]
-    created = tuple(sorted(set(b.id for b in new_bds) - set(mapping.values())))
+        else:
+            c, p, s = bd.crossings[0]
+            nc, np_ = trace.occ_map[(c, p)]
+            mapping[bd.id] = new.token_to_bd[(nc, np_, s)]
+    created = tuple(sorted(set(range(len(new.components))) - set(mapping.values())))
     return mapping, created
 
 
@@ -618,23 +641,21 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     if kind == "delete":
         new_ap, trace = _delete_traced(ap, e)
         bmap, created_b = _transfer_boundaries(
-            ap, new_ap, trace, removed_places, lambda bd: None
+            ap, new_ap, trace, removed_places, lambda bid: None
         )
         return EdgeOpResult(new_ap, trace.circle_map, (), bmap, created_b, trace.occ_map)
     if kind == "contract":
         new_ap, trace = _contract_traced(ap, e)
-        (c1, p1), (c2, p2) = sorted(removed_places)
-        new_bds = boundary_components(new_ap)
-        _, arc_to_bd, bare_to_bd = _boundary_indexes(new_bds)
+        c1, p1 = min(removed_places)
+        head_side = boundary_trace(ap).token_to_bd[(c1, p1, HEAD)]
+        new = boundary_trace(new_ap)
 
-        def via_marker(bd):
-            # The chord through head of the first occurrence shrinks to the
-            # glued point head(first)~tail(second), marker "ht"; the other
-            # chord to marker "th".
-            tokens = set(bd.crossings)
-            if (c1, p1, HEAD) in tokens or (c2, p2, TAIL) in tokens:
-                return _resolve_marker(trace.markers, "ht", arc_to_bd, bare_to_bd)
-            return _resolve_marker(trace.markers, "th", arc_to_bd, bare_to_bd)
+        def via_marker(bid):
+            # The chord from the head of the first occurrence to the tail of
+            # the second shrinks to the glued point head(first)~tail(second),
+            # marker "ht"; the other chord to marker "th".
+            name = "ht" if bid == head_side else "th"
+            return _resolve_marker(new_ap, new, trace.markers, name)
 
         bmap, created_b = _transfer_boundaries(
             ap, new_ap, trace, removed_places, via_marker
@@ -648,13 +669,96 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     if kind == "penrose":
         new_ap, trace = _penrose_traced(ap, e)
         bmap, created_b = _transfer_boundaries(
-            ap, new_ap, trace, removed_places, lambda bd: None
+            ap, new_ap, trace, removed_places, lambda bid: None
         )
         return EdgeOpResult(
             new_ap, trace.circle_map, trace.created_circles, bmap, created_b,
             trace.occ_map,
         )
     raise ValueError(f"unknown arrow operation {kind!r}")
+
+
+_TWO_SUM_MARKERS = ("m1", "m2", "m3", "m4")
+
+
+@dataclass(frozen=True)
+class TwoSumResult:
+    """Full record of one arrow-level 2-sum.
+
+    The surgery runs on ``union``, the circles of G followed by those of H;
+    every old id below is an id of the union.  ``arrows`` holds the union
+    places of f's two arrows and then of the arrows of e glued to them.  The
+    glued points ``m1``..``m4`` join tail to tail and head to head, in that
+    order, and ``marker_circles``/``marker_boundaries`` say where each ends
+    up.
+    """
+
+    presentation: ArrowPresentation
+    union: ArrowPresentation
+    g_boundaries: dict  # boundary of G -> boundary of the union
+    h_boundaries: dict  # boundary of H -> boundary of the union
+    arrows: tuple
+    circle_map: dict
+    created_circles: tuple
+    boundary_map: dict
+    created_boundaries: tuple
+    marker_circles: dict
+    marker_boundaries: dict
+
+
+def two_sum_traced(
+    g: ArrowPresentation, h: ArrowPresentation, f: str, e: str, swap: bool
+) -> TwoSumResult:
+    """Cut edge ``f`` of ``g`` and edge ``e`` of ``h`` and cross-glue.
+
+    ``swap=False`` glues the first-listed arrow of ``f`` to the first-listed
+    arrow of ``e``.  Edge label sets must be disjoint.
+    """
+    if f not in g.edges:
+        raise UnknownEdge(f)
+    if e not in h.edges:
+        raise UnknownEdge(e)
+    shared = g.edges & h.edges
+    if shared:
+        raise InvalidCoupling(
+            f"edge labels must be disjoint, both sides carry {sorted(shared)}"
+        )
+    offset = len(g.circles)
+    union = ArrowPresentation(g.circles + h.circles, g.edges | h.edges)
+    u = boundary_trace(union)
+
+    def locate(ap, off):
+        ids = {}
+        for bd in boundary_components(ap):
+            if bd.circle is not None:
+                ids[bd.id] = u.bare_to_bd[bd.circle + off]
+            else:
+                c, p, s = bd.crossings[0]
+                ids[bd.id] = u.token_to_bd[(c + off, p, s)]
+        return ids
+
+    fo1, fo2 = g.occurrences(f)
+    eo = [(c + offset, p) for c, p in h.occurrences(e)]
+    t1, t2 = (eo[1], eo[0]) if swap else (eo[0], eo[1])
+    glue = [
+        ((*fo1, TAIL), (*t1, TAIL), "m1"),
+        ((*fo1, HEAD), (*t1, HEAD), "m2"),
+        ((*fo2, TAIL), (*t2, TAIL), "m3"),
+        ((*fo2, HEAD), (*t2, HEAD), "m4"),
+    ]
+    removed = {fo1, fo2, t1, t2}
+    circles, trace = _splice(union.circles, removed, glue)
+    new_ap = ArrowPresentation(circles, union.edges - {f, e})
+    bmap, created_b = _transfer_boundaries(
+        union, new_ap, trace, removed, lambda bid: None
+    )
+    new = boundary_trace(new_ap)
+    return TwoSumResult(
+        new_ap, union, locate(g, 0), locate(h, offset),
+        (fo1, fo2, t1, t2), trace.circle_map, trace.created_circles, bmap, created_b,
+        {name: trace.markers[name][0] for name in _TWO_SUM_MARKERS},
+        {name: _resolve_marker(new_ap, new, trace.markers, name) for name in _TWO_SUM_MARKERS},
+    )
 
 
 # --------------------------------------------------------------------------

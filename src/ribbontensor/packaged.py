@@ -24,14 +24,12 @@ from .arrow import (
     TAIL,
     ArrowPresentation,
     boundary_components,
+    boundary_trace,
     canonical_transforms,
     edge_op_traced,
     find,
+    two_sum_traced,
     validate,
-    _boundary_indexes,
-    _resolve_marker,
-    _splice,
-    _transfer_boundaries,
 )
 from .errors import (
     InvalidCoupling,
@@ -193,7 +191,7 @@ def natural_identification(
 
 def _incident_classes(pg: PackagedPresentation, e: str):
     (c1, p1), (c2, p2) = pg.ap.occurrences(e)
-    token_to_bd, _, _ = _boundary_indexes(boundary_components(pg.ap))
+    token_to_bd = boundary_trace(pg.ap).token_to_bd
     a = token_to_bd[(c1, p1, HEAD)]
     b = token_to_bd[(c2, p2, HEAD)]
     return (c1, c2), (a, b)
@@ -271,76 +269,30 @@ def two_sum(
     each side merge, joined by the new circles through the glued points; the
     boundary classes merge chord-wise likewise.
     """
-    f, e = coupling.source, coupling.target
-    if f not in pg.ap.edges:
-        raise UnknownEdge(f)
-    if e not in ph.ap.edges:
-        raise UnknownEdge(e)
-    shared = pg.ap.edges & ph.ap.edges
-    if shared:
-        raise InvalidCoupling(
-            f"edge labels must be disjoint, both sides carry {sorted(shared)}"
-        )
-
+    res = two_sum_traced(pg.ap, ph.ap, coupling.source, coupling.target, coupling.swap)
     offset = len(pg.ap.circles)
-    union_circles = pg.ap.circles + ph.ap.circles
-    union_ap = ArrowPresentation(union_circles, pg.ap.edges | ph.ap.edges)
-
-    g_bds = boundary_components(pg.ap)
-    h_bds = boundary_components(ph.ap)
-    u_token, _, u_bare = _boundary_indexes(boundary_components(union_ap))
-
-    def locate(bd, off):
-        if bd.circle is not None:
-            return u_bare[bd.circle + off]
-        c, p, s = bd.crossings[0]
-        return u_token[(c + off, p, s)]
-
-    g_to_u = {bd.id: locate(bd, 0) for bd in g_bds}
-    h_to_u = {bd.id: locate(bd, offset) for bd in h_bds}
-
-    fo1, fo2 = pg.ap.occurrences(f)
-    eo = [(c + offset, p) for c, p in ph.ap.occurrences(e)]
-    t1, t2 = (eo[1], eo[0]) if coupling.swap else (eo[0], eo[1])
-
-    glue = [
-        ((*fo1, TAIL), (*t1, TAIL), "m1"),
-        ((*fo1, HEAD), (*t1, HEAD), "m2"),
-        ((*fo2, TAIL), (*t2, TAIL), "m3"),
-        ((*fo2, HEAD), (*t2, HEAD), "m4"),
-    ]
-    removed = {fo1, fo2, t1, t2}
-    circles2, trace = _splice(union_circles, removed, glue)
-    new_ap = ArrowPresentation(circles2, union_ap.edges - {f, e})
-
-    bmap, created_b = _transfer_boundaries(
-        union_ap, new_ap, trace, removed, lambda bd: None
-    )
-    _, arc_to_bd, bare_to_bd = _boundary_indexes(boundary_components(new_ap))
-    mark_bd = {
-        name: _resolve_marker(trace.markers, name, arc_to_bd, bare_to_bd)
-        for name in ("m1", "m2", "m3", "m4")
-    }
-    mark_circle = {name: trace.markers[name][0] for name in ("m1", "m2", "m3", "m4")}
+    mark_circle, mark_bd = res.marker_circles, res.marker_boundaries
 
     # Named pieces: u, v host the coupled arrows of f; a holds tail(fo1) (and
     # head(fo2), its chord mate); b holds head(fo1).  Primed versions on the
     # H side.  The glued points give the new vertices alpha..delta and new
     # boundaries h, i, j, k.
+    fo1, fo2, t1, t2 = res.arrows
     u, v = fo1[0], fo2[0]
     u_, v_ = t1[0], t2[0]
-    u_token_old, _, _ = _boundary_indexes(boundary_components(union_ap))
-    bd_a = u_token_old[(*fo1, TAIL)]
-    bd_b = u_token_old[(*fo1, HEAD)]
-    bd_a_ = u_token_old[(*t1, TAIL)]
-    bd_b_ = u_token_old[(*t1, HEAD)]
+    u_token = boundary_trace(res.union).token_to_bd
+    bd_a = u_token[(*fo1, TAIL)]
+    bd_b = u_token[(*fo1, HEAD)]
+    bd_a_ = u_token[(*t1, TAIL)]
+    bd_b_ = u_token[(*t1, HEAD)]
+    g_to_u, h_to_u = res.g_boundaries, res.h_boundaries
 
     vall = Partition(
         frozenset(
             list(pg.vparts.blocks)
             + [frozenset(x + offset for x in blk) for blk in ph.vparts.blocks]
         ),
-        frozenset(range(len(union_circles))),
+        frozenset(range(len(res.union.circles))),
     )
     ball = Partition(
         frozenset(
@@ -355,8 +307,8 @@ def two_sum(
     # pieces unites the groups even though its members themselves die.
     vparts = _fuse(
         vall,
-        trace.circle_map,
-        trace.created_circles,
+        res.circle_map,
+        res.created_circles,
         [
             set(vall.block_of(u)) | set(vall.block_of(u_)),
             set(vall.block_of(v)) | set(vall.block_of(v_)),
@@ -368,8 +320,8 @@ def two_sum(
     )
     bparts = _fuse(
         ball,
-        bmap,
-        created_b,
+        res.boundary_map,
+        res.created_boundaries,
         [
             set(ball.block_of(bd_a)) | set(ball.block_of(bd_a_)),
             set(ball.block_of(bd_b)) | set(ball.block_of(bd_b_)),
@@ -379,7 +331,7 @@ def two_sum(
             {mark_bd["m2"], mark_bd["m3"]},
         ],
     )
-    return PackagedPresentation(new_ap, vparts, bparts)
+    return PackagedPresentation(res.presentation, vparts, bparts)
 
 
 def _fuse(partition, item_map, created, old_groups, new_groups):
@@ -544,16 +496,14 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
     forms are identical.
     """
     canon_ap, transforms, rebuild_offsets = canonical_transforms(pg.ap, cap=cap)
-    old_bds = boundary_components(pg.ap)
-    new_bds = boundary_components(canon_ap)
-    token_to_new, _, bare_to_new = _boundary_indexes(new_bds)
+    old = boundary_trace(pg.ap)
+    new = boundary_trace(canon_ap)
     nonempty_count = sum(1 for c in canon_ap.circles if c)
     empties = [ci for ci, circ in enumerate(pg.ap.circles) if not circ]
 
     groups: dict = {}
     for ci in empties:
-        bare_id = next(bd.id for bd in old_bds if bd.circle == ci)
-        sig = (pg.vparts.block_of(ci), pg.bparts.block_of(bare_id))
+        sig = (pg.vparts.block_of(ci), pg.bparts.block_of(old.bare_to_bd[ci]))
         groups.setdefault(sig, []).append(ci)
 
     best = None
@@ -573,14 +523,14 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
             for slot, ci in enumerate(arrangement):
                 cmap[ci] = nonempty_count + slot
             bd_map = {}
-            for bd in old_bds:
+            for bd in old.components:
                 if bd.circle is not None:
-                    bd_map[bd.id] = bare_to_new[cmap[bd.circle]]
+                    bd_map[bd.id] = new.bare_to_bd[cmap[bd.circle]]
                 else:
                     c, p, s = bd.crossings[0]
                     if flipped[pg.ap.circles[c][p].label]:
                         s = 1 - s
-                    bd_map[bd.id] = token_to_new[(*pos_map[(c, p)], s)]
+                    bd_map[bd.id] = new.token_to_bd[(*pos_map[(c, p)], s)]
             venc = tuple(
                 sorted(tuple(sorted(cmap[x] for x in blk)) for blk in pg.vparts.blocks)
             )
@@ -593,5 +543,5 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
     return PackagedPresentation(
         canon_ap,
         Partition.make(venc, range(len(canon_ap.circles))),
-        Partition.make(benc, range(len(new_bds))),
+        Partition.make(benc, range(len(new.components))),
     )

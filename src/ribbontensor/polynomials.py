@@ -469,13 +469,15 @@ def _spanning_table(ap: ArrowPresentation) -> tuple:
     """``(k(A), b(A), euler_genus(A))`` for every spanning sub-presentation
     of ``ap``, at the index whose bit i is set when A holds the i-th label in
     sorted order.  Equal rows are one object, so a table keeps little more
-    than a pointer per subset.  Callers check the edge cap first."""
+    than a pointer per subset.  The rows bypass the per-presentation caches,
+    which would otherwise keep every sub-presentation.  Callers check the
+    edge cap first."""
     labels = sorted(ap.edges)
     rows: dict = {}
     table = []
     for mask in range(1 << len(labels)):
         subset = [label for i, label in enumerate(labels) if mask >> i & 1]
-        stats = surface_stats(_spanning(ap, subset))
+        stats = surface_stats(_spanning(ap, subset), cached=False)
         row = (stats.k, stats.b, stats.euler_genus)
         table.append(rows.setdefault(row, row))
     return tuple(table)

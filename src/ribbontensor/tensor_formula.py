@@ -24,8 +24,7 @@ from typing import Mapping
 from .arrow import (
     HEAD,
     ArrowPresentation,
-    _boundary_indexes,
-    boundary_components,
+    boundary_trace,
     contract_edge,
     delete_edge,
     penrose_contract_edge,
@@ -219,7 +218,7 @@ def phi0_structural_zeros(
     (c1, p1), (c2, p2) = ph.ap.occurrences(e)
     if c1 == c2 or ph.vparts.block_of(c1) == ph.vparts.block_of(c2):
         zeros.add(0)
-    token_to_bd, _, _ = _boundary_indexes(boundary_components(ph.ap))
+    token_to_bd = boundary_trace(ph.ap).token_to_bd
     a = token_to_bd[(c1, p1, HEAD)]
     b = token_to_bd[(c2, p2, HEAD)]
     if a == b or ph.bparts.block_of(a) == ph.bparts.block_of(b):

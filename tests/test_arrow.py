@@ -6,6 +6,7 @@ permutation (see the module docstring of ribbontensor.arrow for the
 conventions).
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -14,11 +15,18 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ribbontensor
 from ribbontensor.arrow import (
+    HEAD,
+    TAIL,
     ArrowPresentation,
+    Occ,
+    _rotmin,
     boundary_components,
+    boundary_trace,
     canonical_form,
     contract_edge,
     delete_edge,
@@ -35,6 +43,7 @@ from ribbontensor.errors import (
     UnknownEdge,
 )
 from ribbontensor.randgen import random_presentation
+from strategies import presentations
 
 
 def ap(*circles):
@@ -101,6 +110,78 @@ def test_bare_circles_get_their_own_component():
     assert sorted(bd.circle for bd in bare) == [0, 2]
     # token components enumerate first
     assert all(bd.crossings for bd in bds[: len(bds) - 2])
+
+
+def reference_trace(p):
+    """The dict-and-sort tracer the integer walk replaced, kept as an oracle:
+    ``(crossings, arcs, circle)`` per component, in canonical order."""
+    arc_partner, chord_partner = {}, {}
+    for ci, circ in enumerate(p.circles):
+        for i, occ in enumerate(circ):
+            j = (i + 1) % len(circ)
+            t_trail = (ci, i, HEAD if occ.forward else TAIL)
+            t_lead = (ci, j, TAIL if circ[j].forward else HEAD)
+            arc_partner[t_trail] = (t_lead, (ci, i))
+            arc_partner[t_lead] = (t_trail, (ci, i))
+    for label in sorted(p.edges):
+        (c1, p1), (c2, p2) = p.occurrences(label)
+        for s in (TAIL, HEAD):
+            chord_partner[(c1, p1, s)] = (c2, p2, 1 - s)
+            chord_partner[(c2, p2, s)] = (c1, p1, 1 - s)
+    components, seen = [], set()
+    for start in sorted(arc_partner):
+        if start in seen:
+            continue
+        seq, arcs = [], set()
+        cur, use_arc = start, True
+        while True:
+            seq.append(cur)
+            seen.add(cur)
+            if use_arc:
+                cur, a = arc_partner[cur]
+                arcs.add(a)
+            else:
+                cur = chord_partner[cur]
+            use_arc = not use_arc
+            if cur == start:
+                break
+        components.append((tuple(seq), arcs, None))
+    components += [((), set(), ci) for ci, circ in enumerate(p.circles) if not circ]
+    components.sort(key=lambda c: (1, c[2]) if c[2] is not None else (0, c[0][0]))
+    return components
+
+
+@settings(deadline=None, max_examples=300)
+@given(presentations())
+@example(ALIGNED_LOOP)
+@example(ANTI_LOOP)
+@example(FIG_A)
+@example(ap([], [("e", True)], [("e", False)], []))
+def test_boundary_trace_matches_reference_tracer(p):
+    trace = boundary_trace(p)
+    assert trace.components == boundary_components(p)
+    reference = reference_trace(p)
+    assert len(trace.components) == len(reference)
+    for i, (bd, (crossings, arcs, circle)) in enumerate(zip(trace.components, reference)):
+        assert (bd.id, bd.crossings, bd.circle) == (i, crossings, circle)
+        if circle is not None:
+            assert trace.bare_to_bd[circle] == i
+        for t in crossings:
+            assert trace.token_to_bd[t] == i
+        # an arc lies on the boundary of its trailing token
+        for c, j in arcs:
+            trailing = HEAD if p.circles[c][j].forward else TAIL
+            assert trace.token_to_bd[(c, j, trailing)] == i
+    assert len(trace.token_to_bd) == 4 * len(p.edges)
+    assert len(trace.bare_to_bd) == sum(not circ for circ in p.circles)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.builds(Occ, st.sampled_from("abc"), st.booleans()), max_size=9))
+def test_rotmin_is_the_least_rotation(circ):
+    rotations = [tuple(circ[r:] + circ[:r]) for r in range(len(circ))] or [()]
+    least = min(rotations)
+    assert _rotmin(circ) == (least, rotations.index(least))
 
 
 def test_surface_stats_golden_fixture():
@@ -341,3 +422,22 @@ def test_invariants_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_no_module_imports_private_arrow_names():
+    # arrow.py keeps its helpers private; every other module goes through
+    # its public API (boundary_trace, edge_op_traced, two_sum_traced, ...).
+    package = Path(ribbontensor.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "arrow.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("arrow", "ribbontensor.arrow"):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "arrow"
+            ):
+                offenders.append(f"{path.name}: arrow.{node.attr}")
+    assert not offenders

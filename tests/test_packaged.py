@@ -4,6 +4,8 @@ and the one-edge basis presentations."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbontensor.arrow import ArrowPresentation, boundary_components, surface_stats
 from ribbontensor.errors import (
@@ -13,6 +15,7 @@ from ribbontensor.errors import (
     PartitionOverlapError,
     UnknownEdge,
 )
+from ribbontensor.files import dumps_presentation, loads_presentation
 from ribbontensor.packaged import (
     Coupling,
     EdgeOpKind,
@@ -28,6 +31,7 @@ from ribbontensor.packaged import (
     uniform_tensor,
 )
 from ribbontensor.randgen import random_packaged
+from strategies import packaged_presentations
 
 K1, K2, K3, K4, K5 = k_presentations()
 KINDS = (
@@ -179,29 +183,24 @@ def test_two_sum_with_k5_is_merge_contract():
         assert lhs == rhs
 
 
-def test_two_sum_realises_all_five_operations():
-    rng = random.Random(13)
-    for _ in range(15):
-        pg = random_packaged(rng, max_edges=4, min_edges=1)
-        f = rng.choice(sorted(pg.ap.edges))
-        i = rng.randrange(5)
-        swap = rng.random() < 0.5
+@settings(deadline=None, max_examples=40)
+@given(packaged_presentations(1, 4), st.data())
+def test_two_sum_realises_all_five_operations(pg, data):
+    f = data.draw(st.sampled_from(sorted(pg.ap.edges)))
+    swap = data.draw(st.booleans())
+    for i, kind in enumerate(KINDS):
         lhs = canonical_packaged(two_sum(pg, fresh_k(i), Coupling(f, "zz", swap)))
-        rhs = canonical_packaged(apply_edge_op(pg, f, KINDS[i]))
-        assert lhs == rhs
+        assert lhs == canonical_packaged(apply_edge_op(pg, f, kind)), kind
 
 
-def test_packaged_ops_commute_on_distinct_edges():
-    rng = random.Random(14)
-    done = 0
-    while done < 200:
-        pg = random_packaged(rng, max_edges=5, min_edges=2)
-        e, f = rng.sample(sorted(pg.ap.edges), 2)
-        k1, k2 = rng.choice(KINDS), rng.choice(KINDS)
-        a = canonical_packaged(apply_edge_op(apply_edge_op(pg, e, k1), f, k2))
-        b = canonical_packaged(apply_edge_op(apply_edge_op(pg, f, k2), e, k1))
-        assert a == b
-        done += 1
+@settings(deadline=None, max_examples=200)
+@given(packaged_presentations(2, 5), st.data())
+def test_packaged_ops_commute_on_distinct_edges(pg, data):
+    e, f = data.draw(st.permutations(sorted(pg.ap.edges)))[:2]
+    k1, k2 = data.draw(st.sampled_from(KINDS)), data.draw(st.sampled_from(KINDS))
+    a = apply_edge_op(apply_edge_op(pg, e, k1), f, k2)
+    b = apply_edge_op(apply_edge_op(pg, f, k2), e, k1)
+    assert canonical_packaged(a) == canonical_packaged(b)
 
 
 def test_two_sum_commutative():
@@ -406,3 +405,14 @@ def test_canonical_packaged_invariant_under_symmetries():
             ),
         )
         assert canonical_packaged(image) == canonical_packaged(pg)
+
+
+# ---- presentation files ----------------------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(packaged_presentations(0, 5))
+def test_presentation_file_round_trip(pg):
+    text = dumps_presentation(pg)
+    assert loads_presentation(text) == pg
+    assert dumps_presentation(loads_presentation(text)) == text

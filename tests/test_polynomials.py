@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbontensor import arrow
 from ribbontensor.arrow import (
     ArrowPresentation,
     boundary_components,
@@ -580,3 +581,17 @@ def test_spanning_table_keeps_little_memory():
         tracemalloc.stop()
     assert 0 < kept < 16 * 2**10 + 4096
     assert _spanning_table.cache_info().maxsize <= 8
+
+
+def test_spanning_table_leaves_the_presentation_caches_alone():
+    # Each of the 2^10 sub-presentations is traced once and thrown away, so
+    # the per-presentation caches may gain the whole presentation at most.
+    ap = random_presentation(random.Random(4), 10, 10)
+    one = Fraction(1)
+    _spanning_table.cache_clear()
+    caches = (arrow.boundary_trace, arrow._occurrence_index)
+    before = [c.cache_info().currsize for c in caches]
+    mv_br_value(ap, one, {l: one for l in ap.edges}, one)
+    grown = [c.cache_info().currsize - b for c, b in zip(caches, before)]
+    assert _spanning_table.cache_info().currsize == 1
+    assert all(g <= 1 for g in grown), grown
