@@ -87,6 +87,7 @@ from .tensor_formula import (
     VerifyReport,
     build_phi_matrix,
     phi0_structural_zeros,
+    plan_instance,
     run_verification,
     solve_phis,
     verify_identity,

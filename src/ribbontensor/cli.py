@@ -108,7 +108,10 @@ def _cmd_tensor(args) -> int:
     elif mode == "swap":
         swaps = {f: True for f in pg.ap.edges}
     elif mode.startswith("random:"):
-        rng = random.Random(int(mode.split(":", 1)[1]))
+        try:
+            rng = random.Random(int(mode.split(":", 1)[1]))
+        except ValueError:
+            raise RibbonTensorError(f"bad coupling mode {mode!r}: SEED must be an integer") from None
         swaps = {f: rng.random() < 0.5 for f in sorted(pg.ap.edges)}
     else:
         raise RibbonTensorError(
@@ -168,6 +171,7 @@ def _cmd_verify(args) -> int:
             "seed": report.seed,
             "instances": report.instances,
             "points": report.points,
+            "comparisons": report.comparisons,
             "result": "pass" if report.ok else "fail",
             "elapsed_s": round(report.elapsed, 3),
             "failures": [
@@ -183,7 +187,7 @@ def _cmd_verify(args) -> int:
     else:
         print(
             f"theorem={report.kind} seed={report.seed} instances={report.instances} "
-            f"points={report.points}"
+            f"points={report.points} comparisons={report.comparisons}"
         )
         for f in report.failures:
             print(f"FAIL instance={f.instance}")

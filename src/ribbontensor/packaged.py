@@ -383,7 +383,8 @@ def transport_coupling(
     return Coupling(coupling.source, coupling.target, coupling.swap ^ flipped)
 
 
-def _namespaced(ph: PackagedPresentation, prefix: str) -> PackagedPresentation:
+def namespaced(ph: PackagedPresentation, prefix: str) -> PackagedPresentation:
+    """``ph`` with every label ``l`` renamed ``prefix.l``."""
     mapping = {label: f"{prefix}.{label}" for label in ph.ap.edges}
     return PackagedPresentation(ph.ap.relabel(mapping), ph.vparts, ph.bparts)
 
@@ -399,7 +400,9 @@ def compose_two_sums(
     """
     result = pg
     for f, ph, e, swap in sorted(parts, key=lambda entry: entry[0]):
-        factor = _namespaced(ph, f)
+        if e not in ph.ap.edges:
+            raise UnknownEdge(e)
+        factor = namespaced(ph, f)
         clash = result.ap.edges & factor.ap.edges
         if clash:
             raise InvalidCoupling(f"namespaced labels collide: {sorted(clash)}")

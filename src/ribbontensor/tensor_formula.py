@@ -2,14 +2,15 @@
 
 Every identity has the same shape: the polynomial of a composed presentation
 (a 2-sum, or a tensor product factor by factor) equals the host polynomial
-with each tensored edge's weights replaced by solved transfer coefficients.
-The coefficients come from a small exact linear system whose matrix collects
-the five (or four, three, two) operation values of the one-edge basis
-presentations.
+with each tensored edge's weights replaced by transfer coefficients, solved
+from a small exact linear system over the factor's five (or four, three,
+two) operation values.  ``SPECS`` holds what differs between the kinds.
 
-Verification is pointwise: both sides are evaluated at random rational
-points (numerators and denominators in [1, 10^4]); points where the system
-matrix degenerates are resampled.  Agreement is required to be exact.
+:func:`plan_instance` builds, once per instance, the composed object, the
+host and each distinct factor's operation results; :func:`verify_identity`
+then does the work of one point: evaluate, solve, compare.  Points are
+random rationals (numerators and denominators in [1, 10^4]); points where a
+system degenerates are resampled.  Agreement is required to be exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, Optional
 
 from .arrow import (
     HEAD,
@@ -27,7 +28,6 @@ from .arrow import (
     boundary_trace,
     contract_edge,
     delete_edge,
-    penrose_contract_edge,
     surface_stats,
 )
 from .errors import InvalidArgument, SingularAtPoint, SingularMatrix
@@ -37,12 +37,13 @@ from .packaged import (
     PackagedPresentation,
     apply_edge_op,
     compose_two_sums,
-    k_presentations,
     make_packaged,
+    namespaced,
 )
 from .poly import determinant, solve_linear
 from .polynomials import (
     OP_ORDER,
+    TRANSITION_OPS,
     Multigraph,
     graph_tensor,
     mv_br_value,
@@ -75,51 +76,205 @@ class TheoremKind(Enum):
     TUTTE = "tutte"
 
 
-_FIVE = (TheoremKind.MAINMV, TheoremKind.MAIN, TheoremKind.CORZ,
-         TheoremKind.FULLTENSOR, TheoremKind.TWOSUM)
 _FOUR = (TheoremKind.BR, TheoremKind.BRZHAT)
+_ONE = Fraction(1)
 
 
-def _phi_rows(kind: TheoremKind, pt: Mapping[str, Fraction]):
-    """The rows of the transfer matrix of ``kind`` at ``pt``, unchecked."""
-    one = Fraction(1)
-    if kind in _FIVE:
-        al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
-        s = al * be * ga
-        rows = [
-            [al * be, one, one, al, one],
-            [one, al * ga, one, one, al],
-            [one, one, al, one, one],
-            [al, one, one, al, one],
-            [one, al, one, one, al],
-        ]
-        matrix = [[s * x for x in row] for row in rows]
-    elif kind in _FOUR:
-        al, be = pt["alpha"], pt["beta"]
-        s = al * be
-        rows = [
-            [al * be, one, one, al],
-            [one, al, one, one],
-            [one, one, al, one],
-            [al, one, one, al],
-        ]
-        matrix = [[s * x for x in row] for row in rows]
-    elif kind is TheoremKind.TRANSITION:
-        t = pt["t"]
-        matrix = [[t * t, t, t], [t, t * t, t], [t, t, t * t]]
-    elif kind is TheoremKind.TUTTE:
-        a = pt["a"]
-        matrix = [[a, a * a], [a, a]]
-    elif kind is TheoremKind.PLANEMVBR:
-        a, c = pt["a"], pt["c"]
-        matrix = [[a * c, one], [one, c]]
-    else:
-        raise ValueError(f"unknown theorem kind {kind}")
-    return matrix
+# --------------------------------------------------------------------------
+# what differs between the kinds
+
+
+def _five_rows(pt):
+    al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
+    one = _ONE
+    rows = [
+        [al * be, one, one, al, one],
+        [one, al * ga, one, one, al],
+        [one, one, al, one, one],
+        [al, one, one, al, one],
+        [one, al, one, one, al],
+    ]
+    s = al * be * ga
+    return [[s * x for x in row] for row in rows]
+
+
+def _four_rows(pt):
+    # The vertex-partitioned kinds drop the merge-contraction and fix gamma = 1.
+    return [row[:4] for row in _five_rows({**pt, "gamma": _ONE})[:4]]
+
+
+def _per_edge(*stems):
+    """Weights read per label: stem ``s`` of label ``l`` is ``pt["s_l"]``."""
+    return lambda labels, pt: {l: tuple(pt[f"{s}_{l}"] for s in stems) for l in labels}
+
+
+def _uniform(*stems):
+    """The same weights on every label; a number stands for itself."""
+
+    def weights(labels, pt):
+        w = tuple(pt[s] if isinstance(s, str) else Fraction(s) for s in stems)
+        return dict.fromkeys(labels, w)
+
+    return weights
+
+
+def _zdot_at(g, weights, pt):
+    # The Tutte kind's weights are the same (b, c) on every edge; an
+    # edgeless graph reads none of them.
+    b, c = next(iter(weights.values()), (_ONE, _ONE))
+    return zdot_value(g, pt["a"], b, c)
+
+
+def _plane_weight(phis):
+    g_f, f_f = phis
+    if g_f == 0:
+        raise SingularAtPoint("vanishing leading transfer coefficient")
+    return f_f / g_f
+
+
+def _plane_finish(plan, phis, pt, lhs, rhs):
+    """The host side carries (ac)^-|E| and each factor's leading coefficient."""
+    prefactor = (pt["a"] * pt["c"]) ** -len(plan.tensored)
+    for i in plan.tensored.values():
+        prefactor *= phis[i][0]
+    return (("planemvbr", lhs, prefactor * rhs),)
+
+
+def _tutte_finish(plan, phis, pt, lhs, rhs):
+    """Add the classical Tutte identity: coefficients phi, psi solved from
+    the factor's operation results, and the prefactor phi^n(G) psi^r(G)."""
+    x, y = pt["x"], pt["y"]
+    t_del, t_con = (tutte_value(h, x, y) for h in plan.factors[0])
+    phi, psi = _solve(TheoremKind.TUTTE, [[x - 1, _ONE], [_ONE, y - 1]], [t_del, t_con])
+    if phi == 0 or psi == 0:
+        raise SingularAtPoint("vanishing Tutte transfer coefficient")
+    g = plan.host
+    r_g = g.rank()
+    rhs_t = phi ** (g.m - r_g) * psi**r_g * tutte_value(g, t_del / psi, t_con / phi)
+    return (("zdot", lhs, rhs), ("tutte", tutte_value(plan.composed, x, y), rhs_t))
+
+
+def _listed_parts(labels, factors, couplings):
+    return [(f, x, e, c.swap) for (f, x, e), c in zip(factors, couplings)]
+
+
+def _shared_parts(labels, factor, swaps):
+    # swaps: {f: swap}, or a list of flips by graph edge index
+    x, e = factor
+    if not isinstance(swaps, Mapping):
+        swaps = dict(enumerate(swaps))
+    return [(f, x, e, swaps.get(f, False)) for f in labels]
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """What one theorem kind adds to the shape every identity shares."""
+
+    rows: Callable  # pt -> the transfer matrix, as fresh unchecked rows
+    ops: tuple  # the factor operations (factor, e) -> object, one per column
+    weights: Callable  # (labels, pt) -> {label: weights}
+    value: Callable  # (object, weights, pt) -> the invariant
+    parts: Callable  # (host labels, factors, couplings) -> [(f, factor, e, swap)]
+    host_weight: Callable = tuple  # coefficients -> their host edge's weights
+    finish: Optional[Callable] = None  # (plan, coefficients, pt, lhs, rhs) -> comparisons
+
+
+_FIVE_OPS = tuple(lambda ph, e, op=op: apply_edge_op(ph, e, op) for op in OP_ORDER)
+
+
+def _five(weights, parts):
+    return KindSpec(
+        _five_rows, _FIVE_OPS, weights,
+        lambda x, w, pt: q_value(x, w, pt["alpha"], pt["beta"], pt["gamma"]), parts,
+    )
+
+
+def _four(weights):
+    return KindSpec(
+        _four_rows, _FIVE_OPS[:4], weights,
+        lambda x, w, pt: q_value(x, w, pt["alpha"], pt["beta"], _ONE), _shared_parts,
+        host_weight=lambda phis: phis + (Fraction(0),),
+    )
+
+
+SPECS = {
+    TheoremKind.MAINMV: _five(_per_edge("a", "b", "c", "x", "y"), _listed_parts),
+    TheoremKind.MAIN: _five(_uniform("a", "b", "c", "x", "y"), _shared_parts),
+    TheoremKind.CORZ: _five(_uniform("a", "b", 0, 0, 0), _shared_parts),
+    TheoremKind.FULLTENSOR: _five(_per_edge("a", "b", "c", "x", "y"), _listed_parts),
+    TheoremKind.TWOSUM: _five(
+        _uniform("a", "b", "c", "x", "y"),
+        lambda labels, ph, c: [(c.source, ph, c.target, c.swap)],
+    ),
+    TheoremKind.BR: _four(_uniform("a", "b", "c", "x", 0)),
+    TheoremKind.BRZHAT: _four(_uniform("a", "b", 0, 0, 0)),
+    TheoremKind.TRANSITION: KindSpec(
+        lambda pt: [[pt["t"] ** 2 if i == j else pt["t"] for j in range(3)] for i in range(3)],
+        TRANSITION_OPS, _per_edge("a", "b", "c"),
+        lambda x, w, pt: transition_table_value(transition_state_table(x), w, pt["t"]),
+        _listed_parts,
+    ),
+    TheoremKind.PLANEMVBR: KindSpec(
+        lambda pt: [[pt["a"] * pt["c"], _ONE], [_ONE, pt["c"]]],
+        (delete_edge, contract_edge),
+        lambda labels, pt: {l: pt[f"b_{l}"] for l in labels},
+        lambda x, w, pt: mv_br_value(x, pt["a"], w, pt["c"]),
+        _listed_parts, host_weight=_plane_weight, finish=_plane_finish,
+    ),
+    TheoremKind.TUTTE: KindSpec(
+        lambda pt: [[pt["a"], pt["a"] ** 2], [pt["a"], pt["a"]]],
+        (Multigraph.delete, Multigraph.contract), _uniform("b", 1), _zdot_at,
+        _shared_parts, finish=_tutte_finish,
+    ),
+}
+
+
+# --------------------------------------------------------------------------
+# the three kinds of object: packaged and bare presentations, and graphs
+
+
+def _labels(x):
+    """Edge labels of a packaged or bare presentation; a graph's edge indexes."""
+    if isinstance(x, Multigraph):
+        return range(x.m)
+    return x.ap.edges if isinstance(x, PackagedPresentation) else x.edges
+
+
+def _namespaced(x, f):
+    if isinstance(x, PackagedPresentation):
+        return namespaced(x, f)
+    return x.relabel({l: f"{f}.{l}" for l in x.edges})
+
+
+def _compose(host, parts):
+    """The 2-sums of ``parts`` onto ``host``."""
+    if isinstance(host, Multigraph):  # one shared factor: a graph tensor
+        return graph_tensor(host, parts[0][1], parts[0][2], [s for *_, s in parts])
+    if isinstance(host, ArrowPresentation):
+        packed = [(f, make_packaged(x), e, s) for f, x, e, s in parts]
+        return compose_two_sums(make_packaged(host), packed).ap
+    return compose_two_sums(host, parts)
+
+
+def _value(spec: KindSpec, x, pt):
+    return spec.value(x, spec.weights(_labels(x), pt), pt)
+
+
+# --------------------------------------------------------------------------
+# transfer coefficients
 
 
 def _singular(kind: TheoremKind) -> SingularAtPoint:
     return SingularAtPoint(f"{kind.value} matrix singular at the sampled point")
+
+
+def _solve(kind: TheoremKind, matrix, rhs) -> tuple:
+    """Solve exactly.  A singular system marks a degenerate point and raises
+    :class:`SingularAtPoint`, so that the caller resamples it."""
+    try:
+        return tuple(solve_linear(matrix, rhs))
+    except SingularMatrix:
+        raise _singular(kind) from None
 
 
 def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
@@ -128,34 +283,10 @@ def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
     Raises :class:`SingularAtPoint` when it degenerates there (the caller
     resamples the point).
     """
-    matrix = _phi_rows(kind, pt)
+    matrix = SPECS[kind].rows(pt)
     if determinant(matrix) == 0:
         raise _singular(kind)
     return matrix
-
-
-def _five_weights(labels, pt, kind: TheoremKind):
-    if kind in (TheoremKind.MAINMV, TheoremKind.FULLTENSOR):
-        return {
-            l: tuple(pt[f"{s}_{l}"] for s in ("a", "b", "c", "x", "y")) for l in labels
-        }
-    if kind is TheoremKind.CORZ:
-        w = (pt["a"], pt["b"], Fraction(0), Fraction(0), Fraction(0))
-        return {l: w for l in labels}
-    w = tuple(pt[s] for s in ("a", "b", "c", "x", "y"))
-    return {l: w for l in labels}
-
-
-def _four_weights(labels, pt, kind: TheoremKind):
-    if kind is TheoremKind.BRZHAT:
-        w = (pt["a"], pt["b"], Fraction(0), Fraction(0), Fraction(0))
-    else:
-        w = (pt["a"], pt["b"], pt["c"], pt["x"], Fraction(0))
-    return {l: w for l in labels}
-
-
-def _transition_weights(labels, pt):
-    return {l: tuple(pt[f"{s}_{l}"] for s in ("a", "b", "c")) for l in labels}
 
 
 def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
@@ -166,43 +297,8 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
     multigraph for the Tutte kind; ``e`` names (or indexes) its coupled edge.
     Raises :class:`SingularAtPoint` when the transfer matrix degenerates.
     """
-    matrix = _phi_rows(kind, pt)
-    if kind in _FIVE:
-        weights = _five_weights(sorted(ph.ap.edges - {e}), pt, kind)
-        rhs = [
-            q_value(apply_edge_op(ph, e, op), weights, pt["alpha"], pt["beta"], pt["gamma"])
-            for op in OP_ORDER
-        ]
-    elif kind in _FOUR:
-        weights = _four_weights(sorted(ph.ap.edges - {e}), pt, kind)
-        rhs = [
-            q_value(apply_edge_op(ph, e, op), weights, pt["alpha"], pt["beta"], Fraction(1))
-            for op in OP_ORDER[:4]
-        ]
-    elif kind is TheoremKind.TRANSITION:
-        weights = _transition_weights(sorted(ph.edges - {e}), pt)
-        rhs = []
-        for fn in (contract_edge, delete_edge, penrose_contract_edge):
-            table = transition_state_table(fn(ph, e))
-            rhs.append(transition_table_value(table, weights, pt["t"]))
-    elif kind is TheoremKind.TUTTE:
-        g, e_idx = ph, e
-        rhs = [
-            zdot_value(g.delete(e_idx), pt["a"], pt["b"], Fraction(1)),
-            zdot_value(g.contract(e_idx), pt["a"], pt["b"], Fraction(1)),
-        ]
-    elif kind is TheoremKind.PLANEMVBR:
-        b_by = {l: pt[f"b_{l}"] for l in ph.edges}
-        rhs = [
-            mv_br_value(delete_edge(ph, e), pt["a"], b_by, pt["c"]),
-            mv_br_value(contract_edge(ph, e), pt["a"], b_by, pt["c"]),
-        ]
-    else:
-        raise ValueError(f"unknown theorem kind {kind}")
-    try:
-        return tuple(solve_linear(matrix, rhs))
-    except SingularMatrix:
-        raise _singular(kind) from None
+    spec = SPECS[kind]
+    return _solve(kind, spec.rows(pt), [_value(spec, op(ph, e), pt) for op in spec.ops])
 
 
 def phi0_structural_zeros(
@@ -229,32 +325,27 @@ def phi0_structural_zeros(
 
 
 # --------------------------------------------------------------------------
-# identity verification
+# identity verification: a plan per instance, then point work per point
 
 
 @dataclass(frozen=True)
-class VerifyOutcome:
-    ok: bool
-    comparisons: tuple  # (name, lhs, rhs)
+class InstancePlan:
+    """What one instance's identity needs at every point, built once."""
 
-    @property
-    def lhs(self):
-        return self.comparisons[0][1]
-
-    @property
-    def rhs(self):
-        return self.comparisons[0][2]
+    kind: TheoremKind
+    composed: object  # the 2-sum or tensor product
+    host: object
+    tensored: Mapping  # host label -> index into factors
+    factors: tuple  # per distinct factor, its operation results
 
 
-def _outcome(*pairs):
-    comps = tuple(pairs)
-    return VerifyOutcome(all(l == r for _, l, r in comps), comps)
+def plan_instance(kind: TheoremKind, pg, factors, couplings) -> InstancePlan:
+    """Build the composed object, the host, and each distinct factor's
+    operation results: a factor shared by every host edge once, any other
+    namespaced with its host edge.
 
-
-def verify_identity(kind: TheoremKind, pg, factors, couplings, pt) -> VerifyOutcome:
-    """Evaluate both sides of one identity at one point.
-
-    Shapes of ``factors``/``couplings``:
+    Shapes of ``factors``/``couplings``, as :func:`random_instance` returns
+    them:
 
     * TWOSUM: a packaged presentation and a single :class:`Coupling`.
     * MAINMV / FULLTENSOR: a list of ``(f, ph, e)`` and matching couplings.
@@ -264,145 +355,43 @@ def verify_identity(kind: TheoremKind, pg, factors, couplings, pt) -> VerifyOutc
     * PLANEMVBR: list of ``(f, arrow_presentation, e)`` with plane factors.
     * TUTTE: ``(h_graph, edge_index)``; couplings a list of orientation flips.
     """
-    if kind is TheoremKind.TWOSUM:
-        return _verify_twosum(pg, factors, couplings, pt)
-    if kind in (TheoremKind.MAINMV, TheoremKind.FULLTENSOR):
-        return _verify_mainmv(kind, pg, factors, couplings, pt)
-    if kind in (TheoremKind.MAIN, TheoremKind.CORZ):
-        return _verify_uniform(kind, pg, factors, couplings, pt)
-    if kind in _FOUR:
-        return _verify_br(kind, pg, factors, couplings, pt)
-    if kind is TheoremKind.TRANSITION:
-        return _verify_transition(pg, factors, couplings, pt)
-    if kind is TheoremKind.PLANEMVBR:
-        return _verify_planemvbr(pg, factors, couplings, pt)
-    if kind is TheoremKind.TUTTE:
-        return _verify_tutte(pg, factors, couplings, pt)
-    raise ValueError(f"unknown theorem kind {kind}")
-
-
-def _verify_twosum(pg, ph, coupling: Coupling, pt):
-    al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
-    composed = compose_two_sums(pg, [(coupling.source, ph, coupling.target, coupling.swap)])
-    w_comp = _five_weights(sorted(composed.ap.edges), pt, TheoremKind.TWOSUM)
-    lhs = q_value(composed, w_comp, al, be, ga)
-    host_weights = _five_weights(sorted(pg.ap.edges), pt, TheoremKind.TWOSUM)
-    host_weights[coupling.source] = solve_phis(TheoremKind.TWOSUM, ph, coupling.target, pt)
-    rhs = q_value(pg, host_weights, al, be, ga)
-    return _outcome(("twosum", lhs, rhs))
-
-
-def _verify_mainmv(kind, pg, factors, couplings, pt):
-    al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
-    parts = [
-        (f, ph, e, c.swap) for (f, ph, e), c in zip(factors, couplings)
-    ]
-    composed = compose_two_sums(pg, parts)
-    w_comp = _five_weights(sorted(composed.ap.edges), pt, kind)
-    lhs = q_value(composed, w_comp, al, be, ga)
-
-    host_weights = _five_weights(sorted(pg.ap.edges), pt, kind)
-    for f, ph, e, _ in parts:
-        ph_ns = ph.ap.relabel({l: f"{f}.{l}" for l in ph.ap.edges})
-        ph_pack = PackagedPresentation(ph_ns, ph.vparts, ph.bparts)
-        host_weights[f] = solve_phis(kind, ph_pack, f"{f}.{e}", pt)
-    rhs = q_value(pg, host_weights, al, be, ga)
-    return _outcome((kind.value, lhs, rhs))
-
-
-def _verify_uniform(kind, pg, factor, couplings, pt):
-    al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
-    ph, e = factor
-    parts = [(f, ph, e, couplings.get(f, False)) for f in sorted(pg.ap.edges)]
-    composed = compose_two_sums(pg, parts)
-    w_comp = _five_weights(sorted(composed.ap.edges), pt, kind)
-    lhs = q_value(composed, w_comp, al, be, ga)
-
-    phis = solve_phis(kind, ph, e, pt)
-    host_weights = {f: phis for f in pg.ap.edges}
-    rhs = q_value(pg, host_weights, al, be, ga)
-    return _outcome((kind.value, lhs, rhs))
-
-
-def _verify_br(kind, pg, factor, couplings, pt):
-    al, be, one = pt["alpha"], pt["beta"], Fraction(1)
-    ph, e = factor
-    parts = [(f, ph, e, couplings.get(f, False)) for f in sorted(pg.ap.edges)]
-    composed = compose_two_sums(pg, parts)
-    w_comp = _four_weights(sorted(composed.ap.edges), pt, kind)
-    lhs = q_value(composed, w_comp, al, be, one)
-
-    phis = solve_phis(kind, ph, e, pt)
-    host_weights = {
-        f: (phis[0], phis[1], phis[2], phis[3], Fraction(0)) for f in pg.ap.edges
-    }
-    rhs = q_value(pg, host_weights, al, be, one)
-    return _outcome((kind.value, lhs, rhs))
-
-
-def _verify_transition(ag, factors, couplings, pt):
-    t = pt["t"]
-    parts = []
-    for (f, ah, e), c in zip(factors, couplings):
-        parts.append((f, make_packaged(ah), e, c.swap))
-    host = make_packaged(ag)
-    composed = compose_two_sums(host, parts).ap
-    w_comp = _transition_weights(sorted(composed.edges), pt)
-    lhs = transition_table_value(transition_state_table(composed), w_comp, t)
-
-    host_weights = {}
-    for f, ah, e in factors:
-        ah_ns = ah.relabel({l: f"{f}.{l}" for l in ah.edges})
-        host_weights[f] = solve_phis(TheoremKind.TRANSITION, ah_ns, f"{f}.{e}", pt)
-    rhs = transition_table_value(transition_state_table(ag), host_weights, t)
-    return _outcome(("transition", lhs, rhs))
-
-
-def _verify_planemvbr(ag, factors, couplings, pt):
-    a, c = pt["a"], pt["c"]
-    parts = []
-    for (f, ah, e), coup in zip(factors, couplings):
-        parts.append((f, make_packaged(ah), e, coup.swap))
-    host = make_packaged(ag)
-    composed = compose_two_sums(host, parts).ap
-    b_comp = {l: pt[f"b_{l}"] for l in composed.edges}
-    lhs = mv_br_value(composed, a, b_comp, c)
-
-    prefactor = (a * c) ** (-len(ag.edges))
-    host_b = {}
-    for f, ah, e in factors:
-        ah_ns = ah.relabel({l: f"{f}.{l}" for l in ah.edges})
-        g_f, f_f = solve_phis(TheoremKind.PLANEMVBR, ah_ns, f"{f}.{e}", pt)
-        if g_f == 0:
-            raise SingularAtPoint("vanishing leading transfer coefficient")
-        prefactor *= g_f
-        host_b[f] = f_f / g_f
-    rhs = prefactor * mv_br_value(ag, a, host_b, c)
-    return _outcome(("planemvbr", lhs, rhs))
-
-
-def _verify_tutte(g: Multigraph, factor, flips, pt):
-    h, e_idx = factor
-    composed = graph_tensor(g, h, e_idx, flips)
-
-    a, b = pt["a"], pt["b"]
-    f_g = solve_phis(TheoremKind.TUTTE, h, e_idx, pt)
-    lhs_z = zdot_value(composed, a, b, Fraction(1))
-    rhs_z = zdot_value(g, a, f_g[0], f_g[1])
-
-    x, y = pt["x"], pt["y"]
-    t_del = tutte_value(h.delete(e_idx), x, y)
-    t_con = tutte_value(h.contract(e_idx), x, y)
-    phi, psi = solve_linear(
-        [[x - 1, Fraction(1)], [Fraction(1), y - 1]], [t_del, t_con]
+    spec = SPECS[kind]
+    parts = spec.parts(_labels(pg), factors, couplings)
+    shared = spec.parts is _shared_parts
+    if shared:
+        solved = [parts[0][1:3]]
+    else:
+        solved = [(_namespaced(x, f), f"{f}.{e}") for f, x, e, _ in parts]
+    return InstancePlan(
+        kind, _compose(pg, parts), pg,
+        {f: 0 if shared else i for i, (f, *_) in enumerate(parts)},
+        tuple(tuple(op(x, e) for op in spec.ops) for x, e in solved),
     )
-    if phi == 0 or psi == 0:
-        raise SingularAtPoint("vanishing Tutte transfer coefficient")
-    n_g = g.m - g.rank()
-    r_g = g.rank()
-    lhs_t = tutte_value(composed, x, y)
-    rhs_t = phi**n_g * psi**r_g * tutte_value(g, t_del / psi, t_con / phi)
-    return _outcome(("zdot", lhs_z, rhs_z), ("tutte", lhs_t, rhs_t))
+
+
+@dataclass(frozen=True)
+class VerifyOutcome:
+    ok: bool
+    comparisons: tuple  # (name, lhs, rhs)
+
+
+def verify_identity(plan: InstancePlan, pt) -> VerifyOutcome:
+    """Evaluate both sides of one planned identity at one point.
+
+    Solves each distinct factor's coefficients once and gives them to its
+    host edges.  Raises :class:`SingularAtPoint` when a transfer matrix, or a
+    coefficient the formula divides by, degenerates at ``pt``.
+    """
+    kind = plan.kind
+    spec = SPECS[kind]
+    matrix = spec.rows(pt)
+    phis = [_solve(kind, matrix, [_value(spec, x, pt) for x in ops]) for ops in plan.factors]
+    weights = spec.weights([l for l in _labels(plan.host) if l not in plan.tensored], pt)
+    weights.update((f, spec.host_weight(phis[i])) for f, i in plan.tensored.items())
+    lhs = _value(spec, plan.composed, pt)
+    rhs = spec.value(plan.host, weights, pt)
+    pairs = spec.finish(plan, phis, pt, lhs, rhs) if spec.finish else ((kind.value, lhs, rhs),)
+    return VerifyOutcome(all(l == r for _, l, r in pairs), tuple(pairs))
 
 
 # --------------------------------------------------------------------------
@@ -424,6 +413,7 @@ class VerifyReport:
     points: int
     failures: tuple
     elapsed: float
+    comparisons: int  # comparisons made, over every instance and point
 
     @property
     def ok(self) -> bool:
@@ -589,15 +579,17 @@ def run_verification(
         )
     rng = random.Random(seed)
     failures = []
+    comparisons = 0
     start = time.perf_counter()
     for _ in range(instances):
         pg, factors, couplings, names = random_instance(kind, rng, size_budget)
+        plan = plan_instance(kind, pg, factors, couplings)
         for _ in range(points):
             outcome = None
             for _ in range(max_resample):
                 pt = random_point(rng, sorted(names))
                 try:
-                    outcome = verify_identity(kind, pg, factors, couplings, pt)
+                    outcome = verify_identity(plan, pt)
                 except SingularAtPoint:
                     continue
                 break
@@ -605,18 +597,12 @@ def run_verification(
                 raise SingularAtPoint(
                     f"no nonsingular point found in {max_resample} samples"
                 )
+            comparisons += len(outcome.comparisons)
             if not outcome.ok:
                 failures.append(
                     Failure(_describe(pg), {k: str(v) for k, v in pt.items()},
                             tuple((n, str(l), str(r)) for n, l, r in outcome.comparisons))
                 )
     elapsed = time.perf_counter() - start
-    return VerifyReport(kind.value, seed, instances, points, tuple(failures), elapsed)
+    return VerifyReport(kind.value, seed, instances, points, tuple(failures), elapsed, comparisons)
 
-
-def basis_phis(kind: TheoremKind, pt) -> list:
-    """solve_phis on each one-edge basis presentation (unit vectors expected)."""
-    out = []
-    for k in k_presentations():
-        out.append(solve_phis(kind, k, "e", pt))
-    return out

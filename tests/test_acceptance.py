@@ -50,6 +50,7 @@ from ribbontensor.randgen import (
 )
 from ribbontensor.tensor_formula import (
     TheoremKind,
+    plan_instance,
     run_verification,
     solve_phis,
     verify_identity,
@@ -183,12 +184,13 @@ def test_criterion_07_tutte_recovery():
     # the factor's e-complement is the 2-edge path
     g = Multigraph.make(3, [(0, 1), (1, 2), (0, 2)])
     h = Multigraph.make(3, [(0, 1), (1, 2), (0, 2)])
+    plan = plan_instance(TheoremKind.TUTTE, g, (h, 0), [False, False, False])
     rng = random.Random(107)
     done = 0
     while done < 20:
         pt = random_point(rng, ["a", "b", "x", "y"])
         try:
-            out = verify_identity(TheoremKind.TUTTE, g, (h, 0), [False, False, False], pt)
+            out = verify_identity(plan, pt)
         except SingularAtPoint:
             continue
         if not out.ok:

@@ -111,6 +111,21 @@ def test_tensor_seeded_determinism(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_tensor_bad_random_seed(tmp_path, capsys):
+    g = write(tmp_path, "g.json", FIG_A)
+    h = write(tmp_path, "h.json", K3)
+    assert main(["tensor", g, h, "--edge", "e", "--coupling-mode", "random:abc"]) == 2
+    assert "random:abc" in capsys.readouterr().err
+
+
+def test_tensor_unknown_factor_edge(tmp_path, capsys):
+    g = write(tmp_path, "g.json", FIG_A)
+    h = write(tmp_path, "h.json", K3)
+    assert main(["tensor", g, h, "--edge", "zz"]) == 2
+    err = capsys.readouterr().err
+    assert "no edge labelled 'zz'" in err and "e.zz" not in err
+
+
 def test_poly_q_on_k3(tmp_path, capsys):
     assert main(["poly", write(tmp_path, "k3.json", K3), "--which", "q"]) == 0
     out = capsys.readouterr().out.strip()
@@ -139,7 +154,9 @@ def test_poly_json_format(tmp_path, capsys):
 def test_verify_pass_and_exit_codes(tmp_path, capsys):
     code = main(["verify", "tutte", "--seed", "1", "--instances", "3", "--points", "2"])
     assert code == 0
-    assert "result=PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "result=PASS" in out
+    assert "comparisons=12" in out  # 3 x 2 points, two comparisons each
 
 
 def test_verify_json_format(capsys):
@@ -150,6 +167,7 @@ def test_verify_json_format(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "pass" and data["failures"] == []
+    assert data["comparisons"] == 4
 
 
 def test_verify_unknown_theorem(capsys):
@@ -164,7 +182,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     def fake_run(kind, seed, instances, points):
         return VerifyReport(
             kind.value, seed, instances, points,
-            (Failure("inst", {"a": "1"}, (("zdot", "1", "2"),)),), 0.0,
+            (Failure("inst", {"a": "1"}, (("zdot", "1", "2"),)),), 0.0, 1,
         )
 
     monkeypatch.setattr(cli_mod, "run_verification", fake_run)

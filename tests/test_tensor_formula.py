@@ -1,11 +1,13 @@
 """Transfer matrices, solved coefficients, structural zeros, and the
 identity verifier."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from ribbontensor import tensor_formula
 from ribbontensor.arrow import ArrowPresentation
 from ribbontensor.errors import InvalidArgument, SingularAtPoint
 from ribbontensor.packaged import Coupling, k_presentations, make_packaged
@@ -13,9 +15,9 @@ from ribbontensor.polynomials import Multigraph, graph_tensor
 from ribbontensor.randgen import random_packaged, random_point
 from ribbontensor.tensor_formula import (
     TheoremKind,
-    basis_phis,
     build_phi_matrix,
     phi0_structural_zeros,
+    plan_instance,
     random_instance,
     run_verification,
     solve_phis,
@@ -71,7 +73,8 @@ def test_tutte_matrix_at_three():
 
 
 def test_basis_presentations_solve_to_unit_vectors():
-    for i, phis in enumerate(basis_phis(TheoremKind.MAINMV, PT5)):
+    for i, k in enumerate(k_presentations()):
+        phis = solve_phis(TheoremKind.MAINMV, k, "e", PT5)
         expect = tuple(Fraction(int(j == i)) for j in range(5))
         assert phis == expect
 
@@ -160,7 +163,7 @@ def test_twosum_identity_on_fixed_instance():
     )
     f = sorted(pg.ap.edges)[0]
     out = verify_identity(
-        TheoremKind.TWOSUM, pg, ph, Coupling(f, "he"), PT5
+        plan_instance(TheoremKind.TWOSUM, pg, ph, Coupling(f, "he")), PT5
     )
     assert out.ok
 
@@ -169,10 +172,10 @@ def test_verifier_reports_both_sides():
     rng = random.Random(43)
     pg, factors, couplings, names = random_instance(TheoremKind.TUTTE, rng)
     pt = random_point(rng, sorted(names))
-    out = verify_identity(TheoremKind.TUTTE, pg, factors, couplings, pt)
+    out = verify_identity(plan_instance(TheoremKind.TUTTE, pg, factors, couplings), pt)
     assert out.ok
     assert {name for name, _, _ in out.comparisons} == {"zdot", "tutte"}
-    assert out.lhs == out.rhs
+    assert all(lhs == rhs for _, lhs, rhs in out.comparisons)
 
 
 def test_tutte_canonical_instance():
@@ -182,11 +185,12 @@ def test_tutte_canonical_instance():
     h = Multigraph.make(3, [(0, 1), (1, 2), (0, 2)])
     composed = graph_tensor(g, h, 0)
     assert composed.m == 6 and composed.n == 6
+    plan = plan_instance(TheoremKind.TUTTE, g, (h, 0), [False] * 3)
     rng = random.Random(44)
     for _ in range(20):
         pt = random_point(rng, ["a", "b", "x", "y"], bound=100)
         try:
-            out = verify_identity(TheoremKind.TUTTE, g, (h, 0), [False] * 3, pt)
+            out = verify_identity(plan, pt)
         except SingularAtPoint:
             continue
         assert out.ok
@@ -214,7 +218,7 @@ def test_basis_factors_reduce_to_edge_operations():
                 pt[f"{s}_{l}"] = random_point(rng, ["v"])["v"]
         try:
             out = verify_identity(
-                TheoremKind.MAINMV, pg, [(f, ks[i], "e")], [Coupling(f, "e")], pt
+                plan_instance(TheoremKind.MAINMV, pg, [(f, ks[i], "e")], [Coupling(f, "e")]), pt
             )
         except SingularAtPoint:
             continue
@@ -226,3 +230,64 @@ def test_seeded_reports_reproducible():
     b = run_verification(TheoremKind.CORZ, seed=9, instances=3, points=2)
     assert (a.kind, a.failures) == (b.kind, b.failures)
     assert a.ok and b.ok
+
+
+def test_tutte_singular_classical_system_is_resampled():
+    # (x - 1)(y - 1) = 1 makes the classical Tutte system singular; that is a
+    # degenerate point to resample, not an error
+    g = Multigraph.make(3, [(0, 1), (1, 2), (0, 2)])
+    plan = plan_instance(TheoremKind.TUTTE, g, (g, 0), [False] * 3)
+    pt = {"a": Fraction(2), "b": Fraction(3), "x": Fraction(2), "y": Fraction(2)}
+    with pytest.raises(SingularAtPoint):
+        verify_identity(plan, pt)
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_instance_composed_once(kind, monkeypatch):
+    calls = []
+    for name in ("compose_two_sums", "graph_tensor"):
+        original = getattr(tensor_formula, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(tensor_formula, name, counted)
+    assert run_verification(kind, seed=3, instances=2, points=5).ok
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_patched_verify_identity_sees_every_point(kind, monkeypatch):
+    # the benchmark counts comparisons by rebinding the module attribute
+    outcomes = []
+    original = tensor_formula.verify_identity
+
+    def counted(*args, **kwargs):
+        outcome = original(*args, **kwargs)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(tensor_formula, "verify_identity", counted)
+    report = run_verification(kind, seed=4, instances=2, points=5)
+    assert len(outcomes) == 2 * 5
+    per_point = 2 if kind is TheoremKind.TUTTE else 1
+    assert report.comparisons == sum(len(o.comparisons) for o in outcomes) == 2 * 5 * per_point
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_scaled_transfer_matrix_fails(kind, monkeypatch):
+    # a verifier that cannot fail proves nothing: double the middle diagonal
+    # entry of the transfer matrix (a corner entry can meet a coefficient that
+    # is structurally zero, such as a loop's deletion coefficient, and change
+    # nothing) and expect counterexamples
+    spec = tensor_formula.SPECS[kind]
+
+    def scaled(pt):
+        matrix = spec.rows(pt)
+        mid = len(matrix) // 2
+        matrix[mid][mid] *= 2
+        return matrix
+
+    monkeypatch.setitem(tensor_formula.SPECS, kind, dataclasses.replace(spec, rows=scaled))
+    assert not run_verification(kind, seed=1, instances=10, points=1).ok
