@@ -172,6 +172,7 @@ def _cmd_verify(args) -> int:
             "instances": report.instances,
             "points": report.points,
             "comparisons": report.comparisons,
+            "resampled": report.resampled,
             "result": "pass" if report.ok else "fail",
             "elapsed_s": round(report.elapsed, 3),
             "failures": [
@@ -187,7 +188,8 @@ def _cmd_verify(args) -> int:
     else:
         print(
             f"theorem={report.kind} seed={report.seed} instances={report.instances} "
-            f"points={report.points} comparisons={report.comparisons}"
+            f"points={report.points} comparisons={report.comparisons} "
+            f"resampled={report.resampled}"
         )
         for f in report.failures:
             print(f"FAIL instance={f.instance}")

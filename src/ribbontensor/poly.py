@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from math import lcm
+from numbers import Rational as _Rational
 from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -380,56 +382,72 @@ def _parse_term(chunk: str, registry: VarRegistry):
 # exact linear algebra
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve A x = b exactly by pivoted Gaussian elimination.
+def _eliminate(matrix, rhs):
+    """Bareiss's fraction-free elimination of ``[A | rhs]``, rows pivoted.
 
-    Raises :class:`SingularMatrix` when A has no unique solution.
+    Each row is first scaled to integers by the lcm of its denominators;
+    every later entry is then an integer minor of the scaled matrix, and each
+    division is exact (Bareiss, Math. Comp. 1968).  Returns ``(rows, d,
+    scale)``: the eliminated rows, upper triangular in their first ``n``
+    columns; ``d``, the determinant of the scaled matrix (0 when A is
+    singular, the rows then left half eliminated); and ``scale``, the product
+    of the row scales, so that det(A) = d / scale.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    rows = []
+    scale = 1
+    for row in [[*row, b] for row, b in zip(matrix, rhs)] if rhs else matrix:
+        row = [x if isinstance(x, _Rational) else Fraction(x) for x in row]
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    width = n + (1 if rhs else 0)
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return rows, 0, scale
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return rows, sign * prev, scale
+
+
+def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve A x = b exactly, by :func:`_eliminate`'s fraction-free
+    elimination.
+
+    With d the determinant of the row-scaled A, d * x is integral (Cramer's
+    rule), so back substitution runs on d * x over the integers and each
+    unknown becomes one ``Fraction`` at the end.  Raises
+    :class:`SingularMatrix` when A has no unique solution.
+    """
+    n = len(matrix)
+    if len(rhs) != n:
         raise ValueError("matrix must be square and match the rhs length")
-    a = [[Fraction(x) for x in row] for row in matrix]
-    b = [Fraction(x) for x in rhs]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+    rows, d, _ = _eliminate(matrix, rhs)
+    if not d:
+        raise SingularMatrix("matrix is singular")
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = d * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return [Fraction(v, d) for v in y]
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+    """det(A), exactly, by :func:`_eliminate`'s fraction-free elimination."""
+    _, d, scale = _eliminate(matrix, ())
+    return Fraction(d, scale)

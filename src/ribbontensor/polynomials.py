@@ -22,7 +22,10 @@ Both deletion-style recursions, that of Q and that of the transition
 polynomial, run through one engine: :func:`resolution_dag` resolves a
 presentation once into the DAG of its distinct sub-presentations, and
 :func:`fold_dag` evaluates that DAG over a ring, ``MultiPoly`` for the
-polynomial or ``Fraction`` for its value at a point.  The subset
+polynomial or ``Fraction`` for its value at a point.  :func:`root_terms`
+reads the root's unweighted terms off the same fold: resolved with an edge
+first, a presentation's DAG gives the values of all of that edge's
+operation results at once.  The subset
 expansions have the same shape: :func:`_spanning_table` enumerates the
 spanning sub-presentations of an arrow presentation once, and
 :func:`_subset_counts` the edge subsets of a multigraph, and one evaluator
@@ -235,17 +238,16 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     return visit(root), tuple(nodes)
 
 
-def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
-    """Evaluate a resolution DAG in the ring of ``bases``.
+def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
+    """The one evaluation loop under :func:`fold_dag` and :func:`root_terms`.
 
-    ``weights`` maps each label to its weights in operation order; a strip
-    ``s`` contributes the product of ``bases[j] ** s[j]``.  Over
-    :class:`MultiPoly` this gives the polynomial, over ``Fraction`` its
-    value at a point.  A top-down pass marks the nodes reached through
-    nonzero weights, and only those are evaluated, children first; an empty
-    strip costs no product.  Loops rather than a recursive closure keep the
-    per-call values free of reference cycles, so they go as soon as the call
-    returns.
+    Evaluates every node below the root reached through a nonzero weight,
+    children first, reading the root's weights from ``root_weights``.
+    Returns the root's terms (weight times strip factor times child value),
+    one per live operation whose root weight is nonzero, and the factor of the
+    root's own strip, ``None`` for an empty strip.  The root must have edges.
+    Loops rather than a recursive closure keep the per-call values free of
+    reference cycles, so they go as soon as the call returns.
     """
     one = bases[0] ** 0
     zero = one - one
@@ -258,8 +260,6 @@ def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
         return value
 
     (root, root_strip), nodes = dag
-    if root < 0:
-        return factor(root_strip) if root_strip else one
     # Children precede parents, so one descending sweep marks every node
     # reached from the root.
     needed = [False] * (root + 1)
@@ -267,24 +267,60 @@ def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
     for i in range(root, -1, -1):
         if needed[i]:
             label, refs = nodes[i]
-            for w, ref in zip(weights[label], refs):
+            for w, ref in zip(root_weights if i == root else weights[label], refs):
                 if ref is not None and w and ref[0] >= 0:
                     needed[ref[0]] = True
-    values: list = [None] * (root + 1)
+    values: list = [None] * root
     for i in range(root + 1):
         if not needed[i]:
             continue
         label, refs = nodes[i]
-        v = zero
-        for w, ref in zip(weights[label], refs):
+        terms = []
+        for w, ref in zip(root_weights if i == root else weights[label], refs):
             if ref is None or not w:
                 continue
             child, strip = ref
             if strip:
                 w = w * factor(strip)
-            v = v + (w if child < 0 else w * values[child])
-        values[i] = v
-    return factor(root_strip) * values[root] if root_strip else values[root]
+            terms.append(w if child < 0 else w * values[child])
+        if i < root:
+            values[i] = sum(terms, zero)
+    return terms, factor(root_strip) if root_strip else None
+
+
+def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
+    """Evaluate a resolution DAG in the ring of ``bases``: the root's terms
+    from :func:`_fold`, summed, times its strip.
+
+    ``weights`` maps each label to its weights in operation order; a strip
+    ``s`` contributes the product of ``bases[j] ** s[j]``.  Over
+    :class:`MultiPoly` this gives the polynomial, over ``Fraction`` its
+    value at a point.  Only the nodes reached through nonzero weights are
+    evaluated, and an empty strip costs no product.
+    """
+    (root, root_strip), nodes = dag
+    one = bases[0] ** 0
+    if root < 0:  # an edgeless presentation: the value of its strip
+        return math.prod(b**k for b, k in zip(bases, root_strip) if k) if root_strip else one
+    terms, scale = _fold(dag, weights, bases, weights[nodes[root][0]])
+    total = sum(terms, one - one)
+    return total if scale is None else scale * total
+
+
+def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> list:
+    """The unweighted terms of a resolution DAG's root, one per live
+    operation in operation order: the strip factor times the child's value,
+    times the root's own strip.
+
+    They are the values of the root's operation results, so a factor resolved
+    once with its coupled edge first (``resolution_dag(x, (e,), ops)``) gives
+    all its operation values in one fold.  ``weights`` need not name the
+    root's edge.  The root must have edges.
+    """
+    (root, _), nodes = dag
+    one = bases[0] ** 0
+    terms, scale = _fold(dag, weights, bases, (one,) * len(nodes[root][1]))
+    return terms if scale is None else [scale * t for t in terms]
 
 
 def _live(ops: tuple, weights: Mapping[str, tuple]) -> tuple:

@@ -7,8 +7,10 @@ from a small exact linear system over the factor's five (or four, three,
 two) operation values.  ``SPECS`` holds what differs between the kinds.
 
 :func:`plan_instance` builds, once per instance, the composed object, the
-host and each distinct factor's operation results; :func:`verify_identity`
-then does the work of one point: evaluate, solve, compare.  Points are
+host and each distinct factor, resolved: one resolution DAG with the coupled
+edge first, whose root terms are the operation values, or for the subset
+expansions the operation results themselves.  :func:`verify_identity` then
+does the work of one point: evaluate, solve, compare.  Points are
 random rationals (numerators and denominators in [1, 10^4]); points where a
 system degenerates are resampled.  Agreement is required to be exact.
 """
@@ -35,7 +37,6 @@ from .files import presentation_to_dict
 from .packaged import (
     Coupling,
     PackagedPresentation,
-    apply_edge_op,
     compose_two_sums,
     make_packaged,
     namespaced,
@@ -48,6 +49,8 @@ from .polynomials import (
     graph_tensor,
     mv_br_value,
     q_value,
+    resolution_dag,
+    root_terms,
     transition_state_table,
     transition_table_value,
     tutte_value,
@@ -118,6 +121,14 @@ def _uniform(*stems):
     return weights
 
 
+def _five_bases(pt):
+    return pt["alpha"], pt["beta"], pt["gamma"]
+
+
+def _four_bases(pt):
+    return pt["alpha"], pt["beta"], _ONE
+
+
 def _zdot_at(g, weights, pt):
     # The Tutte kind's weights are the same (b, c) on every edge; an
     # edgeless graph reads none of them.
@@ -144,7 +155,7 @@ def _tutte_finish(plan, phis, pt, lhs, rhs):
     """Add the classical Tutte identity: coefficients phi, psi solved from
     the factor's operation results, and the prefactor phi^n(G) psi^r(G)."""
     x, y = pt["x"], pt["y"]
-    t_del, t_con = (tutte_value(h, x, y) for h in plan.factors[0])
+    t_del, t_con = (tutte_value(h, x, y) for h in plan.factors[0][0])
     phi, psi = _solve(TheoremKind.TUTTE, [[x - 1, _ONE], [_ONE, y - 1]], [t_del, t_con])
     if phi == 0 or psi == 0:
         raise SingularAtPoint("vanishing Tutte transfer coefficient")
@@ -171,7 +182,8 @@ class KindSpec:
     """What one theorem kind adds to the shape every identity shares."""
 
     rows: Callable  # pt -> the transfer matrix, as fresh unchecked rows
-    ops: tuple  # the factor operations (factor, e) -> object, one per column
+    resolve: Callable  # (factor, e) -> what every point reads its columns off
+    columns: Callable  # (resolved factor, weights, pt) -> one value per row
     weights: Callable  # (labels, pt) -> {label: weights}
     value: Callable  # (object, weights, pt) -> the invariant
     parts: Callable  # (host labels, factors, couplings) -> [(f, factor, e, swap)]
@@ -179,22 +191,42 @@ class KindSpec:
     finish: Optional[Callable] = None  # (plan, coefficients, pt, lhs, rhs) -> comparisons
 
 
-_FIVE_OPS = tuple(lambda ph, e, op=op: apply_edge_op(ph, e, op) for op in OP_ORDER)
+def _by_dag(ops, bases):
+    """A recursion kind's factor is resolved once, its coupled edge first;
+    at a point one fold gives the DAG root's terms, which are the values of
+    the factor's operation results ``ops``."""
+    return {
+        "resolve": lambda x, e: resolution_dag(x, (e,), ops),
+        "columns": lambda dag, w, pt: root_terms(dag, w, bases(pt)),
+    }
+
+
+def _by_results(ops, value):
+    """A subset-expansion kind keeps the factor's operation results and
+    evaluates each of them at a point."""
+    return {
+        "resolve": lambda x, e: tuple(op(x, e) for op in ops),
+        "columns": lambda results, w, pt: [value(r, w, pt) for r in results],
+    }
 
 
 def _five(weights, parts):
     return KindSpec(
-        _five_rows, _FIVE_OPS, weights,
-        lambda x, w, pt: q_value(x, w, pt["alpha"], pt["beta"], pt["gamma"]), parts,
+        _five_rows, **_by_dag(OP_ORDER, _five_bases), weights=weights,
+        value=lambda x, w, pt: q_value(x, w, *_five_bases(pt)), parts=parts,
     )
 
 
 def _four(weights):
     return KindSpec(
-        _four_rows, _FIVE_OPS[:4], weights,
-        lambda x, w, pt: q_value(x, w, pt["alpha"], pt["beta"], _ONE), _shared_parts,
+        _four_rows, **_by_dag(OP_ORDER[:4], _four_bases), weights=weights,
+        value=lambda x, w, pt: q_value(x, w, *_four_bases(pt)), parts=_shared_parts,
         host_weight=lambda phis: phis + (Fraction(0),),
     )
+
+
+def _plane_value(x, weights, pt):
+    return mv_br_value(x, pt["a"], weights, pt["c"])
 
 
 SPECS = {
@@ -210,21 +242,22 @@ SPECS = {
     TheoremKind.BRZHAT: _four(_uniform("a", "b", 0, 0, 0)),
     TheoremKind.TRANSITION: KindSpec(
         lambda pt: [[pt["t"] ** 2 if i == j else pt["t"] for j in range(3)] for i in range(3)],
-        TRANSITION_OPS, _per_edge("a", "b", "c"),
-        lambda x, w, pt: transition_table_value(transition_state_table(x), w, pt["t"]),
-        _listed_parts,
+        **_by_dag(TRANSITION_OPS, lambda pt: (pt["t"],)), weights=_per_edge("a", "b", "c"),
+        value=lambda x, w, pt: transition_table_value(transition_state_table(x), w, pt["t"]),
+        parts=_listed_parts,
     ),
     TheoremKind.PLANEMVBR: KindSpec(
         lambda pt: [[pt["a"] * pt["c"], _ONE], [_ONE, pt["c"]]],
-        (delete_edge, contract_edge),
-        lambda labels, pt: {l: pt[f"b_{l}"] for l in labels},
-        lambda x, w, pt: mv_br_value(x, pt["a"], w, pt["c"]),
-        _listed_parts, host_weight=_plane_weight, finish=_plane_finish,
+        **_by_results((delete_edge, contract_edge), _plane_value),
+        weights=lambda labels, pt: {l: pt[f"b_{l}"] for l in labels},
+        value=_plane_value, parts=_listed_parts, host_weight=_plane_weight,
+        finish=_plane_finish,
     ),
     TheoremKind.TUTTE: KindSpec(
         lambda pt: [[pt["a"], pt["a"] ** 2], [pt["a"], pt["a"]]],
-        (Multigraph.delete, Multigraph.contract), _uniform("b", 1), _zdot_at,
-        _shared_parts, finish=_tutte_finish,
+        **_by_results((Multigraph.delete, Multigraph.contract), _zdot_at),
+        weights=_uniform("b", 1), value=_zdot_at, parts=_shared_parts,
+        finish=_tutte_finish,
     ),
 }
 
@@ -258,6 +291,17 @@ def _compose(host, parts):
 
 def _value(spec: KindSpec, x, pt):
     return spec.value(x, spec.weights(_labels(x), pt), pt)
+
+
+def _resolve(spec: KindSpec, x, e) -> tuple:
+    """A factor as every point reads it: resolved, with its other labels."""
+    return spec.resolve(x, e), [l for l in _labels(x) if l != e]
+
+
+def _columns(spec: KindSpec, factor: tuple, pt) -> list:
+    """The right-hand side of a factor's transfer system at ``pt``."""
+    resolved, labels = factor
+    return spec.columns(resolved, spec.weights(labels, pt), pt)
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +342,7 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
     Raises :class:`SingularAtPoint` when the transfer matrix degenerates.
     """
     spec = SPECS[kind]
-    return _solve(kind, spec.rows(pt), [_value(spec, op(ph, e), pt) for op in spec.ops])
+    return _solve(kind, spec.rows(pt), _columns(spec, _resolve(spec, ph, e), pt))
 
 
 def phi0_structural_zeros(
@@ -336,13 +380,16 @@ class InstancePlan:
     composed: object  # the 2-sum or tensor product
     host: object
     tensored: Mapping  # host label -> index into factors
-    factors: tuple  # per distinct factor, its operation results
+    factors: tuple  # per distinct factor, (resolved, its labels but the coupled edge)
 
 
 def plan_instance(kind: TheoremKind, pg, factors, couplings) -> InstancePlan:
-    """Build the composed object, the host, and each distinct factor's
-    operation results: a factor shared by every host edge once, any other
-    namespaced with its host edge.
+    """Build the composed object, the host, and each distinct factor once:
+    a factor shared by every host edge once, any other namespaced with its
+    host edge.  A recursion kind keeps the factor's one resolution DAG, its
+    coupled edge first, whose root terms are the transfer system's
+    right-hand side at every point; the subset-expansion kinds (planemvbr,
+    tutte) keep the factor's two operation results.
 
     Shapes of ``factors``/``couplings``, as :func:`random_instance` returns
     them:
@@ -365,7 +412,7 @@ def plan_instance(kind: TheoremKind, pg, factors, couplings) -> InstancePlan:
     return InstancePlan(
         kind, _compose(pg, parts), pg,
         {f: 0 if shared else i for i, (f, *_) in enumerate(parts)},
-        tuple(tuple(op(x, e) for op in spec.ops) for x, e in solved),
+        tuple(_resolve(spec, x, e) for x, e in solved),
     )
 
 
@@ -385,7 +432,7 @@ def verify_identity(plan: InstancePlan, pt) -> VerifyOutcome:
     kind = plan.kind
     spec = SPECS[kind]
     matrix = spec.rows(pt)
-    phis = [_solve(kind, matrix, [_value(spec, x, pt) for x in ops]) for ops in plan.factors]
+    phis = [_solve(kind, matrix, _columns(spec, factor, pt)) for factor in plan.factors]
     weights = spec.weights([l for l in _labels(plan.host) if l not in plan.tensored], pt)
     weights.update((f, spec.host_weight(phis[i])) for f, i in plan.tensored.items())
     lhs = _value(spec, plan.composed, pt)
@@ -414,6 +461,7 @@ class VerifyReport:
     failures: tuple
     elapsed: float
     comparisons: int  # comparisons made, over every instance and point
+    resampled: int = 0  # singular points discarded and drawn again
 
     @property
     def ok(self) -> bool:
@@ -579,7 +627,7 @@ def run_verification(
         )
     rng = random.Random(seed)
     failures = []
-    comparisons = 0
+    comparisons = resampled = 0
     start = time.perf_counter()
     for _ in range(instances):
         pg, factors, couplings, names = random_instance(kind, rng, size_budget)
@@ -591,6 +639,7 @@ def run_verification(
                 try:
                     outcome = verify_identity(plan, pt)
                 except SingularAtPoint:
+                    resampled += 1
                     continue
                 break
             if outcome is None:
@@ -604,5 +653,7 @@ def run_verification(
                             tuple((n, str(l), str(r)) for n, l, r in outcome.comparisons))
                 )
     elapsed = time.perf_counter() - start
-    return VerifyReport(kind.value, seed, instances, points, tuple(failures), elapsed, comparisons)
+    return VerifyReport(
+        kind.value, seed, instances, points, tuple(failures), elapsed, comparisons, resampled
+    )
 

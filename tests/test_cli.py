@@ -157,6 +157,7 @@ def test_verify_pass_and_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "result=PASS" in out
     assert "comparisons=12" in out  # 3 x 2 points, two comparisons each
+    assert "resampled=0" in out
 
 
 def test_verify_json_format(capsys):
@@ -168,6 +169,7 @@ def test_verify_json_format(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "pass" and data["failures"] == []
     assert data["comparisons"] == 4
+    assert data["resampled"] == 0
 
 
 def test_verify_unknown_theorem(capsys):

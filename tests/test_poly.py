@@ -187,6 +187,48 @@ def test_solve_then_multiply_round_trip():
         assert back == rhs
 
 
+def _laplace(a):
+    """The determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * _laplace([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _square_systems(draw):
+    """Small ``(A, b)``: often a zero leading entry, which forces a row swap,
+    and often a row that is the sum of two others, which makes A singular."""
+    n = draw(st.integers(1, 5))
+    a = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        a[0][0] = 0
+    if n > 2 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a[k] = [x + y for x, y in zip(a[i], a[j])]
+    return a, draw(st.lists(_entries, min_size=n, max_size=n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_square_systems())
+def test_exact_solver(system):
+    a, b = system
+    det = determinant(a)
+    assert det == _laplace(a)
+    if det == 0:
+        with pytest.raises(SingularMatrix):
+            solve_linear(a, b)
+    else:
+        x = solve_linear(a, b)
+        assert all(type(v) is Fraction for v in x)
+        assert [sum(row[j] * x[j] for j in range(len(x))) for row in a] == b
+
+
 def test_standard_registry_order():
     reg = standard_registry(["g", "f"])
     assert reg.names[:9] == ("a", "b", "c", "x", "y", "alpha", "beta", "gamma", "t")

@@ -30,6 +30,7 @@ from ribbontensor.packaged import (
 from ribbontensor.poly import MultiPoly, VarRegistry, parse_poly, standard_registry
 from ribbontensor.polynomials import (
     OP_ORDER,
+    TRANSITION_OPS,
     Multigraph,
     WeightSystem,
     _spanning_table,
@@ -46,6 +47,7 @@ from ribbontensor.polynomials import (
     q_value,
     qhat_poly,
     resolution_dag,
+    root_terms,
     state_sum_oracle,
     transition_poly,
     transition_state_table,
@@ -58,6 +60,7 @@ from ribbontensor.polynomials import (
     zhat_poly,
 )
 from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
+from strategies import packaged_presentations, presentations
 
 REG = standard_registry()
 K1, K2, K3, K4, K5 = k_presentations()
@@ -401,6 +404,52 @@ def test_transition_table_matches_polynomial():
         assert transition_poly(ap, w, reg).eval_at(pt) == transition_table_value(
             transition_state_table(ap), no_penrose, pt["t"]
         )
+
+
+def _weights(rng, labels, width, zero_tail=0):
+    """Random nonzero rational weights, the last ``zero_tail`` of each
+    label's ``width`` set to zero."""
+    return {
+        l: tuple(
+            Fraction(0) if i >= width - zero_tail else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for i in range(width)
+        )
+        for l in labels
+    }
+
+
+@settings(deadline=None, max_examples=80)
+@given(packaged_presentations(min_edges=1, max_edges=3), st.integers(0, 2**32), st.booleans())
+def test_root_terms_are_the_operation_values(pg, seed, corz):
+    # One fold of the DAG resolved with e first gives every operation's value
+    # at once; empty circles put strips on the root and on its children.
+    # With corz weights the fold still evaluates all five root terms while
+    # pruning the zero-weight branches below them.  The four-operation DAG
+    # of the vertex-partitioned kinds is checked with y = 0, as they use it.
+    rng = random.Random(seed)
+    weights = _weights(rng, pg.ap.edges, 5, 3 if corz else 0)
+    no_y = {l: ws[:4] + (Fraction(0),) for l, ws in weights.items()}
+    for gamma in (Fraction(7, 4), Fraction(1)):
+        bases = (Fraction(3, 2), Fraction(5, 3), gamma)
+        for e in sorted(pg.ap.edges):
+            results = [apply_edge_op(pg, e, op) for op in OP_ORDER]
+            values = [q_value(x, weights, *bases) for x in results]
+            assert root_terms(resolution_dag(pg, (e,), OP_ORDER), weights, bases) == values
+            values = [q_value(x, no_y, *bases) for x in results[:4]]
+            assert root_terms(resolution_dag(pg, (e,), OP_ORDER[:4]), no_y, bases) == values
+
+
+@settings(deadline=None, max_examples=80)
+@given(presentations(min_edges=1, max_edges=4), st.integers(0, 2**32))
+def test_transition_root_terms_are_the_operation_values(ap, seed):
+    weights = _weights(random.Random(seed), ap.edges, 3)
+    t = Fraction(5, 3)
+    for e in sorted(ap.edges):
+        values = [
+            transition_table_value(transition_state_table(op(ap, e)), weights, t)
+            for op in TRANSITION_OPS
+        ]
+        assert root_terms(resolution_dag(ap, (e,), TRANSITION_OPS), weights, (t,)) == values
 
 
 def _reachable(pg, kinds):

@@ -8,9 +8,15 @@ from fractions import Fraction
 import pytest
 
 from ribbontensor import tensor_formula
-from ribbontensor.arrow import ArrowPresentation
+from ribbontensor.arrow import ArrowPresentation, boundary_components
 from ribbontensor.errors import InvalidArgument, SingularAtPoint
-from ribbontensor.packaged import Coupling, k_presentations, make_packaged
+from ribbontensor.packaged import (
+    Coupling,
+    PackagedPresentation,
+    Partition,
+    k_presentations,
+    make_packaged,
+)
 from ribbontensor.polynomials import Multigraph, graph_tensor
 from ribbontensor.randgen import random_packaged, random_point
 from ribbontensor.tensor_formula import (
@@ -291,3 +297,64 @@ def test_scaled_transfer_matrix_fails(kind, monkeypatch):
 
     monkeypatch.setitem(tensor_formula.SPECS, kind, dataclasses.replace(spec, rows=scaled))
     assert not run_verification(kind, seed=1, instances=10, points=1).ok
+
+
+def _wide_instance(kind):
+    """A fixed main or br instance whose factor's coupled edge joins two
+    circles of different vertex classes, so its deletion coefficient (the
+    first column of the transfer matrix) is not forced to vanish."""
+    ap = ArrowPresentation.from_circles([[("e", True), ("f", True)], [("e", True), ("f", False)]])
+    host = ArrowPresentation.from_circles([[("g", True), ("h", True), ("g", False)], [("h", True)]])
+    if kind is TheoremKind.MAIN:
+        pg, ph = make_packaged(host), make_packaged(ap)
+        names = {"alpha", "beta", "gamma", "a", "b", "c", "x", "y"}
+    else:
+        pg, ph = (
+            PackagedPresentation(
+                x,
+                Partition.make([[i] for i in range(len(x.circles))], range(len(x.circles))),
+                Partition.one_block(range(len(boundary_components(x)))),
+            )
+            for x in (host, ap)
+        )
+        names = {"alpha", "beta", "a", "b", "c", "x"}
+    return pg, (ph, "e"), {"g": False, "h": True}, names
+
+
+@pytest.mark.parametrize("kind", [TheoremKind.MAIN, TheoremKind.BR])
+def test_scaled_first_column_fails(kind, monkeypatch):
+    # doubling M[0][0] changes the solved coefficients exactly when the
+    # deletion coefficient is nonzero, which random_instance seldom draws
+    instance = _wide_instance(kind)
+    ph, e = instance[1]
+    assert 0 not in phi0_structural_zeros(ph, e)
+    monkeypatch.setattr(tensor_formula, "random_instance", lambda *args: instance)
+    assert run_verification(kind, seed=1, instances=1, points=5).ok
+    spec = tensor_formula.SPECS[kind]
+
+    def scaled(pt):
+        matrix = spec.rows(pt)
+        matrix[0][0] *= 2
+        return matrix
+
+    monkeypatch.setitem(tensor_formula.SPECS, kind, dataclasses.replace(spec, rows=scaled))
+    assert not run_verification(kind, seed=1, instances=1, points=5).ok
+
+
+def test_resampled_points_are_counted(monkeypatch):
+    # the first point drawn is the singular x = y = 2 point of
+    # test_tutte_singular_classical_system_is_resampled
+    drawn = []
+
+    def singular_first(rng, names, *args):
+        point = random_point(rng, names, *args)
+        drawn.append(point)
+        if len(drawn) == 1:
+            point = {"a": Fraction(2), "b": Fraction(3), "x": Fraction(2), "y": Fraction(2)}
+        return point
+
+    monkeypatch.setattr(tensor_formula, "random_point", singular_first)
+    report = run_verification(TheoremKind.TUTTE, seed=1, instances=1, points=3)
+    assert report.ok
+    assert report.resampled == 1
+    assert len(drawn) == 4
