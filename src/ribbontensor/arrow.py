@@ -343,9 +343,6 @@ def surface_stats(ap: ArrowPresentation, cached: bool = True) -> SurfaceStats:
 # --------------------------------------------------------------------------
 # surgery
 
-FWD, BWD = 0, 1
-
-
 @dataclass(frozen=True)
 class OpTraceArrow:
     """How circles, occurrences and glued points move through one surgery."""
@@ -366,10 +363,15 @@ def _splice(circles, removed, glue):
     """Remove the given occurrences and re-glue their endpoints pairwise.
 
     ``removed`` is a set of ``(circle, pos)``; ``glue`` is a list of
-    ``(endpointA, endpointB, marker_name)`` where endpoints are tokens of
-    removed occurrences.  Circles not hosting a removed occurrence survive
-    verbatim (and keep their relative order); rebuilt circles are appended in
-    the order of their least surviving occurrence and stored rotation-least.
+    ``(endpointA, endpointB, marker_name)`` pairing the tokens of removed
+    occurrences, each token exactly once.  Circles not hosting a removed
+    occurrence survive verbatim (and keep their relative order).  The others
+    are cut into chains between removed occurrences, and each rebuilt circle
+    is one walk along its chains from its lowest chain.  The walk is turned,
+    if need be, to meet the circle's least occurrence forward and rotated to
+    start there, so the result does not depend on where it began.  Rebuilt
+    circles are appended in the order of their least occurrence (bare ones
+    by their least marker, after) and stored rotation-least.
     """
     affected = {c for c, _ in removed}
     new_circles: list = []
@@ -383,127 +385,76 @@ def _splice(circles, removed, glue):
             occ_map[(ci, p)] = (len(new_circles), p)
         new_circles.append(circ)
 
-    parent: dict = {}
-    for a, b, _ in glue:
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    names_at: dict = {}
-    for a, _, name in glue:
-        names_at.setdefault(find(parent, a), []).append(name)
-
-    # Cut affected circles into chains running between removed occurrences.
-    chains = []  # (items, start_endpoint, end_endpoint)
+    # Chain i runs from end 2i (the trailing token of the removed
+    # occurrence before it) to end 2i + 1 (the leading token of the next).
+    chains = []
+    ends = {}
     for ci in sorted(affected):
         circ = circles[ci]
-        rpos = sorted(p for c, p in removed if c == ci)
         k = len(circ)
-        for idx, p in enumerate(rpos):
-            q = rpos[(idx + 1) % len(rpos)]
-            items = []
-            j = (p + 1) % k
-            while j != q:
-                items.append((ci, j))
-                j = (j + 1) % k
-            chains.append(
-                (tuple(items), _endpoint(circ, ci, p, True), _endpoint(circ, ci, q, False))
-            )
-
-    ends: dict = {}
-    for idx, (_, s, e) in enumerate(chains):
-        ends.setdefault(find(parent, s), []).append((idx, 0))
-        ends.setdefault(find(parent, e), []).append((idx, 1))
-    for rep, entries in ends.items():
-        if len(entries) != 2:
+        rpos = sorted(p for c, p in removed if c == ci)
+        for p, q in zip(rpos, rpos[1:] + rpos[:1]):
+            ends[_endpoint(circ, ci, p, True)] = 2 * len(chains)
+            ends[_endpoint(circ, ci, q, False)] = 2 * len(chains) + 1
+            chains.append([(ci, j % k) for j in range(p + 1, q if q > p else q + k)])
+    mate = [-1] * len(ends)
+    name_at = [None] * len(ends)
+    for a, b, name in glue:
+        x, y = ends.get(a, -1), ends.get(b, -1)
+        if x < 0 or y < 0 or x == y or mate[x] >= 0 or mate[y] >= 0:
             raise InvariantViolation("glued point must join exactly two chain ends")
+        mate[x], mate[y] = y, x
+        name_at[x] = name_at[y] = name
+    if -1 in mate:
+        raise InvariantViolation("glued point must join exactly two chain ends")
 
-    def walk(start_idx):
-        events = []
-        cur, direction = start_idx, FWD
-        while True:
-            items, s, e = chains[cur]
-            seq = items if direction == FWD else tuple(reversed(items))
-            for pos in seq:
-                events.append(("occ", pos, direction == BWD))
-            node = e if direction == FWD else s
-            rep = find(parent, node)
-            for name in sorted(names_at.get(rep, ())):
-                events.append(("marker", name))
-            arrived = (cur, 1 if direction == FWD else 0)
-            entries = list(ends[rep])
-            entries.remove(arrived)
-            nxt, flag = entries[0]
-            direction = FWD if flag == 0 else BWD
-            cur = nxt
-            if cur == start_idx and direction == FWD:
-                break
-        return events
-
-    # Group chains into components and order them deterministically.
-    comp_of: dict = {}
+    # One walk per component: (None, name) marks a glued point, (place,
+    # flipped) an occurrence met against its circle's direction or not.
+    visited = [False] * len(chains)
     comps = []
-    for idx in range(len(chains)):
-        if idx in comp_of:
+    for start in range(len(chains)):
+        if visited[start]:
             continue
-        members = []
-        cur, direction = idx, FWD
+        events = []
+        x = 2 * start
         while True:
-            members.append(cur)
-            _, s, e = chains[cur]
-            node = e if direction == FWD else s
-            arrived = (cur, 1 if direction == FWD else 0)
-            entries = list(ends[find(parent, node)])
-            entries.remove(arrived)
-            nxt, flag = entries[0]
-            direction = FWD if flag == 0 else BWD
-            cur = nxt
-            if cur == idx and direction == FWD:
+            visited[x >> 1] = True
+            back = bool(x & 1)
+            chain = chains[x >> 1]
+            events += [(place, back) for place in (reversed(chain) if back else chain)]
+            events.append((None, name_at[x ^ 1]))
+            x = mate[x ^ 1]
+            if x == 2 * start:
                 break
-        for m in members:
-            comp_of[m] = len(comps)
-        comps.append(members)
-
-    def comp_anchor(members):
-        items = [pos for m in members for pos in chains[m][0]]
-        if items:
-            return (0, min(items))
-        marks = [
-            name
-            for m in members
-            for node in (chains[m][1], chains[m][2])
-            for name in names_at.get(find(parent, node), ())
-        ]
-        return (1, min(marks))
+        occs = [ev for ev in events if ev[0] is not None]
+        if occs:
+            anchor, met_back = min(occs)
+            comps.append(((0, anchor), events, met_back))
+        else:
+            comps.append(((1, min(name for _, name in events)), events, False))
 
     markers: dict = {}
     created = []
-    for members in sorted(comps, key=comp_anchor):
-        items = [pos for m in members for pos in chains[m][0]]
-        if items:
-            anchor = min(items)
-            start_chain = next(m for m in members if anchor in chains[m][0])
-        else:
-            start_chain = min(members)
-        events = walk(start_chain)
-        occ_events = [ev for ev in events if ev[0] == "occ"]
-        if occ_events:
-            anchor = min(pos for _, pos, _ in occ_events)
-            pivot = next(
-                i for i, ev in enumerate(events) if ev[0] == "occ" and ev[1] == anchor
-            )
+    for (bare, anchor), events, met_back in sorted(comps, key=lambda comp: comp[0]):
+        if not bare:
+            if met_back:
+                events = [
+                    ev if ev[0] is None else (ev[0], not ev[1]) for ev in reversed(events)
+                ]
+            pivot = events.index((anchor, False))
             events = events[pivot:] + events[:pivot]
         new_ci = len(new_circles)
         circ_occs = []
         local_occs = []
         marker_gaps = []
-        for ev in events:
-            if ev[0] == "occ":
-                _, (ci, p), flipped = ev
+        for place, tag in events:
+            if place is None:  # tag names the glued point
+                marker_gaps.append((tag, len(circ_occs)))
+            else:  # tag says whether the walk met the occurrence backward
+                ci, p = place
                 occ = circles[ci][p]
-                local_occs.append((ci, p))
-                circ_occs.append(Occ(occ.label, occ.forward ^ flipped))
-            else:
-                marker_gaps.append((ev[1], len(circ_occs)))
+                local_occs.append(place)
+                circ_occs.append(Occ(occ.label, occ.forward ^ tag))
         total = len(circ_occs)
         normalized, offset = _rotmin(circ_occs)
         for raw, place in enumerate(local_occs):
@@ -538,22 +489,17 @@ def _delete_traced(ap: ArrowPresentation, e: str):
     return ArrowPresentation(tuple(new_circles), ap.edges - {e}), trace
 
 
-def _contract_traced(ap: ArrowPresentation, e: str):
-    (c1, p1), (c2, p2) = ap.occurrences(e)
-    glue = [
-        ((c1, p1, TAIL), (c2, p2, HEAD), "th"),
-        ((c1, p1, HEAD), (c2, p2, TAIL), "ht"),
-    ]
-    circles, trace = _splice(ap.circles, {(c1, p1), (c2, p2)}, glue)
-    return ArrowPresentation(circles, ap.edges - {e}), trace
+# How the four endpoints of a contracted edge re-glue: slot of the first
+# occurrence, slot of the second, marker of the glued point.
+_GLUES = {
+    "contract": ((TAIL, HEAD, "th"), (HEAD, TAIL, "ht")),
+    "penrose": ((TAIL, TAIL, "tt"), (HEAD, HEAD, "hh")),
+}
 
 
-def _penrose_traced(ap: ArrowPresentation, e: str):
+def _glued_traced(ap: ArrowPresentation, e: str, kind: str):
     (c1, p1), (c2, p2) = ap.occurrences(e)
-    glue = [
-        ((c1, p1, TAIL), (c2, p2, TAIL), "tt"),
-        ((c1, p1, HEAD), (c2, p2, HEAD), "hh"),
-    ]
+    glue = [((c1, p1, s1), (c2, p2, s2), name) for s1, s2, name in _GLUES[kind]]
     circles, trace = _splice(ap.circles, {(c1, p1), (c2, p2)}, glue)
     return ArrowPresentation(circles, ap.edges - {e}), trace
 
@@ -565,12 +511,12 @@ def delete_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
 
 def contract_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
     """Contract ``e``: cut both arrows and rejoin tail-to-head both ways."""
-    return _contract_traced(ap, e)[0]
+    return _glued_traced(ap, e, "contract")[0]
 
 
 def penrose_contract_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
     """Contract ``e`` with the half-twisted (tail-to-tail) identifications."""
-    return _penrose_traced(ap, e)[0]
+    return _glued_traced(ap, e, "penrose")[0]
 
 
 # --------------------------------------------------------------------------
@@ -591,7 +537,7 @@ def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
     """Map old boundary ids to new ones through a surgery.
 
     ``touched_to_new`` maps the id of an old boundary incident to a removed
-    occurrence to its new id (or ``None`` when the operation destroys it).
+    occurrence to its new id; one it does not hold is destroyed.
     Untouched boundaries are matched by their surviving tokens; bare circles
     follow the circle map.
     """
@@ -605,7 +551,7 @@ def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
             if nc is not None:
                 mapping[bd.id] = new.bare_to_bd[nc]
         elif bd.id in touched:
-            target = touched_to_new(bd.id)
+            target = touched_to_new.get(bd.id)
             if target is not None:
                 mapping[bd.id] = target
         else:
@@ -640,42 +586,25 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     removed_places = set(ap.occurrences(e))
     if kind == "delete":
         new_ap, trace = _delete_traced(ap, e)
-        bmap, created_b = _transfer_boundaries(
-            ap, new_ap, trace, removed_places, lambda bid: None
-        )
-        return EdgeOpResult(new_ap, trace.circle_map, (), bmap, created_b, trace.occ_map)
+    elif kind in _GLUES:
+        new_ap, trace = _glued_traced(ap, e, kind)
+    else:
+        raise ValueError(f"unknown arrow operation {kind!r}")
+    touched_to_new = {}
     if kind == "contract":
-        new_ap, trace = _contract_traced(ap, e)
+        # The chord from the head of the first occurrence to the tail of the
+        # second shrinks to the glued point head(first)~tail(second), marker
+        # "ht"; the other chord to marker "th".
+        old, new = boundary_trace(ap).token_to_bd, boundary_trace(new_ap)
         c1, p1 = min(removed_places)
-        head_side = boundary_trace(ap).token_to_bd[(c1, p1, HEAD)]
-        new = boundary_trace(new_ap)
-
-        def via_marker(bid):
-            # The chord from the head of the first occurrence to the tail of
-            # the second shrinks to the glued point head(first)~tail(second),
-            # marker "ht"; the other chord to marker "th".
-            name = "ht" if bid == head_side else "th"
-            return _resolve_marker(new_ap, new, trace.markers, name)
-
-        bmap, created_b = _transfer_boundaries(
-            ap, new_ap, trace, removed_places, via_marker
-        )
-        if created_b:
-            raise InvariantViolation("contraction preserves every boundary component")
-        return EdgeOpResult(
-            new_ap, trace.circle_map, trace.created_circles, bmap, created_b,
-            trace.occ_map,
-        )
-    if kind == "penrose":
-        new_ap, trace = _penrose_traced(ap, e)
-        bmap, created_b = _transfer_boundaries(
-            ap, new_ap, trace, removed_places, lambda bid: None
-        )
-        return EdgeOpResult(
-            new_ap, trace.circle_map, trace.created_circles, bmap, created_b,
-            trace.occ_map,
-        )
-    raise ValueError(f"unknown arrow operation {kind!r}")
+        for slot, name in ((TAIL, "th"), (HEAD, "ht")):
+            touched_to_new[old[(c1, p1, slot)]] = _resolve_marker(new_ap, new, trace.markers, name)
+    bmap, created_b = _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new)
+    if kind == "contract" and created_b:
+        raise InvariantViolation("contraction preserves every boundary component")
+    return EdgeOpResult(
+        new_ap, trace.circle_map, trace.created_circles, bmap, created_b, trace.occ_map
+    )
 
 
 _TWO_SUM_MARKERS = ("m1", "m2", "m3", "m4")
@@ -749,9 +678,7 @@ def two_sum_traced(
     removed = {fo1, fo2, t1, t2}
     circles, trace = _splice(union.circles, removed, glue)
     new_ap = ArrowPresentation(circles, union.edges - {f, e})
-    bmap, created_b = _transfer_boundaries(
-        union, new_ap, trace, removed, lambda bid: None
-    )
+    bmap, created_b = _transfer_boundaries(union, new_ap, trace, removed, {})
     new = boundary_trace(new_ap)
     return TwoSumResult(
         new_ap, union, locate(g, 0), locate(h, offset),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -121,31 +122,26 @@ def _cmd_tensor(args) -> int:
     return 0
 
 
+# Each polynomial the ``poly`` command computes, from the packaged
+# presentation read.  The entries look the functions up when called, so a
+# rebinding of this module's names (the benchmark's tracer) is seen.
+_POLYS = {
+    "q": lambda pg: q_poly(pg),
+    "qmv": lambda pg: q_multivariate(pg),
+    "z": lambda pg: z_poly(pg),
+    "zhat": lambda pg: zhat_poly(pg),
+    "qhat": lambda pg: qhat_poly(pg),
+    "transition": lambda pg: transition_poly(pg.ap),
+    "mvbr": lambda pg: mv_br_poly(pg.ap),
+    "br": lambda pg: br_poly(pg.ap),
+    "tutte": lambda pg: tutte_poly(graph_of_presentation(pg.ap)),
+    "zdot": lambda pg: zdot_tutte(graph_of_presentation(pg.ap)),
+}
+
+
 def _cmd_poly(args) -> int:
-    pg = _read(args.file)
     which = args.which
-    if which == "q":
-        p = q_poly(pg)
-    elif which == "qmv":
-        p = q_multivariate(pg)
-    elif which == "z":
-        p = z_poly(pg)
-    elif which == "zhat":
-        p = zhat_poly(pg)
-    elif which == "qhat":
-        p = qhat_poly(pg)
-    elif which == "transition":
-        p = transition_poly(pg.ap)
-    elif which == "mvbr":
-        p = mv_br_poly(pg.ap)
-    elif which == "br":
-        p = br_poly(pg.ap)
-    elif which == "tutte":
-        p = tutte_poly(graph_of_presentation(pg.ap))
-    elif which == "zdot":
-        p = zdot_tutte(graph_of_presentation(pg.ap))
-    else:  # pragma: no cover - argparse restricts choices
-        raise RibbonTensorError(f"unknown polynomial {which!r}")
+    p = _POLYS[which](_read(args.file))
     text = to_canonical_string(p)
     if args.format == "json":
         print(json.dumps({"which": which, "polynomial": text}))
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--which",
         required=True,
-        choices=["q", "qmv", "z", "zhat", "qhat", "transition", "mvbr", "br", "tutte", "zdot"],
+        choices=list(_POLYS),
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_poly)
@@ -267,9 +263,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except RibbonTensorError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at the null device so the
+        # flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was all written", file=sys.stderr)
         return 2
 
 

@@ -6,10 +6,11 @@ its circles (vertex classes) and a partition of its canonical boundary ids
 operations, 2-sums along couplings, tensor products, and the five one-edge
 basis presentations that realise the operations as 2-sums.
 
-Partition bookkeeping follows one scheme throughout: items destroyed by a
-surgery drop out of their blocks, freshly created items enter as singletons,
-and the operation then merges a prescribed group of blocks (the classes of
-the items incident to the operated edge, plus whatever the surgery created).
+Partition bookkeeping follows one scheme throughout, :meth:`Partition.transfer`:
+items destroyed by a surgery drop out of their blocks, freshly created items
+enter as singletons, and the operation merges prescribed groups of blocks
+(the classes of the items incident to the operated edge, plus whatever the
+surgery created).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .arrow import (
     boundary_trace,
     canonical_transforms,
     edge_op_traced,
-    find,
     two_sum_traced,
     validate,
 )
@@ -92,32 +92,43 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def transfer(self, item_map: Mapping[int, int], created: Iterable[int]) -> "Partition":
-        """Map items through a surgery: dead items drop, created ones enter
-        as singletons."""
-        new_blocks = []
-        for block in self.blocks:
-            mapped = frozenset(item_map[x] for x in block if x in item_map)
-            if mapped:
-                new_blocks.append(mapped)
-        new_blocks.extend(frozenset([c]) for c in created)
-        universe = frozenset(item_map.values()) | frozenset(created)
-        return Partition(frozenset(new_blocks), universe)
+    def transfer(
+        self, item_map: Mapping[int, int], created: Iterable[int] = (), groups: Iterable = ()
+    ) -> "Partition":
+        """Move the partition through a surgery.
 
-    def merge_group(self, items: Iterable[int]) -> "Partition":
-        """Union every block meeting ``items`` (plus the items) into one."""
-        items = set(items)
-        if not items:
-            return self
-        merged: set = set(items)
-        rest = []
-        for block in self.blocks:
-            if block & items:
-                merged |= block
-            else:
-                rest.append(block)
-        rest.append(frozenset(merged))
-        return Partition(frozenset(rest), self.universe)
+        Items absent from ``item_map`` die and drop out of their blocks; the
+        rest are renamed.  Each group ``(old items, new items)``, the new
+        items created ones, becomes one block together with every old block
+        its old items meet.  Groups meeting a common old block fuse, even
+        when every member of that block dies.  Created items outside every
+        group enter as singletons.
+        """
+        blocks = list(self.blocks)
+        merged: list = []  # disjoint (old block indexes, new items)
+        for old, new in groups:
+            idx = {i for i, block in enumerate(blocks) if not block.isdisjoint(old)}
+            new = set(new)
+            for m in [m for m in merged if m[0] & idx or m[1] & new]:
+                merged.remove(m)
+                idx |= m[0]
+                new |= m[1]
+            merged.append((idx, new))
+        grouped = {i for idx, _ in merged for i in idx}
+        joined = {x for _, new in merged for x in new}
+        new_blocks = [
+            {item_map[x] for x in block if x in item_map}
+            for i, block in enumerate(blocks)
+            if i not in grouped
+        ]
+        new_blocks += [
+            {item_map[x] for i in idx for x in blocks[i] if x in item_map} | new
+            for idx, new in merged
+        ]
+        created = tuple(created)
+        new_blocks += [{c} for c in created if c not in joined]
+        universe = frozenset(item_map.values()) | frozenset(created)
+        return Partition(frozenset(frozenset(b) for b in new_blocks if b), universe)
 
     def sorted_blocks(self):
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
@@ -150,12 +161,16 @@ class EdgeOpKind(Enum):
     MERGE_CONTRACT = "merge-contract"
 
 
-_ARROW_KIND = {
-    EdgeOpKind.DELETE: "delete",
-    EdgeOpKind.MERGE_DELETE: "delete",
-    EdgeOpKind.CONTRACT: "contract",
-    EdgeOpKind.MERGE_CONTRACT: "contract",
-    EdgeOpKind.PENROSE: "penrose",
+# Each operation's arrow surgery, then what merges on the vertex side and on
+# the boundary side: nothing, the classes of the two incident items, or those
+# classes together with every item the surgery created.
+_KEEP, _INCIDENT, _WITH_CREATED = range(3)
+_OPS = {
+    EdgeOpKind.DELETE: ("delete", _KEEP, _WITH_CREATED),
+    EdgeOpKind.CONTRACT: ("contract", _WITH_CREATED, _KEEP),
+    EdgeOpKind.PENROSE: ("penrose", _WITH_CREATED, _WITH_CREATED),
+    EdgeOpKind.MERGE_DELETE: ("delete", _INCIDENT, _WITH_CREATED),
+    EdgeOpKind.MERGE_CONTRACT: ("contract", _WITH_CREATED, _INCIDENT),
 }
 
 
@@ -178,7 +193,7 @@ def natural_identification(
     identification is recomputed through the surgery itself, so it does not
     depend on how ``after`` happens to be indexed.
     """
-    res = edge_op_traced(before, e, _ARROW_KIND[kind])
+    res = edge_op_traced(before, e, _OPS[kind][0])
     if res.presentation != after:
         raise InvariantViolation("'after' is not the result of the stated operation")
     return OpTrace(
@@ -189,12 +204,18 @@ def natural_identification(
     )
 
 
-def _incident_classes(pg: PackagedPresentation, e: str):
+def incident_items(pg: PackagedPresentation, e: str):
+    """The circles ``(u, v)`` hosting the two arrows of ``e`` and the
+    boundaries ``(a, b)`` through their heads, in occurrence order."""
     (c1, p1), (c2, p2) = pg.ap.occurrences(e)
     token_to_bd = boundary_trace(pg.ap).token_to_bd
-    a = token_to_bd[(c1, p1, HEAD)]
-    b = token_to_bd[(c2, p2, HEAD)]
-    return (c1, c2), (a, b)
+    return (c1, c2), (token_to_bd[(c1, p1, HEAD)], token_to_bd[(c2, p2, HEAD)])
+
+
+def _merges(rule, incident, created) -> tuple:
+    if rule == _KEEP:
+        return ()
+    return ((incident, created if rule == _WITH_CREATED else ()),)
 
 
 def apply_edge_op(pg: PackagedPresentation, e: str, kind: EdgeOpKind) -> PackagedPresentation:
@@ -208,37 +229,16 @@ def apply_edge_op(pg: PackagedPresentation, e: str, kind: EdgeOpKind) -> Package
     """
     if e not in pg.ap.edges:
         raise UnknownEdge(e)
-    (u, v), (a, b) = _incident_classes(pg, e)
-    res = edge_op_traced(pg.ap, e, _ARROW_KIND[kind])
-    vmap, bmap = res.circle_map, res.boundary_map
-
-    vparts = pg.vparts.transfer(vmap, res.created_circles)
-    bparts = pg.bparts.transfer(bmap, res.created_boundaries)
-
-    def survivors(partition, item_map, *items):
-        out = set()
-        for item in items:
-            for x in partition.block_of(item):
-                if x in item_map:
-                    out.add(item_map[x])
-        return out
-
-    if kind in (EdgeOpKind.DELETE, EdgeOpKind.MERGE_DELETE):
-        group = survivors(pg.bparts, bmap, a, b) | set(res.created_boundaries)
-        bparts = bparts.merge_group(group)
-        if kind is EdgeOpKind.MERGE_DELETE:
-            vparts = vparts.merge_group(survivors(pg.vparts, vmap, u, v))
-    elif kind in (EdgeOpKind.CONTRACT, EdgeOpKind.MERGE_CONTRACT):
-        group = survivors(pg.vparts, vmap, u, v) | set(res.created_circles)
-        vparts = vparts.merge_group(group)
-        if kind is EdgeOpKind.MERGE_CONTRACT:
-            bparts = bparts.merge_group({bmap[a], bmap[b]})
-    else:  # Penrose
-        vgroup = survivors(pg.vparts, vmap, u, v) | set(res.created_circles)
-        bgroup = survivors(pg.bparts, bmap, a, b) | set(res.created_boundaries)
-        vparts = vparts.merge_group(vgroup)
-        bparts = bparts.merge_group(bgroup)
-
+    circles, boundaries = incident_items(pg, e)
+    arrow_kind, vrule, brule = _OPS[kind]
+    res = edge_op_traced(pg.ap, e, arrow_kind)
+    vparts = pg.vparts.transfer(
+        res.circle_map, res.created_circles, _merges(vrule, circles, res.created_circles)
+    )
+    bparts = pg.bparts.transfer(
+        res.boundary_map, res.created_boundaries,
+        _merges(brule, boundaries, res.created_boundaries),
+    )
     return PackagedPresentation(res.presentation, vparts, bparts)
 
 
@@ -271,100 +271,44 @@ def two_sum(
     """
     res = two_sum_traced(pg.ap, ph.ap, coupling.source, coupling.target, coupling.swap)
     offset = len(pg.ap.circles)
-    mark_circle, mark_bd = res.marker_circles, res.marker_boundaries
-
-    # Named pieces: u, v host the coupled arrows of f; a holds tail(fo1) (and
-    # head(fo2), its chord mate); b holds head(fo1).  Primed versions on the
-    # H side.  The glued points give the new vertices alpha..delta and new
-    # boundaries h, i, j, k.
-    fo1, fo2, t1, t2 = res.arrows
-    u, v = fo1[0], fo2[0]
-    u_, v_ = t1[0], t2[0]
-    u_token = boundary_trace(res.union).token_to_bd
-    bd_a = u_token[(*fo1, TAIL)]
-    bd_b = u_token[(*fo1, HEAD)]
-    bd_a_ = u_token[(*t1, TAIL)]
-    bd_b_ = u_token[(*t1, HEAD)]
     g_to_u, h_to_u = res.g_boundaries, res.h_boundaries
-
     vall = Partition(
-        frozenset(
-            list(pg.vparts.blocks)
-            + [frozenset(x + offset for x in blk) for blk in ph.vparts.blocks]
-        ),
+        pg.vparts.blocks | {frozenset(x + offset for x in blk) for blk in ph.vparts.blocks},
         frozenset(range(len(res.union.circles))),
     )
     ball = Partition(
-        frozenset(
-            [frozenset(g_to_u[x] for x in blk) for blk in pg.bparts.blocks]
-            + [frozenset(h_to_u[x] for x in blk) for blk in ph.bparts.blocks]
-        ),
-        frozenset(list(g_to_u.values()) + list(h_to_u.values())),
+        frozenset(frozenset(g_to_u[x] for x in blk) for blk in pg.bparts.blocks)
+        | {frozenset(h_to_u[x] for x in blk) for blk in ph.bparts.blocks},
+        frozenset(g_to_u.values()) | frozenset(h_to_u.values()),
     )
 
-    # The two merge groups chain through the classes of the four consumed
-    # vertices (and likewise boundaries): a class holding both coupled
-    # pieces unites the groups even though its members themselves die.
-    vparts = _fuse(
-        vall,
+    # fo1 is glued to t1 at m1 (tails) and m2 (heads), fo2 to t2 at m3 and
+    # m4.  The circles hosting each glued pair merge with the new circles
+    # through its points; the boundaries through the two tails of the first
+    # pair (which also run through the heads of the second, their chord
+    # mates) merge with those through m1 and m4, and likewise the heads of
+    # the first pair with m2 and m3.  The two groups chain through a class
+    # holding both of its coupled pieces, although those pieces die.
+    fo1, fo2, t1, t2 = res.arrows
+    mark_circle, mark_bd = res.marker_circles, res.marker_boundaries
+    vparts = vall.transfer(
         res.circle_map,
         res.created_circles,
         [
-            set(vall.block_of(u)) | set(vall.block_of(u_)),
-            set(vall.block_of(v)) | set(vall.block_of(v_)),
-        ],
-        [
-            {mark_circle["m1"], mark_circle["m2"]},
-            {mark_circle["m3"], mark_circle["m4"]},
+            ({fo1[0], t1[0]}, {mark_circle["m1"], mark_circle["m2"]}),
+            ({fo2[0], t2[0]}, {mark_circle["m3"], mark_circle["m4"]}),
         ],
     )
-    bparts = _fuse(
-        ball,
+    u_token = boundary_trace(res.union).token_to_bd
+    bparts = ball.transfer(
         res.boundary_map,
         res.created_boundaries,
         [
-            set(ball.block_of(bd_a)) | set(ball.block_of(bd_a_)),
-            set(ball.block_of(bd_b)) | set(ball.block_of(bd_b_)),
-        ],
-        [
-            {mark_bd["m1"], mark_bd["m4"]},
-            {mark_bd["m2"], mark_bd["m3"]},
+            ({u_token[(*fo1, TAIL)], u_token[(*t1, TAIL)]}, {mark_bd["m1"], mark_bd["m4"]}),
+            ({u_token[(*fo1, HEAD)], u_token[(*t1, HEAD)]}, {mark_bd["m2"], mark_bd["m3"]}),
         ],
     )
     return PackagedPresentation(res.presentation, vparts, bparts)
-
-
-def _fuse(partition, item_map, created, old_groups, new_groups):
-    """Transfer a partition through a surgery while merging groups.
-
-    ``old_groups[i]`` (old ids, dead members allowed) and ``new_groups[i]``
-    (new ids) are merged into one block; dead items participate in the
-    chaining and are then dropped.
-    """
-    parent: dict = {}
-
-    def union(items):
-        root = find(parent, items[0])
-        for other in items[1:]:
-            r = find(parent, other)
-            if r != root:
-                parent[r] = root
-
-    for block in partition.blocks:
-        union([("o", x) for x in block])
-    for old_group, new_group in zip(old_groups, new_groups):
-        union([("o", x) for x in old_group] + [("n", x) for x in new_group])
-
-    comps: dict = {}
-    for x in partition.universe:
-        members = comps.setdefault(find(parent, ("o", x)), set())
-        if x in item_map:
-            members.add(item_map[x])
-    for c in created:
-        comps.setdefault(find(parent, ("n", c)), set()).add(c)
-    blocks = frozenset(frozenset(b) for b in comps.values() if b)
-    universe = frozenset(item_map.values()) | frozenset(created)
-    return Partition(blocks, universe)
 
 
 def transport_coupling(
@@ -376,7 +320,7 @@ def transport_coupling(
     listed first; the returned coupling denotes the same arrow bijection on
     the operated presentation.
     """
-    res = edge_op_traced(ph.ap, g, _ARROW_KIND[kind])
+    res = edge_op_traced(ph.ap, g, _OPS[kind][0])
     old = ph.ap.occurrences(coupling.target)
     new = res.presentation.occurrences(coupling.target)
     flipped = res.occ_map[old[0]] != new[0]

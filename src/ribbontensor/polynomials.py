@@ -55,7 +55,7 @@ from .arrow import (
     penrose_contract_edge,
     surface_stats,
 )
-from .packaged import EdgeOpKind, PackagedPresentation, Partition, apply_edge_op
+from .packaged import EdgeOpKind, PackagedPresentation, apply_edge_op
 from .poly import MultiPoly, VarRegistry, standard_registry
 
 OP_ORDER = (
@@ -107,42 +107,23 @@ def _strip_isolated(pg: PackagedPresentation):
 
     Each removed circle contributes one alpha; a vertex class consisting
     entirely of removed circles contributes one beta, and a boundary class
-    consisting entirely of their bare boundaries one gamma.
+    consisting entirely of their bare boundaries one gamma, so the betas and
+    gammas are the classes the partition transfer drops.
     """
-    empties = [ci for ci, circ in enumerate(pg.ap.circles) if not circ]
-    if not empties:
+    keep = [ci for ci, circ in enumerate(pg.ap.circles) if circ]
+    da = len(pg.ap.circles) - len(keep)
+    if not da:
         return pg, (0, 0, 0)
-    empty_set = set(empties)
-    bds = boundary_components(pg.ap)
-    bare_ids = {bd.id for bd in bds if bd.circle in empty_set}
-    da = len(empties)
-    db = sum(1 for blk in pg.vparts.blocks if blk <= empty_set)
-    dc = sum(1 for blk in pg.bparts.blocks if blk <= bare_ids)
-
-    keep = [ci for ci in range(len(pg.ap.circles)) if ci not in empty_set]
-    cmap = {ci: i for i, ci in enumerate(keep)}
-    new_ap = ArrowPresentation(
-        tuple(pg.ap.circles[ci] for ci in keep), pg.ap.edges
-    )
     # Token boundaries keep their canonical ids (they precede bare ones and
     # circle reindexing is monotone); bare boundaries of removed circles drop.
-    bmap = {bd.id: bd.id for bd in bds if bd.id not in bare_ids}
-    vblocks = [
-        frozenset(cmap[x] for x in blk if x in cmap)
-        for blk in pg.vparts.blocks
-        if not blk <= empty_set
-    ]
-    bblocks = [
-        frozenset(bmap[x] for x in blk if x in bmap)
-        for blk in pg.bparts.blocks
-        if not blk <= bare_ids
-    ]
-    stripped = PackagedPresentation(
-        new_ap,
-        Partition(frozenset(vblocks), frozenset(cmap.values())),
-        Partition(frozenset(bblocks), frozenset(bmap.values())),
+    vparts = pg.vparts.transfer({ci: i for i, ci in enumerate(keep)})
+    bparts = pg.bparts.transfer(
+        {bd.id: bd.id for bd in boundary_components(pg.ap) if bd.circle is None}
     )
-    return stripped, (da, db, dc)
+    stripped = PackagedPresentation(
+        ArrowPresentation(tuple(pg.ap.circles[ci] for ci in keep), pg.ap.edges), vparts, bparts
+    )
+    return stripped, (da, len(pg.vparts) - len(vparts), len(pg.bparts) - len(bparts))
 
 
 def _edge_chooser(order: Optional[Sequence[str]]):

@@ -24,20 +24,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .arrow import (
-    HEAD,
-    ArrowPresentation,
-    boundary_trace,
-    contract_edge,
-    delete_edge,
-    surface_stats,
-)
+from .arrow import ArrowPresentation, contract_edge, delete_edge, surface_stats
 from .errors import InvalidArgument, SingularAtPoint, SingularMatrix
 from .files import presentation_to_dict
 from .packaged import (
     Coupling,
     PackagedPresentation,
     compose_two_sums,
+    incident_items,
     make_packaged,
     namespaced,
 )
@@ -355,12 +349,9 @@ def phi0_structural_zeros(
     2: the factor is orientable and every Penrose weight is zero.
     """
     zeros = set()
-    (c1, p1), (c2, p2) = ph.ap.occurrences(e)
+    (c1, c2), (a, b) = incident_items(ph, e)
     if c1 == c2 or ph.vparts.block_of(c1) == ph.vparts.block_of(c2):
         zeros.add(0)
-    token_to_bd = boundary_trace(ph.ap).token_to_bd
-    a = token_to_bd[(c1, p1, HEAD)]
-    b = token_to_bd[(c2, p2, HEAD)]
     if a == b or ph.bparts.block_of(a) == ph.bparts.block_of(b):
         zeros.add(1)
     if c_zero and surface_stats(ph.ap).orientable:

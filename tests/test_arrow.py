@@ -25,12 +25,14 @@ from ribbontensor.arrow import (
     ArrowPresentation,
     Occ,
     _rotmin,
+    _splice,
     boundary_components,
     boundary_trace,
     canonical_form,
     contract_edge,
     delete_edge,
     edge_cap,
+    find,
     penrose_contract_edge,
     surface_stats,
     validate,
@@ -182,6 +184,175 @@ def test_rotmin_is_the_least_rotation(circ):
     rotations = [tuple(circ[r:] + circ[:r]) for r in range(len(circ))] or [()]
     least = min(rotations)
     assert _rotmin(circ) == (least, rotations.index(least))
+
+
+def reference_splice(circles, removed, glue):
+    """The two-walk splice the single walk replaced, kept as an oracle: one
+    loop groups the chains into components, which are sorted by their
+    anchor and walked again from the chain holding their least occurrence.
+    Returns what ``_splice`` returns, with ``OpTraceArrow`` as a tuple."""
+    def endpoint(circ, ci, p, trailing):
+        forward = circ[p].forward
+        return (ci, p, HEAD if forward == trailing else TAIL)
+
+    affected = {c for c, _ in removed}
+    new_circles, circle_map, occ_map = [], {}, {}
+    for ci, circ in enumerate(circles):
+        if ci in affected:
+            continue
+        circle_map[ci] = len(new_circles)
+        for p in range(len(circ)):
+            occ_map[(ci, p)] = (len(new_circles), p)
+        new_circles.append(circ)
+
+    parent = {}
+    for a, b, _ in glue:
+        ra, rb = find(parent, a), find(parent, b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    names_at = {}
+    for a, _, name in glue:
+        names_at.setdefault(find(parent, a), []).append(name)
+
+    chains = []
+    for ci in sorted(affected):
+        circ = circles[ci]
+        rpos = sorted(p for c, p in removed if c == ci)
+        k = len(circ)
+        for idx, p in enumerate(rpos):
+            q = rpos[(idx + 1) % len(rpos)]
+            items, j = [], (p + 1) % k
+            while j != q:
+                items.append((ci, j))
+                j = (j + 1) % k
+            chains.append((tuple(items), endpoint(circ, ci, p, True), endpoint(circ, ci, q, False)))
+    ends = {}
+    for idx, (_, s, e) in enumerate(chains):
+        ends.setdefault(find(parent, s), []).append((idx, 0))
+        ends.setdefault(find(parent, e), []).append((idx, 1))
+    assert all(len(entries) == 2 for entries in ends.values())
+
+    def step(cur, forward):
+        _, s, e = chains[cur]
+        rep = find(parent, e if forward else s)
+        entries = list(ends[rep])
+        entries.remove((cur, 1 if forward else 0))
+        nxt, flag = entries[0]
+        return rep, nxt, flag == 0
+
+    def walk(start):
+        events, cur, forward = [], start, True
+        while True:
+            items = chains[cur][0]
+            events += [("occ", pos, not forward) for pos in (items if forward else items[::-1])]
+            rep, cur, forward = step(cur, forward)
+            events += [("marker", name) for name in sorted(names_at.get(rep, ()))]
+            if cur == start and forward:
+                return events
+
+    comp_of, comps = {}, []
+    for idx in range(len(chains)):
+        if idx in comp_of:
+            continue
+        members, cur, forward = [], idx, True
+        while True:
+            members.append(cur)
+            _, cur, forward = step(cur, forward)
+            if cur == idx and forward:
+                break
+        for m in members:
+            comp_of[m] = len(comps)
+        comps.append(members)
+
+    def comp_anchor(members):
+        items = [pos for m in members for pos in chains[m][0]]
+        if items:
+            return (0, min(items))
+        return (1, min(
+            name for m in members for node in chains[m][1:]
+            for name in names_at.get(find(parent, node), ())
+        ))
+
+    markers, created = {}, []
+    for members in sorted(comps, key=comp_anchor):
+        bare, anchor = comp_anchor(members)
+        if bare:
+            events = walk(min(members))
+        else:
+            events = walk(next(m for m in members if anchor in chains[m][0]))
+            pivot = next(i for i, ev in enumerate(events) if ev[:2] == ("occ", anchor))
+            events = events[pivot:] + events[:pivot]
+        new_ci = len(new_circles)
+        circ_occs, local_occs, marker_gaps = [], [], []
+        for ev in events:
+            if ev[0] == "occ":
+                _, (ci, p), flipped = ev
+                local_occs.append((ci, p))
+                circ_occs.append(Occ(circles[ci][p].label, circles[ci][p].forward ^ flipped))
+            else:
+                marker_gaps.append((ev[1], len(circ_occs)))
+        total = len(circ_occs)
+        normalized, offset = _rotmin(circ_occs)
+        for raw, place in enumerate(local_occs):
+            occ_map[place] = (new_ci, (raw - offset) % total)
+        for name, count in marker_gaps:
+            markers[name] = (new_ci, (count - 1 - offset) % total if total else None)
+        new_circles.append(normalized)
+        created.append(new_ci)
+    return tuple(new_circles), (circle_map, tuple(created), occ_map, markers)
+
+
+def glues(p, data):
+    """A splice of ``p`` drawn from the three surgeries that use one: the
+    contraction or the Penrose glue of one edge, or the 2-sum glue of two
+    (tails to tails and heads to heads, either coupling)."""
+    labels = sorted(p.edges)
+    kind = data.draw(st.sampled_from(["contract", "penrose", "twosum"] if len(labels) > 1
+                                      else ["contract", "penrose"]))
+    if kind != "twosum":
+        (c1, p1), (c2, p2) = p.occurrences(data.draw(st.sampled_from(labels)))
+        slots = [(TAIL, HEAD, "th"), (HEAD, TAIL, "ht")] if kind == "contract" else \
+            [(TAIL, TAIL, "tt"), (HEAD, HEAD, "hh")]
+        return {(c1, p1), (c2, p2)}, [((c1, p1, s1), (c2, p2, s2), n) for s1, s2, n in slots]
+    f, e = data.draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+    fo1, fo2 = p.occurrences(f)
+    t1, t2 = p.occurrences(e)
+    if data.draw(st.booleans()):
+        t1, t2 = t2, t1
+    glue = [
+        ((*fo1, TAIL), (*t1, TAIL), "m1"), ((*fo1, HEAD), (*t1, HEAD), "m2"),
+        ((*fo2, TAIL), (*t2, TAIL), "m3"), ((*fo2, HEAD), (*t2, HEAD), "m4"),
+    ]
+    return {fo1, fo2, t1, t2}, glue
+
+
+def assert_splices_agree(circles, removed, glue):
+    got, trace = _splice(circles, removed, glue)
+    want, (circle_map, created, occ_map, markers) = reference_splice(circles, removed, glue)
+    assert got == want
+    assert list(trace.circle_map.items()) == list(circle_map.items())
+    assert trace.created_circles == created
+    assert list(trace.occ_map.items()) == list(occ_map.items())
+    assert list(trace.markers.items()) == list(markers.items())
+
+
+@settings(deadline=None, max_examples=400)
+@given(presentations(1, 6), st.data())
+def test_splice_matches_two_walk_reference(p, data):
+    removed, glue = glues(p, data)
+    assert_splices_agree(p.circles, removed, glue)
+
+
+def test_splice_pivots_a_symmetric_circle_at_its_least_occurrence():
+    # Contracting e1 rebuilds (e0+, e0+), whose two rotations are equal:
+    # only starting the walk at (0, 0) keeps each occurrence in place.
+    p = ap([("e0", True), ("e0", True), ("e1", True), ("e1", False)])
+    (c1, p1), (c2, p2) = p.occurrences("e1")
+    glue = [((c1, p1, TAIL), (c2, p2, HEAD), "th"), ((c1, p1, HEAD), (c2, p2, TAIL), "ht")]
+    assert_splices_agree(p.circles, {(c1, p1), (c2, p2)}, glue)
+    circles, trace = _splice(p.circles, {(c1, p1), (c2, p2)}, glue)
+    assert circles == ((Occ("e0", True), Occ("e0", True)),)
+    assert trace.occ_map == {(0, 0): (0, 0), (0, 1): (0, 1)}
 
 
 def test_surface_stats_golden_fixture():

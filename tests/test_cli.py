@@ -1,9 +1,14 @@
 """CLI and presentation file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ribbontensor
 from ribbontensor.arrow import canonical_form
 from ribbontensor.cli import main
 from ribbontensor.errors import ParseError
@@ -213,3 +218,22 @@ def test_recursions_respect_edge_cap(tmp_path, monkeypatch, capsys):
     for which in ("q", "qmv", "transition"):
         assert main(["poly", path, "--which", which]) == 2
         assert "resolution DAG capped at 2 edges, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reader_closing_early_gives_no_traceback(fmt):
+    # The reader's end of the pipe is closed before the command writes, as
+    # `ribbontensor verify ... | head -1` does once head has its line.
+    src = str(Path(ribbontensor.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ribbontensor.cli", "verify", "main",
+         "--instances", "2", "--points", "2", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

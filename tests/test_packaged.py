@@ -4,10 +4,10 @@ and the one-edge basis presentations."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ribbontensor.arrow import ArrowPresentation, boundary_components, surface_stats
+from ribbontensor.arrow import ArrowPresentation, boundary_components, find, surface_stats
 from ribbontensor.errors import (
     InvalidCoupling,
     MissingFactor,
@@ -268,6 +268,85 @@ def _partition_ok(part: Partition):
     items = [x for b in part.blocks for x in b]
     assert len(items) == len(set(items))
     assert set(items) == set(part.universe)
+
+
+def reference_fuse(partition, item_map, created, old_groups, new_groups):
+    """The tagged union-find the partition transfer replaced, kept as an
+    oracle: old items ``("o", x)`` and new items ``("n", x)`` are united
+    block-wise and group-wise, dead items take part in the chaining and are
+    then dropped."""
+    parent = {}
+
+    def union(items):
+        if not items:  # an empty group merges nothing
+            return
+        root = find(parent, items[0])
+        for other in items[1:]:
+            r = find(parent, other)
+            if r != root:
+                parent[r] = root
+
+    for block in partition.blocks:
+        union([("o", x) for x in block])
+    for old_group, new_group in zip(old_groups, new_groups):
+        union([("o", x) for x in old_group] + [("n", x) for x in new_group])
+    comps = {}
+    for x in partition.universe:
+        members = comps.setdefault(find(parent, ("o", x)), set())
+        if x in item_map:
+            members.add(item_map[x])
+    for c in created:
+        comps.setdefault(find(parent, ("n", c)), set()).add(c)
+    blocks = frozenset(frozenset(b) for b in comps.values() if b)
+    return Partition(blocks, frozenset(item_map.values()) | frozenset(created))
+
+
+@st.composite
+def surgeries(draw):
+    """A partition, an injective item map that kills some items, created
+    items, and zero to two merge groups of old and created items."""
+    n = draw(st.integers(0, 8))
+    blocks = []
+    for i in range(n):  # a restricted growth string
+        b = draw(st.integers(0, len(blocks)))
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(i)
+    partition = Partition.make(blocks or None, range(n))
+    alive = [x for x in range(n) if draw(st.booleans())]
+    targets = draw(st.permutations(range(len(alive))))
+    item_map = dict(zip(alive, targets))
+    created = tuple(range(len(alive), len(alive) + draw(st.integers(0, 4))))
+    groups = draw(st.lists(
+        st.tuples(
+            st.sets(st.sampled_from(range(n))) if n else st.just(set()),
+            st.sets(st.sampled_from(created)) if created else st.just(set()),
+        ),
+        max_size=2,
+    ))
+    return partition, item_map, created, groups
+
+
+@settings(deadline=None, max_examples=500)
+@given(surgeries())
+# two groups chaining only through the block {0, 1}, all of whose members die
+@example((Partition.make([[0, 1], [2], [3]], range(4)), {2: 0, 3: 1}, (2, 3),
+          [({0, 2}, {2}), ({1, 3}, {3})]))
+def test_partition_transfer_matches_tagged_union_find(surgery):
+    partition, item_map, created, groups = surgery
+    got = partition.transfer(item_map, created, groups)
+    want = reference_fuse(
+        partition, item_map, created, [old for old, _ in groups], [new for _, new in groups]
+    )
+    assert got == want
+    _partition_ok(got)
+
+
+def test_partition_transfer_chains_groups_through_a_dead_block():
+    part = Partition.make([[0, 1], [2], [3]], range(4))
+    got = part.transfer({2: 0, 3: 1}, (2, 3), [({0, 2}, {2}), ({1, 3}, {3})])
+    assert got.sorted_blocks() == ((0, 1, 2, 3),)
+    assert part.transfer({2: 0, 3: 1}, (2, 3)).sorted_blocks() == ((0,), (1,), (2,), (3,))
 
 
 def test_partitions_stay_well_formed():
