@@ -5,6 +5,10 @@ Subcommands: ``info`` (surface invariants and the boundary enumeration),
 (any of the polynomial invariants as canonical text), and ``verify``
 (pointwise exact checking of the tensor-product identities).
 
+Only the modules that reading and writing a presentation file needs load
+with this one; ``poly`` imports the polynomial engines and ``verify`` the
+verifier when they run, so no other command pays for them at start-up.
+
 Exit codes: 0 success / verification passed, 1 verification found a
 counterexample, 2 bad input.
 """
@@ -14,28 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .arrow import boundary_components, surface_stats
 from .errors import RibbonTensorError
 from .files import dumps_presentation, loads_presentation
 from .packaged import Coupling, EdgeOpKind, apply_edge_op, two_sum, uniform_tensor
-from .poly import to_canonical_string
-from .polynomials import (
-    br_poly,
-    graph_of_presentation,
-    mv_br_poly,
-    q_multivariate,
-    q_poly,
-    qhat_poly,
-    transition_poly,
-    tutte_poly,
-    z_poly,
-    zdot_tutte,
-    zhat_poly,
-)
-from .tensor_formula import TheoremKind, run_verification
 
 _SLOT = {0: "t", 1: "h"}
 
@@ -44,7 +32,7 @@ def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RibbonTensorError(f"cannot read {path}: {exc}") from None
     return loads_presentation(text)
 
@@ -54,8 +42,11 @@ def _write(path, pg):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise RibbonTensorError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_info(args) -> int:
@@ -109,6 +100,8 @@ def _cmd_tensor(args) -> int:
     elif mode == "swap":
         swaps = {f: True for f in pg.ap.edges}
     elif mode.startswith("random:"):
+        import random
+
         try:
             rng = random.Random(int(mode.split(":", 1)[1]))
         except ValueError:
@@ -122,27 +115,31 @@ def _cmd_tensor(args) -> int:
     return 0
 
 
-# Each polynomial the ``poly`` command computes, from the packaged
-# presentation read.  The entries look the functions up when called, so a
-# rebinding of this module's names (the benchmark's tracer) is seen.
+# Each polynomial the ``poly`` command computes, from the ``polynomials``
+# module and the packaged presentation read.  ``_cmd_poly`` imports the
+# module when it runs, so no other command loads it, and each entry looks its
+# functions up on the module when called, so a rebinding of the module's
+# names (the benchmark's tracer) is seen.
 _POLYS = {
-    "q": lambda pg: q_poly(pg),
-    "qmv": lambda pg: q_multivariate(pg),
-    "z": lambda pg: z_poly(pg),
-    "zhat": lambda pg: zhat_poly(pg),
-    "qhat": lambda pg: qhat_poly(pg),
-    "transition": lambda pg: transition_poly(pg.ap),
-    "mvbr": lambda pg: mv_br_poly(pg.ap),
-    "br": lambda pg: br_poly(pg.ap),
-    "tutte": lambda pg: tutte_poly(graph_of_presentation(pg.ap)),
-    "zdot": lambda pg: zdot_tutte(graph_of_presentation(pg.ap)),
+    "q": lambda m, pg: m.q_poly(pg),
+    "qmv": lambda m, pg: m.q_multivariate(pg),
+    "z": lambda m, pg: m.z_poly(pg),
+    "zhat": lambda m, pg: m.zhat_poly(pg),
+    "qhat": lambda m, pg: m.qhat_poly(pg),
+    "transition": lambda m, pg: m.transition_poly(pg.ap),
+    "mvbr": lambda m, pg: m.mv_br_poly(pg.ap),
+    "br": lambda m, pg: m.br_poly(pg.ap),
+    "tutte": lambda m, pg: m.tutte_poly(m.graph_of_presentation(pg.ap)),
+    "zdot": lambda m, pg: m.zdot_tutte(m.graph_of_presentation(pg.ap)),
 }
 
 
 def _cmd_poly(args) -> int:
+    from . import poly, polynomials
+
     which = args.which
-    p = _POLYS[which](_read(args.file))
-    text = to_canonical_string(p)
+    p = _POLYS[which](polynomials, _read(args.file))
+    text = poly.to_canonical_string(p)
     if args.format == "json":
         print(json.dumps({"which": which, "polynomial": text}))
     else:
@@ -151,14 +148,16 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import tensor_formula
+
     try:
-        kind = TheoremKind(args.theorem)
+        kind = tensor_formula.TheoremKind(args.theorem)
     except ValueError:
         raise RibbonTensorError(
             f"unknown theorem {args.theorem!r}; choose from "
-            + ", ".join(k.value for k in TheoremKind)
+            + ", ".join(k.value for k in tensor_formula.TheoremKind)
         ) from None
-    report = run_verification(
+    report = tensor_formula.run_verification(
         kind, seed=args.seed, instances=args.instances, points=args.points
     )
     if args.format == "json":

@@ -10,8 +10,11 @@ A presentation file is a JSON document:
 
 ``circles`` lists each circle's arrows in cyclic order as ``label+`` /
 ``label-`` tokens (``+`` = with the circle's reference direction).  The
-partitions are optional; omitted blocks default to singletons.  Boundary ids
-refer to the canonical enumeration (``info`` prints it).
+partitions are optional; omitted blocks default to singletons.  Each one
+given is ``null`` or a list of blocks, each block a list of distinct integer
+ids (``true``/``false`` and ``0.0`` are not ids), which together cover the
+circles (vertex) or the boundary components (boundary) exactly once.
+Boundary ids refer to the canonical enumeration (``info`` prints it).
 """
 
 from __future__ import annotations
@@ -45,6 +48,21 @@ def presentation_to_dict(pg: PackagedPresentation) -> dict:
     }
 
 
+def _partition_blocks(data: Mapping, key: str):
+    blocks = data.get(key)
+    if blocks is None:
+        return None
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ParseError(f"{key!r} must be null or a list of lists of integer ids")
+    for block in blocks:
+        for item in block:
+            if type(item) is not int:
+                raise ParseError(f"{key!r} holds {item!r}, which is not an integer id")
+        if len(set(block)) != len(block):
+            raise ParseError(f"{key!r} block {block} repeats an id")
+    return blocks
+
+
 def presentation_from_dict(data: Mapping) -> PackagedPresentation:
     if not isinstance(data, Mapping) or "circles" not in data:
         raise ParseError("presentation file must be an object with a 'circles' key")
@@ -55,7 +73,9 @@ def presentation_from_dict(data: Mapping) -> PackagedPresentation:
         [[_parse_token(tok) for tok in circ] for circ in circles]
     )
     return make_packaged(
-        ap, data.get("vertex_partition"), data.get("boundary_partition")
+        ap,
+        _partition_blocks(data, "vertex_partition"),
+        _partition_blocks(data, "boundary_partition"),
     )
 
 
@@ -68,4 +88,8 @@ def loads_presentation(text: str) -> PackagedPresentation:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the recursion limit, or an integer with more
+        # digits than the interpreter converts
+        raise ParseError(f"bad JSON: {exc}") from None
     return presentation_from_dict(data)

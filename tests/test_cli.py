@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import ribbontensor
 from ribbontensor.arrow import canonical_form
@@ -14,9 +15,12 @@ from ribbontensor.cli import main
 from ribbontensor.errors import ParseError
 from ribbontensor.files import dumps_presentation, loads_presentation
 
+from strategies import packaged_presentations
+
 FIG_A = {"circles": [["f+", "e+", "g+", "e+"], ["f+", "g+"]]}
 FIG_DELETE = {"circles": [["f+", "g+"], ["f+", "g+"]]}
 K3 = {"circles": [["e+", "e-"]]}
+SRC = str(Path(ribbontensor.__file__).resolve().parents[1])
 ALIGNED = {"circles": [["e+", "e+"]]}
 
 
@@ -37,6 +41,29 @@ def test_round_trip(tmp_path):
     again = loads_presentation(dumps_presentation(pg))
     assert again == pg
     assert loads_presentation(dumps_presentation(again)) == again
+
+
+@settings(deadline=None, max_examples=200)
+@given(packaged_presentations(0, 5))
+def test_written_partitions_hold_only_ints_and_round_trip(pg):
+    text = dumps_presentation(pg)
+    data = json.loads(text)
+    for key in ("vertex_partition", "boundary_partition"):
+        assert all(type(i) is int for block in data[key] for i in block)
+    assert dumps_presentation(loads_presentation(text)) == text
+
+
+@pytest.mark.parametrize("key", ["vertex_partition", "boundary_partition"])
+@pytest.mark.parametrize(
+    "blocks", [5, [5], [[[0]]], [[{}]], [[0.0]], [[False]], [[0, 0]]],
+    ids=["int", "list-of-int", "nested-list", "object", "float", "bool", "repeat"],
+)
+def test_bad_partition_rejected(tmp_path, capsys, key, blocks):
+    data = {"circles": [["e+", "e-"]], key: blocks}
+    with pytest.raises(ParseError):
+        loads_presentation(json.dumps(data))
+    assert main(["info", write(tmp_path, "p.json", data)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_parse_error_has_location():
@@ -183,7 +210,7 @@ def test_verify_unknown_theorem(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    from ribbontensor import cli as cli_mod
+    from ribbontensor import tensor_formula
     from ribbontensor.tensor_formula import Failure, VerifyReport
 
     def fake_run(kind, seed, instances, points):
@@ -192,7 +219,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
             (Failure("inst", {"a": "1"}, (("zdot", "1", "2"),)),), 0.0, 1,
         )
 
-    monkeypatch.setattr(cli_mod, "run_verification", fake_run)
+    monkeypatch.setattr(tensor_formula, "run_verification", fake_run)
     assert main(["verify", "tutte"]) == 1
     assert "result=FAIL" in capsys.readouterr().out
 
@@ -224,12 +251,11 @@ def test_recursions_respect_edge_cap(tmp_path, monkeypatch, capsys):
 def test_reader_closing_early_gives_no_traceback(fmt):
     # The reader's end of the pipe is closed before the command writes, as
     # `ribbontensor verify ... | head -1` does once head has its line.
-    src = str(Path(ribbontensor.__file__).resolve().parents[1])
     proc = subprocess.Popen(
         [sys.executable, "-m", "ribbontensor.cli", "verify", "main",
          "--instances", "2", "--points", "2", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -237,3 +263,85 @@ def test_reader_closing_early_gives_no_traceback(fmt):
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "ribbontensor.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert_one_error_line(run_cli("info", str(path)))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "[" + "1" * 5000 + "]"],
+                         ids=["too-deep", "long-integer"])
+def test_json_beyond_the_decoder_limits_exits_2(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert_one_error_line(run_cli("info", str(path)))
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    proc = run_cli("op", write(tmp_path, "k3.json", K3), "e", "delete", "--out", str(out))
+    assert_one_error_line(proc)
+    assert str(out) in proc.stderr
+
+
+# Run in a fresh interpreter: which ribbontensor modules each command loaded.
+IMPORT_PROBE = """
+import json, sys
+from ribbontensor.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("ribbontensor."))
+
+a, h = sys.argv[1:3]
+main(["info", a])
+main(["op", a, "e", "contract"])
+main(["tensor", a, h, "--edge", "f", "--coupling-mode", "random:3"])
+surgery = loaded()
+main(["poly", a, "--which", "tutte"])
+print(json.dumps([surgery, loaded()]))
+"""
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    a = write(tmp_path, "a.json", FIG_A)
+    h = write(tmp_path, "h.json", {"circles": [["f+", "g-"], ["f-", "g+"]]})
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, a, h],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    surgery, with_poly = json.loads(proc.stdout.splitlines()[-1])
+    engines = {f"ribbontensor.{m}" for m in ("poly", "polynomials", "tensor_formula", "randgen")}
+    assert not engines & set(surgery)
+    assert {"ribbontensor.poly", "ribbontensor.polynomials"} <= set(with_poly)
+    assert not {"ribbontensor.tensor_formula", "ribbontensor.randgen"} & set(with_poly)
+
+
+def test_package_root_resolves_every_public_name():
+    for name in ribbontensor.__all__:
+        value = getattr(ribbontensor, name)
+        home = sys.modules[f"ribbontensor.{ribbontensor._HOME[name]}"]
+        assert value is (home if home.__name__ == f"ribbontensor.{name}" else getattr(home, name))
+    assert set(ribbontensor.__all__) <= set(dir(ribbontensor))
+    with pytest.raises(AttributeError):
+        ribbontensor.no_such_name
+    namespace = {}
+    exec("from ribbontensor import *", namespace)
+    for name in ribbontensor.__all__:
+        assert namespace[name] is getattr(ribbontensor, name)
