@@ -13,16 +13,22 @@ Conventions fixed here:
 * A circle is a cyclic sequence of occurrences; rotations denote the same
   circle.  Each occurrence has a ``forward`` flag: ``True`` when the arrow
   points along the circle's reference direction.
-* Endpoint tokens are triples ``(circle, position, slot)`` with slot ``0``
-  for the arrow's tail and ``1`` for its head.  Slots are intrinsic to the
+* An endpoint is a triple ``(circle, position, slot)`` with slot ``0`` for
+  the arrow's tail and ``1`` for its head.  Slots are intrinsic to the
   arrow and do not change when a circle is traversed the other way.
+* Within one presentation an endpoint is stored as the integer token
+  ``2 * g + slot``, where ``g`` is the circle's offset (the number of
+  arrows on the circles before it) plus the position, so integer order is
+  the order of the triples.  :class:`BoundaryTrace` alone translates:
+  :meth:`~BoundaryTrace.boundary_at` takes a triple to its boundary id and
+  :meth:`~BoundaryTrace.endpoint` a token back to its triple.
 * Boundary components are traced through circle arcs (between consecutive
   arrows) and per-edge chords joining the head of one arrow to the tail of
   the other.  Components carrying tokens are enumerated by their least
   token; bare circles (no arrows) come after, ordered by circle index.
   A component records its tokens only: the arc after arrow ``i`` of circle
-  ``c`` belongs to the component of the token ``(c, i, s)`` whose slot ``s``
-  is the arrow's trailing end (its head when it points forward).
+  ``c`` belongs to the component of the endpoint ``(c, i, s)`` whose slot
+  ``s`` is the arrow's trailing end (its head when it points forward).
   :func:`boundary_trace` keeps, per presentation, the components together
   with the token and bare-circle indexes.
 """
@@ -30,6 +36,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -153,14 +160,15 @@ def validate(ap: ArrowPresentation) -> None:
 # boundary components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryComponent:
     """One closed curve of the boundary trace.
 
-    ``crossings`` lists the endpoint tokens in cyclic order from the least
-    (empty for a bare circle, in which case ``circle`` is set).  Arcs are not
-    stored: the arc after an arrow lies on the component of the arrow's
-    trailing token, which :class:`BoundaryTrace` indexes.
+    ``crossings`` lists the integer endpoint tokens in cyclic order from the
+    least (empty for a bare circle, in which case ``circle`` is set); the
+    presentation's :class:`BoundaryTrace` turns them back into triples.  Arcs
+    are not stored: the arc after an arrow lies on the component of the
+    arrow's trailing endpoint, which :class:`BoundaryTrace` indexes.
     """
 
     id: int
@@ -172,8 +180,21 @@ class BoundaryTrace(NamedTuple):
     """The boundary components of one presentation with their indexes."""
 
     components: tuple  # BoundaryComponent, by id
-    token_to_bd: dict  # (circle, position, slot) -> boundary id
+    token_bd: tuple  # token 2 * g + slot -> boundary id
+    offsets: tuple  # circle -> g of its first arrow
     bare_to_bd: dict  # bare circle -> boundary id
+
+    def boundary_at(self, circle: int, position: int, slot: int) -> int:
+        """The boundary id through endpoint ``(circle, position, slot)``."""
+        return self.token_bd[2 * (self.offsets[circle] + position) + slot]
+
+    def endpoint(self, token: int) -> tuple:
+        """The ``(circle, position, slot)`` triple of ``token``."""
+        g, slot = divmod(token, 2)
+        # the last circle starting at or before g holds it: a bare circle
+        # sharing its offset comes before it
+        circle = bisect_right(self.offsets, g) - 1
+        return (circle, g - self.offsets[circle], slot)
 
 
 def _leading_slot(occ: Occ) -> int:
@@ -187,19 +208,26 @@ def _trailing_slot(occ: Occ) -> int:
 @lru_cache(maxsize=65536)
 def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
     """The boundary components of ``ap`` and their indexes, cached per
-    presentation (``boundary_trace.__wrapped__`` traces without the cache)."""
+    presentation (``boundary_trace.__wrapped__`` traces without the cache).
+
+    An entry, with the presentation it keys, takes about 3.0 KB on the
+    surgery workload's tensor products of up to 24 edges (tracemalloc,
+    pinned below 3.6 KB by ``test_surgery_cache_bytes_per_entry``), so at
+    that size the 65,536-entry bound admits about 200 MB (235 MB at the
+    pinned bound).
+    """
     # Occurrence g (circle offset + position) owns the tokens 2g (tail) and
-    # 2g + 1 (head), so integer order is the order of the token triples.
-    # arc[t] is the token across the vertex arc at t; the chord step joins
-    # slot s of g to slot 1 - s of its mate.  Walking the tokens in
-    # increasing order starts every component at its least token, which is
-    # the canonical enumeration order.
-    tokens: list = []
+    # 2g + 1 (head).  arc[t] is the token across the vertex arc at t; the
+    # chord step joins slot s of g to slot 1 - s of its mate.  Walking the
+    # tokens in increasing order starts every component at its least token,
+    # which is the canonical enumeration order.
     arc: list = []
     mate: list = []
+    offsets: list = []
     unpaired: dict = {}
     for c, circ in enumerate(ap.circles):
         base = len(mate)
+        offsets.append(base)
         trail, lead = [], []
         for i, (label, forward) in enumerate(circ):
             g = base + i
@@ -210,7 +238,6 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
             else:
                 mate[other] = g
                 mate.append(other)
-            tokens += ((c, i, TAIL), (c, i, HEAD))
             arc += (0, 0)
             trail.append(2 * g + forward)
             lead.append(2 * g + 1 - forward)
@@ -236,13 +263,13 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
             t = 2 * mate[u >> 1] + 1 - (u & 1)
             if t == start:
                 break
-        components.append(BoundaryComponent(bid, tuple(map(tokens.__getitem__, seq))))
+        components.append(BoundaryComponent(bid, tuple(seq)))
     bare_to_bd = {}
     for c, circ in enumerate(ap.circles):
         if not circ:
             bare_to_bd[c] = len(components)
             components.append(BoundaryComponent(len(components), (), c))
-    return BoundaryTrace(tuple(components), dict(zip(tokens, bd_of)), bare_to_bd)
+    return BoundaryTrace(tuple(components), tuple(bd_of), tuple(offsets), bare_to_bd)
 
 
 def boundary_components(ap: ArrowPresentation) -> tuple:
@@ -530,7 +557,7 @@ def _resolve_marker(new_ap, new, markers, name):
     nc, gap = markers[name]
     if gap is None:
         return new.bare_to_bd[nc]
-    return new.token_to_bd[(nc, gap, _trailing_slot(new_ap.circles[nc][gap]))]
+    return new.boundary_at(nc, gap, _trailing_slot(new_ap.circles[nc][gap]))
 
 
 def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
@@ -543,7 +570,7 @@ def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
     """
     old = boundary_trace(ap)
     new = boundary_trace(new_ap)
-    touched = {old.token_to_bd[(c, p, s)] for c, p in removed_places for s in (TAIL, HEAD)}
+    touched = {old.boundary_at(c, p, s) for c, p in removed_places for s in (TAIL, HEAD)}
     mapping: dict = {}
     for bd in old.components:
         if bd.circle is not None:
@@ -555,14 +582,25 @@ def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
             if target is not None:
                 mapping[bd.id] = target
         else:
-            c, p, s = bd.crossings[0]
-            nc, np_ = trace.occ_map[(c, p)]
-            mapping[bd.id] = new.token_to_bd[(nc, np_, s)]
+            c, p, s = old.endpoint(bd.crossings[0])
+            mapping[bd.id] = new.boundary_at(*trace.occ_map[(c, p)], s)
     created = tuple(sorted(set(range(len(new.components))) - set(mapping.values())))
     return mapping, created
 
 
-@dataclass(frozen=True)
+def edge_surgery(ap: ArrowPresentation, e: str, kind: str):
+    """The arrow-level operation ``kind`` at ``e``, uncached: the resulting
+    presentation and its :class:`OpTraceArrow`, whose ``occ_map`` says where
+    each surviving arrow went.  ``kind`` is one of ``delete``, ``contract``,
+    ``penrose``."""
+    if kind == "delete":
+        return _delete_traced(ap, e)
+    if kind in _GLUES:
+        return _glued_traced(ap, e, kind)
+    raise ValueError(f"unknown arrow operation {kind!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class EdgeOpResult:
     """Full record of one arrow-level edge operation."""
 
@@ -571,7 +609,6 @@ class EdgeOpResult:
     created_circles: tuple
     boundary_map: dict
     created_boundaries: tuple
-    occ_map: dict  # surviving old (circle, pos) -> new (circle, pos)
 
 
 @lru_cache(maxsize=16384)
@@ -581,30 +618,32 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     ``kind`` is one of ``delete``, ``contract``, ``penrose``.  Deletion keeps
     every circle; contraction keeps every boundary (its gluings happen exactly
     where the boundary chords of ``e`` ran); Penrose contraction keeps
-    neither near ``e``.
+    neither near ``e``.  The arrow map is not kept; :func:`edge_surgery`
+    gives it.
+
+    An entry takes about 1.2 KB on the surgery workload's tensor products,
+    besides its result presentation, which :func:`boundary_trace` keys too
+    (tracemalloc, pinned below 1.5 KB by
+    ``test_surgery_cache_bytes_per_entry``), so at that size the
+    16,384-entry bound admits about 20 MB (25 MB at the pinned bound).
     """
     removed_places = set(ap.occurrences(e))
-    if kind == "delete":
-        new_ap, trace = _delete_traced(ap, e)
-    elif kind in _GLUES:
-        new_ap, trace = _glued_traced(ap, e, kind)
-    else:
-        raise ValueError(f"unknown arrow operation {kind!r}")
+    new_ap, trace = edge_surgery(ap, e, kind)
     touched_to_new = {}
     if kind == "contract":
         # The chord from the head of the first occurrence to the tail of the
         # second shrinks to the glued point head(first)~tail(second), marker
         # "ht"; the other chord to marker "th".
-        old, new = boundary_trace(ap).token_to_bd, boundary_trace(new_ap)
+        old, new = boundary_trace(ap), boundary_trace(new_ap)
         c1, p1 = min(removed_places)
         for slot, name in ((TAIL, "th"), (HEAD, "ht")):
-            touched_to_new[old[(c1, p1, slot)]] = _resolve_marker(new_ap, new, trace.markers, name)
+            touched_to_new[old.boundary_at(c1, p1, slot)] = _resolve_marker(
+                new_ap, new, trace.markers, name
+            )
     bmap, created_b = _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new)
     if kind == "contract" and created_b:
         raise InvariantViolation("contraction preserves every boundary component")
-    return EdgeOpResult(
-        new_ap, trace.circle_map, trace.created_circles, bmap, created_b, trace.occ_map
-    )
+    return EdgeOpResult(new_ap, trace.circle_map, trace.created_circles, bmap, created_b)
 
 
 _TWO_SUM_MARKERS = ("m1", "m2", "m3", "m4")
@@ -657,13 +696,14 @@ def two_sum_traced(
     u = boundary_trace(union)
 
     def locate(ap, off):
+        trace = boundary_trace(ap)
         ids = {}
-        for bd in boundary_components(ap):
+        for bd in trace.components:
             if bd.circle is not None:
                 ids[bd.id] = u.bare_to_bd[bd.circle + off]
             else:
-                c, p, s = bd.crossings[0]
-                ids[bd.id] = u.token_to_bd[(c + off, p, s)]
+                c, p, s = trace.endpoint(bd.crossings[0])
+                ids[bd.id] = u.boundary_at(c + off, p, s)
         return ids
 
     fo1, fo2 = g.occurrences(f)

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .arrow import boundary_components, surface_stats
+from .arrow import boundary_trace, surface_stats
 from .errors import RibbonTensorError
 from .files import dumps_presentation, loads_presentation
 from .packaged import Coupling, EdgeOpKind, apply_edge_op, two_sum, uniform_tensor
@@ -59,11 +59,13 @@ def _cmd_info(args) -> int:
     print(
         f"vertex_classes={len(pg.vparts)} boundary_classes={len(pg.bparts)}"
     )
-    for bd in boundary_components(pg.ap):
+    trace = boundary_trace(pg.ap)
+    for bd in trace.components:
         if bd.circle is not None:
             print(f"boundary {bd.id}: bare circle {bd.circle}")
         else:
-            tokens = " ".join(f"{c}.{p}{_SLOT[s]}" for c, p, s in bd.crossings)
+            ends = map(trace.endpoint, bd.crossings)
+            tokens = " ".join(f"{c}.{p}{_SLOT[s]}" for c, p, s in ends)
             print(f"boundary {bd.id}: {tokens}")
     return 0
 

@@ -28,6 +28,7 @@ from .arrow import (
     boundary_trace,
     canonical_transforms,
     edge_op_traced,
+    edge_surgery,
     two_sum_traced,
     validate,
 )
@@ -208,8 +209,8 @@ def incident_items(pg: PackagedPresentation, e: str):
     """The circles ``(u, v)`` hosting the two arrows of ``e`` and the
     boundaries ``(a, b)`` through their heads, in occurrence order."""
     (c1, p1), (c2, p2) = pg.ap.occurrences(e)
-    token_to_bd = boundary_trace(pg.ap).token_to_bd
-    return (c1, c2), (token_to_bd[(c1, p1, HEAD)], token_to_bd[(c2, p2, HEAD)])
+    trace = boundary_trace(pg.ap)
+    return (c1, c2), (trace.boundary_at(c1, p1, HEAD), trace.boundary_at(c2, p2, HEAD))
 
 
 def _merges(rule, incident, created) -> tuple:
@@ -299,13 +300,13 @@ def two_sum(
             ({fo2[0], t2[0]}, {mark_circle["m3"], mark_circle["m4"]}),
         ],
     )
-    u_token = boundary_trace(res.union).token_to_bd
+    union_bd = boundary_trace(res.union).boundary_at
     bparts = ball.transfer(
         res.boundary_map,
         res.created_boundaries,
         [
-            ({u_token[(*fo1, TAIL)], u_token[(*t1, TAIL)]}, {mark_bd["m1"], mark_bd["m4"]}),
-            ({u_token[(*fo1, HEAD)], u_token[(*t1, HEAD)]}, {mark_bd["m2"], mark_bd["m3"]}),
+            ({union_bd(*fo1, TAIL), union_bd(*t1, TAIL)}, {mark_bd["m1"], mark_bd["m4"]}),
+            ({union_bd(*fo1, HEAD), union_bd(*t1, HEAD)}, {mark_bd["m2"], mark_bd["m3"]}),
         ],
     )
     return PackagedPresentation(res.presentation, vparts, bparts)
@@ -320,10 +321,10 @@ def transport_coupling(
     listed first; the returned coupling denotes the same arrow bijection on
     the operated presentation.
     """
-    res = edge_op_traced(ph.ap, g, _OPS[kind][0])
+    new_ap, trace = edge_surgery(ph.ap, g, _OPS[kind][0])
     old = ph.ap.occurrences(coupling.target)
-    new = res.presentation.occurrences(coupling.target)
-    flipped = res.occ_map[old[0]] != new[0]
+    new = new_ap.occurrences(coupling.target)
+    flipped = trace.occ_map[old[0]] != new[0]
     return Coupling(coupling.source, coupling.target, coupling.swap ^ flipped)
 
 
@@ -434,6 +435,27 @@ def _unique_orderings(groups, cap=100000):
     return rec([tuple(g) for g in groups])
 
 
+def _empty_circle_groups(pg: PackagedPresentation, bare_to_bd: Mapping[int, int]) -> list:
+    """The empty circles of ``pg`` in groups whose members can trade places
+    without changing the partition encodings.
+
+    Two empty circles are interchangeable when, on the vertex side and on
+    the boundary side alike, they share a block or each is alone in its
+    block: swapping them then maps each partition to itself.  So under
+    singleton partitions all empty circles form one group.
+    """
+
+    def sig(block):
+        return block if len(block) > 1 else None
+
+    groups: dict = {}
+    for ci, circ in enumerate(pg.ap.circles):
+        if not circ:
+            key = (sig(pg.vparts.block_of(ci)), sig(pg.bparts.block_of(bare_to_bd[ci])))
+            groups.setdefault(key, []).append(ci)
+    return list(groups.values())
+
+
 def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> PackagedPresentation:
     """Canonical form of a packaged presentation.
 
@@ -446,12 +468,7 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
     old = boundary_trace(pg.ap)
     new = boundary_trace(canon_ap)
     nonempty_count = sum(1 for c in canon_ap.circles if c)
-    empties = [ci for ci, circ in enumerate(pg.ap.circles) if not circ]
-
-    groups: dict = {}
-    for ci in empties:
-        sig = (pg.vparts.block_of(ci), pg.bparts.block_of(old.bare_to_bd[ci]))
-        groups.setdefault(sig, []).append(ci)
+    groups = _empty_circle_groups(pg, old.bare_to_bd)
 
     best = None
     for order, _codes, headings in transforms:
@@ -465,7 +482,7 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
         # A label first emitted against its arrow is reversed in the
         # canonical form, swapping its tail/head slots.
         flipped = {label: not h for label, h in headings.items()}
-        for arrangement in _unique_orderings(list(groups.values())):
+        for arrangement in _unique_orderings(groups):
             cmap = dict(circle_map)
             for slot, ci in enumerate(arrangement):
                 cmap[ci] = nonempty_count + slot
@@ -474,10 +491,10 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
                 if bd.circle is not None:
                     bd_map[bd.id] = new.bare_to_bd[cmap[bd.circle]]
                 else:
-                    c, p, s = bd.crossings[0]
+                    c, p, s = old.endpoint(bd.crossings[0])
                     if flipped[pg.ap.circles[c][p].label]:
                         s = 1 - s
-                    bd_map[bd.id] = new.token_to_bd[(*pos_map[(c, p)], s)]
+                    bd_map[bd.id] = new.boundary_at(*pos_map[(c, p)], s)
             venc = tuple(
                 sorted(tuple(sorted(cmap[x] for x in blk)) for blk in pg.vparts.blocks)
             )

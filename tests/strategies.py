@@ -39,3 +39,19 @@ def packaged_presentations(draw, min_edges=0, max_edges=4):
     return make_packaged(
         ap, _blocks(draw, len(ap.circles)), _blocks(draw, len(boundary_components(ap)))
     )
+
+
+@st.composite
+def packaged_with_empty_circles(draw, max_edges=3, max_empty=6):
+    """Packaged presentations with 1-``max_empty`` empty circles (at most
+    ``max_edges + 2`` of them come with the arrows), under singleton
+    partitions or random ones."""
+    ap = draw(presentations(0, max_edges))
+    empty = sum(not circ for circ in ap.circles)
+    extra = draw(st.integers(max(0, 1 - empty), max(0, max_empty - empty)))
+    ap = ArrowPresentation.from_circles(list(ap.circles) + [()] * extra)
+    if draw(st.booleans()):
+        return make_packaged(ap)
+    return make_packaged(
+        ap, _blocks(draw, len(ap.circles)), _blocks(draw, len(boundary_components(ap)))
+    )

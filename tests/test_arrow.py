@@ -164,17 +164,27 @@ def test_boundary_trace_matches_reference_tracer(p):
     assert trace.components == boundary_components(p)
     reference = reference_trace(p)
     assert len(trace.components) == len(reference)
+    ends = []
     for i, (bd, (crossings, arcs, circle)) in enumerate(zip(trace.components, reference)):
-        assert (bd.id, bd.crossings, bd.circle) == (i, crossings, circle)
+        triples = tuple(map(trace.endpoint, bd.crossings))
+        assert (bd.id, triples, bd.circle) == (i, crossings, circle)
         if circle is not None:
             assert trace.bare_to_bd[circle] == i
         for t in crossings:
-            assert trace.token_to_bd[t] == i
+            assert trace.boundary_at(*t) == i
         # an arc lies on the boundary of its trailing token
         for c, j in arcs:
             trailing = HEAD if p.circles[c][j].forward else TAIL
-            assert trace.token_to_bd[(c, j, trailing)] == i
-    assert len(trace.token_to_bd) == 4 * len(p.edges)
+            assert trace.boundary_at(c, j, trailing) == i
+        ends += crossings
+    # the tokens name every endpoint exactly once
+    assert sorted(ends) == [
+        (c, j, s)
+        for c, circ in enumerate(p.circles)
+        for j in range(len(circ))
+        for s in (TAIL, HEAD)
+    ]
+    assert len(trace.token_bd) == 4 * len(p.edges)
     assert len(trace.bare_to_bd) == sum(not circ for circ in p.circles)
 
 
