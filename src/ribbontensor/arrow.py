@@ -205,7 +205,7 @@ def _trailing_slot(occ: Occ) -> int:
     return HEAD if occ.forward else TAIL
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=16384)
 def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
     """The boundary components of ``ap`` and their indexes, cached per
     presentation (``boundary_trace.__wrapped__`` traces without the cache).
@@ -213,8 +213,9 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
     An entry, with the presentation it keys, takes about 3.0 KB on the
     surgery workload's tensor products of up to 24 edges (tracemalloc,
     pinned below 3.6 KB by ``test_surgery_cache_bytes_per_entry``), so at
-    that size the 65,536-entry bound admits about 200 MB (235 MB at the
-    pinned bound).
+    that size the 16,384-entry bound admits about 50 MB (59 MB at the
+    pinned bound).  One benchmark pass holds at most 4,284 entries (the
+    surgery workload, seed 1), so no pass evicts any.
     """
     # Occurrence g (circle offset + position) owns the tokens 2g (tail) and
     # 2g + 1 (head).  arc[t] is the token across the vertex arc at t; the

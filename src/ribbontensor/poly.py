@@ -382,6 +382,13 @@ def _parse_term(chunk: str, registry: VarRegistry):
 # exact linear algebra
 
 
+def common_denominator(values) -> tuple:
+    """Rationals as ``(numerators, d)``: integer numerators over ``d``, the
+    least common denominator of ``values``."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def _eliminate(matrix, rhs):
     """Bareiss's fraction-free elimination of ``[A | rhs]``, rows pivoted.
 
@@ -399,9 +406,8 @@ def _eliminate(matrix, rhs):
     rows = []
     scale = 1
     for row in [[*row, b] for row, b in zip(matrix, rhs)] if rhs else matrix:
-        row = [x if isinstance(x, _Rational) else Fraction(x) for x in row]
-        m = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (m // x.denominator) for x in row])
+        row, m = common_denominator([x if isinstance(x, _Rational) else Fraction(x) for x in row])
+        rows.append(row)
         scale *= m
     width = n + (1 if rhs else 0)
     sign = prev = 1

@@ -25,7 +25,13 @@ presentation once into the DAG of its distinct sub-presentations, and
 polynomial or ``Fraction`` for its value at a point.  :func:`root_terms`
 reads the root's unweighted terms off the same fold: resolved with an edge
 first, a presentation's DAG gives the values of all of that edge's
-operation results at once.  The subset
+operation results at once.  At a point the fold runs on integer
+numerators and divides once per root term: each label's weights are put
+over their common denominator ``d_e`` and the bases over ``d_b``, a node
+keeps its value times the ``d_e`` of its edges and ``d_b`` to its largest
+stripped base degree, and the root divides by ``d_root``, the ``d_e`` of
+the labels below it and that power of ``d_b``.  A ``MultiPoly`` fold is the
+same loop with every denominator 1.  The subset
 expansions have the same shape: :func:`_spanning_table` enumerates the
 spanning sub-presentations of an arrow presentation once, and
 :func:`_subset_counts` the edge subsets of a multigraph, and one evaluator
@@ -43,6 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .arrow import (
@@ -56,7 +63,7 @@ from .arrow import (
     surface_stats,
 )
 from .packaged import EdgeOpKind, PackagedPresentation, apply_edge_op
-from .poly import MultiPoly, VarRegistry, standard_registry
+from .poly import MultiPoly, VarRegistry, common_denominator, standard_registry
 
 OP_ORDER = (
     EdgeOpKind.DELETE,
@@ -223,50 +230,103 @@ def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     """The one evaluation loop under :func:`fold_dag` and :func:`root_terms`.
 
     Evaluates every node below the root reached through a nonzero weight,
-    children first, reading the root's weights from ``root_weights``.
-    Returns the root's terms (weight times strip factor times child value),
-    one per live operation whose root weight is nonzero, and the factor of the
-    root's own strip, ``None`` for an empty strip.  The root must have edges.
-    Loops rather than a recursive closure keep the per-call values free of
-    reference cycles, so they go as soon as the call returns.
+    children first, reading the root's weights from ``root_weights``.  Over
+    the rationals it folds the integer numerators :func:`fold_dag`
+    describes; in any other ring, ``MultiPoly``, every denominator is 1 and
+    the numerators are the values.
+
+    Returns the numerators of the root's terms (weight times strip factor
+    times child value), one per live operation whose root weight is nonzero;
+    the numerator of the root's own strip factor, ``None`` for an empty
+    strip; and the denominator shared by the terms times the strip factor,
+    ``d_root``, the ``d_e`` of the distinct labels below the root and
+    ``d_b`` to the root's degree, or ``None`` outside the rationals.  The
+    root must have edges.  Loops rather than a recursive closure keep the
+    per-call values free of reference cycles, so they go as soon as the call
+    returns.
     """
-    one = bases[0] ** 0
-    zero = one - one
-    powers: dict = {}
+    (root, root_strip), nodes = dag
+    rational = isinstance(bases[0], Rational)
+    split = common_denominator if rational else (lambda ws: (ws, 1))
+    bases, d_b = split(bases)
+    zero = bases[0] - bases[0]
+    pads = [1]  # pads[j] is d_b ** j
+    strips: dict = {}
 
     def factor(strip):
-        value = powers.get(strip)
+        # The strip's numerator and its degree, the power of d_b under it.
+        value = strips.get(strip)
         if value is None:
-            value = powers[strip] = math.prod(b**k for b, k in zip(bases, strip) if k)
+            value = strips[strip] = (
+                math.prod(b**k for b, k in zip(bases, strip) if k),
+                sum(strip),
+            )
         return value
 
-    (root, root_strip), nodes = dag
     # Children precede parents, so one descending sweep marks every node
-    # reached from the root.
+    # reached from the root and splits the weights of their labels.
+    root_nums, d_root = split(root_weights)
+    below: dict = {}
     needed = [False] * (root + 1)
     needed[root] = True
     for i in range(root, -1, -1):
         if needed[i]:
             label, refs = nodes[i]
-            for w, ref in zip(root_weights if i == root else weights[label], refs):
-                if ref is not None and w and ref[0] >= 0:
+            if i == root:
+                nums = root_nums
+            else:
+                if label not in below:
+                    below[label] = split(weights[label])
+                nums = below[label][0]
+            for n, ref in zip(nums, refs):
+                if ref is not None and n and ref[0] >= 0:
                     needed[ref[0]] = True
     values: list = [None] * root
+    degrees = [0] * root
     for i in range(root + 1):
         if not needed[i]:
             continue
         label, refs = nodes[i]
         terms = []
-        for w, ref in zip(root_weights if i == root else weights[label], refs):
-            if ref is None or not w:
+        top = 0
+        for n, ref in zip(root_nums if i == root else below[label][0], refs):
+            if ref is None or not n:
                 continue
             child, strip = ref
+            k = 0
             if strip:
-                w = w * factor(strip)
-            terms.append(w if child < 0 else w * values[child])
+                m, k = factor(strip)
+                n = n * m
+            if child >= 0:
+                n = n * values[child]
+                k += degrees[child]
+            terms.append((n, k))
+            if k > top:
+                top = k
+        if top and d_b != 1:
+            while len(pads) <= top:
+                pads.append(pads[-1] * d_b)
+            terms = [n * pads[top - k] if k < top else n for n, k in terms]
+        else:
+            terms = [n for n, _ in terms]
         if i < root:
             values[i] = sum(terms, zero)
-    return terms, factor(root_strip) if root_strip else None
+            degrees[i] = top
+    scale = None
+    if root_strip:
+        scale, k = factor(root_strip)
+        top += k
+    if not rational:
+        return terms, scale, None
+    return terms, scale, d_root * math.prod(d for _, d in below.values()) * d_b**top
+
+
+def _at_root(numerator, scale, denominator):
+    """A root numerator from :func:`_fold` as a value: times the root's
+    strip, over the root's denominator."""
+    if scale is not None:
+        numerator = scale * numerator
+    return numerator if denominator is None else Fraction(numerator, denominator)
 
 
 def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
@@ -278,14 +338,24 @@ def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
     :class:`MultiPoly` this gives the polynomial, over ``Fraction`` its
     value at a point.  Only the nodes reached through nonzero weights are
     evaluated, and an empty strip costs no product.
+
+    At a point the fold runs on integers and divides once, at the root.
+    The value is multilinear in the per-edge weight tuples, since every
+    resolution path takes exactly one weight of each edge.  So with each
+    label's weights over their least common denominator ``d_e`` and the
+    bases over ``d_b``, a node's value times the ``d_e`` of its edges and
+    ``d_b ** k``, ``k`` its largest stripped base degree, is an integer; a
+    term of smaller degree is padded by a power of ``d_b``.  The root's sum
+    is divided by ``d_root``, the ``d_e`` of the distinct labels below the
+    root and ``d_b`` to the root's degree, in one ``Fraction``.
     """
     (root, root_strip), nodes = dag
-    one = bases[0] ** 0
     if root < 0:  # an edgeless presentation: the value of its strip
+        one = bases[0] ** 0
         return math.prod(b**k for b, k in zip(bases, root_strip) if k) if root_strip else one
-    terms, scale = _fold(dag, weights, bases, weights[nodes[root][0]])
-    total = sum(terms, one - one)
-    return total if scale is None else scale * total
+    terms, scale, den = _fold(dag, weights, bases, weights[nodes[root][0]])
+    total = sum(terms[1:], terms[0]) if terms else bases[0] - bases[0]
+    return _at_root(total, scale, den)
 
 
 def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> list:
@@ -300,8 +370,8 @@ def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> list:
     """
     (root, _), nodes = dag
     one = bases[0] ** 0
-    terms, scale = _fold(dag, weights, bases, (one,) * len(nodes[root][1]))
-    return terms if scale is None else [scale * t for t in terms]
+    terms, scale, den = _fold(dag, weights, bases, (one,) * len(nodes[root][1]))
+    return [_at_root(t, scale, den) for t in terms]
 
 
 def _live(ops: tuple, weights: Mapping[str, tuple]) -> tuple:

@@ -472,7 +472,14 @@ def _composed_size(g_edges, tensored, factor_sizes):
 
 
 def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6):
-    """One random admissible instance: (pg, factors, couplings, var names)."""
+    """One random admissible instance: (pg, factors, couplings, var names).
+
+    ``size_budget`` bounds the composed object's edges.  Raises
+    :class:`InvalidArgument` unless it is at least 1: below 0 no draw fits
+    and the redrawing would never end.
+    """
+    if size_budget < 1:
+        raise InvalidArgument(f"size_budget must be at least 1, got {size_budget}")
     if kind in (TheoremKind.MAINMV, TheoremKind.FULLTENSOR):
         while True:
             pg = random_packaged(rng, max_edges=4, min_edges=1)
@@ -608,14 +615,18 @@ def run_verification(
 ) -> VerifyReport:
     """Fuzz one identity: random instances, random nonsingular points.
 
-    Raises :class:`InvalidArgument` unless ``instances`` and ``points`` are
-    both at least 1, so that a report never passes having checked nothing.
+    Raises :class:`InvalidArgument` unless ``instances``, ``points`` and
+    ``max_resample`` are all at least 1, so that a report never passes
+    having checked nothing and a point is always drawn, and (from
+    :func:`random_instance`) unless ``size_budget`` is at least 1.
     """
     if instances < 1 or points < 1:
         raise InvalidArgument(
             f"verification needs at least one instance and one point, got "
             f"instances={instances} points={points}"
         )
+    if max_resample < 1:
+        raise InvalidArgument(f"max_resample must be at least 1, got {max_resample}")
     rng = random.Random(seed)
     failures = []
     comparisons = resampled = 0

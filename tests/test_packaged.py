@@ -572,6 +572,8 @@ def test_surgery_cache_bytes_per_entry():
     # about 1,220 and 3,000 bytes on CPython 3.11
     assert per_entry["edge_op_traced"] < 1500, per_entry
     assert per_entry["boundary_trace"] < 3600, per_entry
+    # boundary_trace's entry bound at the pinned size stays near 50 MB
+    assert arrow.boundary_trace.cache_info().maxsize * 3600 < 60e6
 
 
 # ---- presentation files ----------------------------------------------------

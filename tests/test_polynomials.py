@@ -2,12 +2,13 @@
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbontensor import arrow
@@ -60,7 +61,7 @@ from ribbontensor.polynomials import (
     zhat_poly,
 )
 from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
-from strategies import packaged_presentations, presentations
+from strategies import packaged_presentations, packaged_with_empty_circles, presentations
 
 REG = standard_registry()
 K1, K2, K3, K4, K5 = k_presentations()
@@ -450,6 +451,125 @@ def test_transition_root_terms_are_the_operation_values(ap, seed):
             for op in TRANSITION_OPS
         ]
         assert root_terms(resolution_dag(ap, (e,), TRANSITION_OPS), weights, (t,)) == values
+
+
+# ---- the integer-numerator fold against the Fraction fold ------------------
+
+
+def reference_fold(dag, weights, bases, root_weights):
+    """The fold as it ran on ``Fraction`` values, a gcd at every operation:
+    the root's terms and the factor of its own strip, ``None`` if empty."""
+    one = bases[0] ** 0
+    zero = one - one
+    powers: dict = {}
+
+    def factor(strip):
+        value = powers.get(strip)
+        if value is None:
+            value = powers[strip] = math.prod(b**k for b, k in zip(bases, strip) if k)
+        return value
+
+    (root, root_strip), nodes = dag
+    needed = [False] * (root + 1)
+    needed[root] = True
+    for i in range(root, -1, -1):
+        if needed[i]:
+            label, refs = nodes[i]
+            for w, ref in zip(root_weights if i == root else weights[label], refs):
+                if ref is not None and w and ref[0] >= 0:
+                    needed[ref[0]] = True
+    values: list = [None] * root
+    for i in range(root + 1):
+        if not needed[i]:
+            continue
+        label, refs = nodes[i]
+        terms = []
+        for w, ref in zip(root_weights if i == root else weights[label], refs):
+            if ref is None or not w:
+                continue
+            child, strip = ref
+            if strip:
+                w = w * factor(strip)
+            terms.append(w if child < 0 else w * values[child])
+        if i < root:
+            values[i] = sum(terms, zero)
+    return terms, factor(root_strip) if root_strip else None
+
+
+def _reference_value_and_terms(dag, weights, bases):
+    (root, _), nodes = dag
+    terms, scale = reference_fold(dag, weights, bases, weights[nodes[root][0]])
+    total = sum(terms, Fraction(0))
+    ones = (Fraction(1),) * len(nodes[root][1])
+    unweighted, _ = reference_fold(dag, weights, bases, ones)
+    if scale is None:
+        return total, unweighted
+    return scale * total, [scale * t for t in unweighted]
+
+
+@st.composite
+def fold_points(draw, labels, width, bases):
+    """Weights for ``labels`` and ``bases`` bases, each drawn in one of the
+    forms the integer fold splits differently: rationals of either sign,
+    plain ints, or a zero tail (the corz weights); bases over their own
+    denominators, over one shared denominator, or whole."""
+    rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+    form = draw(st.sampled_from(("rational", "int", "corz")))
+
+    def weight(i):
+        if form == "int":
+            return draw(st.integers(-9, 9))
+        if form == "corz" and i >= 2:
+            return Fraction(0)
+        return draw(rationals)
+
+    weights = {l: tuple(weight(i) for i in range(width)) for l in sorted(labels)}
+    shared = draw(st.sampled_from((None, 1, 12, 35)))
+    if shared is None:
+        values = [draw(rationals) for _ in range(bases)]
+    else:
+        values = [Fraction(draw(st.integers(-40, 40)), shared) for _ in range(bases)]
+    return weights, tuple(values)
+
+
+def _check_against_reference(dag, weights, bases):
+    expected, expected_terms = _reference_value_and_terms(dag, weights, bases)
+    value = fold_dag(dag, weights, bases)
+    terms = root_terms(dag, weights, bases)
+    assert value == expected and type(value) is Fraction
+    assert terms == expected_terms
+    assert all(type(t) is Fraction for t in terms)
+
+
+@settings(deadline=None, max_examples=80)
+@given(packaged_with_empty_circles(max_edges=3, max_empty=4), st.data())
+def test_fold_matches_the_fraction_fold(pg, data):
+    # Empty circles put strips on the root and on its children, of unequal
+    # degrees, so the integer fold must pad them to one power of d_b.
+    assume(pg.ap.edges)
+    weights, bases = data.draw(fold_points(pg.ap.edges, 5, 3))
+    for e in sorted(pg.ap.edges):
+        _check_against_reference(resolution_dag(pg, (e,), OP_ORDER), weights, bases)
+
+
+@settings(deadline=None, max_examples=80)
+@given(presentations(min_edges=1, max_edges=4), st.data())
+def test_transition_fold_matches_the_fraction_fold(ap, data):
+    weights, bases = data.draw(fold_points(ap.edges, 3, 1))
+    for e in sorted(ap.edges):
+        _check_against_reference(resolution_dag(ap, (e,), TRANSITION_OPS), weights, bases)
+
+
+def test_deep_fold_matches_the_polynomial():
+    # Eight edges resolve through DAGs many levels deep, where a denominator
+    # missed at one level would compound.
+    rng = random.Random(47)
+    for _ in range(2):
+        pg = random_packaged(rng, max_edges=8, min_edges=8)
+        pt = {n: Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for n in REG.names}
+        weights = dict.fromkeys(pg.ap.edges, tuple(pt[s] for s in "abcxy"))
+        value = q_value(pg, weights, pt["alpha"], pt["beta"], pt["gamma"])
+        assert q_poly(pg).eval_at(pt) == value and type(value) is Fraction
 
 
 def _reachable(pg, kinds):

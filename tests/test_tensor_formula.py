@@ -2,6 +2,7 @@
 identity verifier."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -62,6 +63,22 @@ def test_solve_phis_singular_at_unit_point():
 def test_verification_rejects_empty_runs(instances, points):
     with pytest.raises(InvalidArgument, match="at least one instance and one point"):
         run_verification(TheoremKind.MAIN, instances=instances, points=points)
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_verification_rejects_a_budget_below_one(kind):
+    # a negative budget admits no draw, so the redrawing would never end
+    for budget in (0, -1):
+        with pytest.raises(InvalidArgument, match="size_budget"):
+            random_instance(kind, random.Random(1), budget)
+        with pytest.raises(InvalidArgument, match="size_budget"):
+            run_verification(kind, instances=1, points=1, size_budget=budget)
+
+
+@pytest.mark.parametrize("max_resample", [0, -2])
+def test_verification_rejects_drawing_no_point(max_resample):
+    with pytest.raises(InvalidArgument, match="max_resample"):
+        run_verification(TheoremKind.TUTTE, instances=1, points=1, max_resample=max_resample)
 
 
 def test_transition_matrix_at_two():
@@ -358,3 +375,23 @@ def test_resampled_points_are_counted(monkeypatch):
     assert report.ok
     assert report.resampled == 1
     assert len(drawn) == 4
+
+
+def test_verification_outputs_are_pinned(monkeypatch):
+    # Every comparison of 90 attempts over the ten kinds, exact values
+    # included, hashed: a faster evaluation path must give the same
+    # rationals digit for digit.  The digest is the same under
+    # PYTHONHASHSEED 0, 1, 2 and 5 and on Python 3.10-3.13.
+    seen = []
+    original = tensor_formula.verify_identity
+
+    def recorded(plan, pt):
+        outcome = original(plan, pt)
+        seen.append(repr(outcome.comparisons))
+        return outcome
+
+    monkeypatch.setattr(tensor_formula, "verify_identity", recorded)
+    for kind in TheoremKind:
+        assert run_verification(kind, seed=104, instances=3, points=3).ok
+    assert len(seen) == 90
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest()[:16] == "4f637ca7a3bdffb8"
