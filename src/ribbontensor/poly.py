@@ -16,17 +16,22 @@ denominator); a rational point is a plain ``{name: Fraction}`` mapping.
 Canonical text grammar (see :func:`to_canonical_string`):
 ``term := coeff ["*" var ["^" int]]*``, terms joined by `` + `` / `` - ``,
 ordered by ascending total degree, ties by descending exponent vector in
-registry order.
+registry order.  The text is built from two memos per call: the registry's
+names split into a high run and a low run, and each run's packed bits
+(``key >> shift`` and ``key & mask``) map to that run's ``(degree, text)``,
+decoded on first sight.  Key halves repeat across terms, so a term costs
+two dict lookups and no key is unpacked whole; the memos are dropped when
+the call returns, so nothing grows across calls.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from math import lcm
 from numbers import Rational as _Rational
 from operator import or_
@@ -293,37 +298,55 @@ class MultiPoly:
 
     # -- canonical text ------------------------------------------------------
 
-    def sorted_terms(self):
-        """``(exponent tuple, coeff)`` pairs in canonical order: ascending
-        total degree, ties by descending packed key."""
-        size = 2 * len(self.registry)
-        unpack = self.registry._codec.unpack
-        terms = self.terms
-        rows = [(unpack(k.to_bytes(size, "big")), terms[k]) for k in sorted(terms, reverse=True)]
-        rows.sort(key=lambda row: sum(row[0]))  # stable: ties keep descending keys
-        return rows
-
     def __repr__(self):
         return f"MultiPoly({to_canonical_string(self)!r})"
 
 
+class _RunText(dict):
+    """Monomial text of one run of registry fields, memoised by the run's
+    packed bits: ``bits -> (degree, text)``, each run decoded once."""
+
+    def __init__(self, names: tuple):
+        super().__init__()
+        self.names = names
+        self.size = 2 * len(names)
+        self.unpack = struct.Struct(f">{len(names)}H").unpack
+
+    def __missing__(self, bits: int):
+        exps = self.unpack(bits.to_bytes(self.size, "big"))
+        text = "*".join(
+            [name if e == 1 else f"{name}^{e}" for name, e in zip(self.names, exps) if e]
+        )
+        self[bits] = entry = (sum(exps), text)
+        return entry
+
+
 def to_canonical_string(p: MultiPoly) -> str:
-    if p.is_zero():
+    """The canonical text of ``p`` (grammar in the module docstring).
+
+    A term's monomial is the text of its key's high fields followed by that
+    of its low fields, each from a memo that lives for this call only.
+    """
+    terms = p.terms
+    if not terms:
         return "0"
     names = p.registry.names
-    pieces = []
-    for exps, coeff in p.sorted_terms():
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(compress(names, exps), filter(None, exps))
-        ]
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        pieces.append(" - " if coeff < 0 else " + ")
-        pieces.append("*".join(factors))
-    pieces[0] = "-" if pieces[0] == " - " else ""
-    return "".join(pieces)
+    cut = len(names) // 2
+    shift = FIELD_BITS * (len(names) - cut)
+    mask = (1 << shift) - 1
+    high, low = _RunText(names[:cut]), _RunText(names[cut:])
+    by_degree = defaultdict(list)  # each list in descending key order
+    for key in sorted(terms, reverse=True):
+        high_degree, high_text = high[key >> shift]
+        low_degree, low_text = low[key & mask]
+        text = f"{high_text}*{low_text}" if high_text and low_text else high_text or low_text
+        coeff = terms[key]
+        mag = -coeff if coeff < 0 else coeff
+        if mag != 1 or not text:
+            text = f"{mag}*{text}" if text else str(mag)
+        by_degree[high_degree + low_degree].append((" - " if coeff < 0 else " + ") + text)
+    text = "".join(["".join(by_degree[d]) for d in sorted(by_degree)])
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # A sign after a space separates terms; any other "-" belongs to its term.

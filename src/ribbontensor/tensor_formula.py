@@ -82,22 +82,29 @@ _ONE = Fraction(1)
 
 
 def _five_rows(pt):
+    # The transfer matrix is alpha*beta*gamma (_five_scale) times these rows.
     al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
     one = _ONE
-    rows = [
+    return [
         [al * be, one, one, al, one],
         [one, al * ga, one, one, al],
         [one, one, al, one, one],
         [al, one, one, al, one],
         [one, al, one, one, al],
     ]
-    s = al * be * ga
-    return [[s * x for x in row] for row in rows]
 
 
 def _four_rows(pt):
     # The vertex-partitioned kinds drop the merge-contraction and fix gamma = 1.
     return [row[:4] for row in _five_rows({**pt, "gamma": _ONE})[:4]]
+
+
+def _five_scale(pt):
+    return pt["alpha"] * pt["beta"] * pt["gamma"]
+
+
+def _four_scale(pt):
+    return pt["alpha"] * pt["beta"]
 
 
 def _per_edge(*stems):
@@ -175,7 +182,7 @@ def _shared_parts(labels, factor, swaps):
 class KindSpec:
     """What one theorem kind adds to the shape every identity shares."""
 
-    rows: Callable  # pt -> the transfer matrix, as fresh unchecked rows
+    rows: Callable  # pt -> the transfer matrix divided by ``scale``, as fresh unchecked rows
     resolve: Callable  # (factor, e) -> what every point reads its columns off
     columns: Callable  # (resolved factor, weights, pt) -> one value per row
     weights: Callable  # (labels, pt) -> {label: weights}
@@ -183,6 +190,7 @@ class KindSpec:
     parts: Callable  # (host labels, factors, couplings) -> [(f, factor, e, swap)]
     host_weight: Callable = tuple  # coefficients -> their host edge's weights
     finish: Optional[Callable] = None  # (plan, coefficients, pt, lhs, rhs) -> comparisons
+    scale: Callable = lambda pt: _ONE  # pt -> the common factor the rows leave out
 
 
 def _by_dag(ops, bases):
@@ -208,6 +216,7 @@ def _five(weights, parts):
     return KindSpec(
         _five_rows, **_by_dag(OP_ORDER, _five_bases), weights=weights,
         value=lambda x, w, pt: q_value(x, w, *_five_bases(pt)), parts=parts,
+        scale=_five_scale,
     )
 
 
@@ -215,7 +224,7 @@ def _four(weights):
     return KindSpec(
         _four_rows, **_by_dag(OP_ORDER[:4], _four_bases), weights=weights,
         value=lambda x, w, pt: q_value(x, w, *_four_bases(pt)), parts=_shared_parts,
-        host_weight=lambda phis: phis + (Fraction(0),),
+        host_weight=lambda phis: phis + (Fraction(0),), scale=_four_scale,
     )
 
 
@@ -306,13 +315,18 @@ def _singular(kind: TheoremKind) -> SingularAtPoint:
     return SingularAtPoint(f"{kind.value} matrix singular at the sampled point")
 
 
-def _solve(kind: TheoremKind, matrix, rhs) -> tuple:
-    """Solve exactly.  A singular system marks a degenerate point and raises
-    :class:`SingularAtPoint`, so that the caller resamples it."""
+def _solve(kind: TheoremKind, rows, rhs, scale=_ONE) -> tuple:
+    """Solve ``(scale * rows) x = rhs`` exactly, as ``rows x = rhs`` with
+    ``x`` then divided by ``scale``.  A singular system marks a degenerate
+    point and raises :class:`SingularAtPoint`, so that the caller resamples
+    it."""
+    if not scale:  # the whole matrix vanishes
+        raise _singular(kind)
     try:
-        return tuple(solve_linear(matrix, rhs))
+        solved = solve_linear(rows, rhs)
     except SingularMatrix:
         raise _singular(kind) from None
+    return tuple(solved) if scale == 1 else tuple(x / scale for x in solved)
 
 
 def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
@@ -321,7 +335,9 @@ def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
     Raises :class:`SingularAtPoint` when it degenerates there (the caller
     resamples the point).
     """
-    matrix = SPECS[kind].rows(pt)
+    spec = SPECS[kind]
+    s = spec.scale(pt)
+    matrix = [[s * x for x in row] for row in spec.rows(pt)]
     if determinant(matrix) == 0:
         raise _singular(kind)
     return matrix
@@ -336,7 +352,8 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
     Raises :class:`SingularAtPoint` when the transfer matrix degenerates.
     """
     spec = SPECS[kind]
-    return _solve(kind, spec.rows(pt), _columns(spec, _resolve(spec, ph, e), pt))
+    rhs = _columns(spec, _resolve(spec, ph, e), pt)
+    return _solve(kind, spec.rows(pt), rhs, spec.scale(pt))
 
 
 def phi0_structural_zeros(
@@ -422,8 +439,8 @@ def verify_identity(plan: InstancePlan, pt) -> VerifyOutcome:
     """
     kind = plan.kind
     spec = SPECS[kind]
-    matrix = spec.rows(pt)
-    phis = [_solve(kind, matrix, _columns(spec, factor, pt)) for factor in plan.factors]
+    rows, scale = spec.rows(pt), spec.scale(pt)
+    phis = [_solve(kind, rows, _columns(spec, factor, pt), scale) for factor in plan.factors]
     weights = spec.weights([l for l in _labels(plan.host) if l not in plan.tensored], pt)
     weights.update((f, spec.host_weight(phis[i])) for f, i in plan.tensored.items())
     lhs = _value(spec, plan.composed, pt)

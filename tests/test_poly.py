@@ -1,6 +1,7 @@
 """Exact polynomial ring, canonical text, and the rational linear solver."""
 
 import copy
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbontensor import polynomials, randgen
 from ribbontensor.errors import (
     MissingVariable,
     ParseError,
@@ -292,7 +294,75 @@ def test_canonical_text_round_trips(p):
 @given(any_registry_polys)
 def test_canonical_order_matches_tuple_sort(p):
     assert to_canonical_string(p) == reference_canonical_string(p)
-    assert dict(p.items()) == {e: c for e, c in p.sorted_terms()}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False), st.integers(0, 300))
+def test_canonical_order_matches_tuple_sort_on_wide_polys(rng, n_terms):
+    # Up to 300 terms over the 39-variable registry, each exponent vector
+    # three 13-field blocks drawn from small pools: halves of keys repeat
+    # across terms wherever the text splits them, and fields at
+    # MAX_EXPONENT push total degrees past 65,535.
+    fields = (0, 0, 0, 1, 2, MAX_EXPONENT)
+    pools = [[tuple(rng.choice(fields) for _ in range(13)) for _ in range(7)] for _ in range(3)]
+    terms = {
+        sum((rng.choice(pool) for pool in pools), ()): rng.choice((-7, -2, -1, 1, 1, 3))
+        for _ in range(n_terms)
+    }
+    p = MultiPoly(WIDE, terms)
+    assert to_canonical_string(p) == reference_canonical_string(p)
+
+
+def test_canonical_text_edge_cases():
+    none, one = VarRegistry(()), VarRegistry.of("x")
+    cases = [MultiPoly.const(reg, c) for reg in (none, one, REG, WIDE) for c in (1, -1, 0, 12)]
+    x, unit = MultiPoly.var(one, "x"), MultiPoly.const(one, 1)
+    cases += [x, -x, x * 3 - unit, x**2 - x + unit, MultiPoly.var(one, "x", MAX_EXPONENT)]
+    cases += [sign * v(name) for sign in (1, -1) for name in ("a", "t")]
+    cases += [MultiPoly.monomial(WIDE, {n: 1 for n in WIDE.names}, -1)]
+    # total degree above 65,535 from three fields at MAX_EXPONENT
+    top = MultiPoly.monomial(WIDE, {"a": MAX_EXPONENT, "t": MAX_EXPONENT, "y_e5": MAX_EXPONENT})
+    cases += [top - MultiPoly.var(WIDE, "b", MAX_EXPONENT), top + MultiPoly.const(WIDE, 1)]
+    for p in cases:
+        assert to_canonical_string(p) == reference_canonical_string(p)
+    assert [to_canonical_string(p) for p in cases[:4]] == ["1", "-1", "0", "12"]
+    assert to_canonical_string(x * 3 - unit) == "-1 + 3*x"
+    assert to_canonical_string(-v("t")) == "-t"
+    top_text = f"a^{MAX_EXPONENT}*t^{MAX_EXPONENT}*y_e5^{MAX_EXPONENT}"
+    assert to_canonical_string(cases[-1]) == f"1 + {top_text}"
+    assert to_canonical_string(cases[-2]) == f"-b^{MAX_EXPONENT} + {top_text}"
+
+
+def test_canonical_text_keeps_nothing_between_calls():
+    # Two registries of one length share every packed key; formatting one
+    # after the other must name each registry's own variables.
+    first, second = VarRegistry.of("a", "b", "c", "d"), VarRegistry.of("p", "q", "r", "s")
+    terms = {(1, 0, 2, 0): 3, (0, 1, 0, 1): -1, (0, 0, 0, 0): 5, (2, 2, 0, 0): 1}
+    texts = []
+    for reg in (first, second, first):
+        p = MultiPoly(reg, terms)
+        texts.append(to_canonical_string(p))
+        assert texts[-1] == reference_canonical_string(p)
+    assert texts == ["5 - b*d + 3*a*c^2 + a^2*b^2", "5 - q*s + 3*p*r^2 + p^2*q^2", texts[0]]
+
+
+def test_canonical_text_golden():
+    # The canonical texts of the five symbolic invariants of six random
+    # four- and five-edge presentations (30 texts, about 10,800 terms),
+    # pinned so that any change to the text's bytes or order shows.
+    texts = []
+    for s in range(6):
+        pg = randgen.random_packaged(random.Random(s), max_edges=5, min_edges=4)
+        results = (
+            polynomials.q_multivariate(pg),
+            polynomials.q_poly(pg),
+            polynomials.transition_poly(pg.ap),
+            polynomials.br_poly(pg.ap),
+            polynomials.tutte_poly(polynomials.graph_of_presentation(pg.ap)),
+        )
+        texts.extend(to_canonical_string(p) for p in results)
+    assert len(texts) == 30
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == "38c830def7b4edba"
 
 
 @settings(deadline=None)

@@ -18,6 +18,7 @@ from ribbontensor.packaged import (
     k_presentations,
     make_packaged,
 )
+from ribbontensor.poly import solve_linear
 from ribbontensor.polynomials import Multigraph, graph_tensor
 from ribbontensor.randgen import random_packaged, random_point
 from ribbontensor.tensor_formula import (
@@ -106,6 +107,33 @@ def test_solve_phis_k1_k3():
     ks = k_presentations()
     assert solve_phis(TheoremKind.MAINMV, ks[0], "e", PT5) == (1, 0, 0, 0, 0)
     assert solve_phis(TheoremKind.MAINMV, ks[2], "e", PT5) == (0, 0, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "kind", [TheoremKind.MAIN, TheoremKind.CORZ, TheoremKind.BR, TheoremKind.BRZHAT]
+)
+def test_coefficients_solve_the_whole_transfer_matrix(kind):
+    # The rows leave the common factor alpha*beta(*gamma) out and the solve
+    # divides it out of the coefficients: they must still solve the system
+    # of build_phi_matrix, the full transfer matrix.
+    rng = random.Random(9)
+    spec = tensor_formula.SPECS[kind]
+    for _ in range(4):
+        ph = random_packaged(rng, max_edges=3, min_edges=2)
+        e = min(ph.ap.edges)
+        pt = random_point(rng, PT5, bound=50)
+        rhs = tensor_formula._columns(spec, tensor_formula._resolve(spec, ph, e), pt)
+        assert solve_phis(kind, ph, e, pt) == tuple(solve_linear(build_phi_matrix(kind, pt), rhs))
+
+
+def test_zero_beta_is_singular():
+    # beta = 0 zeroes the left-out factor alpha*beta*gamma, and with it the
+    # whole matrix, though the rows alone are not singular
+    pt = {**PT5, "beta": Fraction(0)}
+    with pytest.raises(SingularAtPoint):
+        build_phi_matrix(TheoremKind.MAIN, pt)
+    with pytest.raises(SingularAtPoint):
+        solve_phis(TheoremKind.MAIN, k_presentations()[0], "e", pt)
 
 
 def test_phi0_examples():
