@@ -31,13 +31,15 @@ Conventions fixed here:
   ``s`` is the arrow's trailing end (its head when it points forward).
   :func:`boundary_trace` keeps, per presentation, the components together
   with the token and bare-circle indexes.
+* Value types (:class:`ArrowPresentation`, :class:`SurfaceStats`, the
+  surgery records) are ``typing.NamedTuple`` classes: immutable, compared and
+  hashed by value, and so equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -94,8 +96,7 @@ def _rotmin(circ):
     return best, offset
 
 
-@dataclass(frozen=True)
-class ArrowPresentation:
+class ArrowPresentation(NamedTuple):
     """Immutable arrow presentation: circles plus an edge registry."""
 
     circles: tuple
@@ -160,8 +161,7 @@ def validate(ap: ArrowPresentation) -> None:
 # boundary components
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     """One closed curve of the boundary trace.
 
     ``crossings`` lists the integer endpoint tokens in cyclic order from the
@@ -282,8 +282,7 @@ def boundary_components(ap: ArrowPresentation) -> tuple:
 # surface invariants
 
 
-@dataclass(frozen=True)
-class SurfaceStats:
+class SurfaceStats(NamedTuple):
     v: int
     e: int
     k: int
@@ -371,8 +370,7 @@ def surface_stats(ap: ArrowPresentation, cached: bool = True) -> SurfaceStats:
 # --------------------------------------------------------------------------
 # surgery
 
-@dataclass(frozen=True)
-class OpTraceArrow:
+class OpTraceArrow(NamedTuple):
     """How circles, occurrences and glued points move through one surgery."""
 
     circle_map: dict  # surviving old circle -> new circle
@@ -601,8 +599,7 @@ def edge_surgery(ap: ArrowPresentation, e: str, kind: str):
     raise ValueError(f"unknown arrow operation {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeOpResult:
+class EdgeOpResult(NamedTuple):
     """Full record of one arrow-level edge operation."""
 
     presentation: ArrowPresentation
@@ -650,8 +647,7 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
 _TWO_SUM_MARKERS = ("m1", "m2", "m3", "m4")
 
 
-@dataclass(frozen=True)
-class TwoSumResult:
+class TwoSumResult(NamedTuple):
     """Full record of one arrow-level 2-sum.
 
     The surgery runs on ``union``, the circles of G followed by those of H;

@@ -11,14 +11,18 @@ items destroyed by a surgery drop out of their blocks, freshly created items
 enter as singletons, and the operation merges prescribed groups of blocks
 (the classes of the items incident to the operated edge, plus whatever the
 surgery created).
+
+:class:`Partition`, :class:`PackagedPresentation`, :class:`Coupling` and
+:class:`OpTrace` are ``typing.NamedTuple`` classes, so they compare equal to
+plain tuples of the same fields; a partition's block count is
+``len(p.blocks)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .arrow import (
     HEAD,
@@ -43,8 +47,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     blocks: frozenset
     universe: frozenset
 
@@ -90,9 +93,6 @@ class Partition:
                 return block
         raise KeyError(item)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def transfer(
         self, item_map: Mapping[int, int], created: Iterable[int] = (), groups: Iterable = ()
     ) -> "Partition":
@@ -135,8 +135,7 @@ class Partition:
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
 
-@dataclass(frozen=True)
-class PackagedPresentation:
+class PackagedPresentation(NamedTuple):
     ap: ArrowPresentation
     vparts: Partition
     bparts: Partition
@@ -175,8 +174,7 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class OpTrace:
+class OpTrace(NamedTuple):
     """Natural identifications through one edge operation."""
 
     vertex_map: dict
@@ -247,8 +245,7 @@ def apply_edge_op(pg: PackagedPresentation, e: str, kind: EdgeOpKind) -> Package
 # 2-sums and tensor products
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(NamedTuple):
     """One of the two bijections between the arrow pairs of two edges.
 
     ``swap=False`` pairs first-listed occurrence with first-listed occurrence.

@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -53,21 +52,35 @@ FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
-@dataclass(frozen=True)
 class VarRegistry:
-    names: tuple
+    """Ordered variable names and the packed-key layout they fix: each
+    name's field offset, the guard bits of all fields, and the codec that
+    splits a key into its fields.  Immutable; equal and hashed by names."""
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
-        # The packed-key layout: each name's field offset, the guard bits of
-        # all fields, and the codec that splits a key into its fields.
-        n = len(self.names)
-        shift = {name: FIELD_BITS * (n - 1 - i) for i, name in enumerate(self.names)}
+    __slots__ = ("names", "_shift", "_guard", "_codec")
+
+    def __init__(self, names: tuple):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        n = len(names)
+        shift = {name: FIELD_BITS * (n - 1 - i) for i, name in enumerate(names)}
         guard = sum(1 << (s + FIELD_BITS - 1) for s in shift.values())
-        object.__setattr__(self, "_shift", shift)
-        object.__setattr__(self, "_guard", guard)
-        object.__setattr__(self, "_codec", struct.Struct(f">{n}H"))
+        for slot, value in zip(self.__slots__, (names, shift, guard, struct.Struct(f">{n}H"))):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.names == other.names if isinstance(other, VarRegistry) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self):
+        return f"VarRegistry(names={self.names!r})"
 
     def __reduce__(self):
         # A Struct does not pickle; the layout is rebuilt from the names.
@@ -451,20 +464,20 @@ def _eliminate(matrix, rhs):
     return rows, sign * prev, scale
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve A x = b exactly, by :func:`_eliminate`'s fraction-free
-    elimination.
+def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], scale=1):
+    """Solve (scale * A) x = b exactly, by :func:`_eliminate`'s
+    fraction-free elimination of A.
 
     With d the determinant of the row-scaled A, d * x is integral (Cramer's
     rule), so back substitution runs on d * x over the integers and each
-    unknown becomes one ``Fraction`` at the end.  Raises
-    :class:`SingularMatrix` when A has no unique solution.
+    unknown becomes one ``Fraction`` at the end, ``scale`` folded into it.
+    Raises :class:`SingularMatrix` when the system has no unique solution.
     """
     n = len(matrix)
     if len(rhs) != n:
         raise ValueError("matrix must be square and match the rhs length")
     rows, d, _ = _eliminate(matrix, rhs)
-    if not d:
+    if not (d and scale):
         raise SingularMatrix("matrix is singular")
     y = [0] * n
     for i in range(n - 1, -1, -1):
@@ -473,7 +486,8 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         for j in range(i + 1, n):
             acc -= row[j] * y[j]
         y[i] = acc // row[i]
-    return [Fraction(v, d) for v in y]
+    d *= scale.numerator
+    return [Fraction(v * scale.denominator, d) for v in y]
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -46,11 +46,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .arrow import (
     ArrowPresentation,
@@ -130,7 +129,9 @@ def _strip_isolated(pg: PackagedPresentation):
     stripped = PackagedPresentation(
         ArrowPresentation(tuple(pg.ap.circles[ci] for ci in keep), pg.ap.edges), vparts, bparts
     )
-    return stripped, (da, len(pg.vparts) - len(vparts), len(pg.bparts) - len(bparts))
+    return stripped, (
+        da, len(pg.vparts.blocks) - len(vparts.blocks), len(pg.bparts.blocks) - len(bparts.blocks)
+    )
 
 
 def _edge_chooser(order: Optional[Sequence[str]]):
@@ -456,8 +457,8 @@ def state_sum_oracle(
                 registry,
                 {
                     "alpha": len(pg.ap.circles),
-                    "beta": len(pg.vparts),
-                    "gamma": len(pg.bparts),
+                    "beta": len(pg.vparts.blocks),
+                    "gamma": len(pg.bparts.blocks),
                 },
             )
             total = total + weight * base
@@ -637,8 +638,7 @@ def br_poly(ap: ArrowPresentation, cap: Optional[int] = None) -> MultiPoly:
 # abstract multigraphs (embedding forgotten)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Vertices 0..n-1 with a tuple of (u, v) edges; loops and parallels
     allowed."""
 

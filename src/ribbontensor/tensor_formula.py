@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .arrow import ArrowPresentation, contract_edge, delete_edge, surface_stats
 from .errors import InvalidArgument, SingularAtPoint, SingularMatrix
@@ -178,8 +177,7 @@ def _shared_parts(labels, factor, swaps):
     return [(f, x, e, swaps.get(f, False)) for f in labels]
 
 
-@dataclass(frozen=True)
-class KindSpec:
+class KindSpec(NamedTuple):
     """What one theorem kind adds to the shape every identity shares."""
 
     rows: Callable  # pt -> the transfer matrix divided by ``scale``, as fresh unchecked rows
@@ -316,17 +314,14 @@ def _singular(kind: TheoremKind) -> SingularAtPoint:
 
 
 def _solve(kind: TheoremKind, rows, rhs, scale=_ONE) -> tuple:
-    """Solve ``(scale * rows) x = rhs`` exactly, as ``rows x = rhs`` with
-    ``x`` then divided by ``scale``.  A singular system marks a degenerate
+    """Solve ``(scale * rows) x = rhs`` exactly.  A singular system, a zero
+    ``scale`` included (the whole matrix then vanishes), marks a degenerate
     point and raises :class:`SingularAtPoint`, so that the caller resamples
     it."""
-    if not scale:  # the whole matrix vanishes
-        raise _singular(kind)
     try:
-        solved = solve_linear(rows, rhs)
+        return tuple(solve_linear(rows, rhs, scale))
     except SingularMatrix:
         raise _singular(kind) from None
-    return tuple(solved) if scale == 1 else tuple(x / scale for x in solved)
 
 
 def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
@@ -380,8 +375,7 @@ def phi0_structural_zeros(
 # identity verification: a plan per instance, then point work per point
 
 
-@dataclass(frozen=True)
-class InstancePlan:
+class InstancePlan(NamedTuple):
     """What one instance's identity needs at every point, built once."""
 
     kind: TheoremKind
@@ -424,8 +418,7 @@ def plan_instance(kind: TheoremKind, pg, factors, couplings) -> InstancePlan:
     )
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     ok: bool
     comparisons: tuple  # (name, lhs, rhs)
 
@@ -453,15 +446,13 @@ def verify_identity(plan: InstancePlan, pt) -> VerifyOutcome:
 # instance generation and the verification loop
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     instance: str
     point: dict
     comparisons: tuple
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     kind: str
     seed: int
     instances: int

@@ -300,37 +300,45 @@ def test_unwritable_output_exits_2(tmp_path):
     assert str(out) in proc.stderr
 
 
-# Run in a fresh interpreter: which ribbontensor modules each command loaded.
+# Run in a fresh interpreter: after each command, which ribbontensor modules
+# are loaded and whether dataclasses is.
 IMPORT_PROBE = """
 import json, sys
 from ribbontensor.cli import main
 
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("ribbontensor."))
-
-a, h = sys.argv[1:3]
-main(["info", a])
-main(["op", a, "e", "contract"])
-main(["tensor", a, h, "--edge", "f", "--coupling-mode", "random:3"])
-surgery = loaded()
-main(["poly", a, "--which", "tutte"])
-print(json.dumps([surgery, loaded()]))
+a, h, k = sys.argv[1:4]
+stages = {}
+for argv in (
+    ["info", a],
+    ["op", a, "e", "contract"],
+    ["twosum", a, k, "--coupling", "e:z:straight"],
+    ["tensor", a, h, "--edge", "f", "--coupling-mode", "random:3"],
+    ["poly", a, "--which", "tutte"],
+    ["verify", "main", "--instances", "1", "--points", "1"],
+):
+    main(argv)
+    stages[argv[0]] = sorted(m for m in sys.modules if m.startswith(("ribbontensor.", "dataclasses")))
+print(json.dumps(stages))
 """
 
 
 def test_commands_load_only_the_modules_they_use(tmp_path):
     a = write(tmp_path, "a.json", FIG_A)
     h = write(tmp_path, "h.json", {"circles": [["f+", "g-"], ["f-", "g+"]]})
+    k = write(tmp_path, "k.json", {"circles": [["z+", "z-"]]})
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, a, h],
+        [sys.executable, "-c", IMPORT_PROBE, a, h, k],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=SRC), check=True,
     )
-    surgery, with_poly = json.loads(proc.stdout.splitlines()[-1])
+    stages = {name: set(mods) for name, mods in json.loads(proc.stdout.splitlines()[-1]).items()}
+    assert list(stages) == ["info", "op", "twosum", "tensor", "poly", "verify"]
+    assert not any("dataclasses" in mods for mods in stages.values())
     engines = {f"ribbontensor.{m}" for m in ("poly", "polynomials", "tensor_formula", "randgen")}
-    assert not engines & set(surgery)
-    assert {"ribbontensor.poly", "ribbontensor.polynomials"} <= set(with_poly)
-    assert not {"ribbontensor.tensor_formula", "ribbontensor.randgen"} & set(with_poly)
+    assert not engines & stages["tensor"]
+    assert {"ribbontensor.poly", "ribbontensor.polynomials"} <= stages["poly"]
+    assert not {"ribbontensor.tensor_formula", "ribbontensor.randgen"} & stages["poly"]
+    assert "ribbontensor.tensor_formula" in stages["verify"]
 
 
 def test_package_root_resolves_every_public_name():

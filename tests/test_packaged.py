@@ -65,14 +65,14 @@ def fresh_k(i):
 
 def test_partition_defaults_and_errors():
     pg = make_packaged(FIG_A)
-    assert len(pg.vparts) == 2 and len(pg.bparts) == 1
+    assert len(pg.vparts.blocks) == 2 and len(pg.bparts.blocks) == 1
     with pytest.raises(PartitionCoverError):
         make_packaged(FIG_A, vblocks=[[0]])
     with pytest.raises(PartitionCoverError):
         make_packaged(FIG_A, vblocks=[[0, 1, 7]])
     with pytest.raises(PartitionOverlapError):
         make_packaged(FIG_A, vblocks=[[0, 1], [1]])
-    assert len(make_packaged(FIG_A, vblocks=[[0, 1]]).vparts) == 1
+    assert len(make_packaged(FIG_A, vblocks=[[0, 1]]).vparts.blocks) == 1
 
 
 def test_k_presentation_shapes():
@@ -81,7 +81,7 @@ def test_k_presentation_shapes():
         [(2, 1, 2, 1), (1, 2, 1, 2), (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1)],
     ):
         st = surface_stats(k.ap)
-        assert (st.v, st.b, len(k.vparts), len(k.bparts)) == (v, b, nv, nb)
+        assert (st.v, st.b, len(k.vparts.blocks), len(k.bparts.blocks)) == (v, b, nv, nb)
     assert surface_stats(K3.ap).euler_genus == 1
 
 
@@ -117,15 +117,15 @@ def test_natural_identification_delete_loop_creates_bare_boundary():
 def test_apply_edge_op_contract_k2():
     out = apply_edge_op(K2, "e", EdgeOpKind.CONTRACT)
     assert len(out.ap.circles) == 2
-    assert len(out.vparts) == 1
-    assert len(out.bparts) == 2
+    assert len(out.vparts.blocks) == 1
+    assert len(out.bparts.blocks) == 2
 
 
 def test_apply_edge_op_penrose_k3():
     out = apply_edge_op(K3, "e", EdgeOpKind.PENROSE)
     assert len(out.ap.circles) == 2
-    assert len(out.vparts) == 1
-    assert len(out.bparts) == 1
+    assert len(out.vparts.blocks) == 1
+    assert len(out.bparts.blocks) == 1
 
 
 def test_delete_equals_merge_delete_when_classes_merged():

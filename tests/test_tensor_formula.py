@@ -1,7 +1,6 @@
 """Transfer matrices, solved coefficients, structural zeros, and the
 identity verifier."""
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -340,7 +339,7 @@ def test_scaled_transfer_matrix_fails(kind, monkeypatch):
         matrix[mid][mid] *= 2
         return matrix
 
-    monkeypatch.setitem(tensor_formula.SPECS, kind, dataclasses.replace(spec, rows=scaled))
+    monkeypatch.setitem(tensor_formula.SPECS, kind, spec._replace(rows=scaled))
     assert not run_verification(kind, seed=1, instances=10, points=1).ok
 
 
@@ -382,7 +381,7 @@ def test_scaled_first_column_fails(kind, monkeypatch):
         matrix[0][0] *= 2
         return matrix
 
-    monkeypatch.setitem(tensor_formula.SPECS, kind, dataclasses.replace(spec, rows=scaled))
+    monkeypatch.setitem(tensor_formula.SPECS, kind, spec._replace(rows=scaled))
     assert not run_verification(kind, seed=1, instances=1, points=5).ok
 
 
