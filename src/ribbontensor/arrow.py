@@ -38,9 +38,11 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -501,10 +503,18 @@ def _splice(circles, removed, glue):
 
 def _delete_traced(ap: ArrowPresentation, e: str):
     removed = set(ap.occurrences(e))
+    affected = {c for c, _ in removed}
     new_circles = []
     occ_map: dict = {}
     for ci, circ in enumerate(ap.circles):
-        kept_positions = [p for p in range(len(circ)) if (ci, p) not in removed]
+        if ci not in affected:
+            # stored rotation-least already, so the circle stays as it is
+            for p in range(len(circ)):
+                occ_map[(ci, p)] = (ci, p)
+            new_circles.append(circ)
+            continue
+        gone = [p for c, p in removed if c == ci]
+        kept_positions = [p for p in range(len(circ)) if p not in gone]
         kept = [circ[p] for p in kept_positions]
         normalized, offset = _rotmin(kept)
         k = len(kept)
@@ -755,81 +765,148 @@ def check_edge_cap(n: int, default: int, what: str, cap: Optional[int] = None) -
         raise SizeLimitExceeded(f"{what} capped at {cap} edges, got {n}")
 
 
-def _encode_candidate(circ, start, direction, codes, headings, counter):
-    """Encode one traversal of a circle under the running label coding.
+_TRANSFORM_CAP = 100000
 
-    Returns ``(segment, codes', headings', counter')``.  Labels are coded by
-    first appearance; the first emission of a label is normalised to heading
-    bit 0, the second emits whether its heading (relative to the chosen
-    traversal directions) differs from the first.
+
+def _walk(circles, mates, root, best):
+    """The code of one rooted walk over a component, or ``None`` once its
+    prefix exceeds ``best``.
+
+    The root ``(circle, start, direction)`` is emitted first: the circle's
+    length, then a ``(code, bit)`` pair per arrow in the walk's order.  Labels
+    are coded by first appearance; a label's first emission has bit 0 and
+    fixes its heading, the second emits whether its heading differs.  The
+    first emission of a label queues its mate's circle, entered at the mate
+    in the direction that gives the mate the first emission's heading.
+    Returns ``(code, order, codes, headings)``: the circles as walked, the
+    label coding and each label's first-emission heading.
     """
-    k = len(circ)
-    seg = [k]
-    codes = dict(codes)
-    headings = dict(headings)
-    for step in range(k):
-        p = (start + step * direction) % k
-        occ = circ[p]
-        h = occ.forward if direction == 1 else not occ.forward
-        if occ.label not in codes:
-            codes[occ.label] = counter
-            counter += 1
-            headings[occ.label] = h
-            seg.append((codes[occ.label], 0))
-        else:
-            seg.append((codes[occ.label], 0 if h == headings[occ.label] else 1))
-    return tuple(seg), codes, headings, counter
+    code: list = []
+    tied = best is not None
+    order: list = []
+    codes: dict = {}
+    headings: dict = {}
+    visited = set()
+    queue = [root]
+    for c, start, direction in queue:
+        if c in visited:
+            continue
+        visited.add(c)
+        order.append((c, start, direction))
+        circ = circles[c]
+        k = len(circ)
+        items = [k]
+        for step in range(k):
+            p = (start + step * direction) % k
+            label, forward = circ[p]
+            h = forward == (direction == 1)
+            x = codes.get(label)
+            if x is None:
+                x = codes[label] = len(codes)
+                headings[label] = h
+                items.append((x, 0))
+                mc, mp = mates[c][p]
+                if mc not in visited:
+                    queue.append((mc, mp, 1 if circles[mc][mp].forward == h else -1))
+            else:
+                items.append((x, 0 if h == headings[label] else 1))
+        if tied:
+            n = len(code)
+            segment = best[n:n + len(items)]
+            items = tuple(items)
+            if items > segment:
+                return None
+            tied = items == segment
+        code += items
+    return tuple(code), order, codes, headings
 
 
-def _canonical_search(ap: ArrowPresentation):
-    """All optimal traversal choices producing the minimal encoding.
+def _component_codes(ap: ArrowPresentation):
+    """Each connected component of the nonempty circles with its least walk
+    and the walks achieving it, sorted by code.
 
-    Returns ``(encoding, transforms)`` where each transform is the list of
-    ``(old circle, start, direction)`` choices in canonical circle order,
-    together with the final label coding.
+    A component's walks all have the same length, and only roots on its
+    shortest circles can start a least one.
     """
-    nonempty = [ci for ci, circ in enumerate(ap.circles) if circ]
-    best: dict = {"enc": None, "transforms": []}
-
-    def rec(used, prefix, codes, headings, counter, order):
-        if best["enc"] is not None:
-            limit = min(len(prefix), len(best["enc"]))
-            if tuple(prefix[:limit]) > best["enc"][:limit]:
-                return
-        if len(used) == len(nonempty):
-            enc = tuple(prefix)
-            if best["enc"] is None or enc < best["enc"]:
-                best["enc"] = enc
-                best["transforms"] = [(tuple(order), dict(codes), dict(headings))]
-            elif enc == best["enc"]:
-                best["transforms"].append((tuple(order), dict(codes), dict(headings)))
-            return
-        candidates = []
-        for ci in nonempty:
-            if ci in used:
+    places = _occurrence_index(ap)
+    circles = ap.circles
+    mates = [[None] * len(circ) for circ in circles]
+    parent: dict = {}
+    for a, b in places.values():
+        mates[a[0]][a[1]] = b
+        mates[b[0]][b[1]] = a
+        ra, rb = find(parent, a[0]), find(parent, b[0])
+        if ra != rb:
+            parent[rb] = ra
+    members: dict = {}
+    for c, circ in enumerate(circles):
+        if circ:
+            members.setdefault(find(parent, c), []).append(c)
+    result = []
+    for comp in members.values():
+        shortest = min(len(circles[c]) for c in comp)
+        best, walks = None, []
+        for c in comp:
+            if len(circles[c]) != shortest:
                 continue
-            circ = ap.circles[ci]
-            for start in range(len(circ)):
+            for start in range(shortest):
                 for direction in (1, -1):
-                    seg, c2, h2, n2 = _encode_candidate(
-                        circ, start, direction, codes, headings, counter
-                    )
-                    candidates.append((seg, ci, start, direction, c2, h2, n2))
-        best_seg = min(c[0] for c in candidates)
-        for seg, ci, start, direction, c2, h2, n2 in candidates:
-            if seg != best_seg:
-                continue
-            rec(
-                used | {ci},
-                prefix + list(seg),
-                c2,
-                h2,
-                n2,
-                order + [(ci, start, direction)],
-            )
+                    walk = _walk(circles, mates, (c, start, direction), best)
+                    if walk is None:
+                        continue
+                    if best is None or walk[0] < best:
+                        best, walks = walk[0], [walk[1:]]
+                    else:
+                        walks.append(walk[1:])
+        result.append((best, walks))
+    result.sort(key=lambda entry: entry[0])
+    return result
 
-    rec(frozenset(), [], {}, {}, 0, [])
-    return best["enc"] or (), best["transforms"] or [((), {}, {})]
+
+def _encoding(components):
+    """The presentation's code: the sorted component codes, each
+    component's label codes offset past those of the components before it."""
+    enc: list = []
+    offset = 0
+    for code, walks in components:
+        enc += [item if type(item) is int else (item[0] + offset, item[1]) for item in code]
+        offset += len(walks[0][1])
+    return tuple(enc)
+
+
+def _transforms(components):
+    """Every combination of each component's least walks with every order of
+    the components sharing a code, as ``(order, codes, headings)``."""
+    runs: list = []
+    for code, walks in components:
+        if runs and runs[-1][0] == code:
+            runs[-1][1].append(walks)
+        else:
+            runs.append((code, [walks]))
+    total = 1
+    for _, comps in runs:
+        total *= math.factorial(len(comps))
+        for walks in comps:
+            total *= len(walks)
+    if total > _TRANSFORM_CAP:
+        raise SizeLimitExceeded(
+            f"{total} canonical arrangements exceed cap {_TRANSFORM_CAP}"
+        )
+    choices = [
+        [chosen for perm in permutations(comps) for chosen in product(*perm)]
+        for _, comps in runs
+    ]
+    for combo in product(*choices):
+        order: list = []
+        codes: dict = {}
+        headings: dict = {}
+        for run in combo:
+            for walk_order, walk_codes, walk_headings in run:
+                offset = len(codes)
+                order += walk_order
+                codes.update((label, x + offset) for label, x in walk_codes.items())
+                headings.update(walk_headings)
+        yield tuple(order), codes, headings
 
 
 def _rebuild_from_encoding(enc, empty_count):
@@ -861,29 +938,35 @@ def _rebuild_from_encoding(enc, empty_count):
 
 
 def canonical_form(ap: ArrowPresentation, cap: Optional[int] = None) -> ArrowPresentation:
-    """Lexicographically least presentation in the equivalence class of ``ap``.
+    """Least presentation over roots in the equivalence class of ``ap``.
 
     Quotients by circle order, rotation, reflection, simultaneous reversal of
-    the two arrows of any edge, and relabelling by first appearance.  Two
-    presentations are equivalent iff their canonical forms are equal.
+    the two arrows of any edge, and relabelling by first appearance.  Each
+    connected component is coded by its least rooted walk (a root is a
+    circle, a start arrow and a direction); the form lists the components by
+    code, then the empty circles.  Two presentations are equivalent iff their
+    canonical forms are equal.
     """
-    check_edge_cap(len(ap.edges), 8, "canonical form", cap)
-    enc, _ = _canonical_search(ap)
+    check_edge_cap(len(ap.edges), 16, "canonical form", cap)
     empty = sum(1 for circ in ap.circles if not circ)
-    return _rebuild_from_encoding(enc, empty)[0]
+    return _rebuild_from_encoding(_encoding(_component_codes(ap)), empty)[0]
 
 
 def canonical_transforms(ap: ArrowPresentation, cap: Optional[int] = None):
-    """Canonical form plus every optimal traversal achieving it.
+    """Canonical form (least over roots) plus every traversal achieving it.
 
-    Each transform is ``(order, codes, headings)``: the circle traversal
-    choices, the label coding, and each label's first-emission heading.  A
+    Returns ``(form, transforms, offsets)``.  ``transforms`` is an iterator,
+    to be consumed once, over ``(order, codes, headings)``: the circle
+    traversal choices ``(old circle, start, direction)`` in canonical circle
+    order, the label coding, and each label's first-emission heading.  A
     label whose first emission ran against its arrow (heading ``False``) has
-    both arrows reversed in the canonical form, which swaps its tail and
-    head slots.
+    both arrows reversed in the form, which swaps its tail and head slots.
+    More than 100,000 transforms raise :class:`SizeLimitExceeded` when
+    iteration starts.  ``offsets`` gives, per canonical circle, the rotation
+    applied to store it rotation-least.
     """
-    check_edge_cap(len(ap.edges), 8, "canonical form", cap)
-    enc, transforms = _canonical_search(ap)
+    check_edge_cap(len(ap.edges), 16, "canonical form", cap)
+    components = _component_codes(ap)
     empty = sum(1 for circ in ap.circles if not circ)
-    canon, offsets = _rebuild_from_encoding(enc, empty)
-    return canon, transforms, offsets
+    canon, offsets = _rebuild_from_encoding(_encoding(components), empty)
+    return canon, _transforms(components), offsets

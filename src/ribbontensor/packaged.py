@@ -33,6 +33,7 @@ from .arrow import (
     canonical_transforms,
     edge_op_traced,
     edge_surgery,
+    find,
     two_sum_traced,
     validate,
 )
@@ -453,56 +454,144 @@ def _empty_circle_groups(pg: PackagedPresentation, bare_to_bd: Mapping[int, int]
     return list(groups.values())
 
 
+def _empty_circle_pieces(pg: PackagedPresentation, old):
+    """The empty circles of ``pg`` linked into pieces by the blocks they share.
+
+    Two empty circles share a piece when they share a vertex block or their
+    bare boundaries share a boundary block.  Returns ``(anchored, free)``:
+    the set of empty circles in pieces whose blocks also hold a nonempty
+    circle or a token boundary, and the other pieces, each as ``(circles,
+    vertex blocks, boundary blocks)`` with the blocks it alone touches.
+    """
+    circles = pg.ap.circles
+    if all(circles):
+        return set(), []
+    parent: dict = {}
+    linked = []  # (block, is vertex block, its empty circles, anchored)
+    for blocks, vertex in ((pg.vparts.blocks, True), (pg.bparts.blocks, False)):
+        for blk in blocks:
+            if vertex:
+                empties = [c for c in blk if not circles[c]]
+            else:
+                empties = [old.components[b].circle for b in blk]
+                empties = [c for c in empties if c is not None]
+            if not empties:
+                continue
+            root = find(parent, empties[0])
+            for c in empties[1:]:
+                other = find(parent, c)
+                if other != root:
+                    parent[other] = root
+            linked.append((blk, vertex, empties[0], len(empties) < len(blk)))
+    pieces: dict = {}
+    for c, circ in enumerate(circles):
+        if not circ:
+            pieces.setdefault(find(parent, c), ([], [], []))[0].append(c)
+    anchored_roots = set()
+    for blk, vertex, member, anchored in linked:
+        root = find(parent, member)
+        pieces[root][1 if vertex else 2].append(blk)
+        if anchored:
+            anchored_roots.add(root)
+    anchored = {c for root in anchored_roots for c in pieces[root][0]}
+    free = [piece for root, piece in pieces.items() if root not in anchored_roots]
+    return anchored, free
+
+
+def _restricted(groups, members) -> list:
+    return [g for g in ([c for c in group if c in members] for group in groups) if g]
+
+
+def _piece_code(piece, groups, bare_to_bd):
+    """The least ``(vertex blocks, boundary blocks)`` of a free piece over
+    the arrangements of its circles, in ids local to the piece."""
+    circles, vblocks, bblocks = piece
+    bd_circle = {bare_to_bd[c]: c for c in circles}
+    best = None
+    for arrangement in _unique_orderings(_restricted(groups, set(circles))):
+        slot = {c: i for i, c in enumerate(arrangement)}
+        code = (
+            tuple(sorted(tuple(sorted(slot[c] for c in blk)) for blk in vblocks)),
+            tuple(sorted(tuple(sorted(slot[bd_circle[b]] for b in blk)) for blk in bblocks)),
+        )
+        if best is None or code < best:
+            best = code
+    return best
+
+
 def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> PackagedPresentation:
     """Canonical form of a packaged presentation.
 
-    Minimises the arrow-presentation encoding first, then the induced vertex
-    and boundary partition encodings over every traversal achieving it.  Two
-    packaged presentations are equal up to equivalence iff their canonical
-    forms are identical.
+    Takes the canonical arrow presentation, then the least vertex and
+    boundary partition encodings over every traversal achieving it.  Empty
+    circles whose blocks hold nothing else (free pieces, see
+    :func:`_empty_circle_pieces`) go last, ordered by their own least
+    encoding; the others are tried in every arrangement of their
+    interchangeable groups.  Two packaged presentations are equal up to
+    equivalence iff their canonical forms are identical.
     """
     canon_ap, transforms, rebuild_offsets = canonical_transforms(pg.ap, cap=cap)
-    old = boundary_trace(pg.ap)
     new = boundary_trace(canon_ap)
-    nonempty_count = sum(1 for c in canon_ap.circles if c)
+    n_circles, n_bds = len(canon_ap.circles), len(new.components)
+    if len(pg.vparts.blocks) == n_circles and len(pg.bparts.blocks) == n_bds:
+        return PackagedPresentation(
+            canon_ap, Partition.make(None, range(n_circles)), Partition.make(None, range(n_bds))
+        )
+    circles = pg.ap.circles
+    old = boundary_trace(pg.ap)
     groups = _empty_circle_groups(pg, old.bare_to_bd)
+    anchored, free = _empty_circle_pieces(pg, old)
+    anchored_groups = _restricted(groups, anchored)
+
+    # Canonical circles are the nonempty ones, then the anchored empty
+    # circles, then the free pieces; bare boundaries follow the token ones
+    # in the same order.
+    n_nonempty = sum(1 for circ in canon_ap.circles if circ)
+    n_tokens = n_bds - (n_circles - n_nonempty)
+    slot = len(anchored)
+    free_v, free_b = [], []
+    for code in sorted(_piece_code(piece, groups, old.bare_to_bd) for piece in free):
+        venc, benc = code
+        free_v += [tuple(n_nonempty + slot + i for i in blk) for blk in venc]
+        free_b += [tuple(n_tokens + slot + i for i in blk) for blk in benc]
+        slot += sum(len(blk) for blk in venc)
+    free_vblocks = {blk for piece in free for blk in piece[1]}
+    free_bblocks = {blk for piece in free for blk in piece[2]}
+    vblocks = [blk for blk in pg.vparts.blocks if blk not in free_vblocks]
+    bblocks = [blk for blk in pg.bparts.blocks if blk not in free_bblocks]
+
+    # Each token boundary is followed from its first crossing.
+    firsts = []
+    for bd in old.components:
+        if bd.circle is None:
+            c, p, s = old.endpoint(bd.crossings[0])
+            firsts.append((bd.id, c, p, s, circles[c][p].label))
+    bare_bd = old.bare_to_bd
 
     best = None
     for order, _codes, headings in transforms:
-        circle_map = {ci: idx for idx, (ci, _, _) in enumerate(order)}
-        pos_map = {}
-        for idx, (ci, start, direction) in enumerate(order):
-            k = len(pg.ap.circles[ci])
-            for p in range(k):
-                newp = (p - start) % k if direction == 1 else (start - p) % k
-                pos_map[(ci, p)] = (idx, (newp - rebuild_offsets[idx]) % k)
-        # A label first emitted against its arrow is reversed in the
-        # canonical form, swapping its tail/head slots.
-        flipped = {label: not h for label, h in headings.items()}
-        for arrangement in _unique_orderings(groups):
-            cmap = dict(circle_map)
-            for slot, ci in enumerate(arrangement):
-                cmap[ci] = nonempty_count + slot
-            bd_map = {}
-            for bd in old.components:
-                if bd.circle is not None:
-                    bd_map[bd.id] = new.bare_to_bd[cmap[bd.circle]]
-                else:
-                    c, p, s = old.endpoint(bd.crossings[0])
-                    if flipped[pg.ap.circles[c][p].label]:
-                        s = 1 - s
-                    bd_map[bd.id] = new.boundary_at(*pos_map[(c, p)], s)
-            venc = tuple(
-                sorted(tuple(sorted(cmap[x] for x in blk)) for blk in pg.vparts.blocks)
-            )
-            benc = tuple(
-                sorted(tuple(sorted(bd_map[x] for x in blk)) for blk in pg.bparts.blocks)
-            )
+        place = {c: (idx, start, direction) for idx, (c, start, direction) in enumerate(order)}
+        cmap = {c: idx for idx, (c, _, _) in enumerate(order)}
+        bd_map = {}
+        for bid, c, p, s, label in firsts:
+            idx, start, direction = place[c]
+            newp = ((p - start) * direction - rebuild_offsets[idx]) % len(circles[c])
+            # a label first emitted against its arrow is reversed in the
+            # canonical form, swapping its tail and head slots
+            bd_map[bid] = new.boundary_at(idx, newp, s ^ (not headings[label]))
+        for arrangement in _unique_orderings(anchored_groups):
+            for i, c in enumerate(arrangement):
+                cmap[c] = n_nonempty + i
+                bd_map[bare_bd[c]] = n_tokens + i
+            venc = tuple(sorted(free_v + [tuple(sorted(cmap[x] for x in blk)) for blk in vblocks]))
+            if best is not None and venc > best[0]:
+                continue
+            benc = tuple(sorted(free_b + [tuple(sorted(bd_map[x] for x in blk)) for blk in bblocks]))
             if best is None or (venc, benc) < best:
                 best = (venc, benc)
     venc, benc = best
     return PackagedPresentation(
         canon_ap,
-        Partition.make(venc, range(len(canon_ap.circles))),
-        Partition.make(benc, range(len(new.components))),
+        Partition.make(venc, range(n_circles)),
+        Partition.make(benc, range(n_bds)),
     )

@@ -1,0 +1,149 @@
+"""The greedy backtracking canonical form and the packaged loop over its
+transforms, kept as the reference the rooted-walk forms are tested against.
+
+Forms from the two differ as presentations; only the equivalence they
+induce must agree.
+"""
+
+from ribbontensor.arrow import _rebuild_from_encoding, boundary_trace, check_edge_cap
+from ribbontensor.packaged import (
+    PackagedPresentation,
+    Partition,
+    _empty_circle_groups,
+    _unique_orderings,
+)
+
+
+def _encode_candidate(circ, start, direction, codes, headings, counter):
+    """Encode one traversal of a circle under the running label coding.
+
+    Returns ``(segment, codes', headings', counter')``.  Labels are coded by
+    first appearance; the first emission of a label is normalised to heading
+    bit 0, the second emits whether its heading (relative to the chosen
+    traversal directions) differs from the first.
+    """
+    k = len(circ)
+    seg = [k]
+    codes = dict(codes)
+    headings = dict(headings)
+    for step in range(k):
+        p = (start + step * direction) % k
+        occ = circ[p]
+        h = occ.forward if direction == 1 else not occ.forward
+        if occ.label not in codes:
+            codes[occ.label] = counter
+            counter += 1
+            headings[occ.label] = h
+            seg.append((codes[occ.label], 0))
+        else:
+            seg.append((codes[occ.label], 0 if h == headings[occ.label] else 1))
+    return tuple(seg), codes, headings, counter
+
+
+def canonical_search(ap):
+    """All optimal traversal choices producing the minimal encoding.
+
+    Returns ``(encoding, transforms)`` where each transform is the list of
+    ``(old circle, start, direction)`` choices in canonical circle order,
+    together with the final label coding.
+    """
+    nonempty = [ci for ci, circ in enumerate(ap.circles) if circ]
+    best: dict = {"enc": None, "transforms": []}
+
+    def rec(used, prefix, codes, headings, counter, order):
+        if best["enc"] is not None:
+            limit = min(len(prefix), len(best["enc"]))
+            if tuple(prefix[:limit]) > best["enc"][:limit]:
+                return
+        if len(used) == len(nonempty):
+            enc = tuple(prefix)
+            if best["enc"] is None or enc < best["enc"]:
+                best["enc"] = enc
+                best["transforms"] = [(tuple(order), dict(codes), dict(headings))]
+            elif enc == best["enc"]:
+                best["transforms"].append((tuple(order), dict(codes), dict(headings)))
+            return
+        candidates = []
+        for ci in nonempty:
+            if ci in used:
+                continue
+            circ = ap.circles[ci]
+            for start in range(len(circ)):
+                for direction in (1, -1):
+                    seg, c2, h2, n2 = _encode_candidate(
+                        circ, start, direction, codes, headings, counter
+                    )
+                    candidates.append((seg, ci, start, direction, c2, h2, n2))
+        best_seg = min(c[0] for c in candidates)
+        for seg, ci, start, direction, c2, h2, n2 in candidates:
+            if seg != best_seg:
+                continue
+            rec(
+                used | {ci},
+                prefix + list(seg),
+                c2,
+                h2,
+                n2,
+                order + [(ci, start, direction)],
+            )
+
+    rec(frozenset(), [], {}, {}, 0, [])
+    return best["enc"] or (), best["transforms"] or [((), {}, {})]
+
+
+def reference_canonical_form(ap):
+    check_edge_cap(len(ap.edges), 8, "canonical form")
+    enc, _ = canonical_search(ap)
+    empty = sum(1 for circ in ap.circles if not circ)
+    return _rebuild_from_encoding(enc, empty)[0]
+
+
+def reference_canonical_packaged(pg):
+    check_edge_cap(len(pg.ap.edges), 8, "canonical form")
+    enc, transforms = canonical_search(pg.ap)
+    empty = sum(1 for circ in pg.ap.circles if not circ)
+    canon_ap, rebuild_offsets = _rebuild_from_encoding(enc, empty)
+    old = boundary_trace(pg.ap)
+    new = boundary_trace(canon_ap)
+    nonempty_count = sum(1 for c in canon_ap.circles if c)
+    groups = _empty_circle_groups(pg, old.bare_to_bd)
+
+    best = None
+    for order, _codes, headings in transforms:
+        circle_map = {ci: idx for idx, (ci, _, _) in enumerate(order)}
+        pos_map = {}
+        for idx, (ci, start, direction) in enumerate(order):
+            k = len(pg.ap.circles[ci])
+            for p in range(k):
+                newp = (p - start) % k if direction == 1 else (start - p) % k
+                pos_map[(ci, p)] = (idx, (newp - rebuild_offsets[idx]) % k)
+        # A label first emitted against its arrow is reversed in the
+        # canonical form, swapping its tail/head slots.
+        flipped = {label: not h for label, h in headings.items()}
+        for arrangement in _unique_orderings(groups):
+            cmap = dict(circle_map)
+            for slot, ci in enumerate(arrangement):
+                cmap[ci] = nonempty_count + slot
+            bd_map = {}
+            for bd in old.components:
+                if bd.circle is not None:
+                    bd_map[bd.id] = new.bare_to_bd[cmap[bd.circle]]
+                else:
+                    c, p, s = old.endpoint(bd.crossings[0])
+                    if flipped[pg.ap.circles[c][p].label]:
+                        s = 1 - s
+                    bd_map[bd.id] = new.boundary_at(*pos_map[(c, p)], s)
+            venc = tuple(
+                sorted(tuple(sorted(cmap[x] for x in blk)) for blk in pg.vparts.blocks)
+            )
+            benc = tuple(
+                sorted(tuple(sorted(bd_map[x] for x in blk)) for blk in pg.bparts.blocks)
+            )
+            if best is None or (venc, benc) < best:
+                best = (venc, benc)
+    venc, benc = best
+    return PackagedPresentation(
+        canon_ap,
+        Partition.make(venc, range(len(canon_ap.circles))),
+        Partition.make(benc, range(len(new.components))),
+    )

@@ -1,9 +1,15 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
 
 from hypothesis import strategies as st
 
-from ribbontensor.arrow import ArrowPresentation, boundary_components
-from ribbontensor.packaged import make_packaged
+from ribbontensor.arrow import (
+    ArrowPresentation,
+    Occ,
+    _rotmin,
+    boundary_components,
+    boundary_trace,
+)
+from ribbontensor.packaged import PackagedPresentation, Partition, make_packaged
 
 
 @st.composite
@@ -54,4 +60,55 @@ def packaged_with_empty_circles(draw, max_edges=3, max_empty=6):
         return make_packaged(ap)
     return make_packaged(
         ap, _blocks(draw, len(ap.circles)), _blocks(draw, len(boundary_components(ap)))
+    )
+
+
+def symmetry_image(pg, rng):
+    """A random image of ``pg`` under the equivalence moves (circle
+    permutation, rotations, reflections, flipping both arrows of an edge,
+    relabelling), with both partitions carried through it by matching
+    endpoints."""
+    n = len(pg.ap.circles)
+    perm = list(range(n))
+    rng.shuffle(perm)  # old circle i becomes image circle perm[i]
+    flips = {label for label in sorted(pg.ap.edges) if rng.random() < 0.5}
+    rename = {label: f"r{label}" for label in sorted(pg.ap.edges) if rng.random() < 0.5}
+    raw = [None] * n
+    where = {}  # old (circle, position) -> position on the raw image circle
+    for ci, circ in enumerate(pg.ap.circles):
+        k = len(circ)
+        rot = rng.randrange(k) if k else 0
+        reflect = rng.random() < 0.5
+        occs = []
+        for newp in range(k):
+            p = (rot - newp) % k if reflect else (rot + newp) % k
+            label, forward = circ[p]
+            occs.append(Occ(rename.get(label, label), forward ^ reflect ^ (label in flips)))
+            where[(ci, p)] = newp
+        raw[perm[ci]] = occs
+    image_ap = ArrowPresentation.from_circles(raw)
+    # from_circles stores each circle rotation-least
+    offsets = [_rotmin(tuple(circ))[1] for circ in raw]
+    old, new = boundary_trace(pg.ap), boundary_trace(image_ap)
+
+    def image_of(bd):
+        if bd.circle is not None:
+            return new.bare_to_bd[perm[bd.circle]]
+        c, p, s = old.endpoint(bd.crossings[0])
+        nc = perm[c]
+        newp = (where[(c, p)] - offsets[nc]) % len(raw[nc])
+        # flipping an edge's arrows swaps their tail and head slots
+        return new.boundary_at(nc, newp, 1 - s if pg.ap.circles[c][p].label in flips else s)
+
+    bd_map = {bd.id: image_of(bd) for bd in old.components}
+    return PackagedPresentation(
+        image_ap,
+        Partition(
+            frozenset(frozenset(perm[x] for x in b) for b in pg.vparts.blocks),
+            frozenset(range(n)),
+        ),
+        Partition(
+            frozenset(frozenset(bd_map[x] for x in b) for b in pg.bparts.blocks),
+            frozenset(range(len(new.components))),
+        ),
     )

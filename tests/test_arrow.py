@@ -32,6 +32,7 @@ from ribbontensor.arrow import (
     contract_edge,
     delete_edge,
     edge_cap,
+    edge_surgery,
     find,
     penrose_contract_edge,
     surface_stats,
@@ -403,6 +404,27 @@ def test_delete_keeps_circles_and_registry():
     assert out.edges == frozenset()
 
 
+@settings(deadline=None, max_examples=200)
+@given(presentations(1, 6), st.data())
+def test_delete_matches_rebuilding_every_circle(p, data):
+    # The deletion rebuilds only the circles holding e's arrows; rebuilding
+    # every circle, as it once did, must give the same presentation and
+    # arrow map.
+    e = data.draw(st.sampled_from(sorted(p.edges)))
+    removed = set(p.occurrences(e))
+    circles, occ_map = [], {}
+    for ci, circ in enumerate(p.circles):
+        kept_positions = [q for q in range(len(circ)) if (ci, q) not in removed]
+        normalized, offset = _rotmin([circ[q] for q in kept_positions])
+        for slot, q in enumerate(kept_positions):
+            occ_map[(ci, q)] = (ci, (slot - offset) % len(kept_positions))
+        circles.append(normalized)
+    out, trace = edge_surgery(p, e, "delete")
+    assert out == ArrowPresentation(tuple(circles), p.edges - {e})
+    assert trace.occ_map == occ_map
+    assert trace.circle_map == {ci: ci for ci in range(len(p.circles))}
+
+
 def test_unknown_edge():
     for op in (delete_edge, contract_edge, penrose_contract_edge):
         with pytest.raises(UnknownEdge):
@@ -484,7 +506,7 @@ def test_canonical_form_distinguishes_loop_types():
 def test_canonical_form_idempotent_and_symmetry_invariant():
     rng = random.Random(6)
     for _ in range(40):
-        p = random_presentation(rng, max_edges=4)
+        p = random_presentation(rng, max_edges=8)
         c = canonical_form(p)
         assert canonical_form(c) == c
         # random symmetry image: permute circles, rotate, reflect, flip edges
@@ -512,15 +534,15 @@ def test_canonical_form_idempotent_and_symmetry_invariant():
 
 
 def test_canonical_form_edge_cap():
-    circles = [[(f"e{i}", True) for i in range(9)], [(f"e{i}", True) for i in range(9)]]
+    circles = [[(f"e{i}", True) for i in range(17)], [(f"e{i}", True) for i in range(17)]]
     with pytest.raises(SizeLimitExceeded):
         canonical_form(ArrowPresentation.from_circles(circles))
 
 
 def test_edge_cap_env_override(monkeypatch):
-    circles = [[(f"e{i}", True) for i in range(9)], [(f"e{i}", True) for i in range(9)]]
+    circles = [[(f"e{i}", True) for i in range(17)], [(f"e{i}", True) for i in range(17)]]
     big = ArrowPresentation.from_circles(circles)
-    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "9")
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "17")
     canonical_form(big)  # allowed under the raised cap
     monkeypatch.delenv("RIBBONTENSOR_EDGE_CAP")
     with pytest.raises(SizeLimitExceeded):

@@ -14,7 +14,7 @@ from ribbontensor import arrow, packaged
 from ribbontensor.arrow import (
     ArrowPresentation,
     boundary_components,
-    boundary_trace,
+    canonical_form,
     find,
     surface_stats,
 )
@@ -23,6 +23,7 @@ from ribbontensor.errors import (
     MissingFactor,
     PartitionCoverError,
     PartitionOverlapError,
+    SizeLimitExceeded,
     UnknownEdge,
 )
 from ribbontensor.files import dumps_presentation, loads_presentation
@@ -41,7 +42,12 @@ from ribbontensor.packaged import (
     uniform_tensor,
 )
 from ribbontensor.randgen import random_packaged
-from strategies import packaged_presentations, packaged_with_empty_circles
+from canonical_reference import reference_canonical_form, reference_canonical_packaged
+from strategies import (
+    packaged_presentations,
+    packaged_with_empty_circles,
+    symmetry_image,
+)
 
 K1, K2, K3, K4, K5 = k_presentations()
 KINDS = (
@@ -431,70 +437,32 @@ def test_canonical_packaged_invariant_under_symmetries():
     # reflections, per-edge arrow flips, relabelling), transport the
     # partitions through it by token matching, and demand equal canonicals
     rng = random.Random(27)
-    from ribbontensor.arrow import Occ
-
     for _ in range(60):
         pg = random_packaged(rng, max_edges=4, min_edges=0)
-        n = len(pg.ap.circles)
-        perm = list(range(n))
-        rng.shuffle(perm)  # image position of old circle i is perm[i]
-        flips = {l for l in pg.ap.edges if rng.random() < 0.5}
-        rename = {l: f"r{l}" for l in pg.ap.edges if rng.random() < 0.5}
-        image_circles = [None] * n
-        token_map = {}
-        for ci, circ in enumerate(pg.ap.circles):
-            k = len(circ)
-            rot = rng.randrange(k) if k else 0
-            reflect = rng.random() < 0.5
-            occs = []
-            for newp in range(k):
-                p = (rot - newp) % k if reflect else (rot + newp) % k
-                occ = circ[p]
-                forward = occ.forward ^ reflect ^ (occ.label in flips)
-                occs.append(Occ(rename.get(occ.label, occ.label), forward))
-                swap_slots = occ.label in flips
-                for s in (0, 1):
-                    token_map[(ci, p, s)] = (perm[ci], newp, (1 - s) if swap_slots else s)
-            image_circles[perm[ci]] = occs
-        image_ap = ArrowPresentation.from_circles(image_circles)
-        # from_circles renormalises rotations: recover each circle's offset
-        from ribbontensor.arrow import _rotmin
+        assert canonical_packaged(symmetry_image(pg, rng)) == canonical_packaged(pg)
 
-        for ci, circ in enumerate(pg.ap.circles):
-            raw = image_circles[perm[ci]]
-            _, off = _rotmin(tuple(raw))
-            k = len(raw)
-            for p in range(k):
-                for s in (0, 1):
-                    nc, np_, ns = token_map[(ci, p, s)]
-                    token_map[(ci, p, s)] = (nc, (np_ - off) % k, ns)
-        old_trace = boundary_trace(pg.ap)
-        new_trace = boundary_trace(image_ap)
-        new_bds = new_trace.components
-        new_index = {}
-        for bd in new_bds:
-            if bd.circle is not None:
-                new_index[("bare", bd.circle)] = bd.id
-            for t in bd.crossings:
-                new_index[new_trace.endpoint(t)] = bd.id
-        bd_map = {}
-        for bd in old_trace.components:
-            if bd.circle is not None:
-                bd_map[bd.id] = new_index[("bare", perm[bd.circle])]
-            else:
-                bd_map[bd.id] = new_index[token_map[old_trace.endpoint(bd.crossings[0])]]
-        image = PackagedPresentation(
-            image_ap,
-            Partition(
-                frozenset(frozenset(perm[x] for x in b) for b in pg.vparts.blocks),
-                frozenset(range(n)),
-            ),
-            Partition(
-                frozenset(frozenset(bd_map[x] for x in b) for b in pg.bparts.blocks),
-                frozenset(range(len(new_bds))),
-            ),
-        )
-        assert canonical_packaged(image) == canonical_packaged(pg)
+
+@st.composite
+def canonical_pairs(draw):
+    """Two packaged presentations of up to 7 edges with empty circles, under
+    singleton or random partitions: a presentation and a random symmetry
+    image of it, or two independent draws."""
+    p = draw(packaged_with_empty_circles(max_edges=7, max_empty=5))
+    if draw(st.booleans()):
+        return p, symmetry_image(p, draw(st.randoms(use_true_random=False)))
+    return p, draw(packaged_with_empty_circles(max_edges=7, max_empty=5))
+
+
+@settings(deadline=None, max_examples=150)
+@given(canonical_pairs())
+def test_canonical_forms_agree_with_the_backtracking_reference(pair):
+    p, q = pair
+    assert (canonical_form(p.ap) == canonical_form(q.ap)) == (
+        reference_canonical_form(p.ap) == reference_canonical_form(q.ap)
+    )
+    assert (canonical_packaged(p) == canonical_packaged(q)) == (
+        reference_canonical_packaged(p) == reference_canonical_packaged(q)
+    )
 
 
 def _grouped_by_blocks(pg, bare_to_bd):
@@ -532,6 +500,36 @@ def test_many_bare_circles_canonicalise_quickly(vblocks):
     assert elapsed < 0.05, f"{elapsed:.3f} s"
     assert sum(not circ for circ in canon.ap.circles) == 12
     assert canon.vparts == Partition.make(vblocks, range(14))
+
+
+@pytest.mark.parametrize("side", ["vertex", "boundary"])
+def test_empty_circles_in_shared_blocks_canonicalise_quickly(side):
+    # a loop (two token boundaries) and 10 empty circles paired up in five
+    # two-member blocks: 113,400 orders of the empty circles, but the pairs
+    # are pieces that move as wholes
+    loop = ArrowPresentation.from_circles([[("e", True), ("e", True)]] + [[]] * 10)
+    pairs = [[2 * i + 1, 2 * i + 2] for i in range(5)]
+    if side == "vertex":
+        pg = make_packaged(loop, [[0]] + pairs)
+    else:
+        pg = make_packaged(loop, None, [[0], [1]] + [[b + 1 for b in pair] for pair in pairs])
+    t0 = time.perf_counter()
+    canon = canonical_packaged(pg)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.05, f"{elapsed:.3f} s"
+    rng = random.Random(28)
+    for _ in range(5):
+        assert canonical_packaged(symmetry_image(pg, rng)) == canon
+
+
+def test_transform_cap_applies_only_when_transforms_are_needed():
+    # seven equal one-edge components: 7! * 4^7 combinations of least walks
+    # and component orders
+    ap = ArrowPresentation.from_circles([[(f"e{i}", True)] for i in range(7) for _ in range(2)])
+    assert len(canonical_form(ap).circles) == 14
+    assert canonical_packaged(make_packaged(ap)).ap == canonical_form(ap)
+    with pytest.raises(SizeLimitExceeded, match="exceed cap 100000"):
+        canonical_packaged(make_packaged(ap, [[0, 1]] + [[i] for i in range(2, 14)]))
 
 
 def test_surgery_cache_bytes_per_entry():
