@@ -757,15 +757,19 @@ def edge_cap(default: int) -> int:
     return cap
 
 
-def check_edge_cap(n: int, default: int, what: str, cap: Optional[int] = None) -> None:
-    """Refuse ``n`` edges beyond ``cap``, or beyond ``edge_cap(default)`` when
-    ``cap`` is ``None``, with :class:`SizeLimitExceeded` naming ``what``."""
-    cap = edge_cap(default) if cap is None else cap
+def check_edge_cap(n: int, default: int, what: str) -> None:
+    """Refuse ``n`` edges beyond ``edge_cap(default)`` with
+    :class:`SizeLimitExceeded` naming ``what``."""
+    cap = edge_cap(default)
     if n > cap:
         raise SizeLimitExceeded(f"{what} capped at {cap} edges, got {n}")
 
 
-_TRANSFORM_CAP = 100000
+def check_arrangements(total: int, what: str) -> None:
+    """Refuse more than 100,000 ``what`` arrangements to try with
+    :class:`SizeLimitExceeded`; unlike the edge caps, no setting moves it."""
+    if total > 100000:
+        raise SizeLimitExceeded(f"{total} {what} arrangements exceed cap 100000")
 
 
 def _walk(circles, mates, root, best):
@@ -888,10 +892,7 @@ def _transforms(components):
         total *= math.factorial(len(comps))
         for walks in comps:
             total *= len(walks)
-    if total > _TRANSFORM_CAP:
-        raise SizeLimitExceeded(
-            f"{total} canonical arrangements exceed cap {_TRANSFORM_CAP}"
-        )
+    check_arrangements(total, "canonical")
     choices = [
         [chosen for perm in permutations(comps) for chosen in product(*perm)]
         for _, comps in runs
@@ -937,7 +938,7 @@ def _rebuild_from_encoding(enc, empty_count):
     return ap, tuple(offsets)
 
 
-def canonical_form(ap: ArrowPresentation, cap: Optional[int] = None) -> ArrowPresentation:
+def canonical_form(ap: ArrowPresentation) -> ArrowPresentation:
     """Least presentation over roots in the equivalence class of ``ap``.
 
     Quotients by circle order, rotation, reflection, simultaneous reversal of
@@ -947,12 +948,12 @@ def canonical_form(ap: ArrowPresentation, cap: Optional[int] = None) -> ArrowPre
     code, then the empty circles.  Two presentations are equivalent iff their
     canonical forms are equal.
     """
-    check_edge_cap(len(ap.edges), 16, "canonical form", cap)
+    check_edge_cap(len(ap.edges), 16, "canonical form")
     empty = sum(1 for circ in ap.circles if not circ)
     return _rebuild_from_encoding(_encoding(_component_codes(ap)), empty)[0]
 
 
-def canonical_transforms(ap: ArrowPresentation, cap: Optional[int] = None):
+def canonical_transforms(ap: ArrowPresentation):
     """Canonical form (least over roots) plus every traversal achieving it.
 
     Returns ``(form, transforms, offsets)``.  ``transforms`` is an iterator,
@@ -965,7 +966,7 @@ def canonical_transforms(ap: ArrowPresentation, cap: Optional[int] = None):
     iteration starts.  ``offsets`` gives, per canonical circle, the rotation
     applied to store it rotation-least.
     """
-    check_edge_cap(len(ap.edges), 16, "canonical form", cap)
+    check_edge_cap(len(ap.edges), 16, "canonical form")
     components = _component_codes(ap)
     empty = sum(1 for circ in ap.circles if not circ)
     canon, offsets = _rebuild_from_encoding(_encoding(components), empty)

@@ -31,6 +31,7 @@ from .arrow import (
     boundary_components,
     boundary_trace,
     canonical_transforms,
+    check_arrangements,
     edge_op_traced,
     edge_surgery,
     find,
@@ -43,7 +44,6 @@ from .errors import (
     MissingFactor,
     PartitionCoverError,
     PartitionOverlapError,
-    SizeLimitExceeded,
     UnknownEdge,
 )
 
@@ -406,7 +406,7 @@ def k_presentations():
 # canonical form of packaged presentations
 
 
-def _unique_orderings(groups, cap=100000):
+def _unique_orderings(groups):
     """Distinct arrangements of items where same-group items are
     interchangeable."""
     counts = [len(g) for g in groups]
@@ -414,8 +414,7 @@ def _unique_orderings(groups, cap=100000):
     total = math.factorial(n)
     for c in counts:
         total //= math.factorial(c)
-    if total > cap:
-        raise SizeLimitExceeded(f"{total} empty-circle arrangements exceed cap {cap}")
+    check_arrangements(total, "empty-circle")
 
     def rec(remaining):
         if not any(remaining):
@@ -519,7 +518,7 @@ def _piece_code(piece, groups, bare_to_bd):
     return best
 
 
-def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> PackagedPresentation:
+def canonical_packaged(pg: PackagedPresentation) -> PackagedPresentation:
     """Canonical form of a packaged presentation.
 
     Takes the canonical arrow presentation, then the least vertex and
@@ -530,7 +529,7 @@ def canonical_packaged(pg: PackagedPresentation, cap: Optional[int] = None) -> P
     interchangeable groups.  Two packaged presentations are equal up to
     equivalence iff their canonical forms are identical.
     """
-    canon_ap, transforms, rebuild_offsets = canonical_transforms(pg.ap, cap=cap)
+    canon_ap, transforms, rebuild_offsets = canonical_transforms(pg.ap)
     new = boundary_trace(canon_ap)
     n_circles, n_bds = len(canon_ap.circles), len(new.components)
     if len(pg.vparts.blocks) == n_circles and len(pg.bparts.blocks) == n_bds:

@@ -401,49 +401,44 @@ def q_multivariate(
     return fold_dag(dag, weights, bases)
 
 
-def q_poly(pg: PackagedPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
-    """Five-weight polynomial with the global weights a, b, c, x, y."""
-    registry = registry or standard_registry()
-    return q_multivariate(pg, WeightSystem.global_weights(registry))
+def q_poly(pg: PackagedPresentation) -> MultiPoly:
+    """Five-weight polynomial with the global weights a, b, c, x, y, over
+    the standard registry."""
+    return q_multivariate(pg, WeightSystem.global_weights(standard_registry()))
 
 
-def z_poly(pg: PackagedPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
+def z_poly(pg: PackagedPresentation) -> MultiPoly:
     """Two-weight specialisation: c = x = y = 0."""
-    registry = registry or standard_registry()
     return q_multivariate(
-        pg, WeightSystem.global_weights(registry, ("a", "b", None, None, None))
+        pg, WeightSystem.global_weights(standard_registry(), ("a", "b", None, None, None))
     )
 
 
-def zhat_poly(vg: PackagedPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
+def zhat_poly(vg: PackagedPresentation) -> MultiPoly:
     """Boundary-partition-free form of :func:`z_poly` (gamma set to 1).
 
     The attached boundary partition of ``vg`` does not influence the value.
     """
-    return z_poly(vg, registry).set_to_one("gamma")
+    return z_poly(vg).set_to_one("gamma")
 
 
-def qhat_poly(vg: PackagedPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
+def qhat_poly(vg: PackagedPresentation) -> MultiPoly:
     """Four-weight, boundary-partition-free form: y = 0 and gamma = 1."""
-    registry = registry or standard_registry()
     p = q_multivariate(
-        vg, WeightSystem.global_weights(registry, ("a", "b", "c", "x", None))
+        vg, WeightSystem.global_weights(standard_registry(), ("a", "b", "c", "x", None))
     )
     return p.set_to_one("gamma")
 
 
-def state_sum_oracle(
-    pg: PackagedPresentation,
-    w: Optional[WeightSystem] = None,
-    cap: Optional[int] = None,
-) -> MultiPoly:
+def state_sum_oracle(pg: PackagedPresentation, w: Optional[WeightSystem] = None) -> MultiPoly:
     """Direct sum over all five-colourings of the edge set.
 
     Independent of the recursion: every colouring is applied operation by
     operation (fixed label order, no stripping) and contributes its weight
     monomial times the base value of the fully resolved presentation.
+    Capped at ``edge_cap(12)`` edges.
     """
-    check_edge_cap(len(pg.ap.edges), 12, "state sum", cap)
+    check_edge_cap(len(pg.ap.edges), 12, "state sum")
     if w is None:
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
     registry = w.registry
@@ -487,6 +482,10 @@ def q_value(
     return fold_dag(dag, weights, (alpha, beta, gamma))
 
 
+# The four state-table shims, this pair and the transition pair, stay though
+# thin over resolution_dag and fold_dag: bench/tracer.py wraps all four by
+# name and reads the tables' cache_info(), and bench/workloads.py calls the
+# transition pair.
 @_capped_cache(16)
 def q_state_table(pg: PackagedPresentation):
     """The resolution DAG of ``pg`` with all five operations live.
@@ -571,12 +570,15 @@ def _spanning_table(ap: ArrowPresentation) -> tuple:
     return tuple(table)
 
 
-def mv_br_registry(ap: ArrowPresentation) -> VarRegistry:
-    return VarRegistry(("a", "c") + tuple(f"b_{l}" for l in sorted(ap.edges)))
+def mv_br_value(ap: ArrowPresentation, a, b_by_label: Mapping, c):
+    """Multivariate Bollobas-Riordan polynomial at ``a``, ``b_e``, ``c``.
 
-
-def _mv_br(ap: ArrowPresentation, a, b_by_label: Mapping, c, cap: Optional[int]):
-    check_edge_cap(len(ap.edges), 16, "subset expansion", cap)
+    Sum over spanning sub-presentations A of
+    a^{k(A)} * (prod of b_e over A) * c^{b(A)}, in the ring of the
+    arguments: ``Fraction`` for a value, ``MultiPoly`` for the polynomial.
+    Capped at ``edge_cap(16)`` edges.
+    """
+    check_edge_cap(len(ap.edges), 16, "subset expansion")
     one = a**0
     # prods[mask] is the product of b_e over the labels in mask.
     prods = [one]
@@ -589,37 +591,24 @@ def _mv_br(ap: ArrowPresentation, a, b_by_label: Mapping, c, cap: Optional[int])
     return total
 
 
-def mv_br_value(ap: ArrowPresentation, a, b_by_label: Mapping, c):
-    """Multivariate Bollobas-Riordan polynomial at ``a``, ``b_e``, ``c``.
-
-    Sum over spanning sub-presentations A of
-    a^{k(A)} * (prod of b_e over A) * c^{b(A)}, in the ring of the
-    arguments: ``Fraction`` for a value, ``MultiPoly`` for the polynomial.
-    """
-    return _mv_br(ap, a, b_by_label, c, None)
-
-
-def mv_br_poly(
-    ap: ArrowPresentation,
-    registry: Optional[VarRegistry] = None,
-    cap: Optional[int] = None,
-) -> MultiPoly:
+def mv_br_poly(ap: ArrowPresentation) -> MultiPoly:
     """:func:`mv_br_value` at the variables a, b_e, c."""
-    registry = registry or mv_br_registry(ap)
+    registry = VarRegistry(("a", "c") + tuple(f"b_{l}" for l in sorted(ap.edges)))
     var = lambda name: MultiPoly.var(registry, name)
     b_by_label = {l: var(f"b_{l}") for l in ap.edges}
-    return _mv_br(ap, var("a"), b_by_label, var("c"), cap)
+    return mv_br_value(ap, var("a"), b_by_label, var("c"))
 
 
-def br_poly(ap: ArrowPresentation, cap: Optional[int] = None) -> MultiPoly:
+def br_poly(ap: ArrowPresentation) -> MultiPoly:
     """Bollobas-Riordan polynomial over (x, y, z).
 
     Sum over spanning sub-presentations of
     (x-1)^{r(E)-r(A)} * y^{|A|-r(A)} * z^{genus(A)} with r(A) = v - k(A) and
     genus the Euler genus, expanded into integer powers of x, y, z.  The
-    spanning table is summed grouped by (k(A), |A|, genus(A)).
+    spanning table is summed grouped by (k(A), |A|, genus(A)).  Capped at
+    ``edge_cap(16)`` edges.
     """
-    check_edge_cap(len(ap.edges), 16, "subset expansion", cap)
+    check_edge_cap(len(ap.edges), 16, "subset expansion")
     registry = VarRegistry(("x", "y", "z"))
     x, y, z = (MultiPoly.var(registry, n) for n in ("x", "y", "z"))
     rows = _spanning_table(ap)
@@ -653,9 +642,8 @@ class Multigraph(NamedTuple):
     def m(self) -> int:
         return len(self.edge_list)
 
-    def rank(self, subset: Optional[Iterable[int]] = None) -> int:
-        idx = range(self.m) if subset is None else subset
-        return self.n - component_count(self.n, (self.edge_list[i] for i in idx))
+    def rank(self) -> int:
+        return self.n - component_count(self.n, self.edge_list)
 
     def delete(self, i: int) -> "Multigraph":
         return Multigraph(self.n, self.edge_list[:i] + self.edge_list[i + 1 :])
@@ -705,8 +693,10 @@ def _subset_counts(g: Multigraph) -> tuple:
     return tuple(counts.items())
 
 
-def _zdot(g: Multigraph, a, b, c, cap: Optional[int]):
-    check_edge_cap(g.m, 16, "subset expansion", cap)
+def zdot_value(g: Multigraph, a, b, c):
+    """Sum over edge subsets A of a^{k(A)} b^{|A|} c^{|E-A|}, in the ring of
+    the arguments.  Capped at ``edge_cap(16)`` edges."""
+    check_edge_cap(g.m, 16, "subset expansion")
     one = a**0
     total = one - one
     for (k, size), count in _subset_counts(g):
@@ -714,8 +704,10 @@ def _zdot(g: Multigraph, a, b, c, cap: Optional[int]):
     return total
 
 
-def _tutte(g: Multigraph, x, y, cap: Optional[int]):
-    check_edge_cap(g.m, 16, "subset expansion", cap)
+def tutte_value(g: Multigraph, x, y):
+    """Whitney-rank expansion of the Tutte polynomial at ``x``, ``y``, in the
+    ring of the arguments.  Capped at ``edge_cap(16)`` edges."""
+    check_edge_cap(g.m, 16, "subset expansion")
     one = x**0
     rows = _subset_counts(g)
     k_full = min(k for (k, _), _ in rows)
@@ -726,30 +718,18 @@ def _tutte(g: Multigraph, x, y, cap: Optional[int]):
     return total
 
 
-def zdot_value(g: Multigraph, a, b, c):
-    """Sum over edge subsets A of a^{k(A)} b^{|A|} c^{|E-A|}, in the ring of
-    the arguments."""
-    return _zdot(g, a, b, c, None)
-
-
-def tutte_value(g: Multigraph, x, y):
-    """Whitney-rank expansion of the Tutte polynomial at ``x``, ``y``, in the
-    ring of the arguments."""
-    return _tutte(g, x, y, None)
-
-
-def zdot_tutte(g: Multigraph, cap: Optional[int] = None) -> MultiPoly:
+def zdot_tutte(g: Multigraph) -> MultiPoly:
     """:func:`zdot_value` at the variables a, b, c."""
     registry = VarRegistry(("a", "b", "c"))
     a, b, c = (MultiPoly.var(registry, n) for n in ("a", "b", "c"))
-    return _zdot(g, a, b, c, cap)
+    return zdot_value(g, a, b, c)
 
 
-def tutte_poly(g: Multigraph, cap: Optional[int] = None) -> MultiPoly:
+def tutte_poly(g: Multigraph) -> MultiPoly:
     """:func:`tutte_value` at the variables x, y, expanded."""
     registry = VarRegistry(("x", "y"))
     x, y = (MultiPoly.var(registry, n) for n in ("x", "y"))
-    return _tutte(g, x, y, cap)
+    return tutte_value(g, x, y)
 
 
 def graph_two_sum(g: Multigraph, i: int, h: Multigraph, j: int, flip: bool = False) -> Multigraph:

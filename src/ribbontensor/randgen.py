@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .arrow import ArrowPresentation, boundary_components, surface_stats
 from .packaged import PackagedPresentation, Partition, make_packaged
@@ -15,15 +14,13 @@ def random_presentation(
     rng: random.Random,
     max_edges: int = 4,
     min_edges: int = 0,
-    labels: Optional[Sequence[str]] = None,
     extra_circle_rate: float = 0.25,
 ) -> ArrowPresentation:
     m = rng.randint(min_edges, max_edges)
-    labels = list(labels or (f"e{i}" for i in range(m)))[:m]
     ends = []
-    for label in labels:
-        ends.append((label, rng.random() < 0.5))
-        ends.append((label, rng.random() < 0.5))
+    for i in range(m):
+        ends.append((f"e{i}", rng.random() < 0.5))
+        ends.append((f"e{i}", rng.random() < 0.5))
     rng.shuffle(ends)
     circles_n = rng.randint(1, m + 1) if m else 1
     circles = [[] for _ in range(circles_n)]
@@ -34,10 +31,10 @@ def random_presentation(
     return ArrowPresentation.from_circles(circles)
 
 
-def random_blocks(rng: random.Random, n: int, merge_rate: float = 0.4):
+def random_blocks(rng: random.Random, n: int):
     blocks: list = []
     for i in range(n):
-        if blocks and rng.random() < merge_rate:
+        if blocks and rng.random() < 0.4:
             rng.choice(blocks).append(i)
         else:
             blocks.append([i])
@@ -45,9 +42,9 @@ def random_blocks(rng: random.Random, n: int, merge_rate: float = 0.4):
 
 
 def random_packaged(
-    rng: random.Random, max_edges: int = 4, min_edges: int = 0, **kwargs
+    rng: random.Random, max_edges: int = 4, min_edges: int = 0
 ) -> PackagedPresentation:
-    ap = random_presentation(rng, max_edges, min_edges, **kwargs)
+    ap = random_presentation(rng, max_edges, min_edges)
     return make_packaged(
         ap,
         random_blocks(rng, len(ap.circles)),
@@ -79,18 +76,13 @@ def _insert_occurrences(rng, circles, label):
     return circles
 
 
-def random_plane_presentation(
-    rng: random.Random, max_edges: int = 4, nonloop_edge: bool = True
-) -> tuple:
+def random_plane_presentation(rng: random.Random, max_edges: int = 4) -> tuple:
     """A genus-0 presentation together with a designated edge.
 
-    The designated edge joins two distinct circles when ``nonloop_edge``.
-    Further edges are added greedily wherever they keep the genus at zero.
+    The designated edge joins two distinct circles.  Further edges are added
+    greedily wherever they keep the genus at zero.
     """
-    if nonloop_edge:
-        circles = [[("e0", True)], [("e0", True)]]
-    else:
-        circles = [[("e0", True), ("e0", True)]]
+    circles = [[("e0", True)], [("e0", True)]]
     target = rng.randint(1, max_edges)
     i = 1
     attempts = 0

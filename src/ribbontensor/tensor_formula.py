@@ -613,28 +613,31 @@ def _mainmv_labels(pg, factors):
     return labels
 
 
+# Draws of one point before a run gives up.  Singular points form a thin
+# set, so 50 singular draws in a row mean an instance singular everywhere.
+MAX_RESAMPLE = 50
+
+
 def run_verification(
     kind: TheoremKind,
     seed: int = 1,
     instances: int = 30,
     points: int = 10,
-    max_resample: int = 50,
     size_budget: int = 6,
 ) -> VerifyReport:
     """Fuzz one identity: random instances, random nonsingular points.
 
-    Raises :class:`InvalidArgument` unless ``instances``, ``points`` and
-    ``max_resample`` are all at least 1, so that a report never passes
-    having checked nothing and a point is always drawn, and (from
-    :func:`random_instance`) unless ``size_budget`` is at least 1.
+    Raises :class:`InvalidArgument` unless ``instances`` and ``points`` are
+    both at least 1, so that a report never passes having checked nothing,
+    and (from :func:`random_instance`) unless ``size_budget`` is at least 1.
+    Each point is drawn at most :data:`MAX_RESAMPLE` times; when every draw
+    is singular, :class:`SingularAtPoint` is raised.
     """
     if instances < 1 or points < 1:
         raise InvalidArgument(
             f"verification needs at least one instance and one point, got "
             f"instances={instances} points={points}"
         )
-    if max_resample < 1:
-        raise InvalidArgument(f"max_resample must be at least 1, got {max_resample}")
     rng = random.Random(seed)
     failures = []
     comparisons = resampled = 0
@@ -644,7 +647,7 @@ def run_verification(
         plan = plan_instance(kind, pg, factors, couplings)
         for _ in range(points):
             outcome = None
-            for _ in range(max_resample):
+            for _ in range(MAX_RESAMPLE):
                 pt = random_point(rng, sorted(names))
                 try:
                     outcome = verify_identity(plan, pt)
@@ -654,7 +657,7 @@ def run_verification(
                 break
             if outcome is None:
                 raise SingularAtPoint(
-                    f"no nonsingular point found in {max_resample} samples"
+                    f"no nonsingular point found in {MAX_RESAMPLE} samples"
                 )
             comparisons += len(outcome.comparisons)
             if not outcome.ok:

@@ -722,12 +722,13 @@ def test_value_evaluators_respect_edge_cap(monkeypatch):
     for call in calls:
         with pytest.raises(SizeLimitExceeded, match="subset expansion capped at 2 edges, got 3"):
             call()
-    # An explicit cap overrides the environment; T(1, 1) counts the three
+    # A cap of exactly the edge count admits them; T(1, 1) counts the three
     # spanning trees.
-    assert tutte_poly(g, cap=3).eval_at({"x": one, "y": one}) == 3
-    assert zdot_tutte(g, cap=3).eval_at({"a": one, "b": one, "c": one}) == 8
-    assert len(mv_br_poly(ap, cap=3).terms) == 8
-    assert len(br_poly(ap, cap=3).terms) == 4
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "3")
+    assert tutte_poly(g).eval_at({"x": one, "y": one}) == 3
+    assert zdot_tutte(g).eval_at({"a": one, "b": one, "c": one}) == 8
+    assert len(mv_br_poly(ap).terms) == 8
+    assert len(br_poly(ap).terms) == 4
 
 
 def test_spanning_table_keeps_little_memory():

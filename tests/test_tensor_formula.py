@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbontensor import tensor_formula
+from ribbontensor import cli, tensor_formula
 from ribbontensor.arrow import ArrowPresentation, boundary_components
 from ribbontensor.errors import InvalidArgument, SingularAtPoint
 from ribbontensor.packaged import (
@@ -73,12 +73,6 @@ def test_verification_rejects_a_budget_below_one(kind):
             random_instance(kind, random.Random(1), budget)
         with pytest.raises(InvalidArgument, match="size_budget"):
             run_verification(kind, instances=1, points=1, size_budget=budget)
-
-
-@pytest.mark.parametrize("max_resample", [0, -2])
-def test_verification_rejects_drawing_no_point(max_resample):
-    with pytest.raises(InvalidArgument, match="max_resample"):
-        run_verification(TheoremKind.TUTTE, instances=1, points=1, max_resample=max_resample)
 
 
 def test_transition_matrix_at_two():
@@ -402,6 +396,25 @@ def test_resampled_points_are_counted(monkeypatch):
     assert report.ok
     assert report.resampled == 1
     assert len(drawn) == 4
+
+
+def test_verification_gives_up_after_max_resample_singular_draws(monkeypatch, capsys):
+    # every draw is the singular x = y = 2 point of
+    # test_tutte_singular_classical_system_is_resampled
+    drawn = []
+
+    def always_singular(rng, names, *args):
+        drawn.append(random_point(rng, names, *args))
+        return {"a": Fraction(2), "b": Fraction(3), "x": Fraction(2), "y": Fraction(2)}
+
+    monkeypatch.setattr(tensor_formula, "random_point", always_singular)
+    with pytest.raises(SingularAtPoint, match="in 50 samples"):
+        run_verification(TheoremKind.TUTTE, seed=1, instances=1, points=1)
+    assert len(drawn) == tensor_formula.MAX_RESAMPLE == 50
+    assert cli.main(["verify", "tutte", "--instances", "1", "--points", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "in 50 samples" in err
 
 
 def test_verification_outputs_are_pinned(monkeypatch):
