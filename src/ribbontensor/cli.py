@@ -57,7 +57,7 @@ def _cmd_info(args) -> int:
         f"orientable={'yes' if stats.orientable else 'no'}"
     )
     print(
-        f"vertex_classes={len(pg.vparts.blocks)} boundary_classes={len(pg.bparts.blocks)}"
+        f"vertex_classes={pg.vparts.n_blocks} boundary_classes={pg.bparts.n_blocks}"
     )
     trace = boundary_trace(pg.ap)
     for bd in trace.components:

@@ -43,8 +43,8 @@ def _parse_token(token: str) -> Occ:
 def presentation_to_dict(pg: PackagedPresentation) -> dict:
     return {
         "circles": [[_occ_token(o) for o in circ] for circ in pg.ap.circles],
-        "vertex_partition": [list(b) for b in pg.vparts.sorted_blocks()],
-        "boundary_partition": [list(b) for b in pg.bparts.sorted_blocks()],
+        "vertex_partition": [list(b) for b in pg.vparts.blocks],
+        "boundary_partition": [list(b) for b in pg.bparts.blocks],
     }
 
 

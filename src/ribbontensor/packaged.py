@@ -6,16 +6,20 @@ its circles (vertex classes) and a partition of its canonical boundary ids
 operations, 2-sums along couplings, tensor products, and the five one-edge
 basis presentations that realise the operations as 2-sums.
 
+A partition of the items 0..n-1 is stored as its restricted-growth string
+``labels``: ``labels[i]`` is the block of item ``i``, blocks numbered in the
+order of their least items, so equal partitions are equal flat tuples.
 Partition bookkeeping follows one scheme throughout, :meth:`Partition.transfer`:
 items destroyed by a surgery drop out of their blocks, freshly created items
 enter as singletons, and the operation merges prescribed groups of blocks
 (the classes of the items incident to the operated edge, plus whatever the
-surgery created).
+surgery created).  It makes one union-find pass over the old block numbers.
 
 :class:`Partition`, :class:`PackagedPresentation`, :class:`Coupling` and
 :class:`OpTrace` are ``typing.NamedTuple`` classes, so they compare equal to
 plain tuples of the same fields; a partition's block count is
-``len(p.blocks)``.
+``p.n_blocks``, the number of distinct labels, and ``p.blocks`` derives its
+blocks.
 """
 
 from __future__ import annotations
@@ -48,54 +52,77 @@ from .errors import (
 )
 
 
+def _first_appearance(keys) -> tuple:
+    """``keys`` renumbered 0, 1, ... in the order each first appears."""
+    first: dict = {}
+    return tuple([first.setdefault(k, len(first)) for k in keys])
+
+
 class Partition(NamedTuple):
-    blocks: frozenset
-    universe: frozenset
+    """A partition of the items 0..n-1, stored as its restricted-growth string.
+
+    ``labels[i]`` is the block number of item ``i``, and blocks are numbered
+    in the order of their least items.  Equal partitions therefore have
+    equal labels, so a partition hashes and compares as one flat tuple.
+    :attr:`n_blocks` reads the block count off the labels; :attr:`blocks`
+    derives the blocks themselves.
+    """
+
+    labels: tuple
 
     @classmethod
     def make(cls, blocks: Optional[Iterable[Iterable[int]]], universe: Iterable[int]):
-        """Build a partition over ``universe``.
+        """Build a partition over ``universe``, which must be 0..n-1.
 
         ``blocks=None`` means all singletons; an explicit block list must
         cover the universe exactly.
         """
         universe = frozenset(universe)
+        n = len(universe)
+        if not universe.issuperset(range(n)):
+            raise PartitionCoverError(f"the universe {set(universe)} is not the items 0..{n - 1}")
         if blocks is None:
-            return cls(frozenset(frozenset([item]) for item in universe), universe)
-        result = []
+            return cls(tuple(range(n)))
+        labels = [0] * n
         seen: set = set()
-        for block in blocks:
+        for k, block in enumerate(blocks):
             block = frozenset(block)
             if not block <= universe:
                 raise PartitionCoverError(
-                    f"block {sorted(block)} mentions items outside {sorted(universe)}"
+                    f"block {sorted(block)} mentions items outside 0..{n - 1}"
                 )
-            if block & seen:
+            if not seen.isdisjoint(block):
                 raise PartitionOverlapError(
                     f"item {sorted(block & seen)} appears in two blocks"
                 )
-            if block:
-                seen |= block
-                result.append(block)
-        if seen != universe:
+            seen |= block
+            for x in block:
+                labels[x] = k
+        if len(seen) != n:
             raise PartitionCoverError(
                 f"items {sorted(universe - seen)} not covered by any block"
             )
-        return cls(frozenset(result), universe)
+        return cls(_first_appearance(labels))
 
     @classmethod
     def one_block(cls, universe: Iterable[int]):
         universe = frozenset(universe)
         return cls.make([universe] if universe else None, universe)
 
-    def block_of(self, item: int) -> frozenset:
-        for block in self.blocks:
-            if item in block:
-                return block
-        raise KeyError(item)
+    @property
+    def n_blocks(self) -> int:
+        return len(set(self.labels))
+
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as sorted tuples, in the order of their least items."""
+        blocks: list = [[] for _ in range(self.n_blocks)]
+        for x, b in enumerate(self.labels):
+            blocks[b].append(x)
+        return tuple(map(tuple, blocks))
 
     def transfer(
-        self, item_map: Mapping[int, int], created: Iterable[int] = (), groups: Iterable = ()
+        self, item_map: Mapping[int, int], created: Sequence[int] = (), groups: Iterable = ()
     ) -> "Partition":
         """Move the partition through a surgery.
 
@@ -104,36 +131,38 @@ class Partition(NamedTuple):
         items created ones, becomes one block together with every old block
         its old items meet.  Groups meeting a common old block fuse, even
         when every member of that block dies.  Created items outside every
-        group enter as singletons.
+        group enter as singletons.  The renamed and created items must be
+        exactly 0..n'-1.
         """
-        blocks = list(self.blocks)
-        merged: list = []  # disjoint (old block indexes, new items)
-        for old, new in groups:
-            idx = {i for i, block in enumerate(blocks) if not block.isdisjoint(old)}
-            new = set(new)
-            for m in [m for m in merged if m[0] & idx or m[1] & new]:
-                merged.remove(m)
-                idx |= m[0]
-                new |= m[1]
-            merged.append((idx, new))
-        grouped = {i for idx, _ in merged for i in idx}
-        joined = {x for _, new in merged for x in new}
-        new_blocks = [
-            {item_map[x] for x in block if x in item_map}
-            for i, block in enumerate(blocks)
-            if i not in grouped
-        ]
-        new_blocks += [
-            {item_map[x] for i in idx for x in blocks[i] if x in item_map} | new
-            for idx, new in merged
-        ]
-        created = tuple(created)
-        new_blocks += [{c} for c in created if c not in joined]
-        universe = frozenset(item_map.values()) | frozenset(created)
-        return Partition(frozenset(frozenset(b) for b in new_blocks if b), universe)
-
-    def sorted_blocks(self):
-        return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        labels = self.labels
+        # Each new item's key: its old block number, or -1 - c for a
+        # created item c.
+        keys: dict = {}
+        for x, y in item_map.items():
+            keys[y] = labels[x]
+        for c in created:
+            keys[c] = -1 - c
+        if groups:
+            # A union-find over the keys, with one fresh node per group above
+            # every block number.
+            parent: dict = {}
+            node = len(labels)
+            for old, new in groups:
+                node += 1
+                for k in [labels[x] for x in old] + [-1 - c for c in new]:
+                    r = find(parent, k)
+                    if r != node:
+                        parent[r] = node
+            keys = {y: find(parent, k) for y, k in keys.items()}
+        # A gap or a repeated target leaves some item of 0..n'-1 without a key.
+        n = len(item_map) + len(created)
+        try:
+            return Partition(_first_appearance(map(keys.__getitem__, range(n))))
+        except KeyError:
+            raise InvariantViolation(
+                f"transfer targets {sorted(item_map.values())} and created items "
+                f"{sorted(created)} are not the items 0..{n - 1}"
+            ) from None
 
 
 class PackagedPresentation(NamedTuple):
@@ -269,17 +298,17 @@ def two_sum(
     boundary classes merge chord-wise likewise.
     """
     res = two_sum_traced(pg.ap, ph.ap, coupling.source, coupling.target, coupling.swap)
-    offset = len(pg.ap.circles)
-    g_to_u, h_to_u = res.g_boundaries, res.h_boundaries
-    vall = Partition(
-        pg.vparts.blocks | {frozenset(x + offset for x in blk) for blk in ph.vparts.blocks},
-        frozenset(range(len(res.union.circles))),
-    )
-    ball = Partition(
-        frozenset(frozenset(g_to_u[x] for x in blk) for blk in pg.bparts.blocks)
-        | {frozenset(h_to_u[x] for x in blk) for blk in ph.bparts.blocks},
-        frozenset(g_to_u.values()) | frozenset(h_to_u.values()),
-    )
+    # The union lists the circles of G, then those of H; its boundaries
+    # renumber both sides', so their labels are written through the maps.
+    offset = pg.vparts.n_blocks
+    vall = Partition(pg.vparts.labels + tuple(offset + b for b in ph.vparts.labels))
+    offset = pg.bparts.n_blocks
+    keys: list = [None] * (len(res.g_boundaries) + len(res.h_boundaries))
+    for x, u in res.g_boundaries.items():
+        keys[u] = pg.bparts.labels[x]
+    for x, u in res.h_boundaries.items():
+        keys[u] = offset + ph.bparts.labels[x]
+    ball = Partition(_first_appearance(keys))
 
     # fo1 is glued to t1 at m1 (tails) and m2 (heads), fo2 to t2 at m3 and
     # m4.  The circles hosting each glued pair merge with the new circles
@@ -442,13 +471,14 @@ def _empty_circle_groups(pg: PackagedPresentation, bare_to_bd: Mapping[int, int]
     singleton partitions all empty circles form one group.
     """
 
-    def sig(block):
-        return block if len(block) > 1 else None
+    def sig(labels, item):
+        block = labels[item]
+        return block if labels.count(block) > 1 else None
 
     groups: dict = {}
     for ci, circ in enumerate(pg.ap.circles):
         if not circ:
-            key = (sig(pg.vparts.block_of(ci)), sig(pg.bparts.block_of(bare_to_bd[ci])))
+            key = (sig(pg.vparts.labels, ci), sig(pg.bparts.labels, bare_to_bd[ci]))
             groups.setdefault(key, []).append(ci)
     return list(groups.values())
 
@@ -532,10 +562,9 @@ def canonical_packaged(pg: PackagedPresentation) -> PackagedPresentation:
     canon_ap, transforms, rebuild_offsets = canonical_transforms(pg.ap)
     new = boundary_trace(canon_ap)
     n_circles, n_bds = len(canon_ap.circles), len(new.components)
-    if len(pg.vparts.blocks) == n_circles and len(pg.bparts.blocks) == n_bds:
-        return PackagedPresentation(
-            canon_ap, Partition.make(None, range(n_circles)), Partition.make(None, range(n_bds))
-        )
+    if pg.vparts.n_blocks == n_circles and pg.bparts.n_blocks == n_bds:
+        # all singletons, which every relabelling fixes
+        return PackagedPresentation(canon_ap, pg.vparts, pg.bparts)
     circles = pg.ap.circles
     old = boundary_trace(pg.ap)
     groups = _empty_circle_groups(pg, old.bare_to_bd)

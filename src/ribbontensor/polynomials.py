@@ -130,7 +130,7 @@ def _strip_isolated(pg: PackagedPresentation):
         ArrowPresentation(tuple(pg.ap.circles[ci] for ci in keep), pg.ap.edges), vparts, bparts
     )
     return stripped, (
-        da, len(pg.vparts.blocks) - len(vparts.blocks), len(pg.bparts.blocks) - len(bparts.blocks)
+        da, pg.vparts.n_blocks - vparts.n_blocks, pg.bparts.n_blocks - bparts.n_blocks
     )
 
 
@@ -452,8 +452,8 @@ def state_sum_oracle(pg: PackagedPresentation, w: Optional[WeightSystem] = None)
                 registry,
                 {
                     "alpha": len(pg.ap.circles),
-                    "beta": len(pg.vparts.blocks),
-                    "gamma": len(pg.bparts.blocks),
+                    "beta": pg.vparts.n_blocks,
+                    "gamma": pg.bparts.n_blocks,
                 },
             )
             total = total + weight * base

@@ -362,9 +362,9 @@ def phi0_structural_zeros(
     """
     zeros = set()
     (c1, c2), (a, b) = incident_items(ph, e)
-    if c1 == c2 or ph.vparts.block_of(c1) == ph.vparts.block_of(c2):
+    if ph.vparts.labels[c1] == ph.vparts.labels[c2]:
         zeros.add(0)
-    if a == b or ph.bparts.block_of(a) == ph.bparts.block_of(b):
+    if ph.bparts.labels[a] == ph.bparts.labels[b]:
         zeros.add(1)
     if c_zero and surface_stats(ph.ap).orientable:
         zeros.add(2)

@@ -103,12 +103,8 @@ def symmetry_image(pg, rng):
     bd_map = {bd.id: image_of(bd) for bd in old.components}
     return PackagedPresentation(
         image_ap,
-        Partition(
-            frozenset(frozenset(perm[x] for x in b) for b in pg.vparts.blocks),
-            frozenset(range(n)),
-        ),
-        Partition(
-            frozenset(frozenset(bd_map[x] for x in b) for b in pg.bparts.blocks),
-            frozenset(range(len(new.components))),
+        Partition.make([[perm[x] for x in b] for b in pg.vparts.blocks], range(n)),
+        Partition.make(
+            [[bd_map[x] for x in b] for b in pg.bparts.blocks], range(len(new.components))
         ),
     )

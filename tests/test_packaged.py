@@ -20,6 +20,7 @@ from ribbontensor.arrow import (
 )
 from ribbontensor.errors import (
     InvalidCoupling,
+    InvariantViolation,
     MissingFactor,
     PartitionCoverError,
     PartitionOverlapError,
@@ -41,6 +42,7 @@ from ribbontensor.packaged import (
     two_sum,
     uniform_tensor,
 )
+from ribbontensor.polynomials import _strip_isolated
 from ribbontensor.randgen import random_packaged
 from canonical_reference import reference_canonical_form, reference_canonical_packaged
 from strategies import (
@@ -283,7 +285,17 @@ def test_two_sum_exchanges_with_operations():
 def _partition_ok(part: Partition):
     items = [x for b in part.blocks for x in b]
     assert len(items) == len(set(items))
-    assert set(items) == set(part.universe)
+    assert set(items) == set(range(len(part.labels)))
+
+
+def _canonical_labels(part: Partition):
+    """``part.labels`` is a restricted-growth string, so rebuilding the
+    partition from its blocks gives the same tuple."""
+    seen = -1
+    for b in part.labels:
+        assert 0 <= b <= seen + 1
+        seen = max(seen, b)
+    assert Partition.make(part.blocks, range(len(part.labels))) == part
 
 
 def reference_fuse(partition, item_map, created, old_groups, new_groups):
@@ -307,14 +319,14 @@ def reference_fuse(partition, item_map, created, old_groups, new_groups):
     for old_group, new_group in zip(old_groups, new_groups):
         union([("o", x) for x in old_group] + [("n", x) for x in new_group])
     comps = {}
-    for x in partition.universe:
+    for x in range(len(partition.labels)):
         members = comps.setdefault(find(parent, ("o", x)), set())
         if x in item_map:
             members.add(item_map[x])
     for c in created:
         comps.setdefault(find(parent, ("n", c)), set()).add(c)
-    blocks = frozenset(frozenset(b) for b in comps.values() if b)
-    return Partition(blocks, frozenset(item_map.values()) | frozenset(created))
+    blocks = [b for b in comps.values() if b]
+    return Partition.make(blocks, range(len(item_map) + len(created)))
 
 
 @st.composite
@@ -356,13 +368,33 @@ def test_partition_transfer_matches_tagged_union_find(surgery):
     )
     assert got == want
     _partition_ok(got)
+    _canonical_labels(got)
+
+
+@pytest.mark.parametrize(
+    "item_map, created",
+    [({0: 0, 1: 2}, ()), ({0: 0, 1: 1}, (3,)), ({0: 1, 1: 1}, ()), ({0: 0}, (0,)),
+     ({0: -1, 1: 0}, ())],
+    ids=["gap", "gap-created", "repeat", "repeat-created", "negative"],
+)
+def test_partition_transfer_rejects_targets_that_are_not_0_to_n(item_map, created):
+    with pytest.raises(InvariantViolation):
+        Partition.make([[0, 1], [2]], range(3)).transfer(item_map, created)
+
+
+@pytest.mark.parametrize("universe", [range(1, 4), [0, 2], [-1, 0]])
+def test_partition_universe_must_be_0_to_n(universe):
+    with pytest.raises(PartitionCoverError):
+        Partition.make(None, universe)
+    with pytest.raises(PartitionCoverError):
+        Partition.make([list(universe)], universe)
 
 
 def test_partition_transfer_chains_groups_through_a_dead_block():
     part = Partition.make([[0, 1], [2], [3]], range(4))
     got = part.transfer({2: 0, 3: 1}, (2, 3), [({0, 2}, {2}), ({1, 3}, {3})])
-    assert got.sorted_blocks() == ((0, 1, 2, 3),)
-    assert part.transfer({2: 0, 3: 1}, (2, 3)).sorted_blocks() == ((0,), (1,), (2,), (3,))
+    assert got.blocks == ((0, 1, 2, 3),)
+    assert part.transfer({2: 0, 3: 1}, (2, 3)).blocks == ((0,), (1,), (2,), (3,))
 
 
 def test_partitions_stay_well_formed():
@@ -373,10 +405,27 @@ def test_partitions_stay_well_formed():
         out = apply_edge_op(pg, e, rng.choice(KINDS))
         _partition_ok(out.vparts)
         _partition_ok(out.bparts)
-        assert out.vparts.universe == frozenset(range(len(out.ap.circles)))
-        assert out.bparts.universe == frozenset(
-            range(len(boundary_components(out.ap)))
+        assert len(out.vparts.labels) == len(out.ap.circles)
+        assert len(out.bparts.labels) == len(boundary_components(out.ap))
+    # 2-sums write both sides' labels into one string, and stripping empty
+    # circles moves the partitions through a transfer
+    rng = random.Random(21)
+    stripped_some = 0
+    for _ in range(40):
+        pg = random_packaged(rng, max_edges=3, min_edges=1)
+        ph0 = random_packaged(rng, max_edges=3, min_edges=1)
+        ph = PackagedPresentation(
+            ph0.ap.relabel({l: f"h{l}" for l in ph0.ap.edges}), ph0.vparts, ph0.bparts
         )
+        c = Coupling(rng.choice(sorted(pg.ap.edges)), rng.choice(sorted(ph.ap.edges)))
+        summed = two_sum(pg, ph, c)
+        stripped, _ = _strip_isolated(apply_edge_op(pg, c.source, EdgeOpKind.DELETE))
+        stripped_some += len(stripped.ap.circles) < len(pg.ap.circles)
+        for part in (summed.vparts, summed.bparts, stripped.vparts, stripped.bparts):
+            _partition_ok(part)
+            _canonical_labels(part)
+        assert len(summed.bparts.labels) == len(boundary_components(summed.ap))
+    assert stripped_some
 
 
 def test_tensor_all_k2_contracts_everything():
@@ -472,7 +521,7 @@ def _grouped_by_blocks(pg, bare_to_bd):
     groups = {}
     for ci, circ in enumerate(pg.ap.circles):
         if not circ:
-            sig = (pg.vparts.block_of(ci), pg.bparts.block_of(bare_to_bd[ci]))
+            sig = (pg.vparts.labels[ci], pg.bparts.labels[bare_to_bd[ci]])
             groups.setdefault(sig, []).append(ci)
     return list(groups.values())
 

@@ -202,8 +202,8 @@ def test_twosum_identity_on_fixed_instance():
     pg = random_packaged(rng, max_edges=3, min_edges=1)
     ph = make_packaged(
         ks[1].ap.relabel({"e": "he"}),
-        [list(b) for b in ks[1].vparts.sorted_blocks()],
-        [list(b) for b in ks[1].bparts.sorted_blocks()],
+        [list(b) for b in ks[1].vparts.blocks],
+        [list(b) for b in ks[1].bparts.blocks],
     )
     f = sorted(pg.ap.edges)[0]
     out = verify_identity(

@@ -132,7 +132,7 @@ def test_value_type_contract(name):
 def test_partition_replace_with_three_blocks():
     part = Partition.make([[0], [1, 2], [3]], range(4))
     assert len(part.blocks) == 3
-    merged = part._replace(blocks=frozenset({frozenset({0, 1, 2}), frozenset({3})}))
+    merged = part._replace(labels=(0, 0, 0, 1))
     assert merged == Partition.make([[0, 1, 2], [3]], range(4))
     assert Partition._make(part) == part
 
