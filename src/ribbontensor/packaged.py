@@ -77,32 +77,28 @@ class Partition(NamedTuple):
         ``blocks=None`` means all singletons; an explicit block list must
         cover the universe exactly.
         """
-        universe = frozenset(universe)
+        if not (isinstance(universe, range) and universe.start == 0 and universe.step == 1):
+            items = sorted(set(universe))
+            if items != list(range(len(items))):
+                raise PartitionCoverError(f"the universe {set(items)} is not the items 0..{len(items) - 1}")
+            universe = range(len(items))
         n = len(universe)
-        if not universe.issuperset(range(n)):
-            raise PartitionCoverError(f"the universe {set(universe)} is not the items 0..{n - 1}")
         if blocks is None:
-            return cls(tuple(range(n)))
-        labels = [0] * n
-        seen: set = set()
+            return cls(tuple(universe))
+        # Blocks numbered in the order of their least items.
+        blocks = sorted(filter(None, map(tuple, blocks)), key=min)
+        labels: list = [None] * n
         for k, block in enumerate(blocks):
-            block = frozenset(block)
-            if not block <= universe:
-                raise PartitionCoverError(
-                    f"block {sorted(block)} mentions items outside 0..{n - 1}"
-                )
-            if not seen.isdisjoint(block):
-                raise PartitionOverlapError(
-                    f"item {sorted(block & seen)} appears in two blocks"
-                )
-            seen |= block
             for x in block:
+                if not 0 <= x < n:
+                    raise PartitionCoverError(f"block {sorted(block)} mentions items outside 0..{n - 1}")
+                if labels[x] is not None:
+                    raise PartitionOverlapError(f"item {x} appears in two blocks")
                 labels[x] = k
-        if len(seen) != n:
-            raise PartitionCoverError(
-                f"items {sorted(universe - seen)} not covered by any block"
-            )
-        return cls(_first_appearance(labels))
+        if None in labels:
+            missing = [x for x in universe if labels[x] is None]
+            raise PartitionCoverError(f"items {missing} not covered by any block")
+        return cls(tuple(labels))
 
     @classmethod
     def one_block(cls, universe: Iterable[int]):
@@ -483,8 +479,10 @@ def _empty_circle_groups(pg: PackagedPresentation, bare_to_bd: Mapping[int, int]
     return list(groups.values())
 
 
-def _empty_circle_pieces(pg: PackagedPresentation, old):
-    """The empty circles of ``pg`` linked into pieces by the blocks they share.
+def _empty_circle_pieces(circles, old, vblocks, bblocks):
+    """The empty circles of ``circles`` linked into pieces by the blocks
+    they share, ``vblocks`` over the circles and ``bblocks`` over the
+    boundaries of ``old``, their trace.
 
     Two empty circles share a piece when they share a vertex block or their
     bare boundaries share a boundary block.  Returns ``(anchored, free)``:
@@ -492,12 +490,11 @@ def _empty_circle_pieces(pg: PackagedPresentation, old):
     circle or a token boundary, and the other pieces, each as ``(circles,
     vertex blocks, boundary blocks)`` with the blocks it alone touches.
     """
-    circles = pg.ap.circles
     if all(circles):
         return set(), []
     parent: dict = {}
     linked = []  # (block, is vertex block, its empty circles, anchored)
-    for blocks, vertex in ((pg.vparts.blocks, True), (pg.bparts.blocks, False)):
+    for blocks, vertex in ((vblocks, True), (bblocks, False)):
         for blk in blocks:
             if vertex:
                 empties = [c for c in blk if not circles[c]]
@@ -568,7 +565,8 @@ def canonical_packaged(pg: PackagedPresentation) -> PackagedPresentation:
     circles = pg.ap.circles
     old = boundary_trace(pg.ap)
     groups = _empty_circle_groups(pg, old.bare_to_bd)
-    anchored, free = _empty_circle_pieces(pg, old)
+    all_vblocks, all_bblocks = pg.vparts.blocks, pg.bparts.blocks
+    anchored, free = _empty_circle_pieces(circles, old, all_vblocks, all_bblocks)
     anchored_groups = _restricted(groups, anchored)
 
     # Canonical circles are the nonempty ones, then the anchored empty
@@ -585,8 +583,8 @@ def canonical_packaged(pg: PackagedPresentation) -> PackagedPresentation:
         slot += sum(len(blk) for blk in venc)
     free_vblocks = {blk for piece in free for blk in piece[1]}
     free_bblocks = {blk for piece in free for blk in piece[2]}
-    vblocks = [blk for blk in pg.vparts.blocks if blk not in free_vblocks]
-    bblocks = [blk for blk in pg.bparts.blocks if blk not in free_bblocks]
+    vblocks = [blk for blk in all_vblocks if blk not in free_vblocks]
+    bblocks = [blk for blk in all_bblocks if blk not in free_bblocks]
 
     # Each token boundary is followed from its first crossing.
     firsts = []

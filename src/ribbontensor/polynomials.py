@@ -22,7 +22,9 @@ Both deletion-style recursions, that of Q and that of the transition
 polynomial, run through one engine: :func:`resolution_dag` resolves a
 presentation once into the DAG of its distinct sub-presentations, and
 :func:`fold_dag` evaluates that DAG over a ring, ``MultiPoly`` for the
-polynomial or ``Fraction`` for its value at a point.  :func:`root_terms`
+polynomial or ``Fraction`` for its value at a point.  Its nodes resolve
+their edges in one static cut-width order, :func:`_edge_rank`, under which
+different histories meet in shared nodes.  :func:`root_terms`
 reads the root's unweighted terms off the same fold: resolved with an edge
 first, a presentation's DAG gives the values of all of that edge's
 operation results at once.  At a point the fold runs on integer
@@ -134,11 +136,51 @@ def _strip_isolated(pg: PackagedPresentation):
     )
 
 
-def _edge_chooser(order: Optional[Sequence[str]]):
-    if order is None:
-        return lambda edges: min(edges)
-    priority = {label: i for i, label in enumerate(order)}
-    return lambda edges: min(edges, key=lambda l: (priority.get(l, len(priority)), l))
+def _edge_rank(root, order: Optional[Sequence[str]]) -> dict:
+    """The rank of each edge of ``root``, packaged or bare, in the order a
+    resolution DAG resolves them: the edges of ``order`` first, as given,
+    then a greedy cut-width order.
+
+    A run is a maximal cyclic stretch of resolved arrows on a circle; a
+    circle whose arrows are all resolved holds none.  Each step resolves
+    the edge whose two arrows add the fewest runs, ties by label.  Edges
+    resolved near each other let different histories reach the same
+    sub-presentation, which the DAG then shares.
+    """
+    ap = root.ap if isinstance(root, PackagedPresentation) else root
+    rank: dict = {}
+    for label in order or ():
+        if label in ap.edges and label not in rank:
+            rank[label] = len(rank)
+    rest = sorted(ap.edges.difference(rank))
+    if len(rest) > 2:
+        places = {label: ap.occurrences(label) for label in ap.edges}
+        lengths = [len(circ) for circ in ap.circles]
+        # An arrow's slot and the next one are where its runs can start.
+        near = {
+            label: {(c, q % lengths[c]) for c, p in places[label] for q in (p, p + 1)}
+            for label in rest
+        }
+        done = {slot for label in rank for slot in places[label]}
+
+        def starts(slots):
+            return sum((c, p) in done and (c, (p or lengths[c]) - 1) not in done for c, p in slots)
+
+        def added(label):
+            before = starts(near[label])
+            done.update(places[label])
+            after = starts(near[label])
+            done.difference_update(places[label])
+            return after - before
+
+        while len(rest) > 1:
+            label = min(rest, key=added)
+            rest.remove(label)
+            rank[label] = len(rank)
+            done.update(places[label])
+    for label in rest:
+        rank[label] = len(rank)
+    return rank
 
 
 def _capped_cache(maxsize: int):
@@ -187,8 +229,9 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     (operations ``OP_ORDER``; isolated circles strip to alpha, beta, gamma
     exponents), a bare :class:`ArrowPresentation` the transition recursion
     (operations ``TRANSITION_OPS``; bare circles strip to a t exponent).
-    Only the ``live`` operations are followed; ``order`` ranks the edges as
-    in :func:`q_multivariate`.
+    Only the ``live`` operations are followed.  Every node resolves its edge
+    of least rank in :func:`_edge_rank`, computed once from the root: the
+    edges of ``order`` first, then a greedy cut-width order.
 
     Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
     sub-presentation with edges once, keyed by value, children first, as
@@ -203,7 +246,7 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     packaged = isinstance(root, PackagedPresentation)
     strip = _strip_isolated if packaged else _strip_bare
     ops = OP_ORDER if packaged else TRANSITION_OPS
-    choose = _edge_chooser(order)
+    rank = _edge_rank(root, order).__getitem__
     index: dict = {}
     nodes: list = []
 
@@ -215,7 +258,7 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
             return -1, exps
         i = index.get(x)
         if i is None:
-            e = choose(edges)
+            e = min(edges, key=rank)
             refs = tuple(
                 (visit(apply_edge_op(x, e, op) if packaged else op(x, e)) if op in live else None)
                 for op in ops
@@ -389,8 +432,8 @@ def q_multivariate(
 ) -> MultiPoly:
     """The five-weight polynomial, folded over the resolution DAG.
 
-    ``order`` overrides the default least-label-first edge choice; the result
-    is independent of it.
+    ``order`` names edges to resolve first, before the DAG's cut-width
+    order (:func:`_edge_rank`); the result is independent of it.
     """
     if w is None:
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
