@@ -38,11 +38,9 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import permutations, product
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -765,13 +763,6 @@ def check_edge_cap(n: int, default: int, what: str) -> None:
         raise SizeLimitExceeded(f"{what} capped at {cap} edges, got {n}")
 
 
-def check_arrangements(total: int, what: str) -> None:
-    """Refuse more than 100,000 ``what`` arrangements to try with
-    :class:`SizeLimitExceeded`; unlike the edge caps, no setting moves it."""
-    if total > 100000:
-        raise SizeLimitExceeded(f"{total} {what} arrangements exceed cap 100000")
-
-
 def _walk(circles, mates, root, best):
     """The code of one rooted walk over a component, or ``None`` once its
     prefix exceeds ``best``.
@@ -878,38 +869,6 @@ def _encoding(components):
     return tuple(enc)
 
 
-def _transforms(components):
-    """Every combination of each component's least walks with every order of
-    the components sharing a code, as ``(order, codes, headings)``."""
-    runs: list = []
-    for code, walks in components:
-        if runs and runs[-1][0] == code:
-            runs[-1][1].append(walks)
-        else:
-            runs.append((code, [walks]))
-    total = 1
-    for _, comps in runs:
-        total *= math.factorial(len(comps))
-        for walks in comps:
-            total *= len(walks)
-    check_arrangements(total, "canonical")
-    choices = [
-        [chosen for perm in permutations(comps) for chosen in product(*perm)]
-        for _, comps in runs
-    ]
-    for combo in product(*choices):
-        order: list = []
-        codes: dict = {}
-        headings: dict = {}
-        for run in combo:
-            for walk_order, walk_codes, walk_headings in run:
-                offset = len(codes)
-                order += walk_order
-                codes.update((label, x + offset) for label, x in walk_codes.items())
-                headings.update(walk_headings)
-        yield tuple(order), codes, headings
-
-
 def _rebuild_from_encoding(enc, empty_count):
     """Materialise the canonical presentation; also report, per circle, the
     rotation applied to reach the stored lex-least representative."""
@@ -954,20 +913,21 @@ def canonical_form(ap: ArrowPresentation) -> ArrowPresentation:
 
 
 def canonical_transforms(ap: ArrowPresentation):
-    """Canonical form (least over roots) plus every traversal achieving it.
+    """Canonical form (least over roots) plus the walks achieving it.
 
-    Returns ``(form, transforms, offsets)``.  ``transforms`` is an iterator,
-    to be consumed once, over ``(order, codes, headings)``: the circle
-    traversal choices ``(old circle, start, direction)`` in canonical circle
-    order, the label coding, and each label's first-emission heading.  A
+    Returns ``(form, components, offsets)``.  ``components`` lists the
+    connected components of the nonempty circles in the form's order, each
+    as ``(code, walks)``; components of equal code may trade places.  Each
+    walk of a component is ``(order, codes, headings)``: its circles as
+    ``(old circle, start, direction)`` in canonical order, its label coding
+    (local to the component), and each label's first-emission heading.  A
     label whose first emission ran against its arrow (heading ``False``) has
     both arrows reversed in the form, which swaps its tail and head slots.
-    More than 100,000 transforms raise :class:`SizeLimitExceeded` when
-    iteration starts.  ``offsets`` gives, per canonical circle, the rotation
-    applied to store it rotation-least.
+    ``offsets`` gives, per canonical circle, the rotation applied to store
+    it rotation-least.
     """
     check_edge_cap(len(ap.edges), 16, "canonical form")
     components = _component_codes(ap)
     empty = sum(1 for circ in ap.circles if not circ)
     canon, offsets = _rebuild_from_encoding(_encoding(components), empty)
-    return canon, _transforms(components), offsets
+    return canon, components, offsets

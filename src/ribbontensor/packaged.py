@@ -24,7 +24,6 @@ blocks.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -35,7 +34,6 @@ from .arrow import (
     boundary_components,
     boundary_trace,
     canonical_transforms,
-    check_arrangements,
     edge_op_traced,
     edge_surgery,
     find,
@@ -431,193 +429,226 @@ def k_presentations():
 # canonical form of packaged presentations
 
 
-def _unique_orderings(groups):
-    """Distinct arrangements of items where same-group items are
-    interchangeable."""
-    counts = [len(g) for g in groups]
-    n = sum(counts)
-    total = math.factorial(n)
-    for c in counts:
-        total //= math.factorial(c)
-    check_arrangements(total, "empty-circle")
-
-    def rec(remaining):
-        if not any(remaining):
-            yield ()
-            return
-        for gi, group in enumerate(remaining):
-            if not group:
-                continue
-            head = group[0]
-            rest = list(remaining)
-            rest[gi] = group[1:]
-            for tail in rec(rest):
-                yield (head,) + tail
-
-    return rec([tuple(g) for g in groups])
+def _relabel(signatures) -> list:
+    """Each signature replaced by its rank among the distinct ones."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return [rank[sig] for sig in signatures]
 
 
-def _empty_circle_groups(pg: PackagedPresentation, bare_to_bd: Mapping[int, int]) -> list:
-    """The empty circles of ``pg`` in groups whose members can trade places
-    without changing the partition encodings.
+def _pieces(ap: ArrowPresentation, canon_ap: ArrowPresentation, components, offsets):
+    """Per piece its run (the first slot it may fill) and its distinct
+    labellings, and per slot its canonical items; piece ``k`` starts in
+    slot ``k``.
 
-    Two empty circles are interchangeable when, on the vertex side and on
-    the boundary side alike, they share a block or each is alone in its
-    block: swapping them then maps each partition to itself.  So under
-    singleton partitions all empty circles form one group.
+    A labelling ranks the circles in walk order, then the boundaries by
+    their canonical ids in the run's first slot.  Equal codes give equal
+    circles, so walk positions carry those ids to the run's other slots,
+    whose stored rotations may differ with the label names.
     """
-
-    def sig(labels, item):
-        block = labels[item]
-        return block if labels.count(block) > 1 else None
-
-    groups: dict = {}
-    for ci, circ in enumerate(pg.ap.circles):
+    old, new = boundary_trace(ap), boundary_trace(canon_ap)
+    n = len(ap.circles)
+    piece_of = {c: k for k, (_, walks) in enumerate(components) for c, _, _ in walks[0][0]}
+    firsts: list = [[] for _ in components]
+    for bd in old.components:
+        if bd.circle is None:
+            c, p, s = old.endpoint(bd.crossings[0])
+            firsts[piece_of[c]].append((n + bd.id, c, p, s, ap.circles[c][p].label))
+    runs, labellings, targets = [], [], []
+    circle = bd = 0  # the slot's first canonical circle and boundary
+    for k, (code, walks) in enumerate(components):
+        if not k or components[k - 1][0] != code:
+            run, run_circle, run_bd = k, circle, bd
+        labels = []
+        for order, _codes, headings in walks:
+            place = {c: (i, start, direction) for i, (c, start, direction) in enumerate(order)}
+            ranked = [None] * len(firsts[k])
+            for item, c, p, s, label in firsts[k]:
+                i, start, direction = place[c]
+                newp = ((p - start) * direction - offsets[run_circle + i]) % len(ap.circles[c])
+                # a label first emitted against its arrow is reversed in the
+                # form, swapping its tail and head slots
+                b = new.boundary_at(run_circle + i, newp, s ^ (not headings[label]))
+                ranked[b - run_bd] = item
+            labels.append(tuple(c for c, _, _ in order) + tuple(ranked))
+        target = list(range(circle, circle + len(walks[0][0])))
+        for b in range(run_bd, run_bd + len(firsts[k])):
+            idx, p, s = new.endpoint(new.components[b].crossings[0])
+            here = idx - run_circle + circle
+            p = (p + offsets[idx] - offsets[here]) % len(canon_ap.circles[idx])
+            target.append(n + new.boundary_at(here, p, s))
+        runs.append(run)
+        labellings.append(list(dict.fromkeys(labels)))
+        targets.append(target)
+        circle += len(walks[0][0])
+        bd += len(firsts[k])
+    for c, circ in enumerate(ap.circles):
         if not circ:
-            key = (sig(pg.vparts.labels, ci), sig(pg.bparts.labels, bare_to_bd[ci]))
-            groups.setdefault(key, []).append(ci)
-    return list(groups.values())
+            runs.append(len(components))
+            labellings.append([(c, n + old.bare_to_bd[c])])
+            targets.append((circle, n + bd))
+            circle, bd = circle + 1, bd + 1
+    return runs, labellings, targets
 
 
-def _empty_circle_pieces(circles, old, vblocks, bblocks):
-    """The empty circles of ``circles`` linked into pieces by the blocks
-    they share, ``vblocks`` over the circles and ``bblocks`` over the
-    boundaries of ``old``, their trace.
+class _Search:
+    """Individualisation-refinement over the pieces of one presentation
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014).
 
-    Two empty circles share a piece when they share a vertex block or their
-    bare boundaries share a boundary block.  Returns ``(anchored, free)``:
-    the set of empty circles in pieces whose blocks also hold a nonempty
-    circle or a token boundary, and the other pieces, each as ``(circles,
-    vertex blocks, boundary blocks)`` with the blocks it alone touches.
-    """
-    if all(circles):
-        return set(), []
-    parent: dict = {}
-    linked = []  # (block, is vertex block, its empty circles, anchored)
-    for blocks, vertex in ((vblocks, True), (bblocks, False)):
-        for blk in blocks:
-            if vertex:
-                empties = [c for c in blk if not circles[c]]
-            else:
-                empties = [old.components[b].circle for b in blk]
-                empties = [c for c in empties if c is not None]
-            if not empties:
-                continue
-            root = find(parent, empties[0])
-            for c in empties[1:]:
-                other = find(parent, c)
-                if other != root:
-                    parent[other] = root
-            linked.append((blk, vertex, empties[0], len(empties) < len(blk)))
-    pieces: dict = {}
-    for c, circ in enumerate(circles):
-        if not circ:
-            pieces.setdefault(find(parent, c), ([], [], []))[0].append(c)
-    anchored_roots = set()
-    for blk, vertex, member, anchored in linked:
-        root = find(parent, member)
-        pieces[root][1 if vertex else 2].append(blk)
-        if anchored:
-            anchored_roots.add(root)
-    anchored = {c for root in anchored_roots for c in pieces[root][0]}
-    free = [piece for root, piece in pieces.items() if root not in anchored_roots]
-    return anchored, free
+    The first tied cell branches on which piece goes first; then the first
+    piece with several labellings branches on them.  A leaf fills the slots
+    in colour order.  Automorphisms mapping every block to a block prune a
+    piece swapping with one tried, a labelling mapped onto one tried, and,
+    on a leaf equal to the best, the rest of the branch where the paths to
+    the two leaves split."""
 
+    def __init__(self, labellings, targets, block, n_circles):
+        self.labellings, self.targets, self.block = labellings, targets, block
+        self.n_circles = n_circles
+        self.members = [[] for _ in range(max(block) + 1)]
+        for x, b in enumerate(block):
+            self.members[b].append(x)
+        self.owner, ranks = [None] * len(block), [[] for _ in block]
+        for p, labels in enumerate(labellings):
+            for labelling in labels:
+                for i, x in enumerate(labelling):
+                    self.owner[x] = p
+                    ranks[x].append(i)
+        self.ranks = [tuple(sorted(r)) for r in ranks]
+        self.best = self.best_path = None
 
-def _restricted(groups, members) -> list:
-    return [g for g in ([c for c in group if c in members] for group in groups) if g]
+    def automorphic(self, perm) -> bool:
+        """Whether the item permutation ``perm`` (the identity off its
+        keys) maps every block to a block."""
+        block, members = self.block, self.members
+        for x, y in perm.items():
+            here, there = members[block[x]], block[y]
+            if len(here) != len(members[there]) or any(block[perm.get(z, z)] != there for z in here):
+                return False
+        return True
 
-
-def _piece_code(piece, groups, bare_to_bd):
-    """The least ``(vertex blocks, boundary blocks)`` of a free piece over
-    the arrangements of its circles, in ids local to the piece."""
-    circles, vblocks, bblocks = piece
-    bd_circle = {bare_to_bd[c]: c for c in circles}
-    best = None
-    for arrangement in _unique_orderings(_restricted(groups, set(circles))):
-        slot = {c: i for i, c in enumerate(arrangement)}
-        code = (
-            tuple(sorted(tuple(sorted(slot[c] for c in blk)) for blk in vblocks)),
-            tuple(sorted(tuple(sorted(slot[bd_circle[b]] for b in blk)) for blk in bblocks)),
+    def swaps(self, a: int, b: int) -> bool:
+        """Whether pieces ``a`` and ``b`` trade places by an automorphism."""
+        first = self.labellings[a][0]
+        return any(
+            self.automorphic({**dict(zip(first, other)), **dict(zip(other, first))})
+            for other in self.labellings[b]
         )
-        if best is None or code < best:
-            best = code
-    return best
+
+    def least(self, runs) -> tuple:
+        """The partitions of the least leaf.  Pieces start coloured by run,
+        then by the sizes of their items' blocks.  When every cell is one
+        swap class and at most one piece has labellings that no automorphism
+        joins, the search is one path branching only over that piece's
+        labellings, and refinement is skipped."""
+        colours = _relabel([
+            (run, tuple(sorted(len(self.members[self.block[x]]) for x in labels[0])))
+            for run, labels in zip(runs, self.labellings)
+        ])
+        self.refining = any(
+            not self.swaps(colours.index(c), p)
+            for p, c in enumerate(colours) if colours.index(c) != p
+        ) or sum(
+            any(not self.automorphic(dict(zip(labels[0], other))) for other in labels[1:])
+            for labels in self.labellings
+        ) > 1
+        self.search(colours, [labels[0] if len(labels) == 1 else None for labels in self.labellings], [])
+        return self.best
+
+    def refine(self, colours, chosen):
+        """Colour refinement to a fixed point; returns piece and item colours.
+
+        An item's colour is its piece's, its rank (its ranks over the
+        piece's labellings while none is fixed) and its block's; a piece's
+        colour adds its items'."""
+        ranks = list(self.ranks)
+        for labelling in filter(None, chosen):
+            for i, x in enumerate(labelling):
+                ranks[x] = (i,)
+        tint = _relabel([(colours[p], rank) for p, rank in zip(self.owner, ranks)])
+        counts = len(set(colours)), len(set(tint))
+        while True:
+            seen = [tuple(sorted(tint[x] for x in m)) for m in self.members]
+            tint = _relabel([
+                (colours[p], tint[x], seen[b]) for x, (p, b) in enumerate(zip(self.owner, self.block))
+            ])
+            colours = _relabel([
+                (c, tuple(sorted(tint[x] for x in labels[0])))
+                for c, labels in zip(colours, self.labellings)
+            ])
+            last, counts = counts, (len(set(colours)), len(set(tint)))
+            if counts == last:
+                return colours, tint
+
+    def search(self, colours, chosen, path) -> int:
+        """Explore the node ``path``; return the depth to resume at."""
+        depth = len(path)
+        if self.refining:
+            colours, tint = self.refine(colours, chosen)
+        ties = [c for c in set(colours) if colours.count(c) > 1]
+        if ties:
+            c, tried = min(ties), []
+            for p in [q for q, k in enumerate(colours) if k == c]:
+                if not any(self.swaps(q, p) for q in tried):
+                    tried.append(p)
+                    # p takes the cell's colour, the rest the next one
+                    below = [2 * k + (k == c and q != p) for q, k in enumerate(colours)]
+                    split = self.search(below, chosen, path + [p])
+                    if split < depth:
+                        return split
+            return depth
+        order = sorted(range(len(colours)), key=colours.__getitem__)
+        options = {p: self.labellings[p] for p in order if chosen[p] is None}
+        if self.refining and options:
+            # only labellings whose item colours, read in rank order, are
+            # least; a piece left with one is fixed at once
+            chosen = list(chosen)
+            for p, labels in options.items():
+                keys = [tuple(tint[x] for x in labelling) for labelling in labels]
+                least = min(keys)
+                options[p] = [lab for lab, key in zip(labels, keys) if key == least]
+                if len(options[p]) == 1:
+                    chosen[p] = options[p][0]
+        p = next((p for p in options if chosen[p] is None), None)
+        if p is not None:
+            tried = []
+            for labelling in options[p]:
+                if not any(self.automorphic(dict(zip(t, labelling))) for t in tried):
+                    tried.append(labelling)
+                    below = chosen[:p] + [labelling] + chosen[p + 1:]
+                    split = self.search(colours, below, path + [(p, labelling)])
+                    if split < depth:
+                        return split
+            return depth
+        image = [None] * len(self.block)
+        for target, p in zip(self.targets, order):
+            for x, y in zip(chosen[p], target):
+                image[y] = self.block[x]
+        n = self.n_circles
+        leaf = (_first_appearance(image[:n]), _first_appearance(image[n:]))
+        if self.best is None or leaf < self.best:
+            self.best, self.best_path = leaf, path
+        elif leaf == self.best:
+            # the leaves differ by an automorphism fixing the node where
+            # their paths split, so the rest of its branch repeats one done
+            return next(i for i, (a, b) in enumerate(zip(path, self.best_path)) if a != b)
+        return depth
 
 
 def canonical_packaged(pg: PackagedPresentation) -> PackagedPresentation:
     """Canonical form of a packaged presentation.
 
     Takes the canonical arrow presentation, then the least vertex and
-    boundary partition encodings over every traversal achieving it.  Empty
-    circles whose blocks hold nothing else (free pieces, see
-    :func:`_empty_circle_pieces`) go last, ordered by their own least
-    encoding; the others are tried in every arrangement of their
-    interchangeable groups.  Two packaged presentations are equal up to
-    equivalence iff their canonical forms are identical.
+    boundary partitions over the leaves of a search (:class:`_Search`)
+    through the orders of equal components, the orders of empty circles,
+    and each component's least walks.  Two packaged presentations are equal
+    up to equivalence iff their canonical forms are identical.
     """
-    canon_ap, transforms, rebuild_offsets = canonical_transforms(pg.ap)
-    new = boundary_trace(canon_ap)
-    n_circles, n_bds = len(canon_ap.circles), len(new.components)
+    canon_ap, components, offsets = canonical_transforms(pg.ap)
+    n_circles, n_bds = len(canon_ap.circles), len(pg.bparts.labels)
     if pg.vparts.n_blocks == n_circles and pg.bparts.n_blocks == n_bds:
         # all singletons, which every relabelling fixes
         return PackagedPresentation(canon_ap, pg.vparts, pg.bparts)
-    circles = pg.ap.circles
-    old = boundary_trace(pg.ap)
-    groups = _empty_circle_groups(pg, old.bare_to_bd)
-    all_vblocks, all_bblocks = pg.vparts.blocks, pg.bparts.blocks
-    anchored, free = _empty_circle_pieces(circles, old, all_vblocks, all_bblocks)
-    anchored_groups = _restricted(groups, anchored)
-
-    # Canonical circles are the nonempty ones, then the anchored empty
-    # circles, then the free pieces; bare boundaries follow the token ones
-    # in the same order.
-    n_nonempty = sum(1 for circ in canon_ap.circles if circ)
-    n_tokens = n_bds - (n_circles - n_nonempty)
-    slot = len(anchored)
-    free_v, free_b = [], []
-    for code in sorted(_piece_code(piece, groups, old.bare_to_bd) for piece in free):
-        venc, benc = code
-        free_v += [tuple(n_nonempty + slot + i for i in blk) for blk in venc]
-        free_b += [tuple(n_tokens + slot + i for i in blk) for blk in benc]
-        slot += sum(len(blk) for blk in venc)
-    free_vblocks = {blk for piece in free for blk in piece[1]}
-    free_bblocks = {blk for piece in free for blk in piece[2]}
-    vblocks = [blk for blk in all_vblocks if blk not in free_vblocks]
-    bblocks = [blk for blk in all_bblocks if blk not in free_bblocks]
-
-    # Each token boundary is followed from its first crossing.
-    firsts = []
-    for bd in old.components:
-        if bd.circle is None:
-            c, p, s = old.endpoint(bd.crossings[0])
-            firsts.append((bd.id, c, p, s, circles[c][p].label))
-    bare_bd = old.bare_to_bd
-
-    best = None
-    for order, _codes, headings in transforms:
-        place = {c: (idx, start, direction) for idx, (c, start, direction) in enumerate(order)}
-        cmap = {c: idx for idx, (c, _, _) in enumerate(order)}
-        bd_map = {}
-        for bid, c, p, s, label in firsts:
-            idx, start, direction = place[c]
-            newp = ((p - start) * direction - rebuild_offsets[idx]) % len(circles[c])
-            # a label first emitted against its arrow is reversed in the
-            # canonical form, swapping its tail and head slots
-            bd_map[bid] = new.boundary_at(idx, newp, s ^ (not headings[label]))
-        for arrangement in _unique_orderings(anchored_groups):
-            for i, c in enumerate(arrangement):
-                cmap[c] = n_nonempty + i
-                bd_map[bare_bd[c]] = n_tokens + i
-            venc = tuple(sorted(free_v + [tuple(sorted(cmap[x] for x in blk)) for blk in vblocks]))
-            if best is not None and venc > best[0]:
-                continue
-            benc = tuple(sorted(free_b + [tuple(sorted(bd_map[x] for x in blk)) for blk in bblocks]))
-            if best is None or (venc, benc) < best:
-                best = (venc, benc)
-    venc, benc = best
-    return PackagedPresentation(
-        canon_ap,
-        Partition.make(venc, range(n_circles)),
-        Partition.make(benc, range(n_bds)),
-    )
+    runs, labellings, targets = _pieces(pg.ap, canon_ap, components, offsets)
+    block = pg.vparts.labels + tuple(n_circles + b for b in pg.bparts.labels)
+    vlabels, blabels = _Search(labellings, targets, block, n_circles).least(runs)
+    return PackagedPresentation(canon_ap, Partition(vlabels), Partition(blabels))

@@ -1,17 +1,55 @@
 """The greedy backtracking canonical form and the packaged loop over its
-transforms, kept as the reference the rooted-walk forms are tested against.
+transforms and every arrangement of the empty circles, kept as the
+reference the rooted-walk and refinement forms are tested against.
 
 Forms from the two differ as presentations; only the equivalence they
 induce must agree.
 """
 
 from ribbontensor.arrow import _rebuild_from_encoding, boundary_trace, check_edge_cap
-from ribbontensor.packaged import (
-    PackagedPresentation,
-    Partition,
-    _empty_circle_groups,
-    _unique_orderings,
-)
+from ribbontensor.packaged import PackagedPresentation, Partition
+
+
+def _unique_orderings(groups):
+    """Distinct arrangements of items where same-group items are
+    interchangeable."""
+
+    def rec(remaining):
+        if not any(remaining):
+            yield ()
+            return
+        for gi, group in enumerate(remaining):
+            if not group:
+                continue
+            head = group[0]
+            rest = list(remaining)
+            rest[gi] = group[1:]
+            for tail in rec(rest):
+                yield (head,) + tail
+
+    return rec([tuple(g) for g in groups])
+
+
+def _empty_circle_groups(pg, bare_to_bd):
+    """The empty circles of ``pg`` in groups whose members can trade places
+    without changing the partition encodings.
+
+    Two empty circles are interchangeable when, on the vertex side and on
+    the boundary side alike, they share a block or each is alone in its
+    block: swapping them then maps each partition to itself.  So under
+    singleton partitions all empty circles form one group.
+    """
+
+    def sig(labels, item):
+        block = labels[item]
+        return block if labels.count(block) > 1 else None
+
+    groups: dict = {}
+    for ci, circ in enumerate(pg.ap.circles):
+        if not circ:
+            key = (sig(pg.vparts.labels, ci), sig(pg.bparts.labels, bare_to_bd[ci]))
+            groups.setdefault(key, []).append(ci)
+    return list(groups.values())
 
 
 def _encode_candidate(circ, start, direction, codes, headings, counter):

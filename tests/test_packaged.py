@@ -4,13 +4,12 @@ and the one-edge basis presentations."""
 import random
 import time
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ribbontensor import arrow, packaged
+from ribbontensor import arrow
 from ribbontensor.arrow import (
     ArrowPresentation,
     boundary_components,
@@ -24,7 +23,6 @@ from ribbontensor.errors import (
     MissingFactor,
     PartitionCoverError,
     PartitionOverlapError,
-    SizeLimitExceeded,
     UnknownEdge,
 )
 from ribbontensor.files import dumps_presentation, loads_presentation
@@ -502,8 +500,22 @@ def canonical_pairs(draw):
     return p, draw(packaged_with_empty_circles(max_edges=7, max_empty=5))
 
 
+def _with_image(pg, seed):
+    return pg, symmetry_image(pg, random.Random(seed))
+
+
 @settings(deadline=None, max_examples=150)
 @given(canonical_pairs())
+@example(_with_image(
+    make_packaged(ArrowPresentation.from_circles([[("e", True), ("e", True)]] + [[]] * 6)), 1
+))
+@example(_with_image(
+    make_packaged(
+        ArrowPresentation.from_circles([[("e", True)], [("e", False)]] + [[]] * 5),
+        [[0, 2, 3], [1], [4], [5], [6]], [[0], [1], [2], [3, 4], [5]],
+    ),
+    2,
+))
 def test_canonical_forms_agree_with_the_backtracking_reference(pair):
     p, q = pair
     assert (canonical_form(p.ap) == canonical_form(q.ap)) == (
@@ -514,29 +526,25 @@ def test_canonical_forms_agree_with_the_backtracking_reference(pair):
     )
 
 
-def _grouped_by_blocks(pg, bare_to_bd):
-    """The empty-circle grouping that keeps only circles with the same vertex
-    block and the same boundary block together, so that every order of the
-    singleton ones is tried."""
-    groups = {}
-    for ci, circ in enumerate(pg.ap.circles):
-        if not circ:
-            sig = (pg.vparts.labels[ci], pg.bparts.labels[bare_to_bd[ci]])
-            groups.setdefault(sig, []).append(ci)
-    return list(groups.values())
+# Two equal six-edge components: in the canonical form the second one's
+# labels (e6..e11) sort differently as strings from the first one's, so its
+# circle is stored at another rotation and its boundaries are numbered in
+# another order.
+_SIX = [("3", False), ("1", True), ("1", False), ("0", False), ("0", False), ("3", False),
+        ("4", True), ("5", False), ("2", False), ("4", False), ("2", False), ("5", True)]
+_TWO_SIXES = make_packaged(
+    ArrowPresentation.from_circles([[(f"{c}{label}", f) for label, f in _SIX] for c in "ab"]),
+    [[0, 1]], [[0, 1, 4], [2, 5], [3]],
+)
 
 
-@settings(deadline=None, max_examples=200)
-@given(packaged_with_empty_circles(max_empty=6))
-@example(make_packaged(ArrowPresentation.from_circles([[("e", True), ("e", True)]] + [[]] * 6)))
-@example(make_packaged(
-    ArrowPresentation.from_circles([[("e", True)], [("e", False)]] + [[]] * 5),
-    [[0, 2, 3], [1], [4], [5], [6]], [[0], [1], [2], [3, 4], [5]],
-))
-def test_interchangeable_empty_circles_share_a_group(pg):
-    with mock.patch.object(packaged, "_empty_circle_groups", _grouped_by_blocks):
-        want = canonical_packaged(pg)
-    assert canonical_packaged(pg) == want
+@settings(deadline=None, max_examples=100)
+@given(packaged_presentations(0, 6))
+@example(_TWO_SIXES)
+def test_canonical_packaged_is_idempotent(pg):
+    # a form is equivalent to its input, so canonicalising it changes nothing
+    canon = canonical_packaged(pg)
+    assert canonical_packaged(canon) == canon
 
 
 @pytest.mark.parametrize("vblocks", [None, [[0], [1], list(range(2, 14))]])
@@ -551,17 +559,21 @@ def test_many_bare_circles_canonicalise_quickly(vblocks):
     assert canon.vparts == Partition.make(vblocks, range(14))
 
 
-@pytest.mark.parametrize("side", ["vertex", "boundary"])
+@pytest.mark.parametrize("side", ["vertex", "boundary", "anchored"])
 def test_empty_circles_in_shared_blocks_canonicalise_quickly(side):
     # a loop (two token boundaries) and 10 empty circles paired up in five
-    # two-member blocks: 113,400 orders of the empty circles, but the pairs
-    # are pieces that move as wholes
+    # two-member blocks: 113,400 orders of the empty circles.  Anchored, the
+    # circles also share the loop's vertex block, so only the pairs of bare
+    # boundaries tell them apart.
     loop = ArrowPresentation.from_circles([[("e", True), ("e", True)]] + [[]] * 10)
     pairs = [[2 * i + 1, 2 * i + 2] for i in range(5)]
+    bare_pairs = [[0], [1]] + [[b + 1 for b in pair] for pair in pairs]
     if side == "vertex":
         pg = make_packaged(loop, [[0]] + pairs)
+    elif side == "boundary":
+        pg = make_packaged(loop, None, bare_pairs)
     else:
-        pg = make_packaged(loop, None, [[0], [1]] + [[b + 1 for b in pair] for pair in pairs])
+        pg = make_packaged(loop, [list(range(11))], bare_pairs)
     t0 = time.perf_counter()
     canon = canonical_packaged(pg)
     elapsed = time.perf_counter() - t0
@@ -571,14 +583,64 @@ def test_empty_circles_in_shared_blocks_canonicalise_quickly(side):
         assert canonical_packaged(symmetry_image(pg, rng)) == canon
 
 
-def test_transform_cap_applies_only_when_transforms_are_needed():
-    # seven equal one-edge components: 7! * 4^7 combinations of least walks
-    # and component orders
+def test_equal_components_canonicalise_quickly():
+    # seven equal one-edge components, two of whose circles share a vertex
+    # block: 7! orders of the components times 4^7 least walks
     ap = ArrowPresentation.from_circles([[(f"e{i}", True)] for i in range(7) for _ in range(2)])
     assert len(canonical_form(ap).circles) == 14
     assert canonical_packaged(make_packaged(ap)).ap == canonical_form(ap)
-    with pytest.raises(SizeLimitExceeded, match="exceed cap 100000"):
-        canonical_packaged(make_packaged(ap, [[0, 1]] + [[i] for i in range(2, 14)]))
+    pg = make_packaged(ap, [[0, 1]] + [[i] for i in range(2, 14)])
+    t0 = time.perf_counter()
+    canon = canonical_packaged(pg)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.05, f"{elapsed:.3f} s"
+    rng = random.Random(29)
+    for _ in range(5):
+        assert canonical_packaged(symmetry_image(pg, rng)) == canon
+
+
+def _grown(ap):
+    """Every presentation with one more edge than ``ap``: its first arrow
+    forward anywhere (possibly on a new circle), then its second arrow
+    either way anywhere."""
+
+    def insertions(circles, occ):
+        for ci, circ in enumerate(circles):
+            for p in range(len(circ)):
+                yield circles[:ci] + [circ[:p] + [occ] + circ[p:]] + circles[ci + 1:]
+        yield circles + [[occ]]
+
+    for first in insertions([list(circ) for circ in ap.circles], ("new", True)):
+        for forward in (True, False):
+            for second in insertions(first, ("new", forward)):
+                yield ArrowPresentation.from_circles(second)
+
+
+def _partitions(n):
+    """Every partition of 0..n-1."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return [Partition(s) for s in strings]
+
+
+def test_class_counts_up_to_three_edges():
+    # Classes without empty circles, grown edge by edge and deduplicated by
+    # canonical_form, then given every pair of partitions and deduplicated
+    # by canonical_packaged.  The counts match the exhaustive enumeration
+    # over every least walk and order of equal components.
+    arrow_classes = [ArrowPresentation.from_circles([])]
+    counts = []
+    for _ in range(3):
+        arrow_classes = list({canonical_form(g) for ap in arrow_classes for g in _grown(ap)})
+        packaged_classes = {
+            canonical_packaged(PackagedPresentation(ap, vparts, bparts))
+            for ap in arrow_classes
+            for vparts in _partitions(len(ap.circles))
+            for bparts in _partitions(len(boundary_components(ap)))
+        }
+        counts.append((len(arrow_classes), len(packaged_classes)))
+    assert counts == [(3, 5), (17, 91), (106, 1838)]
 
 
 def test_surgery_cache_bytes_per_entry():
