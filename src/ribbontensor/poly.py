@@ -315,6 +315,19 @@ class MultiPoly:
         return f"MultiPoly({to_canonical_string(self)!r})"
 
 
+def ring_sum(values: Iterable, zero):
+    """``sum(values, zero)``, except that ``MultiPoly`` values are merged
+    into one term dict, where ``+`` would copy the running total each time."""
+    if not isinstance(zero, MultiPoly):
+        return sum(values, zero)
+    terms = dict(zero.terms)
+    for p in values:
+        zero._check(p)
+        for key, coeff in p.terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+    return MultiPoly._make(zero.registry, {k: c for k, c in terms.items() if c})
+
+
 class _RunText(dict):
     """Monomial text of one run of registry fields, memoised by the run's
     packed bits: ``bits -> (degree, text)``, each run decoded once."""

@@ -33,11 +33,14 @@ over their common denominator ``d_e`` and the bases over ``d_b``, a node
 keeps its value times the ``d_e`` of its edges and ``d_b`` to its largest
 stripped base degree, and the root divides by ``d_root``, the ``d_e`` of
 the labels below it and that power of ``d_b``.  A ``MultiPoly`` fold is the
-same loop with every denominator 1.  The subset
-expansions have the same shape: :func:`_spanning_table` enumerates the
-spanning sub-presentations of an arrow presentation once, and
-:func:`_subset_counts` the edge subsets of a multigraph, and one evaluator
-per invariant sums either table in the ring of its arguments.
+same loop with every denominator 1.  The subset expansions follow the
+same scheme: :func:`_spanning_table` and :func:`_subset_counts` enumerate
+once the spanning sub-presentations of an arrow presentation and the edge
+subsets of a multigraph, and :func:`_expand` sums an evaluator's rows, each
+a coefficient times powers of the bases, in the ring of the arguments.  A
+rational base n/d is tabled as the integers ``n**i * d**(top - i)`` over
+``d**top``, so every row is integer products, summed in one accumulator
+(:func:`ring_sum`) and divided once at the end.
 
 The edge cap is checked on every call, before any cache is consulted, so a
 cap lowered after an instance was cached still applies.
@@ -64,7 +67,7 @@ from .arrow import (
     surface_stats,
 )
 from .packaged import EdgeOpKind, PackagedPresentation, apply_edge_op
-from .poly import MultiPoly, VarRegistry, common_denominator, standard_registry
+from .poly import MultiPoly, VarRegistry, common_denominator, ring_sum, standard_registry
 
 OP_ORDER = (
     EdgeOpKind.DELETE,
@@ -613,25 +616,64 @@ def _spanning_table(ap: ArrowPresentation) -> tuple:
     return tuple(table)
 
 
+def _powers(base, top: int, rational: bool) -> tuple:
+    """The powers of ``base`` from 0 to ``top`` as ``(table, denominator)``.
+    A rational n/d is tabled as the integers ``n**i * d**(top - i)`` over
+    ``d**top``; in any other ring the table holds the powers over 1."""
+    n, d = (base.numerator, base.denominator) if rational else (base, 1)
+    table = [1 if rational else base**0]
+    for _ in range(top):
+        table.append(table[-1] * n)
+    if d != 1:
+        table = [t * d ** (top - i) for i, t in enumerate(table)]
+    return table, d**top
+
+
+def _expand(rows: Iterable, bases: tuple, rational: bool, den: int = 1):
+    """The sum of ``coeff * prod(bases[j] ** exps[j])`` over ``rows`` of
+    ``(coeff, exps)``, rows with equal exponents summed first.  Over the
+    rationals the coefficients are integer numerators over ``den``, so
+    every row is integer products only, and the sum becomes one
+    ``Fraction`` at the end."""
+    groups: dict = {}
+    for coeff, exps in rows:
+        groups.setdefault(exps, []).append(coeff)
+    tables = []
+    for base, top in zip(bases, map(max, zip(*groups))):
+        table, d = _powers(base, top, rational)
+        tables.append(table)
+        den *= d
+    total = ring_sum(
+        (
+            math.prod((t[e] for t, e in zip(tables, exps)), start=ring_sum(cs, cs[0] * 0))
+            for exps, cs in groups.items()
+        ),
+        0 if rational else bases[0] * 0,
+    )
+    return Fraction(total, den) if rational else total
+
+
 def mv_br_value(ap: ArrowPresentation, a, b_by_label: Mapping, c):
     """Multivariate Bollobas-Riordan polynomial at ``a``, ``b_e``, ``c``.
 
     Sum over spanning sub-presentations A of
     a^{k(A)} * (prod of b_e over A) * c^{b(A)}, in the ring of the
     arguments: ``Fraction`` for a value, ``MultiPoly`` for the polynomial.
-    Capped at ``edge_cap(16)`` edges.
+    The products over A are built by doubling in sorted-label order, so a
+    product's index is A's bitmask in the spanning table; at a rational
+    point a label outside A contributes its ``d_e``.  Capped at
+    ``edge_cap(16)`` edges.
     """
     check_edge_cap(len(ap.edges), 16, "subset expansion")
-    one = a**0
-    # prods[mask] is the product of b_e over the labels in mask.
-    prods = [one]
-    for label in sorted(ap.edges):
-        b = b_by_label[label]
-        prods += [p * b for p in prods]
-    total = one - one
-    for (k, nb, _), prod in zip(_spanning_table(ap), prods):
-        total = total + a**k * c**nb * prod
-    return total
+    bs = [b_by_label[label] for label in sorted(ap.edges)]
+    rational = all(isinstance(v, Rational) for v in (a, c, *bs))
+    prods, den = [1 if rational else a**0], 1
+    for b in bs:
+        (out, into), d = _powers(b, 1, rational)
+        prods = ([p * out for p in prods] if d != 1 else prods) + [p * into for p in prods]
+        den *= d
+    rows = ((p, (k, nb)) for (k, nb, _), p in zip(_spanning_table(ap), prods))
+    return _expand(rows, (a, c), rational, den)
 
 
 def mv_br_poly(ap: ArrowPresentation) -> MultiPoly:
@@ -648,22 +690,21 @@ def br_poly(ap: ArrowPresentation) -> MultiPoly:
     Sum over spanning sub-presentations of
     (x-1)^{r(E)-r(A)} * y^{|A|-r(A)} * z^{genus(A)} with r(A) = v - k(A) and
     genus the Euler genus, expanded into integer powers of x, y, z.  The
-    spanning table is summed grouped by (k(A), |A|, genus(A)).  Capped at
+    spanning table is summed grouped by those three exponents.  Capped at
     ``edge_cap(16)`` edges.
     """
     check_edge_cap(len(ap.edges), 16, "subset expansion")
     registry = VarRegistry(("x", "y", "z"))
     x, y, z = (MultiPoly.var(registry, n) for n in ("x", "y", "z"))
-    rows = _spanning_table(ap)
+    table = _spanning_table(ap)
     v = len(ap.circles)
-    k_full = min(k for k, _, _ in rows)
-    groups = Counter((k, mask.bit_count(), genus) for mask, (k, _, genus) in enumerate(rows))
-    x1 = x - x**0
-    total = MultiPoly.zero(registry)
-    for (k, size, genus), count in groups.items():
-        # r(E) - r(A) = k(A) - k(E) and |A| - r(A) = |A| - v + k(A)
-        total = total + count * x1 ** (k - k_full) * y ** (size - v + k) * z**genus
-    return total
+    k_full = min(k for k, _, _ in table)
+    # r(E) - r(A) = k(A) - k(E) and |A| - r(A) = |A| - v + k(A)
+    rows = (
+        (1, (k - k_full, mask.bit_count() - v + k, genus))
+        for mask, (k, _, genus) in enumerate(table)
+    )
+    return _expand(rows, (x - x**0, y, z), False)
 
 
 # --------------------------------------------------------------------------
@@ -740,25 +781,20 @@ def zdot_value(g: Multigraph, a, b, c):
     """Sum over edge subsets A of a^{k(A)} b^{|A|} c^{|E-A|}, in the ring of
     the arguments.  Capped at ``edge_cap(16)`` edges."""
     check_edge_cap(g.m, 16, "subset expansion")
-    one = a**0
-    total = one - one
-    for (k, size), count in _subset_counts(g):
-        total = total + count * a**k * b**size * c ** (g.m - size)
-    return total
+    rows = ((n, (k, size, g.m - size)) for (k, size), n in _subset_counts(g))
+    return _expand(rows, (a, b, c), all(isinstance(v, Rational) for v in (a, b, c)))
 
 
 def tutte_value(g: Multigraph, x, y):
     """Whitney-rank expansion of the Tutte polynomial at ``x``, ``y``, in the
     ring of the arguments.  Capped at ``edge_cap(16)`` edges."""
     check_edge_cap(g.m, 16, "subset expansion")
-    one = x**0
     rows = _subset_counts(g)
     k_full = min(k for (k, _), _ in rows)
-    total = one - one
-    for (k, size), count in rows:
-        # r(E) - r(A) = k(A) - k(E) and |A| - r(A) = |A| - n + k(A)
-        total = total + count * (x - one) ** (k - k_full) * (y - one) ** (size - g.n + k)
-    return total
+    one = x**0
+    # r(E) - r(A) = k(A) - k(E) and |A| - r(A) = |A| - n + k(A)
+    rows = ((n, (k - k_full, size - g.n + k)) for (k, size), n in rows)
+    return _expand(rows, (x - one, y - one), all(isinstance(v, Rational) for v in (x, y)))
 
 
 def zdot_tutte(g: Multigraph) -> MultiPoly:

@@ -113,9 +113,6 @@ def random_connected_multigraph(
         if loopless and u == v:
             continue
         edges.append((u, v))
-    edges = edges[:m] if len(edges) > m else edges
-    if len(edges) < m:
-        return random_connected_multigraph(rng, max_edges, min_edges, loopless)
     return Multigraph.make(n, edges)
 
 

@@ -69,6 +69,7 @@ from ribbontensor.polynomials import (
     zhat_poly,
 )
 from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
+import subset_reference as reference
 from strategies import packaged_presentations, packaged_with_empty_circles, presentations
 
 REG = standard_registry()
@@ -723,6 +724,51 @@ def test_whitney_expansions_satisfy_deletion_contraction(g, p, q, r):
     assert tutte_value(g, p, q) == _tutte_dc(g, p, q)
     assert zdot_tutte(g).eval_at({"a": p, "b": q, "c": r}) == _zdot_dc(g, p, q, r)
     assert tutte_poly(g).eval_at({"x": p, "y": q}) == _tutte_dc(g, p, q)
+
+
+# ---- the power-table subset expansions against the per-row sums -----------
+
+# Zero, one (x = 1 or y = 1 makes a base 0, whose power 0 must stay 1),
+# negatives, plain ints and fractions.
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-4, 4),
+    st.fractions(-5, 5, max_denominator=9),
+)
+larger_multigraphs = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=7).map(
+        lambda edges: Multigraph.make(n, edges)
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(presentations(0, 7), larger_multigraphs, st.data())
+def test_subset_expansions_match_the_per_row_reference_at_points(ap, g, data):
+    a, b, c = (data.draw(scalars) for _ in range(3))
+    b_by = {label: data.draw(scalars) for label in sorted(ap.edges)}
+    assert mv_br_value(ap, a, b_by, c) == reference.mv_br_value(ap, a, b_by, c)
+    assert zdot_value(g, a, b, c) == reference.zdot_value(g, a, b, c)
+    assert tutte_value(g, a, b) == reference.tutte_value(g, a, b)
+    h = graph_of_presentation(ap)
+    assert zdot_value(h, a, b, c) == reference.zdot_value(h, a, b, c)
+    assert tutte_value(h, a, c) == reference.tutte_value(h, a, c)
+
+
+@settings(deadline=None, max_examples=60)
+@given(presentations(0, 7), larger_multigraphs)
+def test_subset_expansions_match_the_per_row_reference_symbolically(ap, g):
+    assert br_poly(ap) == reference.br_poly(ap)
+    reg = VarRegistry(("a", "c") + tuple(f"b_{label}" for label in sorted(ap.edges)))
+    a, c = MultiPoly.var(reg, "a"), MultiPoly.var(reg, "c")
+    b_by = {label: MultiPoly.var(reg, f"b_{label}") for label in ap.edges}
+    assert mv_br_poly(ap) == reference.mv_br_value(ap, a, b_by, c)
+    reg = VarRegistry(("a", "b", "c"))
+    a, b, c = (MultiPoly.var(reg, n) for n in ("a", "b", "c"))
+    assert zdot_tutte(g) == reference.zdot_value(g, a, b, c)
+    assert tutte_value(g, a, b) == reference.tutte_value(g, a, b)
+    x, y = (MultiPoly.var(tutte_poly(g).registry, n) for n in ("x", "y"))
+    assert tutte_poly(g) == reference.tutte_value(g, x, y)
 
 
 # ---- the edge cap ----------------------------------------------------------
