@@ -5,6 +5,8 @@ Every identity has the same shape: the polynomial of a composed presentation
 with each tensored edge's weights replaced by transfer coefficients, solved
 from a small exact linear system over the factor's five (or four, three,
 two) operation values.  ``SPECS`` holds what differs between the kinds.
+A recursion kind reads its transfer matrix off the one-edge presentations
+that realise its operations (:func:`_read_off`); planemvbr and tutte type it.
 
 :func:`plan_instance` builds, once per instance, the composed object, the
 host and each distinct factor, resolved: one resolution DAG with the coupled
@@ -17,10 +19,13 @@ system degenerates are resampled.  Agreement is required to be exact.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import time
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .arrow import ArrowPresentation, contract_edge, delete_edge, surface_stats
@@ -31,6 +36,7 @@ from .packaged import (
     PackagedPresentation,
     compose_two_sums,
     incident_items,
+    k_presentations,
     make_packaged,
     namespaced,
 )
@@ -73,37 +79,16 @@ class TheoremKind(Enum):
 
 
 _FOUR = (TheoremKind.BR, TheoremKind.BRZHAT)
+# The uniform kinds' variables besides alpha, beta, a and b.
+_UNIFORM = {
+    TheoremKind.MAIN: {"gamma", "c", "x", "y"}, TheoremKind.CORZ: {"gamma"},
+    TheoremKind.BR: {"c", "x"}, TheoremKind.BRZHAT: set(),
+}
 _ONE = Fraction(1)
 
 
 # --------------------------------------------------------------------------
 # what differs between the kinds
-
-
-def _five_rows(pt):
-    # The transfer matrix is alpha*beta*gamma (_five_scale) times these rows.
-    al, be, ga = pt["alpha"], pt["beta"], pt["gamma"]
-    one = _ONE
-    return [
-        [al * be, one, one, al, one],
-        [one, al * ga, one, one, al],
-        [one, one, al, one, one],
-        [al, one, one, al, one],
-        [one, al, one, one, al],
-    ]
-
-
-def _four_rows(pt):
-    # The vertex-partitioned kinds drop the merge-contraction and fix gamma = 1.
-    return [row[:4] for row in _five_rows({**pt, "gamma": _ONE})[:4]]
-
-
-def _five_scale(pt):
-    return pt["alpha"] * pt["beta"] * pt["gamma"]
-
-
-def _four_scale(pt):
-    return pt["alpha"] * pt["beta"]
 
 
 def _per_edge(*stems):
@@ -119,14 +104,6 @@ def _uniform(*stems):
         return dict.fromkeys(labels, w)
 
     return weights
-
-
-def _five_bases(pt):
-    return pt["alpha"], pt["beta"], pt["gamma"]
-
-
-def _four_bases(pt):
-    return pt["alpha"], pt["beta"], _ONE
 
 
 def _zdot_at(g, weights, pt):
@@ -180,7 +157,7 @@ def _shared_parts(labels, factor, swaps):
 class KindSpec(NamedTuple):
     """What one theorem kind adds to the shape every identity shares."""
 
-    rows: Callable  # pt -> the transfer matrix divided by ``scale``, as fresh unchecked rows
+    rows: Callable  # pt -> the matrix over ``scale``, as fresh unchecked rows (see _by_dag)
     resolve: Callable  # (factor, e) -> what every point reads its columns off
     columns: Callable  # (resolved factor, weights, pt) -> one value per row
     weights: Callable  # (labels, pt) -> {label: weights}
@@ -191,38 +168,87 @@ class KindSpec(NamedTuple):
     scale: Callable = lambda pt: _ONE  # pt -> the common factor the rows leave out
 
 
-def _by_dag(ops, bases):
+def _product(b, ks):
+    """The product of ``b[k]`` over the base indexes ``ks``; 1 for none."""
+    return math.prod(map(b.__getitem__, ks[1:]), start=b[ks[0]]) if ks else _ONE
+
+
+def _read_off(basis, ops) -> tuple:
+    """A transfer matrix read off its basis: column j holds the operation
+    values of ``basis[j]``, which realises operation j of ``ops``.  Resolved
+    with its edge ``e`` first, it is one node whose live refs ``(-1, strip)``
+    hold the base exponents of its results.  The scale takes each base to
+    its least exponent over the entries, and an entry is its strip minus the
+    scale.  Returns the distinct entries as base indexes (k repeated to base
+    k's exponent), the rows as positions among them, and the scale.
+    """
+    columns = []
+    for x in basis:
+        ((_, refs),) = resolution_dag(x, ("e",), ops)[1]
+        columns.append([strip for _, strip in filter(None, refs)])
+    least = [min(exps) for exps in zip(*sum(columns, []))]
+
+    def indexes(exps):
+        return tuple(k for k, n in enumerate(exps) for _ in range(n))
+
+    rows = [[indexes(map(int.__sub__, s, least)) for s in row] for row in zip(*columns)]
+    entries = sorted({m for row in rows for m in row})
+    return entries, [[entries.index(m) for m in row] for row in rows], indexes(least)
+
+
+def _by_dag(ops, bases, basis, value):
     """A recursion kind's factor is resolved once, its coupled edge first;
     at a point one fold gives the DAG root's terms, which are the values of
-    the factor's operation results ``ops``."""
+    the factor's operation results ``ops``; ``value(x, weights, bases)`` is
+    the invariant.  The transfer matrix is read off ``basis()`` once, when a
+    point first asks for it."""
+    table = functools.cache(lambda: _read_off(basis(), ops))
+
+    def rows(pt):
+        entries, positions, _ = table()
+        b = bases(pt)
+        at = [_product(b, m) for m in entries]
+        return [[at[i] for i in row] for row in positions]
+
     return {
+        "rows": rows,
         "resolve": lambda x, e: resolution_dag(x, (e,), ops),
         "columns": lambda dag, w, pt: root_terms(dag, w, bases(pt)),
+        "value": lambda x, w, pt: value(x, w, bases(pt)),
+        "scale": lambda pt: _product(bases(pt), table()[2]),
     }
 
 
 def _by_results(ops, value):
     """A subset-expansion kind keeps the factor's operation results and
-    evaluates each of them at a point."""
+    evaluates each of them at a point with its invariant ``value``."""
     return {
         "resolve": lambda x, e: tuple(op(x, e) for op in ops),
         "columns": lambda results, w, pt: [value(r, w, pt) for r in results],
+        "value": value,
     }
 
 
+# The five-weight kinds read one matrix off K1-K5; the vertex-partitioned
+# kinds drop the merge-contraction and K5, and fix gamma = 1.
+_Q5 = _by_dag(
+    OP_ORDER, lambda pt: (pt["alpha"], pt["beta"], pt["gamma"]), k_presentations,
+    lambda x, w, b: q_value(x, w, *b),
+)
+_Q4 = _by_dag(
+    OP_ORDER[:4], lambda pt: (pt["alpha"], pt["beta"], _ONE), lambda: k_presentations()[:4],
+    lambda x, w, b: q_value(x, w, *b),
+)
+
+
 def _five(weights, parts):
-    return KindSpec(
-        _five_rows, **_by_dag(OP_ORDER, _five_bases), weights=weights,
-        value=lambda x, w, pt: q_value(x, w, *_five_bases(pt)), parts=parts,
-        scale=_five_scale,
-    )
+    return KindSpec(**_Q5, weights=weights, parts=parts)
 
 
 def _four(weights):
     return KindSpec(
-        _four_rows, **_by_dag(OP_ORDER[:4], _four_bases), weights=weights,
-        value=lambda x, w, pt: q_value(x, w, *_four_bases(pt)), parts=_shared_parts,
-        host_weight=lambda phis: phis + (Fraction(0),), scale=_four_scale,
+        **_Q4, weights=weights, parts=_shared_parts,
+        host_weight=lambda phis: phis + (Fraction(0),),
     )
 
 
@@ -242,23 +268,23 @@ SPECS = {
     TheoremKind.BR: _four(_uniform("a", "b", "c", "x", 0)),
     TheoremKind.BRZHAT: _four(_uniform("a", "b", 0, 0, 0)),
     TheoremKind.TRANSITION: KindSpec(
-        lambda pt: [[pt["t"] ** 2 if i == j else pt["t"] for j in range(3)] for i in range(3)],
-        **_by_dag(TRANSITION_OPS, lambda pt: (pt["t"],)), weights=_per_edge("a", "b", "c"),
-        value=lambda x, w, pt: transition_table_value(transition_state_table(x), w, pt["t"]),
-        parts=_listed_parts,
+        **_by_dag(  # K2, K1, K3 realise contraction, deletion, Penrose contraction
+            TRANSITION_OPS, lambda pt: (pt["t"],),
+            lambda: tuple(k.ap for k in itemgetter(1, 0, 2)(k_presentations())),
+            lambda x, w, b: transition_table_value(transition_state_table(x), w, *b),
+        ),
+        weights=_per_edge("a", "b", "c"), parts=_listed_parts,
     ),
     TheoremKind.PLANEMVBR: KindSpec(
         lambda pt: [[pt["a"] * pt["c"], _ONE], [_ONE, pt["c"]]],
         **_by_results((delete_edge, contract_edge), _plane_value),
         weights=lambda labels, pt: {l: pt[f"b_{l}"] for l in labels},
-        value=_plane_value, parts=_listed_parts, host_weight=_plane_weight,
-        finish=_plane_finish,
+        parts=_listed_parts, host_weight=_plane_weight, finish=_plane_finish,
     ),
     TheoremKind.TUTTE: KindSpec(
         lambda pt: [[pt["a"], pt["a"] ** 2], [pt["a"], pt["a"]]],
         **_by_results((Multigraph.delete, Multigraph.contract), _zdot_at),
-        weights=_uniform("b", 1), value=_zdot_at, parts=_shared_parts,
-        finish=_tutte_finish,
+        weights=_uniform("b", 1), parts=_shared_parts, finish=_tutte_finish,
     ),
 }
 
@@ -475,16 +501,21 @@ def _describe(pg) -> str:
     return repr(pg)
 
 
-def _composed_size(g_edges, tensored, factor_sizes):
-    return g_edges - tensored + sum(s - 1 for s in factor_sizes)
+def _per_edge_names(host_labels, factors, stems):
+    """The per-edge variables of the host's and the namespaced factors' labels."""
+    labels = set(host_labels) | {f"{f}.{l}" for f, x, _ in factors for l in _labels(x)}
+    return {f"{s}_{l}" for l in labels for s in stems}
 
 
 def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6):
     """One random admissible instance: (pg, factors, couplings, var names).
 
-    ``size_budget`` bounds the composed object's edges.  Raises
-    :class:`InvalidArgument` unless it is at least 1: below 0 no draw fits
-    and the redrawing would never end.
+    ``size_budget`` bounds the composed object's edges for mainmv,
+    fulltensor, main, corz, br and brzhat; transition allows one edge more.
+    The rest ignore it: twosum and planemvbr compose at most 6 edges, tutte
+    at most 12, from their fixed sizes.  Raises :class:`InvalidArgument`
+    unless it is at least 1: below 0 no draw fits and the redrawing would
+    never end.
     """
     if size_budget < 1:
         raise InvalidArgument(f"size_budget must be at least 1, got {size_budget}")
@@ -495,7 +526,7 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
             k = len(edges) if kind is TheoremKind.FULLTENSOR else rng.randint(1, len(edges))
             chosen = rng.sample(edges, k)
             sizes = [rng.randint(1, 4) for _ in chosen]
-            if _composed_size(len(edges), k, sizes) <= size_budget:
+            if len(edges) - k + sum(s - 1 for s in sizes) <= size_budget:
                 break
         factors, couplings = [], []
         for f, size in zip(sorted(chosen), sizes):
@@ -503,24 +534,19 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
             e = rng.choice(sorted(ph.ap.edges))
             factors.append((f, ph, e))
             couplings.append(Coupling(f, e, rng.random() < 0.5))
-        names = {"alpha", "beta", "gamma"}
-        for l in _mainmv_labels(pg, factors) | pg.ap.edges:
-            names |= {f"{s}_{l}" for s in ("a", "b", "c", "x", "y")}
+        names = {"alpha", "beta", "gamma"} | _per_edge_names(pg.ap.edges, factors, "abcxy")
         return pg, factors, couplings, names
 
-    if kind in (TheoremKind.MAIN, TheoremKind.CORZ):
+    if kind in _UNIFORM:
+        draw = random_vertex_partitioned if kind in _FOUR else random_packaged
         while True:
-            pg = random_packaged(rng, max_edges=3, min_edges=1)
-            ph = random_packaged(rng, max_edges=3, min_edges=1)
+            pg = draw(rng, max_edges=3, min_edges=1)
+            ph = draw(rng, max_edges=3, min_edges=1)
             e = rng.choice(sorted(ph.ap.edges))
-            if _composed_size(len(pg.ap.edges), len(pg.ap.edges),
-                              [len(ph.ap.edges)] * len(pg.ap.edges)) <= size_budget:
+            if len(pg.ap.edges) * (len(ph.ap.edges) - 1) <= size_budget:
                 break
         couplings = {f: rng.random() < 0.5 for f in pg.ap.edges}
-        names = {"alpha", "beta", "gamma", "a", "b"}
-        if kind is TheoremKind.MAIN:
-            names |= {"c", "x", "y"}
-        return pg, (ph, e), couplings, names
+        return pg, (ph, e), couplings, {"alpha", "beta", "a", "b"} | _UNIFORM[kind]
 
     if kind is TheoremKind.TWOSUM:
         pg = random_packaged(rng, max_edges=4, min_edges=1)
@@ -534,26 +560,12 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
         names = {"alpha", "beta", "gamma", "a", "b", "c", "x", "y"}
         return pg, ph, coupling, names
 
-    if kind in _FOUR:
-        while True:
-            pg = random_vertex_partitioned(rng, max_edges=3, min_edges=1)
-            ph = random_vertex_partitioned(rng, max_edges=3, min_edges=1)
-            e = rng.choice(sorted(ph.ap.edges))
-            if _composed_size(len(pg.ap.edges), len(pg.ap.edges),
-                              [len(ph.ap.edges)] * len(pg.ap.edges)) <= size_budget:
-                break
-        couplings = {f: rng.random() < 0.5 for f in pg.ap.edges}
-        names = {"alpha", "beta", "a", "b"}
-        if kind is TheoremKind.BR:
-            names |= {"c", "x"}
-        return pg, (ph, e), couplings, names
-
     if kind is TheoremKind.TRANSITION:
         while True:
             ag = random_presentation(rng, max_edges=4, min_edges=1, extra_circle_rate=0)
             edges = sorted(ag.edges)
             sizes = [rng.randint(1, 4) for _ in edges]
-            if _composed_size(len(edges), len(edges), sizes) <= size_budget + 1:
+            if sum(s - 1 for s in sizes) <= size_budget + 1:
                 break
         factors, couplings = [], []
         for f, size in zip(edges, sizes):
@@ -561,13 +573,7 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
             e = rng.choice(sorted(ah.edges))
             factors.append((f, ah, e))
             couplings.append(Coupling(f, e, rng.random() < 0.5))
-        names = {"t"}
-        composed_labels = set()
-        for f, ah, e in factors:
-            composed_labels |= {f"{f}.{l}" for l in ah.edges}
-        for l in composed_labels | set(edges):
-            names |= {f"{s}_{l}" for s in ("a", "b", "c")}
-        return ag, factors, couplings, names
+        return ag, factors, couplings, {"t"} | _per_edge_names(edges, factors, "abc")
 
     if kind is TheoremKind.PLANEMVBR:
         while True:
@@ -575,14 +581,11 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
             if surface_stats(ag).orientable:
                 break
         factors, couplings = [], []
-        labels = set()
         for f in sorted(ag.edges):
             ah, e = random_plane_presentation(rng, max_edges=3)
             factors.append((f, ah, e))
             couplings.append(Coupling(f, e, rng.random() < 0.5))
-            labels |= {f"{f}.{l}" for l in ah.edges}
-        names = {"a", "c"} | {f"b_{l}" for l in labels}
-        return ag, factors, couplings, names
+        return ag, factors, couplings, {"a", "c"} | _per_edge_names((), factors, "b")
 
     if kind is TheoremKind.TUTTE:
         g = random_connected_multigraph(rng, max_edges=4, min_edges=1, loopless=True)
@@ -604,13 +607,6 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
         return g, (h, e_idx), flips, names
 
     raise ValueError(f"unknown theorem kind {kind}")
-
-
-def _mainmv_labels(pg, factors):
-    labels = set(pg.ap.edges) - {f for f, _, _ in factors}
-    for f, ph, _ in factors:
-        labels |= {f"{f}.{l}" for l in ph.ap.edges}
-    return labels
 
 
 # Draws of one point before a run gives up.  Singular points form a thin

@@ -2,11 +2,16 @@
 identity verifier."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ribbontensor
 from ribbontensor import cli, tensor_formula
 from ribbontensor.arrow import ArrowPresentation, boundary_components
 from ribbontensor.errors import InvalidArgument, SingularAtPoint
@@ -19,7 +24,7 @@ from ribbontensor.packaged import (
 )
 from ribbontensor.poly import solve_linear
 from ribbontensor.polynomials import Multigraph, graph_tensor
-from ribbontensor.randgen import random_packaged, random_point
+from ribbontensor.randgen import random_packaged, random_point, random_presentation
 from ribbontensor.tensor_formula import (
     TheoremKind,
     build_phi_matrix,
@@ -30,6 +35,7 @@ from ribbontensor.tensor_formula import (
     solve_phis,
     verify_identity,
 )
+import transfer_reference
 
 PT5 = {
     "alpha": Fraction(3, 2),
@@ -75,6 +81,28 @@ def test_verification_rejects_a_budget_below_one(kind):
             run_verification(kind, instances=1, points=1, size_budget=budget)
 
 
+# The largest composed object in 400 draws at budget 6, seed 1.  Only the
+# first six kinds stay within the budget; see random_instance.
+LARGEST_COMPOSED = {
+    "mainmv": 6, "main": 6, "corz": 6, "fulltensor": 6, "twosum": 6,
+    "br": 6, "brzhat": 6, "transition": 7, "planemvbr": 5, "tutte": 12,
+}
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_largest_composed_size_at_budget_six(kind):
+    rng = random.Random(1)
+    parts = tensor_formula.SPECS[kind].parts
+    largest = 0
+    for _ in range(400):
+        pg, factors, couplings, _ = random_instance(kind, rng, 6)
+        composed = tensor_formula._compose(
+            pg, parts(tensor_formula._labels(pg), factors, couplings)
+        )
+        largest = max(largest, len(tensor_formula._labels(composed)))
+    assert largest == LARGEST_COMPOSED[kind.value]
+
+
 def test_transition_matrix_at_two():
     m = build_phi_matrix(TheoremKind.TRANSITION, {"t": Fraction(2)})
     assert m == [
@@ -89,11 +117,54 @@ def test_tutte_matrix_at_three():
     assert m == [[Fraction(3), Fraction(9)], [Fraction(3), Fraction(3)]]
 
 
-def test_basis_presentations_solve_to_unit_vectors():
-    for i, k in enumerate(k_presentations()):
-        phis = solve_phis(TheoremKind.MAINMV, k, "e", PT5)
-        expect = tuple(Fraction(int(j == i)) for j in range(5))
-        assert phis == expect
+def _transfer_points(rng):
+    """(alpha, beta, gamma) = (3, 5, 7) with t = 2, then 20 seeded rational
+    points whose coordinates include 0, 1 and negative values."""
+    names = ("alpha", "beta", "gamma", "t")
+    yield dict(zip(names, map(Fraction, (3, 5, 7, 2))))
+    pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3)]
+    for _ in range(20):
+        yield {
+            n: rng.choice(pool) if rng.random() < 0.4
+            else Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+            for n in names
+        }
+
+
+@pytest.mark.parametrize("kind", transfer_reference.RECURSION_KINDS)
+def test_matrix_read_off_the_basis_matches_the_typed_reference(kind):
+    spec = tensor_formula.SPECS[kind]
+    points = list(_transfer_points(random.Random(20)))
+    for pt in points:
+        scale = spec.scale(pt)
+        derived = [[scale * x for x in row] for row in spec.rows(pt)]
+        assert derived == transfer_reference.matrix(kind, pt)
+    values = [v for pt in points for v in pt.values()]
+    assert 0 in values and 1 in values and min(values) < 0
+
+
+def test_import_derives_no_transfer_matrix():
+    # the matrices are read off the basis on first use, so importing the
+    # module resolves no basis presentation
+    src = str(Path(ribbontensor.__file__).resolve().parents[1])
+    script = (
+        "import ribbontensor.tensor_formula\n"
+        "from ribbontensor.polynomials import resolution_dag\n"
+        "print(resolution_dag.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("kind", transfer_reference.RECURSION_KINDS)
+def test_basis_presentations_solve_to_unit_vectors(kind):
+    basis = transfer_reference.basis(kind)
+    for i, k in enumerate(basis):
+        phis = solve_phis(kind, k, "e", {**PT5, "t": Fraction(5, 2)})
+        assert phis == tuple(Fraction(int(j == i)) for j in range(len(basis)))
 
 
 def test_solve_phis_k1_k3():
@@ -103,18 +174,25 @@ def test_solve_phis_k1_k3():
 
 
 @pytest.mark.parametrize(
-    "kind", [TheoremKind.MAIN, TheoremKind.CORZ, TheoremKind.BR, TheoremKind.BRZHAT]
+    "kind",
+    [TheoremKind.MAIN, TheoremKind.CORZ, TheoremKind.BR, TheoremKind.BRZHAT, TheoremKind.TRANSITION],
 )
 def test_coefficients_solve_the_whole_transfer_matrix(kind):
-    # The rows leave the common factor alpha*beta(*gamma) out and the solve
-    # divides it out of the coefficients: they must still solve the system
-    # of build_phi_matrix, the full transfer matrix.
+    # The rows leave the common factor alpha*beta(*gamma), or t, out and the
+    # solve divides it out of the coefficients: they must still solve the
+    # system of build_phi_matrix, the full transfer matrix.
     rng = random.Random(9)
     spec = tensor_formula.SPECS[kind]
     for _ in range(4):
-        ph = random_packaged(rng, max_edges=3, min_edges=2)
-        e = min(ph.ap.edges)
-        pt = random_point(rng, PT5, bound=50)
+        if kind is TheoremKind.TRANSITION:
+            ph = random_presentation(rng, max_edges=3, min_edges=2, extra_circle_rate=0)
+            e = min(ph.edges)
+            names = ["t"] + [f"{s}_{l}" for l in sorted(ph.edges) for s in "abc"]
+        else:
+            ph = random_packaged(rng, max_edges=3, min_edges=2)
+            e = min(ph.ap.edges)
+            names = PT5
+        pt = random_point(rng, names, bound=50)
         rhs = tensor_formula._columns(spec, tensor_formula._resolve(spec, ph, e), pt)
         assert solve_phis(kind, ph, e, pt) == tuple(solve_linear(build_phi_matrix(kind, pt), rhs))
 
