@@ -50,7 +50,6 @@ _EXPORTS = {
     "packaged": (
         "Coupling",
         "EdgeOpKind",
-        "OpTrace",
         "PackagedPresentation",
         "Partition",
         "apply_edge_op",
@@ -58,7 +57,6 @@ _EXPORTS = {
         "compose_two_sums",
         "k_presentations",
         "make_packaged",
-        "natural_identification",
         "tensor_product",
         "two_sum",
         "uniform_tensor",
@@ -83,7 +81,6 @@ _EXPORTS = {
         "q_multivariate",
         "q_poly",
         "qhat_poly",
-        "state_sum_oracle",
         "transition_poly",
         "tutte_poly",
         "z_poly",

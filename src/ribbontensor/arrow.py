@@ -62,9 +62,6 @@ class Occ(NamedTuple):
     label: str
     forward: bool
 
-    def reversed(self) -> "Occ":
-        return Occ(self.label, not self.forward)
-
 
 def _as_occ(item) -> Occ:
     if isinstance(item, Occ):

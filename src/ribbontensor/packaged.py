@@ -15,11 +15,10 @@ enter as singletons, and the operation merges prescribed groups of blocks
 (the classes of the items incident to the operated edge, plus whatever the
 surgery created).  It makes one union-find pass over the old block numbers.
 
-:class:`Partition`, :class:`PackagedPresentation`, :class:`Coupling` and
-:class:`OpTrace` are ``typing.NamedTuple`` classes, so they compare equal to
-plain tuples of the same fields; a partition's block count is
-``p.n_blocks``, the number of distinct labels, and ``p.blocks`` derives its
-blocks.
+:class:`Partition`, :class:`PackagedPresentation` and :class:`Coupling` are
+``typing.NamedTuple`` classes, so they compare equal to plain tuples of the
+same fields; a partition's block count is ``p.n_blocks``, the number of
+distinct labels, and ``p.blocks`` derives its blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .arrow import (
     boundary_trace,
     canonical_transforms,
     edge_op_traced,
-    edge_surgery,
     find,
     two_sum_traced,
     validate,
@@ -198,35 +196,6 @@ _OPS = {
 }
 
 
-class OpTrace(NamedTuple):
-    """Natural identifications through one edge operation."""
-
-    vertex_map: dict
-    boundary_map: dict
-    created_vertices: tuple
-    created_boundaries: tuple
-
-
-def natural_identification(
-    before: ArrowPresentation, after: ArrowPresentation, e: str, kind: EdgeOpKind
-) -> OpTrace:
-    """Identify the untouched vertices/boundaries of ``before`` inside ``after``.
-
-    ``after`` must be the arrow-level result of ``kind`` at ``e``; the
-    identification is recomputed through the surgery itself, so it does not
-    depend on how ``after`` happens to be indexed.
-    """
-    res = edge_op_traced(before, e, _OPS[kind][0])
-    if res.presentation != after:
-        raise InvariantViolation("'after' is not the result of the stated operation")
-    return OpTrace(
-        dict(res.circle_map),
-        dict(res.boundary_map),
-        res.created_circles,
-        res.created_boundaries,
-    )
-
-
 def incident_items(pg: PackagedPresentation, e: str):
     """The circles ``(u, v)`` hosting the two arrows of ``e`` and the
     boundaries ``(a, b)`` through their heads, in occurrence order."""
@@ -331,22 +300,6 @@ def two_sum(
         ],
     )
     return PackagedPresentation(res.presentation, vparts, bparts)
-
-
-def transport_coupling(
-    ph: PackagedPresentation, g: str, kind: EdgeOpKind, coupling: Coupling
-) -> Coupling:
-    """Re-express a coupling after an operation elsewhere in the factor.
-
-    Rebuilding circles can swap which of the target edge's occurrences is
-    listed first; the returned coupling denotes the same arrow bijection on
-    the operated presentation.
-    """
-    new_ap, trace = edge_surgery(ph.ap, g, _OPS[kind][0])
-    old = ph.ap.occurrences(coupling.target)
-    new = new_ap.occurrences(coupling.target)
-    flipped = trace.occ_map[old[0]] != new[0]
-    return Coupling(coupling.source, coupling.target, coupling.swap ^ flipped)
 
 
 def namespaced(ph: PackagedPresentation, prefix: str) -> PackagedPresentation:

@@ -249,9 +249,6 @@ class MultiPoly:
             result = result * self
         return result
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -292,22 +289,6 @@ class MultiPoly:
             key &= keep
             terms[key] = get(key, 0) + coeff
         return MultiPoly._make(self.registry, {k: c for k, c in terms.items() if c})
-
-    def substitute(self, assignments: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Replace variables by polynomials over the same registry."""
-        names = self.registry.names
-        result = MultiPoly.zero(self.registry)
-        for exps, coeff in self.items():
-            term = MultiPoly.const(self.registry, coeff)
-            for name, power in zip(names, exps):
-                if not power:
-                    continue
-                if name in assignments:
-                    term = term * assignments[name] ** power
-                else:
-                    term = term * MultiPoly.var(self.registry, name, power)
-            result = result + term
-        return result
 
     # -- canonical text ------------------------------------------------------
 

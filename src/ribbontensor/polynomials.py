@@ -108,10 +108,6 @@ class WeightSystem:
 
         return cls(registry, lookup)
 
-    @classmethod
-    def from_mapping(cls, registry: VarRegistry, mapping: Mapping[str, tuple]):
-        return cls(registry, lambda label: mapping[label])
-
 
 def _strip_isolated(pg: PackagedPresentation):
     """Remove edgeless circles; return the exponent they contribute.
@@ -476,42 +472,6 @@ def qhat_poly(vg: PackagedPresentation) -> MultiPoly:
     return p.set_to_one("gamma")
 
 
-def state_sum_oracle(pg: PackagedPresentation, w: Optional[WeightSystem] = None) -> MultiPoly:
-    """Direct sum over all five-colourings of the edge set.
-
-    Independent of the recursion: every colouring is applied operation by
-    operation (fixed label order, no stripping) and contributes its weight
-    monomial times the base value of the fully resolved presentation.
-    Capped at ``edge_cap(12)`` edges.
-    """
-    check_edge_cap(len(pg.ap.edges), 12, "state sum")
-    if w is None:
-        w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
-    registry = w.registry
-    labels = sorted(pg.ap.edges)
-    total = MultiPoly.zero(registry)
-
-    def rec(pg, depth, weight):
-        nonlocal total
-        if depth == len(labels):
-            base = MultiPoly.monomial(
-                registry,
-                {
-                    "alpha": len(pg.ap.circles),
-                    "beta": pg.vparts.n_blocks,
-                    "gamma": pg.bparts.n_blocks,
-                },
-            )
-            total = total + weight * base
-            return
-        e = labels[depth]
-        for wpoly, kind in zip(w.for_edge(e), OP_ORDER):
-            rec(apply_edge_op(pg, e, kind), depth + 1, weight * wpoly)
-
-    rec(pg, 0, MultiPoly.const(registry, 1))
-    return total
-
-
 # --------------------------------------------------------------------------
 # numeric evaluation (used heavily by the identity verifier)
 
@@ -550,28 +510,20 @@ def q_table_value(table, weights, alpha, beta, gamma) -> Fraction:
 # transition polynomial
 
 
-def transition_poly(
-    ap: ArrowPresentation,
-    w: Optional[Mapping[str, tuple]] = None,
-    registry: Optional[VarRegistry] = None,
-) -> MultiPoly:
-    """Transition polynomial of a bare arrow presentation.
+def transition_poly(ap: ArrowPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
+    """Transition polynomial of a bare arrow presentation, with the per-edge
+    weights (a_l, b_l, c_l), all live.
 
     Recursion a_e*(contract) + b_e*(delete) + c_e*(penrose), value t^p on an
     edgeless presentation with p circles.  Note the contract weight comes
-    first.  ``w`` maps labels to weight triples; per-edge variables
-    (a_l, b_l, c_l) by default.
+    first.
     """
     registry = registry or standard_registry(ap.edges)
-    if w is None:
-        w = {
-            label: tuple(
-                MultiPoly.var(registry, f"{stem}_{label}") for stem in ("a", "b", "c")
-            )
-            for label in ap.edges
-        }
-    dag = resolution_dag(ap, None, _live(TRANSITION_OPS, w))
-    return fold_dag(dag, w, (MultiPoly.var(registry, "t"),))
+    w = {
+        label: tuple(MultiPoly.var(registry, f"{stem}_{label}") for stem in ("a", "b", "c"))
+        for label in ap.edges
+    }
+    return fold_dag(resolution_dag(ap, None, TRANSITION_OPS), w, (MultiPoly.var(registry, "t"),))
 
 
 @_capped_cache(32)

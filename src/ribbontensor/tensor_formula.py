@@ -173,19 +173,20 @@ def _product(b, ks):
     return math.prod(map(b.__getitem__, ks[1:]), start=b[ks[0]]) if ks else _ONE
 
 
-def _read_off(basis, ops) -> tuple:
+def _read_off(basis, ops, free: int) -> tuple:
     """A transfer matrix read off its basis: column j holds the operation
     values of ``basis[j]``, which realises operation j of ``ops``.  Resolved
     with its edge ``e`` first, it is one node whose live refs ``(-1, strip)``
-    hold the base exponents of its results.  The scale takes each base to
-    its least exponent over the entries, and an entry is its strip minus the
-    scale.  Returns the distinct entries as base indexes (k repeated to base
-    k's exponent), the rows as positions among them, and the scale.
+    hold the base exponents of its results; the first ``free`` are kept, the
+    other bases being 1.  The scale takes each base to its least exponent
+    over the entries, and an entry is its strip minus the scale.  Returns
+    the distinct entries as base indexes (k repeated to base k's exponent),
+    the rows as positions among them, and the scale.
     """
     columns = []
     for x in basis:
         ((_, refs),) = resolution_dag(x, ("e",), ops)[1]
-        columns.append([strip for _, strip in filter(None, refs)])
+        columns.append([strip[:free] for _, strip in filter(None, refs)])
     least = [min(exps) for exps in zip(*sum(columns, []))]
 
     def indexes(exps):
@@ -196,17 +197,23 @@ def _read_off(basis, ops) -> tuple:
     return entries, [[entries.index(m) for m in row] for row in rows], indexes(least)
 
 
-def _by_dag(ops, bases, basis, value):
+def _by_dag(ops, free, basis, value, fixed=()):
     """A recursion kind's factor is resolved once, its coupled edge first;
     at a point one fold gives the DAG root's terms, which are the values of
     the factor's operation results ``ops``; ``value(x, weights, bases)`` is
-    the invariant.  The transfer matrix is read off ``basis()`` once, when a
-    point first asks for it."""
-    table = functools.cache(lambda: _read_off(basis(), ops))
+    the invariant.  The bases are the point's values of the names ``free``,
+    then ``fixed``, bases held at 1 (gamma for the four-weight kinds).  The
+    transfer matrix is read off ``basis()`` once, when a point first asks
+    for it, in the free bases only."""
+    table = functools.cache(lambda: _read_off(basis(), ops, len(free)))
+
+    get = itemgetter(*free)
+    free_bases = get if len(free) > 1 else lambda pt: (get(pt),)
+    bases = (lambda pt: free_bases(pt) + fixed) if fixed else free_bases
 
     def rows(pt):
         entries, positions, _ = table()
-        b = bases(pt)
+        b = free_bases(pt)
         at = [_product(b, m) for m in entries]
         return [[at[i] for i in row] for row in positions]
 
@@ -215,7 +222,7 @@ def _by_dag(ops, bases, basis, value):
         "resolve": lambda x, e: resolution_dag(x, (e,), ops),
         "columns": lambda dag, w, pt: root_terms(dag, w, bases(pt)),
         "value": lambda x, w, pt: value(x, w, bases(pt)),
-        "scale": lambda pt: _product(bases(pt), table()[2]),
+        "scale": lambda pt: _product(free_bases(pt), table()[2]),
     }
 
 
@@ -232,12 +239,11 @@ def _by_results(ops, value):
 # The five-weight kinds read one matrix off K1-K5; the vertex-partitioned
 # kinds drop the merge-contraction and K5, and fix gamma = 1.
 _Q5 = _by_dag(
-    OP_ORDER, lambda pt: (pt["alpha"], pt["beta"], pt["gamma"]), k_presentations,
-    lambda x, w, b: q_value(x, w, *b),
+    OP_ORDER, ("alpha", "beta", "gamma"), k_presentations, lambda x, w, b: q_value(x, w, *b)
 )
 _Q4 = _by_dag(
-    OP_ORDER[:4], lambda pt: (pt["alpha"], pt["beta"], _ONE), lambda: k_presentations()[:4],
-    lambda x, w, b: q_value(x, w, *b),
+    OP_ORDER[:4], ("alpha", "beta"), lambda: k_presentations()[:4],
+    lambda x, w, b: q_value(x, w, *b), fixed=(_ONE,),
 )
 
 
@@ -269,7 +275,7 @@ SPECS = {
     TheoremKind.BRZHAT: _four(_uniform("a", "b", 0, 0, 0)),
     TheoremKind.TRANSITION: KindSpec(
         **_by_dag(  # K2, K1, K3 realise contraction, deletion, Penrose contraction
-            TRANSITION_OPS, lambda pt: (pt["t"],),
+            TRANSITION_OPS, ("t",),
             lambda: tuple(k.ap for k in itemgetter(1, 0, 2)(k_presentations())),
             lambda x, w, b: transition_table_value(transition_state_table(x), w, *b),
         ),

@@ -480,7 +480,7 @@ def test_arrow_ops_commute_on_distinct_edges():
 def test_canonical_form_equates_redrawings():
     # relabel, reverse a circle, rotate, and flip one edge's two arrows
     other = FIG_A.relabel({"f": "q", "e": "w", "g": "r"})
-    reversed_circle = tuple(reversed([o.reversed() for o in other.circles[0]]))
+    reversed_circle = tuple(reversed([Occ(o.label, not o.forward) for o in other.circles[0]]))
     rotated = other.circles[1][1:] + other.circles[1][:1]
     variant = ArrowPresentation.from_circles([rotated, reversed_circle])
     variant = variant.relabel({})  # no-op; keep registry fresh
@@ -519,14 +519,14 @@ def test_canonical_form_idempotent_and_symmetry_invariant():
                 k = rng.randrange(len(circ))
                 circ = circ[k:] + circ[:k]
             if rng.random() < 0.5:
-                circ = [o.reversed() for o in reversed(circ)]
+                circ = [Occ(o.label, not o.forward) for o in reversed(circ)]
             image.append(circ)
         q = ArrowPresentation.from_circles(image)
         flips = {l: f"r{l}" for l in p.edges if rng.random() < 0.5}
         # flipping both arrows of chosen edges
         q = ArrowPresentation.from_circles(
             [
-                [o.reversed() if o.label in flips else o for o in circ]
+                [Occ(o.label, not o.forward) if o.label in flips else o for o in circ]
                 for circ in q.circles
             ]
         )
@@ -582,7 +582,6 @@ import sys
 from ribbontensor import arrow
 from ribbontensor.arrow import ArrowPresentation, _splice, edge_op_traced
 from ribbontensor.errors import InvariantViolation
-from ribbontensor.packaged import EdgeOpKind, natural_identification
 
 if __debug__:
     sys.exit("assertions are on")
@@ -602,9 +601,6 @@ checks = {
     # both occurrences removed and their ends never glued
     "splice": lambda: _splice(loop.circles, {(0, 0), (0, 1)}, []),
     "contract": contraction_creating_a_boundary,
-    "natural_identification": lambda: natural_identification(
-        loop, loop, "e", EdgeOpKind.DELETE
-    ),
 }
 for name, check in checks.items():
     try:

@@ -14,6 +14,8 @@ from ribbontensor.arrow import (
     ArrowPresentation,
     boundary_components,
     canonical_form,
+    edge_op_traced,
+    edge_surgery,
     find,
     surface_stats,
 )
@@ -35,7 +37,6 @@ from ribbontensor.packaged import (
     canonical_packaged,
     k_presentations,
     make_packaged,
-    natural_identification,
     tensor_product,
     two_sum,
     uniform_tensor,
@@ -94,10 +95,10 @@ def test_k_presentation_shapes():
 def test_natural_identification_delete_nonloop():
     ap = ArrowPresentation.from_circles([[("e", True), ("f", True)],
                                          [("e", True), ("f", True)]])
-    after_ap = ArrowPresentation.from_circles([[("f", True)], [("f", True)]])
-    trace = natural_identification(ap, after_ap, "e", EdgeOpKind.DELETE)
-    assert trace.vertex_map == {0: 0, 1: 1}
-    assert trace.created_vertices == ()
+    trace = edge_op_traced(ap, "e", "delete")
+    assert trace.presentation == ArrowPresentation.from_circles([[("f", True)], [("f", True)]])
+    assert trace.circle_map == {0: 0, 1: 1}
+    assert trace.created_circles == ()
 
 
 def test_natural_identification_contract_nonloop_keeps_boundaries():
@@ -105,17 +106,17 @@ def test_natural_identification_contract_nonloop_keeps_boundaries():
                                          [("e", True), ("f", True)]])
     from ribbontensor.arrow import contract_edge
 
-    after = contract_edge(ap, "e")
-    trace = natural_identification(ap, after, "e", EdgeOpKind.CONTRACT)
+    trace = edge_op_traced(ap, "e", "contract")
+    assert trace.presentation == contract_edge(ap, "e")
     assert trace.created_boundaries == ()
     assert sorted(trace.boundary_map) == [b.id for b in boundary_components(ap)]
-    assert trace.created_vertices == (0,)
+    assert trace.created_circles == (0,)
 
 
 def test_natural_identification_delete_loop_creates_bare_boundary():
     ap = ArrowPresentation.from_circles([[("e", True), ("e", True)]])
-    after = ArrowPresentation.from_circles([[]])
-    trace = natural_identification(ap, after, "e", EdgeOpKind.DELETE)
+    trace = edge_op_traced(ap, "e", "delete")
+    assert trace.presentation == ArrowPresentation.from_circles([[]])
     assert trace.boundary_map == {}
     assert trace.created_boundaries == (0,)  # the emptied circle's boundary
 
@@ -257,11 +258,18 @@ def test_two_sum_associative():
         assert a == b
 
 
+def _transport_coupling(ph, g, kind, c):
+    # Rebuilding circles can swap which of the target edge's occurrences is
+    # listed first; the coupling returned denotes the same arrow bijection.
+    new_ap, trace = edge_surgery(ph.ap, g, kind.value.removeprefix("merge-"))
+    first = ph.ap.occurrences(c.target)[0]
+    flipped = trace.occ_map[first] != new_ap.occurrences(c.target)[0]
+    return Coupling(c.source, c.target, c.swap ^ flipped)
+
+
 def test_two_sum_exchanges_with_operations():
     # the coupling must denote the same bijection on both sides; operating on
     # the factor can reorder the target edge's occurrences
-    from ribbontensor.packaged import transport_coupling
-
     rng = random.Random(17)
     for _ in range(30):
         pg = random_packaged(rng, max_edges=3, min_edges=1)
@@ -275,7 +283,7 @@ def test_two_sum_exchanges_with_operations():
         kind = rng.choice(KINDS)
         a = canonical_packaged(apply_edge_op(two_sum(pg, ph, c), g, kind))
         b = canonical_packaged(
-            two_sum(pg, apply_edge_op(ph, g, kind), transport_coupling(ph, g, kind, c))
+            two_sum(pg, apply_edge_op(ph, g, kind), _transport_coupling(ph, g, kind, c))
         )
         assert a == b
 

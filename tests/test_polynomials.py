@@ -57,7 +57,6 @@ from ribbontensor.polynomials import (
     qhat_poly,
     resolution_dag,
     root_terms,
-    state_sum_oracle,
     transition_poly,
     transition_state_table,
     transition_table_value,
@@ -70,6 +69,7 @@ from ribbontensor.polynomials import (
 )
 from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
 import subset_reference as reference
+from state_sum_reference import state_sum_oracle, substitute
 from strategies import packaged_presentations, packaged_with_empty_circles, presentations
 
 REG = standard_registry()
@@ -110,10 +110,8 @@ def test_q_base_case():
 
 
 def test_q_zero_weights_vanish():
-    w = WeightSystem.from_mapping(
-        REG, {"e": tuple(MultiPoly.zero(REG) for _ in range(5))}
-    )
-    assert q_multivariate(K3, w).is_zero()
+    w = WeightSystem(REG, {"e": tuple(MultiPoly.zero(REG) for _ in range(5))}.__getitem__)
+    assert not q_multivariate(K3, w)
 
 
 def test_q_order_independence():
@@ -188,7 +186,7 @@ def test_z_is_q_specialised():
         pg = random_packaged(rng, max_edges=4)
         q = q_poly(pg)
         zero = {name: MultiPoly.zero(REG) for name in ("c", "x", "y")}
-        assert z_poly(pg) == q.substitute(zero)
+        assert z_poly(pg) == substitute(q, zero)
 
 
 def test_zhat_examples():
@@ -202,9 +200,9 @@ def test_qhat_specialisations():
     for _ in range(50):
         pg = random_packaged(rng, max_edges=4)
         q = q_poly(pg)
-        assert qhat_poly(pg) == q.substitute({"y": MultiPoly.zero(REG)}).set_to_one("gamma")
+        assert qhat_poly(pg) == substitute(q, {"y": MultiPoly.zero(REG)}).set_to_one("gamma")
         zero = {name: MultiPoly.zero(REG) for name in ("c", "x")}
-        assert qhat_poly(pg).substitute(zero) == zhat_poly(pg)
+        assert substitute(qhat_poly(pg), zero) == zhat_poly(pg)
 
 
 def test_boundary_partition_never_matters_for_hatted_polys():
@@ -241,7 +239,7 @@ def test_transition_is_q_with_swapped_weights():
             Partition.one_block(range(len(boundary_components(ap)))),
         )
         zero = MultiPoly.zero(reg)
-        w = WeightSystem.from_mapping(
+        w = WeightSystem(
             reg,
             {
                 l: (
@@ -252,10 +250,10 @@ def test_transition_is_q_with_swapped_weights():
                     zero,
                 )
                 for l in ap.edges
-            },
+            }.__getitem__,
         )
         q = q_multivariate(pg, w).set_to_one("beta").set_to_one("gamma")
-        q = q.substitute({"alpha": MultiPoly.var(reg, "t")})
+        q = substitute(q, {"alpha": MultiPoly.var(reg, "t")})
         assert q == transition_poly(ap, registry=reg)
 
 
@@ -276,12 +274,13 @@ def test_mv_br_is_q_specialised():
         pg = make_packaged(ap)
         one = MultiPoly.const(reg, 1)
         zero = MultiPoly.zero(reg)
-        w = WeightSystem.from_mapping(
+        w = WeightSystem(
             reg,
-            {l: (one, zero, zero, zero, MultiPoly.var(reg, f"b_{l}")) for l in ap.edges},
+            {l: (one, zero, zero, zero, MultiPoly.var(reg, f"b_{l}")) for l in ap.edges}.__getitem__,
         )
-        q = q_multivariate(pg, w).set_to_one("gamma").substitute(
-            {"alpha": MultiPoly.var(reg, "c"), "beta": MultiPoly.var(reg, "a")}
+        q = substitute(
+            q_multivariate(pg, w).set_to_one("gamma"),
+            {"alpha": MultiPoly.var(reg, "c"), "beta": MultiPoly.var(reg, "a")},
         )
         z = mv_br_poly(ap)
         z_std = MultiPoly.zero(reg)
@@ -406,12 +405,11 @@ def test_transition_table_matches_polynomial():
         value = transition_table_value(transition_state_table(ap), weights, pt["t"])
         assert value == _transition_state_sum(ap, weights, pt["t"])
         assert value == transition_poly(ap, registry=reg).eval_at(pt)
-        # With every Penrose weight zero the polynomial resolves no Penrose
-        # branch and still agrees with the full table.
-        zero = MultiPoly.zero(reg)
-        w = {l: (MultiPoly.var(reg, f"a_{l}"), MultiPoly.var(reg, f"b_{l}"), zero) for l in ap.edges}
+        # With every Penrose weight zero the fold skips every Penrose branch
+        # and still agrees with the polynomial at c = 0.
         no_penrose = {l: ws[:2] + (Fraction(0),) for l, ws in weights.items()}
-        assert transition_poly(ap, w, reg).eval_at(pt) == transition_table_value(
+        at_c0 = {**pt, **{f"c_{l}": Fraction(0) for l in ap.edges}}
+        assert transition_poly(ap, registry=reg).eval_at(at_c0) == transition_table_value(
             transition_state_table(ap), no_penrose, pt["t"]
         )
 

@@ -21,14 +21,7 @@ from ribbontensor.arrow import (
     surface_stats,
     two_sum_traced,
 )
-from ribbontensor.packaged import (
-    Coupling,
-    EdgeOpKind,
-    Partition,
-    apply_edge_op,
-    make_packaged,
-    natural_identification,
-)
+from ribbontensor.packaged import Coupling, Partition, make_packaged
 from ribbontensor.poly import VarRegistry
 from ribbontensor.polynomials import Multigraph
 from ribbontensor.tensor_formula import (
@@ -54,12 +47,6 @@ def plan():
     return plan_instance(TheoremKind.MAIN, pg, factors, couplings)
 
 
-def natural():
-    pg = make_packaged(two())
-    return natural_identification(pg.ap, apply_edge_op(pg, "e", EdgeOpKind.DELETE).ap, "e",
-                                  EdgeOpKind.DELETE)
-
-
 # name -> (a function building one value afresh, hashable, picklable)
 SAMPLES = {
     "ArrowPresentation": (two, True, True),
@@ -73,7 +60,6 @@ SAMPLES = {
     ),
     "Partition": (lambda: Partition.make([[0, 2], [1], [3]], range(4)), True, True),
     "PackagedPresentation": (lambda: make_packaged(two()), True, True),
-    "OpTrace": (natural, False, True),
     "Coupling": (lambda: Coupling("f", "z", True), True, True),
     "VarRegistry": (lambda: VarRegistry.of("a", "b", "x_e"), True, True),
     "Multigraph": (lambda: Multigraph.make(3, [(1, 0), (2, 2)]), True, True),
