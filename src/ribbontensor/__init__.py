@@ -55,6 +55,7 @@ _EXPORTS = {
         "apply_edge_op",
         "canonical_packaged",
         "compose_two_sums",
+        "edge_ops",
         "k_presentations",
         "make_packaged",
         "tensor_product",

@@ -30,7 +30,18 @@ Conventions fixed here:
   ``c`` belongs to the component of the endpoint ``(c, i, s)`` whose slot
   ``s`` is the arrow's trailing end (its head when it points forward).
   :func:`boundary_trace` keeps, per presentation, the components together
-  with the token and bare-circle indexes.
+  with the token and bare-circle indexes and each arrow's mate.
+* Surgery runs on integer arrow codes (:func:`arrow_codes`): arrow ``g`` of
+  the label with index ``i`` in sorted order is ``2 * i + forward``.  Code
+  order is then ``Occ`` order, so :func:`_rotmin` picks the same rotation
+  on codes as on arrows; a walk that meets an arrow backward flips the low
+  bit; and result circles look up one ``Occ`` per code instead of building
+  one per arrow.  One splice, :func:`_splice`, serves deletion,
+  contraction, Penrose contraction and the 2-sum glue.
+* A surgery's maps are flat sequences indexed by old circle, old arrow
+  ``g`` or old boundary id, holding the new index or -1 for an item the
+  surgery destroyed.  An arrow on a circle that survives unchanged keeps
+  its position there and has no entry of its own in the arrow map.
 * Value types (:class:`ArrowPresentation`, :class:`SurfaceStats`, the
   surgery records) are ``typing.NamedTuple`` classes: immutable, compared and
   hashed by value, and so equal to a plain tuple of the same fields.
@@ -39,8 +50,11 @@ Conventions fixed here:
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -180,6 +194,7 @@ class BoundaryTrace(NamedTuple):
     token_bd: tuple  # token 2 * g + slot -> boundary id
     offsets: tuple  # circle -> g of its first arrow
     bare_to_bd: dict  # bare circle -> boundary id
+    mate: tuple  # g -> g of the other arrow of its label
 
     def boundary_at(self, circle: int, position: int, slot: int) -> int:
         """The boundary id through endpoint ``(circle, position, slot)``."""
@@ -188,18 +203,14 @@ class BoundaryTrace(NamedTuple):
     def endpoint(self, token: int) -> tuple:
         """The ``(circle, position, slot)`` triple of ``token``."""
         g, slot = divmod(token, 2)
-        # the last circle starting at or before g holds it: a bare circle
-        # sharing its offset comes before it
-        circle = bisect_right(self.offsets, g) - 1
+        circle = self.circle_of(g)
         return (circle, g - self.offsets[circle], slot)
 
-
-def _leading_slot(occ: Occ) -> int:
-    return TAIL if occ.forward else HEAD
-
-
-def _trailing_slot(occ: Occ) -> int:
-    return HEAD if occ.forward else TAIL
+    def circle_of(self, g: int) -> int:
+        """The circle holding arrow ``g``."""
+        # the last circle starting at or before g: a bare circle sharing its
+        # offset comes before it
+        return bisect_right(self.offsets, g) - 1
 
 
 @lru_cache(maxsize=16384)
@@ -207,48 +218,59 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
     """The boundary components of ``ap`` and their indexes, cached per
     presentation (``boundary_trace.__wrapped__`` traces without the cache).
 
-    An entry, with the presentation it keys, takes about 3.0 KB on the
+    An entry, with the presentation it keys, takes about 2.8 KB on the
     surgery workload's tensor products of up to 24 edges (tracemalloc,
     pinned below 3.6 KB by ``test_surgery_cache_bytes_per_entry``), so at
-    that size the 16,384-entry bound admits about 50 MB (59 MB at the
-    pinned bound).  One benchmark pass holds at most 4,284 entries (the
-    surgery workload, seed 1), so no pass evicts any.
+    that size the 16,384-entry bound admits about 47 MB (59 MB at the
+    pinned bound).  A result presentation's arrows are shared ``Occ``
+    objects (see :func:`_splice`), which is most of what it keys.  One
+    surgery workload pass holds about 3,600 entries (3,619 on seed 1; a
+    2-sum's union is read off its two sides' traces, not traced), so no
+    pass evicts any.
     """
     # Occurrence g (circle offset + position) owns the tokens 2g (tail) and
     # 2g + 1 (head).  arc[t] is the token across the vertex arc at t; the
     # chord step joins slot s of g to slot 1 - s of its mate.  Walking the
     # tokens in increasing order starts every component at its least token,
     # which is the canonical enumeration order.
-    arc: list = []
-    mate: list = []
-    offsets: list = []
-    unpaired: dict = {}
-    for c, circ in enumerate(ap.circles):
-        base = len(mate)
-        offsets.append(base)
-        trail, lead = [], []
-        for i, (label, forward) in enumerate(circ):
-            g = base + i
-            other = unpaired.pop(label, None)
-            if other is None:
-                unpaired[label] = g
-                mate.append(-1)
-            else:
+    circles = ap.circles
+    n = sum(map(len, circles))
+    arc = [0] * (2 * n)
+    mate = [-1] * n
+    offsets = []
+    first: dict = {}  # label -> g of its first arrow
+    g = 0
+    for circ in circles:
+        offsets.append(g)
+        if not circ:
+            continue
+        # the arc after each arrow runs from its trailing token to the
+        # leading token of the next, the last arrow's to the first's
+        trailing = None
+        for label, forward in circ:
+            other = first.setdefault(label, g)
+            if other != g:
                 mate[other] = g
-                mate.append(other)
-            arc += (0, 0)
-            trail.append(2 * g + forward)
-            lead.append(2 * g + 1 - forward)
-        for tt, tl in zip(trail, lead[1:] + lead[:1]):
-            arc[tt] = tl
-            arc[tl] = tt
-    if unpaired:
-        label = min(unpaired)
-        raise LabelCountError(label, sum(o.label == label for circ in ap.circles for o in circ))
+                mate[g] = other
+            leading = 2 * g + 1 - forward
+            if trailing is None:
+                opening = leading
+            else:
+                arc[trailing] = leading
+                arc[leading] = trailing
+            trailing = 2 * g + forward
+            g += 1
+        arc[trailing] = opening
+        arc[opening] = trailing
+    if 2 * len(first) != n or -1 in mate:
+        # the least label left unpaired (an odd count), else any miscounted
+        counts = Counter(label for circ in circles for label, _ in circ)
+        _, label = min((count % 2 == 0, label) for label, count in counts.items() if count != 2)
+        raise LabelCountError(label, counts[label])
 
-    bd_of = [-1] * len(arc)
+    bd_of = [-1] * (2 * n)
     components = []
-    for start in range(len(arc)):
+    for start in range(2 * n):
         if bd_of[start] >= 0:
             continue
         bid = len(components)
@@ -267,7 +289,58 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
         if not circ:
             bare_to_bd[c] = len(components)
             components.append(BoundaryComponent(len(components), (), c))
-    return BoundaryTrace(tuple(components), tuple(bd_of), tuple(offsets), bare_to_bd)
+    return BoundaryTrace(tuple(components), tuple(bd_of), tuple(offsets), bare_to_bd, tuple(mate))
+
+
+class ArrowCodes(NamedTuple):
+    """The arrows of one presentation as integer codes: arrow ``g`` of label
+    ``labels[i]`` is ``2 * i + forward``, so code order is ``Occ`` order."""
+
+    labels: tuple  # the labels in sorted order
+    codes: tuple  # g -> its arrow's code
+    mate: tuple  # g -> g of the other arrow of its label
+    firsts: tuple  # label index -> g of its first arrow
+    occs: tuple  # code -> its Occ
+
+    def arrows(self, label: str) -> tuple:
+        """The g of the two arrows of ``label``, in increasing order."""
+        i = bisect_left(self.labels, label)
+        if i == len(self.labels) or self.labels[i] != label:
+            raise UnknownEdge(label)
+        g = self.firsts[i]
+        return g, self.mate[g]
+
+
+@lru_cache(maxsize=16384)
+def _occ_pair(label: str) -> tuple:
+    """The two arrows a label can carry, backward then forward, made once so
+    that surgery results share them."""
+    return Occ(label, False), Occ(label, True)
+
+
+@lru_cache(maxsize=64)
+def arrow_codes(ap: ArrowPresentation) -> ArrowCodes:
+    """The arrow codes of ``ap``, cached per presentation.  Only a surgery's
+    source needs them, and only while its operations run (the operations of
+    one DAG node, of one edge or of every edge of one presentation), so the
+    cache is small."""
+    return _arrow_codes(ap, boundary_trace(ap).mate)
+
+
+def _arrow_codes(ap: ArrowPresentation, mate: tuple) -> ArrowCodes:
+    arrows = list(chain.from_iterable(ap.circles))  # g -> its Occ
+    # each label's least g: inserted last, walking the arrows backward
+    labels_at = reversed(list(map(itemgetter(0), arrows)))
+    first = dict(zip(labels_at, range(len(arrows) - 1, -1, -1)))
+    labels = tuple(sorted(first))
+    index = {label: 2 * i for i, label in enumerate(labels)}
+    return ArrowCodes(
+        labels,
+        tuple([index[label] + forward for label, forward in arrows]),
+        mate,
+        tuple(map(first.__getitem__, labels)),
+        tuple(chain.from_iterable(map(_occ_pair, labels))),
+    )
 
 
 def boundary_components(ap: ArrowPresentation) -> tuple:
@@ -367,250 +440,268 @@ def surface_stats(ap: ArrowPresentation, cached: bool = True) -> SurfaceStats:
 # --------------------------------------------------------------------------
 # surgery
 
+
 class OpTraceArrow(NamedTuple):
-    """How circles, occurrences and glued points move through one surgery."""
+    """How circles, arrows and glued points move through one surgery.
 
-    circle_map: dict  # surviving old circle -> new circle
-    created_circles: tuple
-    occ_map: dict  # old (circle, pos) -> new (circle, pos)
-    markers: dict  # marker name -> (new circle, gap index or None for bare)
-
-
-def _endpoint(circ, ci, p, trailing: bool):
-    occ = circ[p]
-    slot = _trailing_slot(occ) if trailing else _leading_slot(occ)
-    return (ci, p, slot)
-
-
-def _splice(circles, removed, glue):
-    """Remove the given occurrences and re-glue their endpoints pairwise.
-
-    ``removed`` is a set of ``(circle, pos)``; ``glue`` is a list of
-    ``(endpointA, endpointB, marker_name)`` pairing the tokens of removed
-    occurrences, each token exactly once.  Circles not hosting a removed
-    occurrence survive verbatim (and keep their relative order).  The others
-    are cut into chains between removed occurrences, and each rebuilt circle
-    is one walk along its chains from its lowest chain.  The walk is turned,
-    if need be, to meet the circle's least occurrence forward and rotated to
-    start there, so the result does not depend on where it began.  Rebuilt
-    circles are appended in the order of their least occurrence (bare ones
-    by their least marker, after) and stored rotation-least.
+    ``circle_map[c]`` is the new index of old circle ``c``, -1 when the
+    surgery cut it.  ``occ_map[g]`` is the new g of arrow ``g`` when its
+    circle was rebuilt, -1 for a removed arrow and for the arrows of a
+    circle that survives unchanged, which keep their positions.
+    ``markers[k]`` places glued point ``k``: its new circle and the new token
+    of the arc it lies on (see :func:`_splice`), -1 on a bare circle.
     """
-    affected = {c for c, _ in removed}
-    new_circles: list = []
-    circle_map: dict = {}
-    occ_map: dict = {}
-    for ci, circ in enumerate(circles):
-        if ci in affected:
-            continue
-        circle_map[ci] = len(new_circles)
-        for p in range(len(circ)):
-            occ_map[(ci, p)] = (len(new_circles), p)
-        new_circles.append(circ)
 
-    # Chain i runs from end 2i (the trailing token of the removed
-    # occurrence before it) to end 2i + 1 (the leading token of the next).
-    chains = []
-    ends = {}
-    for ci in sorted(affected):
-        circ = circles[ci]
-        k = len(circ)
-        rpos = sorted(p for c, p in removed if c == ci)
-        for p, q in zip(rpos, rpos[1:] + rpos[:1]):
-            ends[_endpoint(circ, ci, p, True)] = 2 * len(chains)
-            ends[_endpoint(circ, ci, q, False)] = 2 * len(chains) + 1
-            chains.append([(ci, j % k) for j in range(p + 1, q if q > p else q + k)])
-    mate = [-1] * len(ends)
-    name_at = [None] * len(ends)
-    for a, b, name in glue:
+    circle_map: list
+    created_circles: tuple
+    occ_map: list
+    markers: list
+
+
+_FLIP = (1).__xor__
+
+
+def _place(occ_map: list, gs: list, base: int) -> None:
+    """Write the new g ``base``, ``base + 1``, ... of the arrows ``gs``."""
+    list(map(occ_map.__setitem__, gs, range(base, base + len(gs))))
+
+
+def _splice(ap: ArrowPresentation, offsets, arrows: ArrowCodes, removed, glue):
+    """Remove the arrows ``removed`` (their g, increasing) of ``ap``, whose
+    circles start at the g ``offsets`` and whose codes are ``arrows``, and
+    re-glue their endpoints.
+
+    ``glue`` lists ``(token, token, k)`` triples pairing the tokens of the
+    removed arrows, each exactly once, at glued point ``k``; ``None``
+    deletes instead, closing every cut circle up on itself in place.
+    Circles hosting no removed arrow survive verbatim (and keep their
+    relative order).  The others are cut into chains between removed
+    arrows, and each rebuilt circle is one walk along its chains from its
+    lowest chain.  The walk is turned, if need be, to meet the circle's
+    least arrow forward and rotated to start there, so the result does not
+    depend on where it began.  Rebuilt circles are appended in the order of
+    their least arrow (bare ones by their least glued point, after) and
+    stored rotation-least.  All of it runs on codes: a walk met backward
+    flips each code's low bit, and code order is ``Occ`` order, so
+    :func:`_rotmin` picks the rotation it would pick on the arrows.
+    A glued point lies on the arc after the arrow before it, whose trailing
+    token (its head when it points forward) names the arc.
+    """
+    circles, codes, occs = ap.circles, arrows.codes, arrows.occs
+    hosts = sorted({bisect_right(offsets, g) - 1 for g in removed})
+    occ_map = [-1] * len(codes)
+    if glue is None:
+        new_circles = list(circles)
+        for c in hosts:
+            lo = offsets[c]
+            hi = lo + len(circles[c])
+            kept: list = []
+            start = lo
+            for g in removed:
+                if lo <= g < hi:
+                    kept += range(start, g)
+                    start = g + 1
+            kept += range(start, hi)
+            circ, offset = _rotmin(map(codes.__getitem__, kept))
+            new_circles[c] = tuple(map(occs.__getitem__, circ))
+            # the arrows removed before this circle shift its g down
+            new_g = lo - bisect_left(removed, lo)
+            _place(occ_map, kept[offset:] + kept[:offset], new_g)
+        return tuple(new_circles), OpTraceArrow(list(range(len(circles))), (), occ_map, [])
+
+    # the circles between hosts survive, in order
+    circle_map = [-1] * len(circles)
+    new_circles: list = []
+    c = 0
+    for host in hosts + [len(circles)]:
+        circle_map[c:host] = range(len(new_circles), len(new_circles) + host - c)
+        new_circles += circles[c:host]
+        c = host + 1
+    base = len(codes) - sum([len(circles[host]) for host in hosts])  # the next new g
+
+    # Chain k runs from end 2k (the trailing token of the removed arrow
+    # before it) to end 2k + 1 (the leading token of the next).
+    chain_gs, chain_codes = [], []
+    ends: dict = {}
+    for c in hosts:
+        lo = offsets[c]
+        hi = lo + len(circles[c])
+        cut = [g for g in removed if lo <= g < hi]
+        for p, q in zip(cut, cut[1:] + cut[:1]):
+            ends[2 * p + (codes[p] & 1)] = 2 * len(chain_gs)
+            ends[2 * q + 1 - (codes[q] & 1)] = 2 * len(chain_gs) + 1
+            if p < q:
+                chain_gs.append(range(p + 1, q))
+                chain_codes.append(codes[p + 1:q])
+            else:
+                chain_gs.append([*range(p + 1, hi), *range(lo, q)])
+                chain_codes.append(codes[p + 1:hi] + codes[lo:q])
+    joined = [-1] * len(ends)
+    point_at: list = [None] * len(ends)
+    for a, b, k in glue:
         x, y = ends.get(a, -1), ends.get(b, -1)
-        if x < 0 or y < 0 or x == y or mate[x] >= 0 or mate[y] >= 0:
+        if x < 0 or y < 0 or x == y or joined[x] >= 0 or joined[y] >= 0:
             raise InvariantViolation("glued point must join exactly two chain ends")
-        mate[x], mate[y] = y, x
-        name_at[x] = name_at[y] = name
-    if -1 in mate:
+        joined[x], joined[y] = y, x
+        point_at[x] = point_at[y] = k
+    if -1 in joined:
         raise InvariantViolation("glued point must join exactly two chain ends")
 
-    # One walk per component: (None, name) marks a glued point, (place,
-    # flipped) an occurrence met against its circle's direction or not.
-    visited = [False] * len(chains)
-    comps = []
-    for start in range(len(chains)):
+    # One walk per component: its arrows, their codes as met, and each glued
+    # point with the number of arrows before it.
+    visited = [False] * len(chain_gs)
+    walks = []
+    for start in range(len(chain_gs)):
         if visited[start]:
             continue
-        events = []
+        gs: list = []
+        met: list = []
+        points = []
         x = 2 * start
         while True:
             visited[x >> 1] = True
-            back = bool(x & 1)
-            chain = chains[x >> 1]
-            events += [(place, back) for place in (reversed(chain) if back else chain)]
-            events.append((None, name_at[x ^ 1]))
-            x = mate[x ^ 1]
+            if x & 1:  # entered at its end: walked backward, every code flipped
+                gs += reversed(chain_gs[x >> 1])
+                met += map(_FLIP, reversed(chain_codes[x >> 1]))
+            else:
+                gs += chain_gs[x >> 1]
+                met += chain_codes[x >> 1]
+            points.append((point_at[x ^ 1], len(gs)))
+            x = joined[x ^ 1]
             if x == 2 * start:
                 break
-        occs = [ev for ev in events if ev[0] is not None]
-        if occs:
-            anchor, met_back = min(occs)
-            comps.append(((0, anchor), events, met_back))
+        if gs:
+            walks.append(((0, min(gs)), gs, met, points))
         else:
-            comps.append(((1, min(name for _, name in events)), events, False))
+            walks.append(((1, min(points)[0]), gs, met, points))
 
-    markers: dict = {}
+    markers: list = [None] * len(glue)
     created = []
-    for (bare, anchor), events, met_back in sorted(comps, key=lambda comp: comp[0]):
-        if not bare:
-            if met_back:
-                events = [
-                    ev if ev[0] is None else (ev[0], not ev[1]) for ev in reversed(events)
-                ]
-            pivot = events.index((anchor, False))
-            events = events[pivot:] + events[:pivot]
-        new_ci = len(new_circles)
-        circ_occs = []
-        local_occs = []
-        marker_gaps = []
-        for place, tag in events:
-            if place is None:  # tag names the glued point
-                marker_gaps.append((tag, len(circ_occs)))
-            else:  # tag says whether the walk met the occurrence backward
-                ci, p = place
-                occ = circles[ci][p]
-                local_occs.append(place)
-                circ_occs.append(Occ(occ.label, occ.forward ^ tag))
-        total = len(circ_occs)
-        normalized, offset = _rotmin(circ_occs)
-        for raw, place in enumerate(local_occs):
-            occ_map[place] = (new_ci, (raw - offset) % total)
-        for name, count in marker_gaps:
-            markers[name] = (
-                new_ci,
-                (count - 1 - offset) % total if total else None,
-            )
-        new_circles.append(normalized)
-        created.append(new_ci)
-
-    return (
-        tuple(new_circles),
-        OpTraceArrow(circle_map, tuple(created), occ_map, markers),
-    )
-
-
-def _delete_traced(ap: ArrowPresentation, e: str):
-    removed = set(ap.occurrences(e))
-    affected = {c for c, _ in removed}
-    new_circles = []
-    occ_map: dict = {}
-    for ci, circ in enumerate(ap.circles):
-        if ci not in affected:
-            # stored rotation-least already, so the circle stays as it is
-            for p in range(len(circ)):
-                occ_map[(ci, p)] = (ci, p)
-            new_circles.append(circ)
+    for (bare, anchor), gs, met, points in sorted(walks, key=itemgetter(0)):
+        new_c = len(new_circles)
+        created.append(new_c)
+        if bare:
+            new_circles.append(())
+            for k, _ in points:
+                markers[k] = (new_c, -1)
             continue
-        gone = [p for c, p in removed if c == ci]
-        kept_positions = [p for p in range(len(circ)) if p not in gone]
-        kept = [circ[p] for p in kept_positions]
-        normalized, offset = _rotmin(kept)
-        k = len(kept)
-        for slot, p in enumerate(kept_positions):
-            occ_map[(ci, p)] = (ci, (slot - offset) % k)
-        new_circles.append(normalized)
-    trace = OpTraceArrow({ci: ci for ci in range(len(ap.circles))}, (), occ_map, {})
-    return ArrowPresentation(tuple(new_circles), ap.edges - {e}), trace
+        n = len(gs)
+        a = gs.index(anchor)
+        if met[a] != codes[anchor]:  # met backward: turn the walk
+            gs.reverse()
+            met = list(map(_FLIP, reversed(met)))
+            points = [(k, n - before) for k, before in points]
+            a = n - 1 - a
+        # pivot at the anchor, then store rotation-least
+        circ, offset = _rotmin(met[a:] + met[:a])
+        start = (a + offset) % n
+        for k, before in points:
+            gap = (before - 1 - start) % n
+            markers[k] = (new_c, 2 * (base + gap) + (circ[gap] & 1))
+        _place(occ_map, gs[start:] + gs[:start], base)
+        base += n
+        new_circles.append(tuple(map(occs.__getitem__, circ)))
+    return tuple(new_circles), OpTraceArrow(circle_map, tuple(created), occ_map, markers)
 
 
 # How the four endpoints of a contracted edge re-glue: slot of the first
-# occurrence, slot of the second, marker of the glued point.
+# arrow, slot of the second, and the glued point's number.  Bare circles a
+# surgery leaves are ordered by their least point, so the numbers fix that
+# order: head-to-tail ("ht") before tail-to-head ("th"), head-to-head
+# ("hh") before tail-to-tail ("tt").
 _GLUES = {
-    "contract": ((TAIL, HEAD, "th"), (HEAD, TAIL, "ht")),
-    "penrose": ((TAIL, TAIL, "tt"), (HEAD, HEAD, "hh")),
+    "contract": ((TAIL, HEAD, 1), (HEAD, TAIL, 0)),
+    "penrose": ((TAIL, TAIL, 1), (HEAD, HEAD, 0)),
 }
 
 
-def _glued_traced(ap: ArrowPresentation, e: str, kind: str):
-    (c1, p1), (c2, p2) = ap.occurrences(e)
-    glue = [((c1, p1, s1), (c2, p2, s2), name) for s1, s2, name in _GLUES[kind]]
-    circles, trace = _splice(ap.circles, {(c1, p1), (c2, p2)}, glue)
-    return ArrowPresentation(circles, ap.edges - {e}), trace
+def edge_surgery(ap: ArrowPresentation, e: str, kind: str):
+    """The arrow-level operation ``kind`` at ``e``, uncached: the resulting
+    presentation and its :class:`OpTraceArrow`, whose ``occ_map`` says where
+    each arrow of a rebuilt circle went.  ``kind`` is one of ``delete``,
+    ``contract``, ``penrose``.  Deletion keeps every circle in place;
+    contraction glues tail to head both ways (points ``ht`` = 0 and
+    ``th`` = 1), Penrose contraction tail to tail and head to head (``hh``
+    = 0, ``tt`` = 1)."""
+    return _edge_surgery(ap, boundary_trace(ap).offsets, arrow_codes(ap), e, kind)
+
+
+def _edge_surgery(ap: ArrowPresentation, offsets, arrows: ArrowCodes, e: str, kind: str):
+    g1, g2 = arrows.arrows(e)
+    if kind == "delete":
+        glue = None
+    elif kind in _GLUES:
+        glue = [(2 * g1 + s1, 2 * g2 + s2, k) for s1, s2, k in _GLUES[kind]]
+    else:
+        raise ValueError(f"unknown arrow operation {kind!r}")
+    circles, moves = _splice(ap, offsets, arrows, (g1, g2), glue)
+    return ArrowPresentation(circles, ap.edges - {e}), moves
 
 
 def delete_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
     """Remove both arrows of ``e``, leaving the circles in place."""
-    return _delete_traced(ap, e)[0]
+    return edge_surgery(ap, e, "delete")[0]
 
 
 def contract_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
     """Contract ``e``: cut both arrows and rejoin tail-to-head both ways."""
-    return _glued_traced(ap, e, "contract")[0]
+    return edge_surgery(ap, e, "contract")[0]
 
 
 def penrose_contract_edge(ap: ArrowPresentation, e: str) -> ArrowPresentation:
     """Contract ``e`` with the half-twisted (tail-to-tail) identifications."""
-    return _glued_traced(ap, e, "penrose")[0]
+    return edge_surgery(ap, e, "penrose")[0]
 
 
 # --------------------------------------------------------------------------
 # boundary transfer through a surgery
 
 
-def _resolve_marker(new_ap, new, markers, name):
-    """The boundary of ``new_ap`` (traced as ``new``) through a glued point:
-    a bare circle's own boundary, or the boundary of the arc the point lies
-    on, which is that of the arc's trailing token."""
-    nc, gap = markers[name]
-    if gap is None:
-        return new.bare_to_bd[nc]
-    return new.boundary_at(nc, gap, _trailing_slot(new_ap.circles[nc][gap]))
+def _marker_boundary(new: BoundaryTrace, marker) -> int:
+    """The boundary through a glued point: a bare circle's own boundary, or
+    that of the arc the point lies on."""
+    circle, token = marker
+    return new.bare_to_bd[circle] if token < 0 else new.token_bd[token]
 
 
-def _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new):
-    """Map old boundary ids to new ones through a surgery.
+def _boundary_map(old: BoundaryTrace, new: BoundaryTrace, moves: OpTraceArrow, removed, touched):
+    """Map old boundary ids to new ones through a surgery: ``mapping[b]`` is
+    the new id of old boundary ``b``, -1 when it is destroyed.
 
-    ``touched_to_new`` maps the id of an old boundary incident to a removed
-    occurrence to its new id; one it does not hold is destroyed.
-    Untouched boundaries are matched by their surviving tokens; bare circles
-    follow the circle map.
+    ``touched`` maps the id of an old boundary through a removed arrow to
+    its new id; one it does not hold is destroyed.  Untouched boundaries
+    follow their least token's arrow; bare circles follow the circle map.
     """
-    old = boundary_trace(ap)
-    new = boundary_trace(new_ap)
-    touched = {old.boundary_at(c, p, s) for c, p in removed_places for s in (TAIL, HEAD)}
-    mapping: dict = {}
-    for bd in old.components:
-        if bd.circle is not None:
-            nc = trace.circle_map.get(bd.circle)
-            if nc is not None:
-                mapping[bd.id] = new.bare_to_bd[nc]
-        elif bd.id in touched:
-            target = touched_to_new.get(bd.id)
-            if target is not None:
-                mapping[bd.id] = target
+    circle_map, occ_map = moves.circle_map, moves.occ_map
+    token_bd = old.token_bd
+    cut = {token_bd[t] for g in removed for t in (2 * g, 2 * g + 1)}
+    mapping = [-1] * len(old.components)
+    for b, (_, crossings, circle) in enumerate(old.components):
+        if circle is not None:
+            nc = circle_map[circle]
+            if nc >= 0:
+                mapping[b] = new.bare_to_bd[nc]
+        elif b in cut:
+            mapping[b] = touched.get(b, -1)
         else:
-            c, p, s = old.endpoint(bd.crossings[0])
-            mapping[bd.id] = new.boundary_at(*trace.occ_map[(c, p)], s)
-    created = tuple(sorted(set(range(len(new.components))) - set(mapping.values())))
-    return mapping, created
-
-
-def edge_surgery(ap: ArrowPresentation, e: str, kind: str):
-    """The arrow-level operation ``kind`` at ``e``, uncached: the resulting
-    presentation and its :class:`OpTraceArrow`, whose ``occ_map`` says where
-    each surviving arrow went.  ``kind`` is one of ``delete``, ``contract``,
-    ``penrose``."""
-    if kind == "delete":
-        return _delete_traced(ap, e)
-    if kind in _GLUES:
-        return _glued_traced(ap, e, kind)
-    raise ValueError(f"unknown arrow operation {kind!r}")
+            t = crossings[0]
+            g = occ_map[t >> 1]
+            if g < 0:  # on a circle that survives unchanged
+                c = old.circle_of(t >> 1)
+                g = new.offsets[circle_map[c]] + (t >> 1) - old.offsets[c]
+            mapping[b] = new.token_bd[2 * g + (t & 1)]
+    created = tuple(sorted(set(range(len(new.components))).difference(mapping)))
+    return tuple(mapping), created
 
 
 class EdgeOpResult(NamedTuple):
-    """Full record of one arrow-level edge operation."""
+    """Full record of one arrow-level edge operation.  The maps are flat
+    tuples indexed by old circle and old boundary id, -1 for one destroyed."""
 
     presentation: ArrowPresentation
-    circle_map: dict
+    circle_map: tuple
     created_circles: tuple
-    boundary_map: dict
+    boundary_map: tuple
     created_boundaries: tuple
 
 
@@ -624,56 +715,79 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     neither near ``e``.  The arrow map is not kept; :func:`edge_surgery`
     gives it.
 
-    An entry takes about 1.2 KB on the surgery workload's tensor products,
-    besides its result presentation, which :func:`boundary_trace` keys too
-    (tracemalloc, pinned below 1.5 KB by
+    An entry takes about 0.36 KB on the surgery workload's tensor
+    products, besides its result presentation, which :func:`boundary_trace`
+    keys too (tracemalloc, pinned below 1.5 KB by
     ``test_surgery_cache_bytes_per_entry``), so at that size the
-    16,384-entry bound admits about 20 MB (25 MB at the pinned bound).
+    16,384-entry bound admits about 6 MB (25 MB at the pinned bound).
     """
-    removed_places = set(ap.occurrences(e))
-    new_ap, trace = edge_surgery(ap, e, kind)
-    touched_to_new = {}
+    old, arrows = boundary_trace(ap), arrow_codes(ap)
+    new_ap, moves = _edge_surgery(ap, old.offsets, arrows, e, kind)
+    new = boundary_trace(new_ap)
+    removed = arrows.arrows(e)
+    touched = {}
     if kind == "contract":
-        # The chord from the head of the first occurrence to the tail of the
-        # second shrinks to the glued point head(first)~tail(second), marker
-        # "ht"; the other chord to marker "th".
-        old, new = boundary_trace(ap), boundary_trace(new_ap)
-        c1, p1 = min(removed_places)
-        for slot, name in ((TAIL, "th"), (HEAD, "ht")):
-            touched_to_new[old.boundary_at(c1, p1, slot)] = _resolve_marker(
-                new_ap, new, trace.markers, name
-            )
-    bmap, created_b = _transfer_boundaries(ap, new_ap, trace, removed_places, touched_to_new)
+        # The chord from the head of the first arrow to the tail of the
+        # second shrinks to the glued point head(first)~tail(second), point
+        # ht; the other chord to point th.
+        g1 = removed[0]
+        for slot, k in ((TAIL, 1), (HEAD, 0)):
+            touched[old.token_bd[2 * g1 + slot]] = _marker_boundary(new, moves.markers[k])
+    bmap, created_b = _boundary_map(old, new, moves, removed, touched)
     if kind == "contract" and created_b:
         raise InvariantViolation("contraction preserves every boundary component")
-    return EdgeOpResult(new_ap, trace.circle_map, trace.created_circles, bmap, created_b)
-
-
-_TWO_SUM_MARKERS = ("m1", "m2", "m3", "m4")
+    return EdgeOpResult(new_ap, tuple(moves.circle_map), moves.created_circles, bmap, created_b)
 
 
 class TwoSumResult(NamedTuple):
     """Full record of one arrow-level 2-sum.
 
-    The surgery runs on ``union``, the circles of G followed by those of H;
-    every old id below is an id of the union.  ``arrows`` holds the union
-    places of f's two arrows and then of the arrows of e glued to them.  The
-    glued points ``m1``..``m4`` join tail to tail and head to head, in that
-    order, and ``marker_circles``/``marker_boundaries`` say where each ends
-    up.
+    The surgery runs on ``union``, the circles of G followed by those of H,
+    traced as ``union_trace``; every old id below is an id of the union.  ``arrows`` holds the union
+    g of f's two arrows and then of the arrows of e glued to them.  The
+    glued points 0..3 (``m1``..``m4``) join tail to tail and head to head,
+    in that order, and ``marker_circles``/``marker_boundaries`` say where
+    each ends up.  The maps are flat tuples indexed by old id, -1 for one
+    destroyed.
     """
 
     presentation: ArrowPresentation
     union: ArrowPresentation
-    g_boundaries: dict  # boundary of G -> boundary of the union
-    h_boundaries: dict  # boundary of H -> boundary of the union
+    union_trace: BoundaryTrace
+    g_boundaries: tuple  # boundary of G -> boundary of the union
+    h_boundaries: tuple  # boundary of H -> boundary of the union
     arrows: tuple
-    circle_map: dict
+    circle_map: tuple
     created_circles: tuple
-    boundary_map: dict
+    boundary_map: tuple
     created_boundaries: tuple
-    marker_circles: dict
-    marker_boundaries: dict
+    marker_circles: tuple
+    marker_boundaries: tuple
+
+
+def _union_trace(gt: BoundaryTrace, ht: BoundaryTrace, circles: int) -> BoundaryTrace:
+    """The trace of the circles of G followed by the ``circles``-th on, those
+    of H, read off the traces ``gt`` of G and ``ht`` of H.  Tracing the union
+    from its least token meets G's components first, in G's order, then H's
+    with their tokens shifted past G's; the bare circles follow in circle
+    order, G's before H's."""
+    arrows = len(gt.mate)
+    g_token = len(gt.components) - len(gt.bare_to_bd)
+    h_token = len(ht.components) - len(ht.bare_to_bd)
+    components = list(gt.components[:g_token])
+    for b, crossings, _ in ht.components[:h_token]:
+        components.append(BoundaryComponent(g_token + b, tuple([t + 2 * arrows for t in crossings])))
+    bare_to_bd = {}
+    for c in [*gt.bare_to_bd, *(c + circles for c in ht.bare_to_bd)]:
+        bare_to_bd[c] = len(components)
+        components.append(BoundaryComponent(len(components), (), c))
+    return BoundaryTrace(
+        tuple(components),
+        gt.token_bd + tuple([g_token + b for b in ht.token_bd]),
+        gt.offsets + tuple([arrows + offset for offset in ht.offsets]),
+        bare_to_bd,
+        gt.mate + tuple([arrows + g for g in ht.mate]),
+    )
 
 
 def two_sum_traced(
@@ -693,40 +807,39 @@ def two_sum_traced(
         raise InvalidCoupling(
             f"edge labels must be disjoint, both sides carry {sorted(shared)}"
         )
-    offset = len(g.circles)
     union = ArrowPresentation(g.circles + h.circles, g.edges | h.edges)
-    u = boundary_trace(union)
+    u = _union_trace(boundary_trace(g), boundary_trace(h), len(g.circles))
 
-    def locate(ap, off):
-        trace = boundary_trace(ap)
-        ids = {}
-        for bd in trace.components:
-            if bd.circle is not None:
-                ids[bd.id] = u.bare_to_bd[bd.circle + off]
-            else:
-                c, p, s = trace.endpoint(bd.crossings[0])
-                ids[bd.id] = u.boundary_at(c + off, p, s)
-        return ids
+    def locate(ap, circles, tokens):
+        # the union holds ap's arrows ``tokens`` tokens and its circles
+        # ``circles`` circles on
+        return tuple([
+            u.token_bd[crossings[0] + tokens] if circle is None
+            else u.bare_to_bd[circle + circles]
+            for _, crossings, circle in boundary_trace(ap).components
+        ])
 
-    fo1, fo2 = g.occurrences(f)
-    eo = [(c + offset, p) for c, p in h.occurrences(e)]
-    t1, t2 = (eo[1], eo[0]) if swap else (eo[0], eo[1])
+    codes = _arrow_codes(union, u.mate)
+    fo1, fo2 = codes.arrows(f)
+    t1, t2 = codes.arrows(e)
+    if swap:
+        t1, t2 = t2, t1
     glue = [
-        ((*fo1, TAIL), (*t1, TAIL), "m1"),
-        ((*fo1, HEAD), (*t1, HEAD), "m2"),
-        ((*fo2, TAIL), (*t2, TAIL), "m3"),
-        ((*fo2, HEAD), (*t2, HEAD), "m4"),
+        (2 * fo1 + TAIL, 2 * t1 + TAIL, 0),
+        (2 * fo1 + HEAD, 2 * t1 + HEAD, 1),
+        (2 * fo2 + TAIL, 2 * t2 + TAIL, 2),
+        (2 * fo2 + HEAD, 2 * t2 + HEAD, 3),
     ]
-    removed = {fo1, fo2, t1, t2}
-    circles, trace = _splice(union.circles, removed, glue)
+    removed = sorted((fo1, fo2, t1, t2))
+    circles, moves = _splice(union, u.offsets, codes, removed, glue)
     new_ap = ArrowPresentation(circles, union.edges - {f, e})
-    bmap, created_b = _transfer_boundaries(union, new_ap, trace, removed, {})
     new = boundary_trace(new_ap)
+    bmap, created_b = _boundary_map(u, new, moves, removed, {})
     return TwoSumResult(
-        new_ap, union, locate(g, 0), locate(h, offset),
-        (fo1, fo2, t1, t2), trace.circle_map, trace.created_circles, bmap, created_b,
-        {name: trace.markers[name][0] for name in _TWO_SUM_MARKERS},
-        {name: _resolve_marker(new_ap, new, trace.markers, name) for name in _TWO_SUM_MARKERS},
+        new_ap, union, u, locate(g, 0, 0), locate(h, len(g.circles), 2 * len(boundary_trace(g).mate)),
+        (fo1, fo2, t1, t2), tuple(moves.circle_map), moves.created_circles, bmap, created_b,
+        tuple([circle for circle, _ in moves.markers]),
+        tuple([_marker_boundary(new, marker) for marker in moves.markers]),
     )
 
 

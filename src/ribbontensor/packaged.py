@@ -13,7 +13,10 @@ Partition bookkeeping follows one scheme throughout, :meth:`Partition.transfer`:
 items destroyed by a surgery drop out of their blocks, freshly created items
 enter as singletons, and the operation merges prescribed groups of blocks
 (the classes of the items incident to the operated edge, plus whatever the
-surgery created).  It makes one union-find pass over the old block numbers.
+surgery created).  It reads the surgery's flat maps in one pass, and fuses
+blocks only when there are groups to merge.  :func:`edge_ops` computes the
+operations of one edge together, sharing their arrow surgeries and their
+transfers.
 
 :class:`Partition`, :class:`PackagedPresentation` and :class:`Coupling` are
 ``typing.NamedTuple`` classes, so they compare equal to plain tuples of the
@@ -30,11 +33,11 @@ from .arrow import (
     HEAD,
     TAIL,
     ArrowPresentation,
+    arrow_codes,
     boundary_components,
     boundary_trace,
     canonical_transforms,
     edge_op_traced,
-    find,
     two_sum_traced,
     validate,
 )
@@ -114,47 +117,77 @@ class Partition(NamedTuple):
         return tuple(map(tuple, blocks))
 
     def transfer(
-        self, item_map: Mapping[int, int], created: Sequence[int] = (), groups: Iterable = ()
+        self, item_map: Sequence[int], created: Sequence[int] = (), groups: Iterable = ()
     ) -> "Partition":
         """Move the partition through a surgery.
 
-        Items absent from ``item_map`` die and drop out of their blocks; the
-        rest are renamed.  Each group ``(old items, new items)``, the new
-        items created ones, becomes one block together with every old block
-        its old items meet.  Groups meeting a common old block fuse, even
-        when every member of that block dies.  Created items outside every
-        group enter as singletons.  The renamed and created items must be
-        exactly 0..n'-1.
+        ``item_map[x]`` is the new item of old item ``x``, or -1 when ``x``
+        dies and drops out of its block.  Each group ``(old items, new
+        items)``, the new items created ones, becomes one block together
+        with every old block its old items meet.  Groups meeting a common
+        old block fuse, even when every member of that block dies.  Created
+        items outside every group enter as singletons.  The renamed and
+        created items must be exactly 0..n'-1.
         """
         labels = self.labels
         # Each new item's key: its old block number, or -1 - c for a
-        # created item c.
-        keys: dict = {}
-        for x, y in item_map.items():
-            keys[y] = labels[x]
-        for c in created:
-            keys[c] = -1 - c
-        if groups:
-            # A union-find over the keys, with one fresh node per group above
-            # every block number.
-            parent: dict = {}
-            node = len(labels)
-            for old, new in groups:
-                node += 1
-                for k in [labels[x] for x in old] + [-1 - c for c in new]:
-                    r = find(parent, k)
-                    if r != node:
-                        parent[r] = node
-            keys = {y: find(parent, k) for y, k in keys.items()}
-        # A gap or a repeated target leaves some item of 0..n'-1 without a key.
-        n = len(item_map) + len(created)
+        # created item c.  keys[n] takes the dead items' keys; a gap, a
+        # repeated or a misplaced target leaves some item of 0..n'-1 without
+        # a key.
+        n = len(item_map) - item_map.count(-1) + len(created)
+        keys: list = [None] * (n + 1)
+        ok = (
+            len(item_map) == len(labels)
+            and min(item_map, default=0) >= -1
+            and min(created, default=0) >= 0
+        )
         try:
-            return Partition(_first_appearance(map(keys.__getitem__, range(n))))
-        except KeyError:
+            list(map(keys.__setitem__, item_map, labels))
+            for c in created:
+                keys[c] = -1 - c
+        except IndexError:
+            ok = False
+        keys.pop()
+        if not ok or None in keys:
             raise InvariantViolation(
-                f"transfer targets {sorted(item_map.values())} and created items "
-                f"{sorted(created)} are not the items 0..{n - 1}"
-            ) from None
+                f"transfer of {len(labels)} items to targets {list(item_map)} and created "
+                f"items {sorted(created)} does not give the items 0..{n - 1}"
+            )
+        if groups:
+            # The groups' keys, fused while they share one; every key of a
+            # fused set is renamed to one of them.
+            fused: list = []
+            for old, new in groups:
+                merged = {labels[x] for x in old}.union([-1 - c for c in new])
+                apart = []
+                for other in fused:
+                    if merged.isdisjoint(other):
+                        apart.append(other)
+                    else:
+                        merged |= other
+                fused = apart + [merged]
+            rename: dict = {}
+            for merged in filter(None, fused):
+                rename.update(dict.fromkeys(merged, next(iter(merged))))
+            keys = list(map(rename.get, keys, keys))
+        return Partition(_first_appearance(keys))
+
+    def restricted(self, items: Iterable[int]) -> "Partition":
+        """The partition of ``items``, increasing, renumbered 0, 1, ..."""
+        return Partition(_first_appearance(map(self.labels.__getitem__, items)))
+
+    def merged(self, x: int, y: int) -> "Partition":
+        """The partition with the blocks of items ``x`` and ``y`` joined."""
+        labels = self.labels
+        a, b = sorted((labels[x], labels[y]))
+        if a == b:
+            return self
+        # Block b joins block a, whose least item comes first; the blocks
+        # numbered after b move down one.
+        rename = list(range(max(labels) + 1))
+        rename[b] = a
+        rename[b + 1:] = range(b, len(rename) - 1)
+        return Partition(tuple(map(rename.__getitem__, labels)))
 
 
 class PackagedPresentation(NamedTuple):
@@ -183,55 +216,71 @@ class EdgeOpKind(Enum):
     MERGE_CONTRACT = "merge-contract"
 
 
-# Each operation's arrow surgery, then what merges on the vertex side and on
-# the boundary side: nothing, the classes of the two incident items, or those
-# classes together with every item the surgery created.
-_KEEP, _INCIDENT, _WITH_CREATED = range(3)
-_OPS = {
-    EdgeOpKind.DELETE: ("delete", _KEEP, _WITH_CREATED),
-    EdgeOpKind.CONTRACT: ("contract", _WITH_CREATED, _KEEP),
-    EdgeOpKind.PENROSE: ("penrose", _WITH_CREATED, _WITH_CREATED),
-    EdgeOpKind.MERGE_DELETE: ("delete", _INCIDENT, _WITH_CREATED),
-    EdgeOpKind.MERGE_CONTRACT: ("contract", _WITH_CREATED, _INCIDENT),
-}
-
-
 def incident_items(pg: PackagedPresentation, e: str):
     """The circles ``(u, v)`` hosting the two arrows of ``e`` and the
     boundaries ``(a, b)`` through their heads, in occurrence order."""
-    (c1, p1), (c2, p2) = pg.ap.occurrences(e)
     trace = boundary_trace(pg.ap)
-    return (c1, c2), (trace.boundary_at(c1, p1, HEAD), trace.boundary_at(c2, p2, HEAD))
+    g1, g2 = arrow_codes(pg.ap).arrows(e)
+    return (
+        (trace.circle_of(g1), trace.circle_of(g2)),
+        (trace.token_bd[2 * g1 + HEAD], trace.token_bd[2 * g2 + HEAD]),
+    )
 
 
-def _merges(rule, incident, created) -> tuple:
-    if rule == _KEEP:
-        return ()
-    return ((incident, created if rule == _WITH_CREATED else ()),)
-
-
-def apply_edge_op(pg: PackagedPresentation, e: str, kind: EdgeOpKind) -> PackagedPresentation:
-    """One of the five operations, with the partition updates they prescribe.
+def edge_ops(pg: PackagedPresentation, e: str, kinds: Sequence[EdgeOpKind]) -> tuple:
+    """The operations ``kinds`` at ``e``, in that order, with the partition
+    updates they prescribe.
 
     Deletion merges the classes of the two incident boundaries together with
     the boundaries the deletion creates; contraction does the same on the
     vertex side; the merge- variants additionally merge the other side's two
     incident classes; Penrose contraction merges on both sides with its own
-    created sets.
+    created sets.  Each arrow surgery and each partition update is made once
+    for all of ``kinds``: deletion leaves the vertex partition as it is,
+    deletion and merge-deletion share their boundary transfer, contraction
+    and merge-contraction their vertex transfer, and a merge- variant's
+    other side is the plain operation's with two blocks joined.
     """
     if e not in pg.ap.edges:
         raise UnknownEdge(e)
-    circles, boundaries = incident_items(pg, e)
-    arrow_kind, vrule, brule = _OPS[kind]
-    res = edge_op_traced(pg.ap, e, arrow_kind)
-    vparts = pg.vparts.transfer(
-        res.circle_map, res.created_circles, _merges(vrule, circles, res.created_circles)
-    )
-    bparts = pg.bparts.transfer(
-        res.boundary_map, res.created_boundaries,
-        _merges(brule, boundaries, res.created_boundaries),
-    )
-    return PackagedPresentation(res.presentation, vparts, bparts)
+    (u, v), (a, b) = incident_items(pg, e)
+    ap, vparts, bparts = pg
+    wanted = set(kinds)
+    done: dict = {}
+    if EdgeOpKind.DELETE in wanted or EdgeOpKind.MERGE_DELETE in wanted:
+        res = edge_op_traced(ap, e, "delete")
+        created = res.created_boundaries
+        deleted = bparts.transfer(res.boundary_map, created, (((a, b), created),))
+        done[EdgeOpKind.DELETE] = PackagedPresentation(res.presentation, vparts, deleted)
+        if EdgeOpKind.MERGE_DELETE in wanted:
+            done[EdgeOpKind.MERGE_DELETE] = PackagedPresentation(
+                res.presentation, vparts.merged(u, v), deleted
+            )
+    if EdgeOpKind.CONTRACT in wanted or EdgeOpKind.MERGE_CONTRACT in wanted:
+        res = edge_op_traced(ap, e, "contract")
+        created = res.created_circles
+        contracted = vparts.transfer(res.circle_map, created, (((u, v), created),))
+        renamed = bparts.transfer(res.boundary_map)
+        done[EdgeOpKind.CONTRACT] = PackagedPresentation(res.presentation, contracted, renamed)
+        if EdgeOpKind.MERGE_CONTRACT in wanted:
+            joined = renamed.merged(res.boundary_map[a], res.boundary_map[b])
+            done[EdgeOpKind.MERGE_CONTRACT] = PackagedPresentation(
+                res.presentation, contracted, joined
+            )
+    if EdgeOpKind.PENROSE in wanted:
+        res = edge_op_traced(ap, e, "penrose")
+        circles, bds = res.created_circles, res.created_boundaries
+        done[EdgeOpKind.PENROSE] = PackagedPresentation(
+            res.presentation,
+            vparts.transfer(res.circle_map, circles, (((u, v), circles),)),
+            bparts.transfer(res.boundary_map, bds, (((a, b), bds),)),
+        )
+    return tuple(map(done.__getitem__, kinds))
+
+
+def apply_edge_op(pg: PackagedPresentation, e: str, kind: EdgeOpKind) -> PackagedPresentation:
+    """One of the five operations at ``e``: :func:`edge_ops` with one kind."""
+    return edge_ops(pg, e, (kind,))[0]
 
 
 # --------------------------------------------------------------------------
@@ -267,10 +316,10 @@ def two_sum(
     vall = Partition(pg.vparts.labels + tuple(offset + b for b in ph.vparts.labels))
     offset = pg.bparts.n_blocks
     keys: list = [None] * (len(res.g_boundaries) + len(res.h_boundaries))
-    for x, u in res.g_boundaries.items():
-        keys[u] = pg.bparts.labels[x]
-    for x, u in res.h_boundaries.items():
-        keys[u] = offset + ph.bparts.labels[x]
+    for label, u in zip(pg.bparts.labels, res.g_boundaries):
+        keys[u] = label
+    for label, u in zip(ph.bparts.labels, res.h_boundaries):
+        keys[u] = offset + label
     ball = Partition(_first_appearance(keys))
 
     # fo1 is glued to t1 at m1 (tails) and m2 (heads), fo2 to t2 at m3 and
@@ -281,22 +330,22 @@ def two_sum(
     # the first pair with m2 and m3.  The two groups chain through a class
     # holding both of its coupled pieces, although those pieces die.
     fo1, fo2, t1, t2 = res.arrows
-    mark_circle, mark_bd = res.marker_circles, res.marker_boundaries
+    m1, m2, m3, m4 = res.marker_circles
+    union = res.union_trace
+    circle = union.circle_of
     vparts = vall.transfer(
         res.circle_map,
         res.created_circles,
-        [
-            ({fo1[0], t1[0]}, {mark_circle["m1"], mark_circle["m2"]}),
-            ({fo2[0], t2[0]}, {mark_circle["m3"], mark_circle["m4"]}),
-        ],
+        [({circle(fo1), circle(t1)}, {m1, m2}), ({circle(fo2), circle(t2)}, {m3, m4})],
     )
-    union_bd = boundary_trace(res.union).boundary_at
+    m1, m2, m3, m4 = res.marker_boundaries
+    token_bd = union.token_bd
     bparts = ball.transfer(
         res.boundary_map,
         res.created_boundaries,
         [
-            ({union_bd(*fo1, TAIL), union_bd(*t1, TAIL)}, {mark_bd["m1"], mark_bd["m4"]}),
-            ({union_bd(*fo1, HEAD), union_bd(*t1, HEAD)}, {mark_bd["m2"], mark_bd["m3"]}),
+            ({token_bd[2 * fo1 + TAIL], token_bd[2 * t1 + TAIL]}, {m1, m4}),
+            ({token_bd[2 * fo1 + HEAD], token_bd[2 * t1 + HEAD]}, {m2, m3}),
         ],
     )
     return PackagedPresentation(res.presentation, vparts, bparts)

@@ -58,7 +58,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .arrow import (
     ArrowPresentation,
-    boundary_components,
     check_edge_cap,
     component_count,
     contract_edge,
@@ -66,7 +65,7 @@ from .arrow import (
     penrose_contract_edge,
     surface_stats,
 )
-from .packaged import EdgeOpKind, PackagedPresentation, apply_edge_op
+from .packaged import EdgeOpKind, PackagedPresentation, edge_ops
 from .poly import MultiPoly, VarRegistry, common_denominator, ring_sum, standard_registry
 
 OP_ORDER = (
@@ -115,20 +114,18 @@ def _strip_isolated(pg: PackagedPresentation):
     Each removed circle contributes one alpha; a vertex class consisting
     entirely of removed circles contributes one beta, and a boundary class
     consisting entirely of their bare boundaries one gamma, so the betas and
-    gammas are the classes the partition transfer drops.
+    gammas are the classes that restricting the partitions drops.
     """
+    if () not in pg.ap.circles:
+        return pg, (0, 0, 0)
     keep = [ci for ci, circ in enumerate(pg.ap.circles) if circ]
     da = len(pg.ap.circles) - len(keep)
-    if not da:
-        return pg, (0, 0, 0)
+    vparts = pg.vparts.restricted(keep)
     # Token boundaries keep their canonical ids (they precede bare ones and
-    # circle reindexing is monotone); bare boundaries of removed circles drop.
-    vparts = pg.vparts.transfer({ci: i for i, ci in enumerate(keep)})
-    bparts = pg.bparts.transfer(
-        {bd.id: bd.id for bd in boundary_components(pg.ap) if bd.circle is None}
-    )
+    # circle reindexing is monotone); the bare boundaries, the last da, drop.
+    bparts = pg.bparts.restricted(range(len(pg.bparts.labels) - da))
     stripped = PackagedPresentation(
-        ArrowPresentation(tuple(pg.ap.circles[ci] for ci in keep), pg.ap.edges), vparts, bparts
+        ArrowPresentation(tuple(filter(None, pg.ap.circles)), pg.ap.edges), vparts, bparts
     )
     return stripped, (
         da, pg.vparts.n_blocks - vparts.n_blocks, pg.bparts.n_blocks - bparts.n_blocks
@@ -246,6 +243,7 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     strip = _strip_isolated if packaged else _strip_bare
     ops = OP_ORDER if packaged else TRANSITION_OPS
     rank = _edge_rank(root, order).__getitem__
+    live_ops = [op for op in ops if op in live]
     index: dict = {}
     nodes: list = []
 
@@ -258,10 +256,8 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
         i = index.get(x)
         if i is None:
             e = min(edges, key=rank)
-            refs = tuple(
-                (visit(apply_edge_op(x, e, op) if packaged else op(x, e)) if op in live else None)
-                for op in ops
-            )
+            results = iter(edge_ops(x, e, live_ops) if packaged else [op(x, e) for op in live_ops])
+            refs = tuple(visit(next(results)) if op in live else None for op in ops)
             i = index[x] = len(nodes)
             nodes.append((e, refs))
         return i, exps
@@ -432,9 +428,14 @@ def q_multivariate(
     """The five-weight polynomial, folded over the resolution DAG.
 
     ``order`` names edges to resolve first, before the DAG's cut-width
-    order (:func:`_edge_rank`); the result is independent of it.
+    order (:func:`_edge_rank`); the result is independent of it.  With the
+    default per-edge weights the result has up to 5^m terms for m edges, so
+    it is capped at ``edge_cap(8)`` edges (390,625 terms).
     """
     if w is None:
+        # the DAG's own cap first, so that a lowered cap names the DAG
+        check_edge_cap(len(pg.ap.edges), 16, "resolution DAG")
+        check_edge_cap(len(pg.ap.edges), 8, "per-edge five-weight polynomial")
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
     weights = {label: w.for_edge(label) for label in pg.ap.edges}
     order = None if order is None else tuple(order)
@@ -516,8 +517,11 @@ def transition_poly(ap: ArrowPresentation, registry: Optional[VarRegistry] = Non
 
     Recursion a_e*(contract) + b_e*(delete) + c_e*(penrose), value t^p on an
     edgeless presentation with p circles.  Note the contract weight comes
-    first.
+    first.  The result has up to 3^m terms for m edges, so it is capped at
+    ``edge_cap(12)`` edges (531,441 terms).
     """
+    check_edge_cap(len(ap.edges), 16, "resolution DAG")
+    check_edge_cap(len(ap.edges), 12, "transition polynomial")
     registry = registry or standard_registry(ap.edges)
     w = {
         label: tuple(MultiPoly.var(registry, f"{stem}_{label}") for stem in ("a", "b", "c"))

@@ -157,7 +157,7 @@ def _shared_parts(labels, factor, swaps):
 class KindSpec(NamedTuple):
     """What one theorem kind adds to the shape every identity shares."""
 
-    rows: Callable  # pt -> the matrix over ``scale``, as fresh unchecked rows (see _by_dag)
+    rows: Callable  # pt -> (fresh unchecked rows, the common factor they leave out)
     resolve: Callable  # (factor, e) -> what every point reads its columns off
     columns: Callable  # (resolved factor, weights, pt) -> one value per row
     weights: Callable  # (labels, pt) -> {label: weights}
@@ -165,7 +165,6 @@ class KindSpec(NamedTuple):
     parts: Callable  # (host labels, factors, couplings) -> [(f, factor, e, swap)]
     host_weight: Callable = tuple  # coefficients -> their host edge's weights
     finish: Optional[Callable] = None  # (plan, coefficients, pt, lhs, rhs) -> comparisons
-    scale: Callable = lambda pt: _ONE  # pt -> the common factor the rows leave out
 
 
 def _product(b, ks):
@@ -180,8 +179,8 @@ def _read_off(basis, ops, free: int) -> tuple:
     hold the base exponents of its results; the first ``free`` are kept, the
     other bases being 1.  The scale takes each base to its least exponent
     over the entries, and an entry is its strip minus the scale.  Returns
-    the distinct entries as base indexes (k repeated to base k's exponent),
-    the rows as positions among them, and the scale.
+    the scale and then the distinct entries as base indexes (k repeated to
+    base k's exponent), and the rows as positions among those products.
     """
     columns = []
     for x in basis:
@@ -193,8 +192,8 @@ def _read_off(basis, ops, free: int) -> tuple:
         return tuple(k for k, n in enumerate(exps) for _ in range(n))
 
     rows = [[indexes(map(int.__sub__, s, least)) for s in row] for row in zip(*columns)]
-    entries = sorted({m for row in rows for m in row})
-    return entries, [[entries.index(m) for m in row] for row in rows], indexes(least)
+    products = [indexes(least)] + sorted({m for row in rows for m in row})
+    return products, [[products.index(m, 1) for m in row] for row in rows]
 
 
 def _by_dag(ops, free, basis, value, fixed=()):
@@ -204,7 +203,8 @@ def _by_dag(ops, free, basis, value, fixed=()):
     the invariant.  The bases are the point's values of the names ``free``,
     then ``fixed``, bases held at 1 (gamma for the four-weight kinds).  The
     transfer matrix is read off ``basis()`` once, when a point first asks
-    for it, in the free bases only."""
+    for it, in the free bases only; a point then makes one product for the
+    scale and one per distinct entry, in one pass."""
     table = functools.cache(lambda: _read_off(basis(), ops, len(free)))
 
     get = itemgetter(*free)
@@ -212,17 +212,16 @@ def _by_dag(ops, free, basis, value, fixed=()):
     bases = (lambda pt: free_bases(pt) + fixed) if fixed else free_bases
 
     def rows(pt):
-        entries, positions, _ = table()
+        products, positions = table()
         b = free_bases(pt)
-        at = [_product(b, m) for m in entries]
-        return [[at[i] for i in row] for row in positions]
+        at = [_product(b, m) for m in products]
+        return [[at[i] for i in row] for row in positions], at[0]
 
     return {
         "rows": rows,
         "resolve": lambda x, e: resolution_dag(x, (e,), ops),
         "columns": lambda dag, w, pt: root_terms(dag, w, bases(pt)),
         "value": lambda x, w, pt: value(x, w, bases(pt)),
-        "scale": lambda pt: _product(free_bases(pt), table()[2]),
     }
 
 
@@ -282,13 +281,13 @@ SPECS = {
         weights=_per_edge("a", "b", "c"), parts=_listed_parts,
     ),
     TheoremKind.PLANEMVBR: KindSpec(
-        lambda pt: [[pt["a"] * pt["c"], _ONE], [_ONE, pt["c"]]],
+        lambda pt: ([[pt["a"] * pt["c"], _ONE], [_ONE, pt["c"]]], _ONE),
         **_by_results((delete_edge, contract_edge), _plane_value),
         weights=lambda labels, pt: {l: pt[f"b_{l}"] for l in labels},
         parts=_listed_parts, host_weight=_plane_weight, finish=_plane_finish,
     ),
     TheoremKind.TUTTE: KindSpec(
-        lambda pt: [[pt["a"], pt["a"] ** 2], [pt["a"], pt["a"]]],
+        lambda pt: ([[pt["a"], pt["a"] ** 2], [pt["a"], pt["a"]]], _ONE),
         **_by_results((Multigraph.delete, Multigraph.contract), _zdot_at),
         weights=_uniform("b", 1), parts=_shared_parts, finish=_tutte_finish,
     ),
@@ -362,9 +361,8 @@ def build_phi_matrix(kind: TheoremKind, pt: Mapping[str, Fraction]):
     Raises :class:`SingularAtPoint` when it degenerates there (the caller
     resamples the point).
     """
-    spec = SPECS[kind]
-    s = spec.scale(pt)
-    matrix = [[s * x for x in row] for row in spec.rows(pt)]
+    rows, s = SPECS[kind].rows(pt)
+    matrix = [[s * x for x in row] for row in rows]
     if determinant(matrix) == 0:
         raise _singular(kind)
     return matrix
@@ -380,7 +378,8 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
     """
     spec = SPECS[kind]
     rhs = _columns(spec, _resolve(spec, ph, e), pt)
-    return _solve(kind, spec.rows(pt), rhs, spec.scale(pt))
+    rows, scale = spec.rows(pt)
+    return _solve(kind, rows, rhs, scale)
 
 
 def phi0_structural_zeros(
@@ -464,7 +463,7 @@ def verify_identity(plan: InstancePlan, pt) -> VerifyOutcome:
     """
     kind = plan.kind
     spec = SPECS[kind]
-    rows, scale = spec.rows(pt), spec.scale(pt)
+    rows, scale = spec.rows(pt)
     phis = [_solve(kind, rows, _columns(spec, factor, pt), scale) for factor in plan.factors]
     weights = spec.weights([l for l in _labels(plan.host) if l not in plan.tensored], pt)
     weights.update((f, spec.host_weight(phis[i])) for f, i in plan.tensored.items())

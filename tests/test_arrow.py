@@ -26,6 +26,7 @@ from ribbontensor.arrow import (
     Occ,
     _rotmin,
     _splice,
+    arrow_codes,
     boundary_components,
     boundary_trace,
     canonical_form,
@@ -47,6 +48,8 @@ from ribbontensor.errors import (
 )
 from ribbontensor.randgen import random_presentation
 from strategies import presentations
+from surgery_reference import _splice as occ_splice
+from surgery_reference import reference_form
 
 
 def ap(*circles):
@@ -337,21 +340,45 @@ def glues(p, data):
     return {fo1, fo2, t1, t2}, glue
 
 
-def assert_splices_agree(circles, removed, glue):
-    got, trace = _splice(circles, removed, glue)
-    want, (circle_map, created, occ_map, markers) = reference_splice(circles, removed, glue)
+def kernel_splice(p, removed, glue):
+    """The integer kernel run on a splice given in the reference's terms,
+    with its record read back in them."""
+    trace = boundary_trace(p)
+    names = sorted(name for _, _, name in glue)
+
+    def token(c, q, s):
+        return 2 * (trace.offsets[c] + q) + s
+
+    circles, moves = _splice(
+        p, trace.offsets, arrow_codes(p), sorted(token(c, q, 0) >> 1 for c, q in removed),
+        [(token(*a), token(*b), names.index(name)) for a, b, name in glue],
+    )
+    cut = {p.circles[c][q].label for c, q in removed}
+    return circles, reference_form(p, ArrowPresentation(circles, p.edges - cut), moves, names)
+
+
+def assert_splices_agree(p, removed, glue):
+    want, (circle_map, created, occ_map, markers) = reference_splice(p.circles, removed, glue)
+    got, trace = occ_splice(p.circles, removed, glue)
     assert got == want
     assert list(trace.circle_map.items()) == list(circle_map.items())
     assert trace.created_circles == created
     assert list(trace.occ_map.items()) == list(occ_map.items())
     assert list(trace.markers.items()) == list(markers.items())
+    # the kernel's maps are lists, so only their contents compare
+    got, (kernel_circles, kernel_created, kernel_occs, kernel_markers) = kernel_splice(p, removed, glue)
+    assert got == want
+    assert kernel_circles == circle_map
+    assert kernel_created == created
+    assert kernel_occs == occ_map
+    assert kernel_markers == markers
 
 
 @settings(deadline=None, max_examples=400)
 @given(presentations(1, 6), st.data())
 def test_splice_matches_two_walk_reference(p, data):
     removed, glue = glues(p, data)
-    assert_splices_agree(p.circles, removed, glue)
+    assert_splices_agree(p, removed, glue)
 
 
 def test_splice_pivots_a_symmetric_circle_at_its_least_occurrence():
@@ -360,10 +387,10 @@ def test_splice_pivots_a_symmetric_circle_at_its_least_occurrence():
     p = ap([("e0", True), ("e0", True), ("e1", True), ("e1", False)])
     (c1, p1), (c2, p2) = p.occurrences("e1")
     glue = [((c1, p1, TAIL), (c2, p2, HEAD), "th"), ((c1, p1, HEAD), (c2, p2, TAIL), "ht")]
-    assert_splices_agree(p.circles, {(c1, p1), (c2, p2)}, glue)
-    circles, trace = _splice(p.circles, {(c1, p1), (c2, p2)}, glue)
+    assert_splices_agree(p, {(c1, p1), (c2, p2)}, glue)
+    circles, (_, _, occ_map, _) = kernel_splice(p, {(c1, p1), (c2, p2)}, glue)
     assert circles == ((Occ("e0", True), Occ("e0", True)),)
-    assert trace.occ_map == {(0, 0): (0, 0), (0, 1): (0, 1)}
+    assert occ_map == {(0, 0): (0, 0), (0, 1): (0, 1)}
 
 
 def test_surface_stats_golden_fixture():
@@ -421,8 +448,8 @@ def test_delete_matches_rebuilding_every_circle(p, data):
         circles.append(normalized)
     out, trace = edge_surgery(p, e, "delete")
     assert out == ArrowPresentation(tuple(circles), p.edges - {e})
-    assert trace.occ_map == occ_map
-    assert trace.circle_map == {ci: ci for ci in range(len(p.circles))}
+    assert reference_form(p, out, trace)[2] == occ_map
+    assert trace.circle_map == list(range(len(p.circles)))
 
 
 def test_unknown_edge():
@@ -580,7 +607,7 @@ def test_edge_cap_default_and_override(monkeypatch):
 INVARIANT_SCRIPT = """
 import sys
 from ribbontensor import arrow
-from ribbontensor.arrow import ArrowPresentation, _splice, edge_op_traced
+from ribbontensor.arrow import ArrowPresentation, _splice, arrow_codes, edge_op_traced
 from ribbontensor.errors import InvariantViolation
 
 if __debug__:
@@ -589,17 +616,17 @@ loop = ArrowPresentation.from_circles([[("e", True), ("e", True)]])
 
 
 def contraction_creating_a_boundary():
-    transfer = arrow._transfer_boundaries
-    arrow._transfer_boundaries = lambda *args: (transfer(*args)[0], (99,))
+    transfer = arrow._boundary_map
+    arrow._boundary_map = lambda *args: (transfer(*args)[0], (99,))
     try:
         edge_op_traced.__wrapped__(loop, "e", "contract")
     finally:
-        arrow._transfer_boundaries = transfer
+        arrow._boundary_map = transfer
 
 
 checks = {
-    # both occurrences removed and their ends never glued
-    "splice": lambda: _splice(loop.circles, {(0, 0), (0, 1)}, []),
+    # both arrows removed and their ends never glued
+    "splice": lambda: _splice(loop, (0,), arrow_codes(loop), (0, 1), []),
     "contract": contraction_creating_a_boundary,
 }
 for name, check in checks.items():

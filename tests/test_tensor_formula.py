@@ -136,8 +136,8 @@ def test_matrix_read_off_the_basis_matches_the_typed_reference(kind):
     spec = tensor_formula.SPECS[kind]
     points = list(_transfer_points(random.Random(20)))
     for pt in points:
-        scale = spec.scale(pt)
-        derived = [[scale * x for x in row] for row in spec.rows(pt)]
+        rows, scale = spec.rows(pt)
+        derived = [[scale * x for x in row] for row in rows]
         assert derived == transfer_reference.matrix(kind, pt)
     values = [v for pt in points for v in pt.values()]
     assert 0 in values and 1 in values and min(values) < 0
@@ -406,10 +406,10 @@ def test_scaled_transfer_matrix_fails(kind, monkeypatch):
     spec = tensor_formula.SPECS[kind]
 
     def scaled(pt):
-        matrix = spec.rows(pt)
+        matrix, scale = spec.rows(pt)
         mid = len(matrix) // 2
         matrix[mid][mid] *= 2
-        return matrix
+        return matrix, scale
 
     monkeypatch.setitem(tensor_formula.SPECS, kind, spec._replace(rows=scaled))
     assert not run_verification(kind, seed=1, instances=10, points=1).ok
@@ -449,9 +449,9 @@ def test_scaled_first_column_fails(kind, monkeypatch):
     spec = tensor_formula.SPECS[kind]
 
     def scaled(pt):
-        matrix = spec.rows(pt)
+        matrix, scale = spec.rows(pt)
         matrix[0][0] *= 2
-        return matrix
+        return matrix, scale
 
     monkeypatch.setitem(tensor_formula.SPECS, kind, spec._replace(rows=scaled))
     assert not run_verification(kind, seed=1, instances=1, points=5).ok
