@@ -30,7 +30,15 @@ Conventions fixed here:
   ``c`` belongs to the component of the endpoint ``(c, i, s)`` whose slot
   ``s`` is the arrow's trailing end (its head when it points forward).
   :func:`boundary_trace` keeps, per presentation, the components together
-  with the token and bare-circle indexes and each arrow's mate.
+  with the token and bare-circle indexes and each arrow's mate.  It is the
+  one record of where arrows sit: ``offsets`` and ``mate`` place every
+  arrow and its partner, and :meth:`ArrowPresentation.occurrences` reads
+  them through :func:`arrow_codes`.
+* :func:`components` is the one union-find.  Each label links the circles
+  of its two arrows, twisted when their headings differ, so one pass gives
+  the component count, orientability and the roots that group circles:
+  :func:`surface_stats`, the canonical walks and both subset tables in
+  ``polynomials`` run on it.
 * Surgery runs on integer arrow codes (:func:`arrow_codes`): arrow ``g`` of
   the label with index ``i`` in sorted order is ``2 * i + forward``.  Code
   order is then ``Occ`` order, so :func:`_rotmin` picks the same rotation
@@ -124,10 +132,12 @@ class ArrowPresentation(NamedTuple):
 
     def occurrences(self, label: str):
         """The two ``(circle, position)`` slots of ``label``, in index order."""
-        try:
-            return _occurrence_index(self)[label]
-        except KeyError:
-            raise UnknownEdge(label) from None
+        trace = boundary_trace(self)
+        places = []
+        for g in arrow_codes(self).arrows(label):
+            c = trace.circle_of(g)
+            places.append((c, g - trace.offsets[c]))
+        return tuple(places)
 
     def relabel(self, mapping) -> "ArrowPresentation":
         """Rename edges; labels absent from ``mapping`` are kept.
@@ -142,15 +152,6 @@ class ArrowPresentation(NamedTuple):
             for circ in self.circles
         )
         return ArrowPresentation.from_circles(circs)
-
-
-@lru_cache(maxsize=65536)
-def _occurrence_index(ap: ArrowPresentation):
-    index: dict = {}
-    for ci, circ in enumerate(ap.circles):
-        for p, occ in enumerate(circ):
-            index.setdefault(occ.label, []).append((ci, p))
-    return {label: tuple(sorted(places)) for label, places in index.items()}
 
 
 def validate(ap: ArrowPresentation) -> None:
@@ -361,80 +362,66 @@ class SurfaceStats(NamedTuple):
     orientable: bool
 
 
-def find(parent: dict, x):
-    """Root of ``x`` in the union-find forest ``parent`` (a key absent from
-    it is a root), compressing the path walked."""
-    r = x
-    while parent.get(r, r) != r:
-        r = parent[r]
-    while parent.get(x, x) != x:
-        parent[x], x = r, parent[x]
-    return r
+def components(n: int, links: Iterable) -> tuple:
+    """The connected components of the items 0..n-1 joined by ``links``, each
+    a ``(u, v, twist)`` triple, as ``(k, twisted, parent)``.
 
-
-def component_count(n: int, pairs: Iterable) -> int:
-    """Connected components of the graph on vertices 0..n-1 with edges
-    ``pairs``."""
-    parent: dict = {}
-    k = n
-    for u, v in pairs:
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[rv] = ru
-            k -= 1
-    return k
-
-
-def _orientable(ap: ArrowPresentation, places: dict) -> bool:
-    # Choose a direction for every circle so that each edge band attaches
-    # without a half twist.  An edge with headings h1, h2 on circles c1, c2
-    # forces s(c1)*s(c2) = h1*h2; for a loop this reads h1 = h2.
-    # Calibration: an aligned loop is orientable (genus 0), an anti-aligned
-    # loop is not (genus 1).
-    n = len(ap.circles)
-    adj: dict = {i: [] for i in range(n)}
-    for (c1, p1), (c2, p2) in places.values():
-        h1 = ap.circles[c1][p1].forward
-        h2 = ap.circles[c2][p2].forward
-        want = 0 if h1 == h2 else 1
-        if c1 == c2:
-            if want:
-                return False
-        else:
-            adj[c1].append((c2, want))
-            adj[c2].append((c1, want))
-    colour: dict = {}
-    for start in range(n):
-        if start in colour:
+    ``k`` counts the components.  ``twisted`` is true when some cycle of
+    links holds an odd number of twists, so that no 2-colouring of the
+    items gives different colours to the ends of exactly the twisted links.
+    For circles linked by their edges, an edge twisted when its arrows'
+    headings differ (see :func:`edge_links`), it says that the surface is
+    not orientable.  ``parent`` is the forest: following it from an item
+    ends at the root of its component.  The smaller tree joins the larger
+    and no path is compressed, so a tree of s items is at most log2(s) deep.
+    """
+    parent = list(range(n))
+    side = [0] * n  # the parity of the twists from x to parent[x]
+    size = [1] * n
+    k, twisted = n, 0
+    for u, v, twist in links:
+        # up to the roots, twist becomes the parity the link asks of them
+        while parent[u] != u:
+            twist ^= side[u]
+            u = parent[u]
+        while parent[v] != v:
+            twist ^= side[v]
+            v = parent[v]
+        if u == v:
+            twisted |= twist
             continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, w in adj[x]:
-                c = colour[x] ^ w
-                if y not in colour:
-                    colour[y] = c
-                    stack.append(y)
-                elif colour[y] != c:
-                    return False
-    return True
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        side[v] = twist
+        size[u] += size[v]
+        k -= 1
+    return k, twisted == 1, parent
 
 
-def surface_stats(ap: ArrowPresentation, cached: bool = True) -> SurfaceStats:
-    """Counts and genus of the surface of ``ap``.  With ``cached=False`` no
-    per-presentation cache is read or filled, for callers that visit many
-    presentations once each (the subset expansions)."""
-    if cached:
-        places, trace = _occurrence_index(ap), boundary_trace(ap)
-    else:
-        places, trace = _occurrence_index.__wrapped__(ap), boundary_trace.__wrapped__(ap)
+def edge_links(ap: ArrowPresentation) -> dict:
+    """Each label's :func:`components` link, in the order of its first
+    arrow: the circles of its two arrows, twisted when their headings
+    differ."""
+    circle = [c for c, circ in enumerate(ap.circles) for _ in circ]
+    arrows = list(chain.from_iterable(ap.circles))
+    return {
+        arrows[g].label: (circle[g], circle[h], arrows[g].forward != arrows[h].forward)
+        for g, h in enumerate(boundary_trace(ap).mate)
+        if g < h
+    }
+
+
+def surface_stats(ap: ArrowPresentation) -> SurfaceStats:
+    """Counts and genus of the surface of ``ap``.  An edge's band attaches
+    with a half twist when its arrows' headings differ, so an anti-aligned
+    loop alone makes the surface non-orientable (Euler genus 1)."""
+    trace = boundary_trace(ap)
     v = len(ap.circles)
     e = len(ap.edges)
-    k = component_count(v, ((c1, c2) for (c1, _), (c2, _) in places.values()))
+    k, twisted, _ = components(v, edge_links(ap).values())
     b = len(trace.components)
-    genus = 2 * k - v + e - b
-    return SurfaceStats(v, e, k, b, genus, _orientable(ap, places))
+    return SurfaceStats(v, e, k, b, 2 * k - v + e - b, not twisted)
 
 
 # --------------------------------------------------------------------------
@@ -873,7 +860,7 @@ def check_edge_cap(n: int, default: int, what: str) -> None:
         raise SizeLimitExceeded(f"{what} capped at {cap} edges, got {n}")
 
 
-def _walk(circles, mates, root, best):
+def _walk(circles, offsets, mates, root, best):
     """The code of one rooted walk over a component, or ``None`` once its
     prefix exceeds ``best``.
 
@@ -882,9 +869,11 @@ def _walk(circles, mates, root, best):
     are coded by first appearance; a label's first emission has bit 0 and
     fixes its heading, the second emits whether its heading differs.  The
     first emission of a label queues its mate's circle, entered at the mate
-    in the direction that gives the mate the first emission's heading.
-    Returns ``(code, order, codes, headings)``: the circles as walked, the
-    label coding and each label's first-emission heading.
+    in the direction that gives the mate the first emission's heading:
+    ``mates[g]`` is the ``(circle, position)`` of the mate of arrow ``g``,
+    and the arrows of circle ``c`` start at ``g = offsets[c]``.  Returns
+    ``(code, order, codes, headings)``: the circles as walked, the label
+    coding and each label's first-emission heading.
     """
     code: list = []
     tied = best is not None
@@ -910,7 +899,7 @@ def _walk(circles, mates, root, best):
                 x = codes[label] = len(codes)
                 headings[label] = h
                 items.append((x, 0))
-                mc, mp = mates[c][p]
+                mc, mp = mates[offsets[c] + p]
                 if mc not in visited:
                     queue.append((mc, mp, 1 if circles[mc][mp].forward == h else -1))
             else:
@@ -933,20 +922,21 @@ def _component_codes(ap: ArrowPresentation):
     A component's walks all have the same length, and only roots on its
     shortest circles can start a least one.
     """
-    places = _occurrence_index(ap)
     circles = ap.circles
-    mates = [[None] * len(circ) for circ in circles]
-    parent: dict = {}
-    for a, b in places.values():
-        mates[a[0]][a[1]] = b
-        mates[b[0]][b[1]] = a
-        ra, rb = find(parent, a[0]), find(parent, b[0])
-        if ra != rb:
-            parent[rb] = ra
+    trace = boundary_trace(ap)
+    offsets, mate = trace.offsets, trace.mate
+    circle = [c for c, circ in enumerate(circles) for _ in circ]
+    mates = [(circle[h], h - offsets[circle[h]]) for h in mate]
+    # the walks need no twists, only which circles each label joins
+    links = [(circle[g], circle[h], 0) for g, h in enumerate(mate) if g < h]
+    parent = components(len(circles), links)[2]
     members: dict = {}
     for c, circ in enumerate(circles):
         if circ:
-            members.setdefault(find(parent, c), []).append(c)
+            root = c
+            while parent[root] != root:
+                root = parent[root]
+            members.setdefault(root, []).append(c)
     result = []
     for comp in members.values():
         shortest = min(len(circles[c]) for c in comp)
@@ -956,7 +946,7 @@ def _component_codes(ap: ArrowPresentation):
                 continue
             for start in range(shortest):
                 for direction in (1, -1):
-                    walk = _walk(circles, mates, (c, start, direction), best)
+                    walk = _walk(circles, offsets, mates, (c, start, direction), best)
                     if walk is None:
                         continue
                     if best is None or walk[0] < best:
@@ -1017,9 +1007,7 @@ def canonical_form(ap: ArrowPresentation) -> ArrowPresentation:
     code, then the empty circles.  Two presentations are equivalent iff their
     canonical forms are equal.
     """
-    check_edge_cap(len(ap.edges), 16, "canonical form")
-    empty = sum(1 for circ in ap.circles if not circ)
-    return _rebuild_from_encoding(_encoding(_component_codes(ap)), empty)[0]
+    return canonical_transforms(ap)[0]
 
 
 def canonical_transforms(ap: ArrowPresentation):

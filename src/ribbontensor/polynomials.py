@@ -58,12 +58,13 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .arrow import (
     ArrowPresentation,
+    boundary_trace,
     check_edge_cap,
-    component_count,
+    components,
     contract_edge,
     delete_edge,
+    edge_links,
     penrose_contract_edge,
-    surface_stats,
 )
 from .packaged import EdgeOpKind, PackagedPresentation, edge_ops
 from .poly import MultiPoly, VarRegistry, common_denominator, ring_sum, standard_registry
@@ -545,29 +546,30 @@ def transition_table_value(table, weights, t: Fraction) -> Fraction:
 # subset expansions: one table per domain, built once, evaluated in any ring
 
 
-def _spanning(ap: ArrowPresentation, subset) -> ArrowPresentation:
-    subset = frozenset(subset)
-    return ArrowPresentation.from_circles(
-        (tuple(o for o in circ if o.label in subset) for circ in ap.circles),
-        subset,
-    )
-
-
 @lru_cache(maxsize=8)
 def _spanning_table(ap: ArrowPresentation) -> tuple:
     """``(k(A), b(A), euler_genus(A))`` for every spanning sub-presentation
     of ``ap``, at the index whose bit i is set when A holds the i-th label in
-    sorted order.  Equal rows are one object, so a table keeps little more
-    than a pointer per subset.  The rows bypass the per-presentation caches,
-    which would otherwise keep every sub-presentation.  Callers check the
-    edge cap first."""
+    sorted order.  k(A) is a component count over the links of A's labels,
+    b(A) the length of an uncached trace of ``ap``'s circles with the arrows
+    outside A removed (neither rotated nor cached, so no per-presentation
+    cache keeps a sub-presentation), and the genus is 2k - v + |A| - b.
+    Equal rows are one object, so a table keeps little more than a pointer
+    per subset.  Callers check the edge cap first."""
     labels = sorted(ap.edges)
+    bit = {label: 1 << i for i, label in enumerate(labels)}
+    circles = [[(bit[occ.label], occ) for occ in circ] for circ in ap.circles]
+    links = [(bit[label], link) for label, link in edge_links(ap).items()]
+    trace = boundary_trace.__wrapped__
+    v = len(ap.circles)
     rows: dict = {}
     table = []
     for mask in range(1 << len(labels)):
-        subset = [label for i, label in enumerate(labels) if mask >> i & 1]
-        stats = surface_stats(_spanning(ap, subset), cached=False)
-        row = (stats.k, stats.b, stats.euler_genus)
+        k = components(v, [link for on, link in links if mask & on])[0]
+        # the trace reads the circles only
+        sub = tuple([tuple([occ for on, occ in circ if mask & on]) for circ in circles])
+        b = len(trace(ArrowPresentation(sub, ap.edges)).components)
+        row = (k, b, 2 * k - v + mask.bit_count() - b)
         table.append(rows.setdefault(row, row))
     return tuple(table)
 
@@ -683,7 +685,7 @@ class Multigraph(NamedTuple):
         return len(self.edge_list)
 
     def rank(self) -> int:
-        return self.n - component_count(self.n, self.edge_list)
+        return self.n - components(self.n, [(u, v, 0) for u, v in self.edge_list])[0]
 
     def delete(self, i: int) -> "Multigraph":
         return Multigraph(self.n, self.edge_list[:i] + self.edge_list[i + 1 :])
@@ -726,10 +728,11 @@ def _subset_counts(g: Multigraph) -> tuple:
     """``((k(A), |A|), count)`` over the edge subsets A of ``g``; the
     Whitney-rank expansions depend on nothing else.  Callers check the edge
     cap first."""
+    links = [(u, v, 0) for u, v in g.edge_list]
     counts: Counter = Counter()
     for bits in itertools.product((0, 1), repeat=g.m):
-        subset = tuple(itertools.compress(g.edge_list, bits))
-        counts[component_count(g.n, subset), len(subset)] += 1
+        subset = list(itertools.compress(links, bits))
+        counts[components(g.n, subset)[0], len(subset)] += 1
     return tuple(counts.items())
 
 

@@ -18,7 +18,6 @@ from ribbontensor.arrow import (
     Occ,
     _rotmin,
     boundary_trace,
-    find,
 )
 from ribbontensor.errors import InvalidCoupling, InvariantViolation, UnknownEdge
 from ribbontensor.packaged import (
@@ -28,6 +27,7 @@ from ribbontensor.packaged import (
     Partition,
     _first_appearance,
 )
+from subset_reference import find
 
 
 def _leading_slot(occ: Occ) -> int:

@@ -30,11 +30,11 @@ from ribbontensor.arrow import (
     boundary_components,
     boundary_trace,
     canonical_form,
+    components,
     contract_edge,
     delete_edge,
     edge_cap,
     edge_surgery,
-    find,
     penrose_contract_edge,
     surface_stats,
     validate,
@@ -48,6 +48,8 @@ from ribbontensor.errors import (
 )
 from ribbontensor.randgen import random_presentation
 from strategies import presentations
+import subset_reference
+from subset_reference import find
 from surgery_reference import _splice as occ_splice
 from surgery_reference import reference_form
 
@@ -409,6 +411,50 @@ def test_surface_stats_loops():
 def test_surface_stats_edgeless_circle():
     st = surface_stats(ap([]))
     assert (st.v, st.e, st.k, st.b, st.euler_genus, st.orientable) == (1, 0, 1, 1, 0, True)
+
+
+def test_components_counts_roots_and_twisted_cycles():
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    # 0-1 untwisted, 1-2 twisted, 3 alone: two components, no odd cycle
+    k, twisted, parent = components(4, [(0, 1, False), (1, 2, True)])
+    assert (k, twisted) == (2, False)
+    assert root(parent, 0) == root(parent, 1) == root(parent, 2) != root(parent, 3) == 3
+    # eight items linked along the edges of a cube: trees at most log2(8) deep
+    parent = components(8, [(x, x ^ bit, False) for bit in (1, 2, 4) for x in range(8)])[2]
+    for x in range(8):
+        depth = 0
+        while parent[x] != x:
+            x, depth = parent[x], depth + 1
+        assert depth <= 3
+    # closing the triangle with an untwisted link makes its twist odd
+    assert components(3, [(0, 1, False), (1, 2, True), (2, 0, False)])[:2] == (1, True)
+    assert components(3, [(0, 1, True), (1, 2, True), (2, 0, False)])[:2] == (1, False)
+    # a twisted self-link (an anti-aligned loop) alone, an untwisted one
+    assert components(1, [(0, 0, True)])[:2] == (1, True)
+    assert components(2, [(1, 1, False)])[:2] == (2, False)
+    assert components(0, []) == (0, False, [])
+
+
+@settings(deadline=None, max_examples=500)
+@given(presentations(max_edges=8))
+@example(ANTI_LOOP)
+@example(ALIGNED_LOOP)
+@example(ap([("e", True), ("e", True)], [("f", True)], [("f", False)], []))
+def test_surface_stats_match_the_dict_forest_and_two_colouring(p):
+    assert surface_stats(p) == subset_reference.surface_stats(p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(presentations(max_edges=8))
+def test_occurrences_match_the_occurrence_index(p):
+    for label in p.edges:
+        assert p.occurrences(label) == subset_reference.occurrences(p, label)
+    with pytest.raises(UnknownEdge):
+        p.occurrences("absent")
 
 
 def test_genus_nonnegative_and_even_when_orientable():

@@ -16,7 +16,6 @@ from ribbontensor.arrow import (
     canonical_form,
     edge_op_traced,
     edge_surgery,
-    find,
     surface_stats,
 )
 from ribbontensor.errors import (
@@ -44,6 +43,7 @@ from ribbontensor.packaged import (
 from ribbontensor.polynomials import _strip_isolated
 from ribbontensor.randgen import random_packaged
 from canonical_reference import reference_canonical_form, reference_canonical_packaged
+from subset_reference import find
 from surgery_reference import as_dict, reference_form
 from strategies import (
     packaged_presentations,

@@ -44,6 +44,7 @@ from ribbontensor.polynomials import (
     _edge_rank,
     _spanning_table,
     _strip_isolated,
+    _subset_counts,
     br_poly,
     fold_dag,
     graph_of_presentation,
@@ -305,13 +306,12 @@ def test_br_genus_exponent_parity():
     # orientable spanning sub-presentations contribute even z-powers
     rng = random.Random(38)
     from ribbontensor.arrow import surface_stats
-    from ribbontensor.polynomials import _spanning
 
     for _ in range(30):
         ap = random_presentation(rng, 4, 0, extra_circle_rate=0)
         for bits in itertools.product((0, 1), repeat=len(ap.edges)):
             subset = [l for l, b in zip(sorted(ap.edges), bits) if b]
-            st = surface_stats(_spanning(ap, subset))
+            st = surface_stats(reference._spanning(ap, subset))
             if st.orientable:
                 assert st.euler_genus % 2 == 0
 
@@ -849,9 +849,30 @@ def test_spanning_table_leaves_the_presentation_caches_alone():
     ap = random_presentation(random.Random(4), 10, 10)
     one = Fraction(1)
     _spanning_table.cache_clear()
-    caches = (arrow.boundary_trace, arrow._occurrence_index)
+    caches = (arrow.boundary_trace, arrow.arrow_codes)
     before = [c.cache_info().currsize for c in caches]
     mv_br_value(ap, one, {l: one for l in ap.edges}, one)
     grown = [c.cache_info().currsize - b for c, b in zip(caches, before)]
     assert _spanning_table.cache_info().currsize == 1
     assert all(g <= 1 for g in grown), grown
+
+
+def test_spanning_table_matches_the_spanning_sub_presentations():
+    # The table built on the forest and an uncached trace of the filtered
+    # circles equals the one built from each rotated sub-presentation.
+    rng = random.Random(9)
+    draws = [random_presentation(rng, 7) for _ in range(200)]
+    draws.append(random_presentation(random.Random(12), 12, 12))
+    for ap in draws:
+        _spanning_table.cache_clear()
+        assert _spanning_table(ap) == reference.spanning_table(ap)
+
+
+def test_subset_counts_match_the_dict_forest():
+    rng = random.Random(10)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        g = Multigraph.make(n, edges)
+        assert _subset_counts.__wrapped__(g) == reference.subset_counts(g)
+        assert g.rank() == n - reference.component_count(n, g.edge_list)
