@@ -45,7 +45,11 @@ Conventions fixed here:
   on codes as on arrows; a walk that meets an arrow backward flips the low
   bit; and result circles look up one ``Occ`` per code instead of building
   one per arrow.  One splice, :func:`_splice`, serves deletion,
-  contraction, Penrose contraction and the 2-sum glue.
+  contraction, Penrose contraction and the 2-sum glue.  A caller that
+  keeps no presentation, the resolution DAG, runs the same splice and
+  trace loop on bare circles of codes (:func:`code_surgery`,
+  :func:`code_trace`), numbered as it likes so long as a code's low bit
+  says whether its arrow points forward.
 * A surgery's maps are flat sequences indexed by old circle, old arrow
   ``g`` or old boundary id, holding the new index or -1 for an item the
   surgery destroyed.  An arrow on a circle that survives unchanged keeps
@@ -229,22 +233,27 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
     2-sum's union is read off its two sides' traces, not traced), so no
     pass evicts any.
     """
+    return _trace(ap.circles, ap.circles)
+
+
+def _trace(circles, arrows) -> BoundaryTrace:
+    """The one trace loop: the trace of ``circles``, read from ``arrows``,
+    which yields each circle's arrows as ``(key, forward)`` pairs, the two
+    arrows of a label under one key (its ``Occ`` fields, or a code's label
+    index and low bit)."""
     # Occurrence g (circle offset + position) owns the tokens 2g (tail) and
     # 2g + 1 (head).  arc[t] is the token across the vertex arc at t; the
     # chord step joins slot s of g to slot 1 - s of its mate.  Walking the
     # tokens in increasing order starts every component at its least token,
     # which is the canonical enumeration order.
-    circles = ap.circles
     n = sum(map(len, circles))
     arc = [0] * (2 * n)
     mate = [-1] * n
     offsets = []
     first: dict = {}  # label -> g of its first arrow
     g = 0
-    for circ in circles:
+    for circ in arrows:
         offsets.append(g)
-        if not circ:
-            continue
         # the arc after each arrow runs from its trailing token to the
         # leading token of the next, the last arrow's to the first's
         trailing = None
@@ -261,8 +270,9 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
                 arc[leading] = trailing
             trailing = 2 * g + forward
             g += 1
-        arc[trailing] = opening
-        arc[opening] = trailing
+        if trailing is not None:
+            arc[trailing] = opening
+            arc[opening] = trailing
     if 2 * len(first) != n or -1 in mate:
         # the least label left unpaired (an odd count), else any miscounted
         counts = Counter(label for circ in circles for label, _ in circ)
@@ -286,7 +296,7 @@ def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
                 break
         components.append(BoundaryComponent(bid, tuple(seq)))
     bare_to_bd = {}
-    for c, circ in enumerate(ap.circles):
+    for c, circ in enumerate(circles):
         if not circ:
             bare_to_bd[c] = len(components)
             components.append(BoundaryComponent(len(components), (), c))
@@ -453,10 +463,11 @@ def _place(occ_map: list, gs: list, base: int) -> None:
     list(map(occ_map.__setitem__, gs, range(base, base + len(gs))))
 
 
-def _splice(ap: ArrowPresentation, offsets, arrows: ArrowCodes, removed, glue):
-    """Remove the arrows ``removed`` (their g, increasing) of ``ap``, whose
-    circles start at the g ``offsets`` and whose codes are ``arrows``, and
-    re-glue their endpoints.
+def _splice(circles, offsets, codes, occs, removed, glue):
+    """Remove the arrows ``removed`` (their g, increasing) of ``circles``,
+    which start at the g ``offsets`` and whose arrows have the flat
+    ``codes``, and re-glue their endpoints.  A rebuilt circle is stored as
+    ``occs[code]`` per arrow, or as its codes when ``occs`` is ``None``.
 
     ``glue`` lists ``(token, token, k)`` triples pairing the tokens of the
     removed arrows, each exactly once, at glued point ``k``; ``None``
@@ -474,7 +485,6 @@ def _splice(ap: ArrowPresentation, offsets, arrows: ArrowCodes, removed, glue):
     A glued point lies on the arc after the arrow before it, whose trailing
     token (its head when it points forward) names the arc.
     """
-    circles, codes, occs = ap.circles, arrows.codes, arrows.occs
     hosts = sorted({bisect_right(offsets, g) - 1 for g in removed})
     occ_map = [-1] * len(codes)
     if glue is None:
@@ -490,7 +500,7 @@ def _splice(ap: ArrowPresentation, offsets, arrows: ArrowCodes, removed, glue):
                     start = g + 1
             kept += range(start, hi)
             circ, offset = _rotmin(map(codes.__getitem__, kept))
-            new_circles[c] = tuple(map(occs.__getitem__, circ))
+            new_circles[c] = circ if occs is None else tuple(map(occs.__getitem__, circ))
             # the arrows removed before this circle shift its g down
             new_g = lo - bisect_left(removed, lo)
             _place(occ_map, kept[offset:] + kept[:offset], new_g)
@@ -587,7 +597,7 @@ def _splice(ap: ArrowPresentation, offsets, arrows: ArrowCodes, removed, glue):
             markers[k] = (new_c, 2 * (base + gap) + (circ[gap] & 1))
         _place(occ_map, gs[start:] + gs[:start], base)
         base += n
-        new_circles.append(tuple(map(occs.__getitem__, circ)))
+        new_circles.append(circ if occs is None else tuple(map(occs.__getitem__, circ)))
     return tuple(new_circles), OpTraceArrow(circle_map, tuple(created), occ_map, markers)
 
 
@@ -613,15 +623,20 @@ def edge_surgery(ap: ArrowPresentation, e: str, kind: str):
     return _edge_surgery(ap, boundary_trace(ap).offsets, arrow_codes(ap), e, kind)
 
 
+def _glue(g1: int, g2: int, kind: str):
+    """The glue of operation ``kind`` on the arrows ``g1 < g2`` of one
+    label, ``None`` for deletion."""
+    if kind == "delete":
+        return None
+    if kind not in _GLUES:
+        raise ValueError(f"unknown arrow operation {kind!r}")
+    return [(2 * g1 + s1, 2 * g2 + s2, k) for s1, s2, k in _GLUES[kind]]
+
+
 def _edge_surgery(ap: ArrowPresentation, offsets, arrows: ArrowCodes, e: str, kind: str):
     g1, g2 = arrows.arrows(e)
-    if kind == "delete":
-        glue = None
-    elif kind in _GLUES:
-        glue = [(2 * g1 + s1, 2 * g2 + s2, k) for s1, s2, k in _GLUES[kind]]
-    else:
-        raise ValueError(f"unknown arrow operation {kind!r}")
-    circles, moves = _splice(ap, offsets, arrows, (g1, g2), glue)
+    glue = _glue(g1, g2, kind)
+    circles, moves = _splice(ap.circles, offsets, arrows.codes, arrows.occs, (g1, g2), glue)
     return ArrowPresentation(circles, ap.edges - {e}), moves
 
 
@@ -660,7 +675,8 @@ def _boundary_map(old: BoundaryTrace, new: BoundaryTrace, moves: OpTraceArrow, r
     follow their least token's arrow; bare circles follow the circle map.
     """
     circle_map, occ_map = moves.circle_map, moves.occ_map
-    token_bd = old.token_bd
+    token_bd, new_bd = old.token_bd, new.token_bd
+    old_offsets, new_offsets = old.offsets, new.offsets
     cut = {token_bd[t] for g in removed for t in (2 * g, 2 * g + 1)}
     mapping = [-1] * len(old.components)
     for b, (_, crossings, circle) in enumerate(old.components):
@@ -674,9 +690,9 @@ def _boundary_map(old: BoundaryTrace, new: BoundaryTrace, moves: OpTraceArrow, r
             t = crossings[0]
             g = occ_map[t >> 1]
             if g < 0:  # on a circle that survives unchanged
-                c = old.circle_of(t >> 1)
-                g = new.offsets[circle_map[c]] + (t >> 1) - old.offsets[c]
-            mapping[b] = new.token_bd[2 * g + (t & 1)]
+                c = bisect_right(old_offsets, t >> 1) - 1  # old.circle_of
+                g = new_offsets[circle_map[c]] + (t >> 1) - old_offsets[c]
+            mapping[b] = new_bd[2 * g + (t & 1)]
     created = tuple(sorted(set(range(len(new.components))).difference(mapping)))
     return tuple(mapping), created
 
@@ -711,7 +727,14 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     old, arrows = boundary_trace(ap), arrow_codes(ap)
     new_ap, moves = _edge_surgery(ap, old.offsets, arrows, e, kind)
     new = boundary_trace(new_ap)
-    removed = arrows.arrows(e)
+    bmap, created_b = surgery_boundaries(old, new, moves, arrows.arrows(e), kind)
+    return EdgeOpResult(new_ap, tuple(moves.circle_map), moves.created_circles, bmap, created_b)
+
+
+def surgery_boundaries(old: BoundaryTrace, new: BoundaryTrace, moves, removed, kind):
+    """The boundary map and created boundaries of operation ``kind`` on the
+    arrows ``removed`` of the presentation traced as ``old``, whose result
+    is traced as ``new`` with ``moves`` in its frame."""
     touched = {}
     if kind == "contract":
         # The chord from the head of the first arrow to the tail of the
@@ -723,7 +746,7 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     bmap, created_b = _boundary_map(old, new, moves, removed, touched)
     if kind == "contract" and created_b:
         raise InvariantViolation("contraction preserves every boundary component")
-    return EdgeOpResult(new_ap, tuple(moves.circle_map), moves.created_circles, bmap, created_b)
+    return bmap, created_b
 
 
 class TwoSumResult(NamedTuple):
@@ -818,7 +841,7 @@ def two_sum_traced(
         (2 * fo2 + HEAD, 2 * t2 + HEAD, 3),
     ]
     removed = sorted((fo1, fo2, t1, t2))
-    circles, moves = _splice(union, u.offsets, codes, removed, glue)
+    circles, moves = _splice(union.circles, u.offsets, codes.codes, codes.occs, removed, glue)
     new_ap = ArrowPresentation(circles, union.edges - {f, e})
     new = boundary_trace(new_ap)
     bmap, created_b = _boundary_map(u, new, moves, removed, {})
@@ -828,6 +851,47 @@ def two_sum_traced(
         tuple([circle for circle, _ in moves.markers]),
         tuple([_marker_boundary(new, marker) for marker in moves.markers]),
     )
+
+
+# --------------------------------------------------------------------------
+# surgery on circles of arrow codes, for callers that keep no presentation
+# (the resolution DAG's normal forms)
+
+_LABEL = (1).__rrshift__  # a code's label index
+_LOW = (1).__rand__  # a code's forward bit
+
+
+def code_circles(ap: ArrowPresentation, odd) -> tuple:
+    """The circles of ``ap`` as arrow codes, each rotation-least, and the
+    new g of every arrow g of ``ap``.  ``odd`` maps each label to the code
+    of its forward arrow, an odd number; its backward arrow's is one less."""
+    circles, moved, g = [], [], 0
+    for circ in ap.circles:
+        least, r = _rotmin([odd[label] - (not forward) for label, forward in circ])
+        circles.append(least)
+        moved += [g + (p - r) % len(circ) for p in range(len(circ))]
+        g += len(circ)
+    return circles, moved
+
+
+def code_trace(circles) -> BoundaryTrace:
+    """The boundary trace of circles of arrow codes, as
+    :func:`boundary_trace` traces a presentation, by the same loop."""
+    return _trace(circles, [zip(map(_LABEL, circ), map(_LOW, circ)) for circ in circles])
+
+
+def code_surgery(circles, offsets, codes, g1: int, g2: int, kind: str):
+    """The arrow operation ``kind`` on the arrows ``g1 < g2`` of one label
+    of code circles starting at the g ``offsets``, whose flat codes are
+    ``codes``: the result's circles, as codes, and its
+    :class:`OpTraceArrow`, from the one :func:`_splice`."""
+    return _splice(circles, offsets, codes, None, (g1, g2), _glue(g1, g2, kind))
+
+
+def reversed_reading(circ: tuple) -> tuple:
+    """The code circle ``circ`` read the other way round, every code's low
+    bit flipped, rotation-least, and the rotation that gives it."""
+    return _rotmin(map(_FLIP, reversed(circ)))
 
 
 # --------------------------------------------------------------------------

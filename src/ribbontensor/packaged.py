@@ -14,9 +14,9 @@ items destroyed by a surgery drop out of their blocks, freshly created items
 enter as singletons, and the operation merges prescribed groups of blocks
 (the classes of the items incident to the operated edge, plus whatever the
 surgery created).  It reads the surgery's flat maps in one pass, and fuses
-blocks only when there are groups to merge.  :func:`edge_ops` computes the
-operations of one edge together, sharing their arrow surgeries and their
-transfers.
+blocks only when there are groups to merge.  :func:`partition_ops` makes the
+updates of the operations of one edge together, on flat labels, for
+:func:`edge_ops` and for the resolution DAG's normal-form nodes alike.
 
 :class:`Partition`, :class:`PackagedPresentation` and :class:`Coupling` are
 ``typing.NamedTuple`` classes, so they compare equal to plain tuples of the
@@ -129,65 +129,70 @@ class Partition(NamedTuple):
         items outside every group enter as singletons.  The renamed and
         created items must be exactly 0..n'-1.
         """
-        labels = self.labels
-        # Each new item's key: its old block number, or -1 - c for a
-        # created item c.  keys[n] takes the dead items' keys; a gap, a
-        # repeated or a misplaced target leaves some item of 0..n'-1 without
-        # a key.
-        n = len(item_map) - item_map.count(-1) + len(created)
-        keys: list = [None] * (n + 1)
-        ok = (
-            len(item_map) == len(labels)
-            and min(item_map, default=0) >= -1
-            and min(created, default=0) >= 0
-        )
-        try:
-            list(map(keys.__setitem__, item_map, labels))
-            for c in created:
-                keys[c] = -1 - c
-        except IndexError:
-            ok = False
-        keys.pop()
-        if not ok or None in keys:
-            raise InvariantViolation(
-                f"transfer of {len(labels)} items to targets {list(item_map)} and created "
-                f"items {sorted(created)} does not give the items 0..{n - 1}"
-            )
-        if groups:
-            # The groups' keys, fused while they share one; every key of a
-            # fused set is renamed to one of them.
-            fused: list = []
-            for old, new in groups:
-                merged = {labels[x] for x in old}.union([-1 - c for c in new])
-                apart = []
-                for other in fused:
-                    if merged.isdisjoint(other):
-                        apart.append(other)
-                    else:
-                        merged |= other
-                fused = apart + [merged]
-            rename: dict = {}
-            for merged in filter(None, fused):
-                rename.update(dict.fromkeys(merged, next(iter(merged))))
-            keys = list(map(rename.get, keys, keys))
-        return Partition(_first_appearance(keys))
+        return Partition(_transfer(self.labels, item_map, created, groups))
 
     def restricted(self, items: Iterable[int]) -> "Partition":
         """The partition of ``items``, increasing, renumbered 0, 1, ..."""
         return Partition(_first_appearance(map(self.labels.__getitem__, items)))
 
-    def merged(self, x: int, y: int) -> "Partition":
-        """The partition with the blocks of items ``x`` and ``y`` joined."""
-        labels = self.labels
-        a, b = sorted((labels[x], labels[y]))
-        if a == b:
-            return self
-        # Block b joins block a, whose least item comes first; the blocks
-        # numbered after b move down one.
-        rename = list(range(max(labels) + 1))
-        rename[b] = a
-        rename[b + 1:] = range(b, len(rename) - 1)
-        return Partition(tuple(map(rename.__getitem__, labels)))
+
+def _transfer(labels: tuple, item_map: Sequence[int], created: Sequence[int] = (), groups=()):
+    """The restricted-growth labels of :meth:`Partition.transfer`."""
+    # Each new item's key: its old block number, or -1 - c for a
+    # created item c.  keys[n] takes the dead items' keys; a gap, a
+    # repeated or a misplaced target leaves some item of 0..n'-1 without
+    # a key.
+    n = len(item_map) - item_map.count(-1) + len(created)
+    keys: list = [None] * (n + 1)
+    ok = (
+        len(item_map) == len(labels)
+        and min(item_map, default=0) >= -1
+        and min(created, default=0) >= 0
+    )
+    try:
+        list(map(keys.__setitem__, item_map, labels))
+        for c in created:
+            keys[c] = -1 - c
+    except IndexError:
+        ok = False
+    keys.pop()
+    if not ok or None in keys:
+        raise InvariantViolation(
+            f"transfer of {len(labels)} items to targets {list(item_map)} and created "
+            f"items {sorted(created)} does not give the items 0..{n - 1}"
+        )
+    if groups:
+        # The groups' keys, fused while they share one; every key of a
+        # fused set is renamed to one of them.
+        fused: list = []
+        for old, new in groups:
+            merged = {labels[x] for x in old}.union([-1 - c for c in new])
+            apart = []
+            for other in fused:
+                if merged.isdisjoint(other):
+                    apart.append(other)
+                else:
+                    merged |= other
+            fused = apart + [merged]
+        rename: dict = {}
+        for merged in filter(None, fused):
+            rename.update(dict.fromkeys(merged, next(iter(merged))))
+        keys = list(map(rename.get, keys, keys))
+    return _first_appearance(keys)
+
+
+def _merged(labels: tuple, x: int, y: int) -> tuple:
+    """The restricted-growth ``labels`` with the blocks of items ``x`` and
+    ``y`` joined."""
+    a, b = sorted((labels[x], labels[y]))
+    if a == b:
+        return labels
+    # Block b joins block a, whose least item comes first; the blocks
+    # numbered after b move down one.
+    rename = list(range(max(labels) + 1))
+    rename[b] = a
+    rename[b + 1:] = range(b, len(rename) - 1)
+    return tuple(map(rename.__getitem__, labels))
 
 
 class PackagedPresentation(NamedTuple):
@@ -215,6 +220,11 @@ class EdgeOpKind(Enum):
     MERGE_DELETE = "merge-delete"
     MERGE_CONTRACT = "merge-contract"
 
+    def __init__(self, value: str):
+        # the arrow operation under this one: delete, contract or penrose,
+        # a plain attribute since enum properties run Python code
+        self.arrow_kind = value.removeprefix("merge-")
+
 
 def incident_items(pg: PackagedPresentation, e: str):
     """The circles ``(u, v)`` hosting the two arrows of ``e`` and the
@@ -227,55 +237,99 @@ def incident_items(pg: PackagedPresentation, e: str):
     )
 
 
-def edge_ops(pg: PackagedPresentation, e: str, kinds: Sequence[EdgeOpKind]) -> tuple:
-    """The operations ``kinds`` at ``e``, in that order, with the partition
-    updates they prescribe.
+def partition_ops(
+    vlabels: tuple, blabels: tuple, incident, results: Mapping, kinds: Sequence[EdgeOpKind]
+) -> tuple:
+    """The partition updates of the operations ``kinds`` at one edge, in that
+    order, as ``(vertex labels, boundary labels)`` pairs of
+    restricted-growth labels.
+
+    ``vlabels`` and ``blabels`` label the source; ``incident`` gives the
+    circles ``(u, v)`` and boundaries ``(a, b)`` of the edge, as
+    :func:`incident_items` does; ``results`` maps each arrow kind that
+    ``kinds`` need to its surgery, an
+    :class:`~ribbontensor.arrow.EdgeOpResult` or a record laid out like one,
+    whose maps lead into the result's frame.
 
     Deletion merges the classes of the two incident boundaries together with
     the boundaries the deletion creates; contraction does the same on the
     vertex side; the merge- variants additionally merge the other side's two
     incident classes; Penrose contraction merges on both sides with its own
-    created sets.  Each arrow surgery and each partition update is made once
-    for all of ``kinds``: deletion leaves the vertex partition as it is,
-    deletion and merge-deletion share their boundary transfer, contraction
-    and merge-contraction their vertex transfer, and a merge- variant's
-    other side is the plain operation's with two blocks joined.
+    created sets.  Each update is made once for all of ``kinds``: deletion
+    only renames the vertex classes (not at all when the circles stay in
+    place), deletion and merge-deletion share their boundary transfer,
+    contraction and merge-contraction their vertex transfer, and a merge-
+    variant's other side is the plain operation's with two blocks joined.
+    """
+    (u, v), (a, b) = incident
+    if "delete" in results:
+        _, cmap, _, bmap, created = results["delete"][:5]
+        deleted = _transfer(blabels, bmap, created, (((a, b), created),))
+        kept = vlabels if cmap == tuple(range(len(cmap))) else _transfer(vlabels, cmap)
+        if EdgeOpKind.MERGE_DELETE in kinds:
+            merged_v = _merged(kept, cmap[u], cmap[v])
+    if "contract" in results:
+        _, cmap, created, bmap, _ = results["contract"][:5]
+        contracted = _transfer(vlabels, cmap, created, (((u, v), created),))
+        renamed = _transfer(blabels, bmap)
+        if EdgeOpKind.MERGE_CONTRACT in kinds:
+            merged_b = _merged(renamed, bmap[a], bmap[b])
+    if "penrose" in results:
+        _, cmap, circles, bmap, bds = results["penrose"][:5]
+        penrose = (
+            _transfer(vlabels, cmap, circles, (((u, v), circles),)),
+            _transfer(blabels, bmap, bds, (((a, b), bds),)),
+        )
+    done = []
+    for kind in kinds:  # identity tests: an Enum member hashes in Python
+        if kind is EdgeOpKind.DELETE:
+            done.append((kept, deleted))
+        elif kind is EdgeOpKind.CONTRACT:
+            done.append((contracted, renamed))
+        elif kind is EdgeOpKind.PENROSE:
+            done.append(penrose)
+        elif kind is EdgeOpKind.MERGE_DELETE:
+            done.append((merged_v, deleted))
+        else:
+            done.append((contracted, merged_b))
+    return tuple(done)
+
+
+def least_labels(symmetries: tuple, vlabels: tuple, blabels: tuple) -> tuple:
+    """The least of the labels ``(vlabels, blabels)`` and their images under
+    ``symmetries``, ``(circle permutation, boundary permutation)`` pairs, so
+    that every way of reading one presentation into a normal form
+    (:class:`~ribbontensor.polynomials.NormalForms`) gives one node."""
+    best = (vlabels, blabels)
+    for circles, boundaries in symmetries:
+        image = (
+            _first_appearance(map(vlabels.__getitem__, circles)),
+            _first_appearance(map(blabels.__getitem__, boundaries)),
+        )
+        if image < best:
+            best = image
+    return best
+
+
+def edge_ops(pg: PackagedPresentation, e: str, kinds: Sequence[EdgeOpKind]) -> tuple:
+    """The operations ``kinds`` at ``e``, in that order, with the partition
+    updates of :func:`partition_ops`: one arrow surgery per arrow kind
+    (:func:`~ribbontensor.arrow.edge_op_traced`) and one set of updates
+    serve all of ``kinds``.
     """
     if e not in pg.ap.edges:
         raise UnknownEdge(e)
-    (u, v), (a, b) = incident_items(pg, e)
-    ap, vparts, bparts = pg
-    wanted = set(kinds)
-    done: dict = {}
-    if EdgeOpKind.DELETE in wanted or EdgeOpKind.MERGE_DELETE in wanted:
-        res = edge_op_traced(ap, e, "delete")
-        created = res.created_boundaries
-        deleted = bparts.transfer(res.boundary_map, created, (((a, b), created),))
-        done[EdgeOpKind.DELETE] = PackagedPresentation(res.presentation, vparts, deleted)
-        if EdgeOpKind.MERGE_DELETE in wanted:
-            done[EdgeOpKind.MERGE_DELETE] = PackagedPresentation(
-                res.presentation, vparts.merged(u, v), deleted
-            )
-    if EdgeOpKind.CONTRACT in wanted or EdgeOpKind.MERGE_CONTRACT in wanted:
-        res = edge_op_traced(ap, e, "contract")
-        created = res.created_circles
-        contracted = vparts.transfer(res.circle_map, created, (((u, v), created),))
-        renamed = bparts.transfer(res.boundary_map)
-        done[EdgeOpKind.CONTRACT] = PackagedPresentation(res.presentation, contracted, renamed)
-        if EdgeOpKind.MERGE_CONTRACT in wanted:
-            joined = renamed.merged(res.boundary_map[a], res.boundary_map[b])
-            done[EdgeOpKind.MERGE_CONTRACT] = PackagedPresentation(
-                res.presentation, contracted, joined
-            )
-    if EdgeOpKind.PENROSE in wanted:
-        res = edge_op_traced(ap, e, "penrose")
-        circles, bds = res.created_circles, res.created_boundaries
-        done[EdgeOpKind.PENROSE] = PackagedPresentation(
-            res.presentation,
-            vparts.transfer(res.circle_map, circles, (((u, v), circles),)),
-            bparts.transfer(res.boundary_map, bds, (((a, b), bds),)),
-        )
-    return tuple(map(done.__getitem__, kinds))
+    needed = {kind.arrow_kind for kind in kinds}
+    results = {
+        arrow: edge_op_traced(pg.ap, e, arrow)
+        for arrow in ("delete", "contract", "penrose")
+        if arrow in needed
+    }
+    parts = partition_ops(pg.vparts.labels, pg.bparts.labels, incident_items(pg, e), results, kinds)
+    return tuple([
+        PackagedPresentation(results[kind.arrow_kind].presentation, Partition(v), Partition(b))
+        for kind, (v, b) in zip(kinds, parts)
+    ])
 
 
 def apply_edge_op(pg: PackagedPresentation, e: str, kind: EdgeOpKind) -> PackagedPresentation:
@@ -313,14 +367,14 @@ def two_sum(
     # The union lists the circles of G, then those of H; its boundaries
     # renumber both sides', so their labels are written through the maps.
     offset = pg.vparts.n_blocks
-    vall = Partition(pg.vparts.labels + tuple(offset + b for b in ph.vparts.labels))
+    vall = pg.vparts.labels + tuple(offset + b for b in ph.vparts.labels)
     offset = pg.bparts.n_blocks
     keys: list = [None] * (len(res.g_boundaries) + len(res.h_boundaries))
     for label, u in zip(pg.bparts.labels, res.g_boundaries):
         keys[u] = label
     for label, u in zip(ph.bparts.labels, res.h_boundaries):
         keys[u] = offset + label
-    ball = Partition(_first_appearance(keys))
+    ball = _first_appearance(keys)
 
     # fo1 is glued to t1 at m1 (tails) and m2 (heads), fo2 to t2 at m3 and
     # m4.  The circles hosting each glued pair merge with the new circles
@@ -333,14 +387,16 @@ def two_sum(
     m1, m2, m3, m4 = res.marker_circles
     union = res.union_trace
     circle = union.circle_of
-    vparts = vall.transfer(
+    vparts = _transfer(
+        vall,
         res.circle_map,
         res.created_circles,
         [({circle(fo1), circle(t1)}, {m1, m2}), ({circle(fo2), circle(t2)}, {m3, m4})],
     )
     m1, m2, m3, m4 = res.marker_boundaries
     token_bd = union.token_bd
-    bparts = ball.transfer(
+    bparts = _transfer(
+        ball,
         res.boundary_map,
         res.created_boundaries,
         [
@@ -348,7 +404,7 @@ def two_sum(
             ({token_bd[2 * fo1 + HEAD], token_bd[2 * t1 + HEAD]}, {m2, m3}),
         ],
     )
-    return PackagedPresentation(res.presentation, vparts, bparts)
+    return PackagedPresentation(res.presentation, Partition(vparts), Partition(bparts))
 
 
 def namespaced(ph: PackagedPresentation, prefix: str) -> PackagedPresentation:

@@ -24,7 +24,11 @@ presentation once into the DAG of its distinct sub-presentations, and
 :func:`fold_dag` evaluates that DAG over a ring, ``MultiPoly`` for the
 polynomial or ``Fraction`` for its value at a point.  Its nodes resolve
 their edges in one static cut-width order, :func:`_edge_rank`, under which
-different histories meet in shared nodes.  :func:`root_terms`
+different histories meet in shared nodes.  A node is flat integers in the
+normal form of :class:`NormalForms` (arrow-code
+circles, each in its least reading, sorted, with the partitions' labels
+carried along), so sub-presentations that differ only in the order or the
+reading direction of their circles are one node.  :func:`root_terms`
 reads the root's unweighted terms off the same fold: resolved with an edge
 first, a presentation's DAG gives the values of all of that edge's
 operation results at once.  At a point the fold runs on integer
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache, wraps
 from fractions import Fraction
@@ -57,16 +62,25 @@ from numbers import Rational
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .arrow import (
+    HEAD,
     ArrowPresentation,
+    BoundaryComponent,
+    BoundaryTrace,
+    OpTraceArrow,
     boundary_trace,
     check_edge_cap,
+    code_circles,
+    code_surgery,
+    code_trace,
     components,
     contract_edge,
     delete_edge,
     edge_links,
     penrose_contract_edge,
+    reversed_reading,
+    surgery_boundaries,
 )
-from .packaged import EdgeOpKind, PackagedPresentation, edge_ops
+from .packaged import EdgeOpKind, PackagedPresentation, least_labels, partition_ops
 from .poly import MultiPoly, VarRegistry, common_denominator, ring_sum, standard_registry
 
 OP_ORDER = (
@@ -107,30 +121,6 @@ class WeightSystem:
             )
 
         return cls(registry, lookup)
-
-
-def _strip_isolated(pg: PackagedPresentation):
-    """Remove edgeless circles; return the exponent they contribute.
-
-    Each removed circle contributes one alpha; a vertex class consisting
-    entirely of removed circles contributes one beta, and a boundary class
-    consisting entirely of their bare boundaries one gamma, so the betas and
-    gammas are the classes that restricting the partitions drops.
-    """
-    if () not in pg.ap.circles:
-        return pg, (0, 0, 0)
-    keep = [ci for ci, circ in enumerate(pg.ap.circles) if circ]
-    da = len(pg.ap.circles) - len(keep)
-    vparts = pg.vparts.restricted(keep)
-    # Token boundaries keep their canonical ids (they precede bare ones and
-    # circle reindexing is monotone); the bare boundaries, the last da, drop.
-    bparts = pg.bparts.restricted(range(len(pg.bparts.labels) - da))
-    stripped = PackagedPresentation(
-        ArrowPresentation(tuple(filter(None, pg.ap.circles)), pg.ap.edges), vparts, bparts
-    )
-    return stripped, (
-        da, pg.vparts.n_blocks - vparts.n_blocks, pg.bparts.n_blocks - bparts.n_blocks
-    )
 
 
 def _edge_rank(root, order: Optional[Sequence[str]]) -> dict:
@@ -206,16 +196,283 @@ def _capped_cache(maxsize: int):
 # the resolution DAG: one builder and one fold serve both deletion-style
 # recursions, symbolically and at a point
 
+# The normal forms of the DAG's nodes: circles of arrow codes
+
+
+class CodeResult(NamedTuple):
+    """One arrow operation on a normal form, its result in normal form.
+
+    ``circles`` are the result's nonempty circles and ``bare`` counts its
+    empty ones.  The maps are laid out as in :class:`EdgeOpResult`, into
+    the result's frame: the circles of ``circles``, then the empty ones;
+    the ``boundaries`` boundaries of ``circles``, then those of the empty
+    circles.  ``symmetries`` are the automorphisms of ``circles`` that move
+    some circle or boundary (see
+    :func:`~ribbontensor.packaged.least_labels`).  Untraced forms carry no
+    maps (``None``) and no symmetries."""
+
+    circles: tuple
+    circle_map: Optional[tuple]
+    created_circles: Optional[tuple]
+    boundary_map: Optional[tuple]
+    created_boundaries: Optional[tuple]
+    bare: int
+    boundaries: Optional[int]
+    symmetries: tuple = ()
+
+
+class NormalForms:
+    """Sub-presentations in a normal form, with their traces and surgeries,
+    memoised per circles for every resolution DAG.
+
+    A normal form's circles hold arrow codes: a label's forward arrow has
+    the odd code ``_ODD[label]``, numbered as labels are first met, and its
+    backward arrow the even code below, so codes mean the same in every
+    DAG.  Each circle is stored in its least reading: the lesser of its
+    rotation-least form and that of its reverse with every code's low bit
+    flipped, which is the same circle read the other way round (slots are
+    intrinsic, so every boundary stays where it was); a tie keeps the
+    first.  The circles are sorted, ties in the order they come, and the
+    empty ones are counted and dropped.  Equal forms are therefore the same
+    presentation read differently; where a form can be read so in several
+    ways (its symmetries), the least labels are kept
+    (:func:`~ribbontensor.packaged.least_labels`).
+
+    :meth:`resolve` resolves a label of a form by each arrow operation
+    once, for whichever DAG meets it first.  ``traced`` forms also carry the
+    circle and boundary maps that the partitions follow; an untraced memo
+    takes a result from the ``shared`` traced one when it is there.  Only
+    the circles a surgery rebuilt are read afresh: the others come from a
+    normal form, so they already are.
+    """
+
+    def __init__(self, traced: bool, shared=None):
+        self.traced, self.shared = traced, shared
+        self.clear()
+
+    def clear(self) -> None:
+        self.forms: dict = {}
+        self.padded: dict = {}  # (circles, bare) -> the trace with bare circles after
+        self.resolved: dict = {}
+        self.turns: dict = {}
+
+    def _form(self, circles: tuple) -> tuple:
+        """The boundary trace of the normal form ``circles`` and, for traced
+        forms, its symmetries."""
+        form = self.forms.get(circles)
+        if form is None:
+            trace = code_trace(circles)
+            symmetries = self._symmetries(circles, trace) if self.traced else ()
+            form = self.forms[circles] = (trace, symmetries)
+        return form
+
+    def root(self, ap: ArrowPresentation, odd) -> CodeResult:
+        """The normal form of ``ap``, whose labels have the forward codes
+        ``odd``, with its partitions' maps from ``ap``'s circles and
+        boundaries."""
+        circles, occ_map = code_circles(ap, odd)
+        moves = OpTraceArrow(list(range(len(circles))), (), occ_map, [])
+        old = boundary_trace(ap) if self.traced else None
+        return self._normal(old, circles, moves, range(len(circles)), (), None)
+
+    def resolve(self, circles: tuple, odd: int, kinds) -> tuple:
+        """``(incident, results, source)`` for the label with forward code
+        ``odd`` of the normal form ``circles``: for traced forms the circles
+        and the boundaries through the heads of the label's two arrows, as
+        :func:`~ribbontensor.packaged.incident_items` gives them, else
+        ``None``; the :class:`CodeResult` of each arrow operation of
+        ``kinds`` (and of any other made before); and what a surgery of the
+        label starts from."""
+        key = (circles, odd)
+        entry = self.resolved.get(key)
+        if entry is None:
+            if self.shared is not None:
+                entry = self.shared.resolved.get(key)
+                if entry is not None and all(kind in entry[1] for kind in kinds):
+                    return entry
+            codes = tuple(itertools.chain.from_iterable(circles))
+            g1, g2 = [g for g, code in enumerate(codes) if code | 1 == odd]
+            if self.traced:
+                old = self._form(circles)[0]
+                offsets = old.offsets
+                hosts = (old.circle_of(g1), old.circle_of(g2))
+                incident = (hosts, (old.token_bd[2 * g1 + HEAD], old.token_bd[2 * g2 + HEAD]))
+            else:
+                old = incident = None
+                offsets = list(itertools.accumulate(map(len, circles[:-1]), initial=0))
+                hosts = (bisect_right(offsets, g1) - 1, bisect_right(offsets, g2) - 1)
+            source = (old, offsets, codes, g1, g2, hosts)
+            entry = self.resolved[key] = (incident, {}, source)
+        results = entry[1]
+        for kind in kinds:
+            if kind not in results:
+                old, offsets, codes, g1, g2, hosts = entry[2]
+                pre, moves = code_surgery(circles, offsets, codes, g1, g2, kind)
+                # deletion rebuilds its hosts in place, the glues append
+                fresh = sorted(set(hosts)) if kind == "delete" else moves.created_circles
+                results[kind] = self._normal(old, pre, moves, fresh, (g1, g2), kind)
+        return entry
+
+    def _normal(self, old, circles, moves: OpTraceArrow, fresh, removed, kind) -> CodeResult:
+        """The code circles ``circles`` in normal form, those of ``fresh``
+        read afresh, the others in least reading and in order already.  For
+        traced forms, ``moves`` of the operation ``kind`` on the arrows
+        ``removed`` of the form traced as ``old`` are carried into the new
+        frame and give its maps."""
+        circles = list(circles)
+        turns = {}  # a circle read backward -> the rotation of its reverse
+        for c in fresh:
+            circ = circles[c]
+            if circ:
+                back, r = reversed_reading(circ)
+                if back < circ:
+                    circles[c], turns[c] = back, r
+        ranked = sorted(filter(circles.__getitem__, range(len(circles))), key=circles.__getitem__)
+        normal = tuple(map(circles.__getitem__, ranked))
+        bare = len(circles) - len(ranked)
+        if not self.traced:
+            return CodeResult(normal, None, None, None, None, bare, None)
+        if bare:
+            ranked += [c for c, circ in enumerate(circles) if not circ]
+        new, symmetries = self._form(normal)
+        tokens = len(new.components)
+        if turns or ranked != list(range(len(circles))):
+            # Carry the moves into the new frame.  place[c] is the new index
+            # of circle c; its last entry, -1, is where a map's -1 leads.
+            place = sorted(range(len(circles)), key=ranked.__getitem__) + [-1]
+            # The new g of each arrow of a fresh circle; an arrow at
+            # position p of a circle of n read backward from rotation r
+            # lands at (n - 1 - p - r) % n.  Other circles keep their
+            # positions.
+            starts = list(itertools.accumulate(map(len, circles), initial=0))
+            renumber = [-1] * (starts[-1] + 1)
+            for c in fresh:
+                n = len(circles[c])
+                if n:
+                    lo, to = starts[c], new.offsets[place[c]]
+                    r = turns.get(c)
+                    renumber[lo:lo + n] = (
+                        range(to, to + n) if r is None
+                        else [to + (n - 1 - p - r) % n for p in range(n)]
+                    )
+            moves = OpTraceArrow(
+                tuple(map(place.__getitem__, moves.circle_map)),
+                tuple(map(place.__getitem__, moves.created_circles)),
+                list(map(renumber.__getitem__, moves.occ_map)),
+                # only a contraction reads where its glued points went
+                [
+                    (place[c], t if t < 0 else 2 * renumber[t >> 1] + (t & 1))
+                    for c, t in (moves.markers if kind == "contract" else ())
+                ],
+            )
+        if bare:
+            padded = self.padded.get((normal, bare))
+            if padded is None:
+                padded = self.padded[normal, bare] = BoundaryTrace(
+                    new.components + tuple(
+                        [BoundaryComponent(tokens + i, (), len(normal) + i) for i in range(bare)]
+                    ),
+                    new.token_bd,
+                    new.offsets + (len(new.mate),) * bare,
+                    {len(normal) + i: tokens + i for i in range(bare)},
+                    new.mate,
+                )
+            new = padded
+        bmap, created_b = surgery_boundaries(old, new, moves, removed, kind)
+        return CodeResult(
+            normal, tuple(moves.circle_map), tuple(moves.created_circles), bmap, created_b, bare,
+            tokens, symmetries,
+        )
+
+    def _symmetries(self, circles: tuple, trace: BoundaryTrace) -> tuple:
+        """The automorphisms of the normal form ``circles``, traced as
+        ``trace``, that move some circle or boundary, each as ``(circle
+        permutation, boundary permutation)``.
+
+        An automorphism maps the circles to themselves, each read so that
+        its codes stay put.  Since a label has two arrows, a circle is
+        carried onto itself by at most a half turn (when it is two equal
+        halves) and a reading backward (when that reading is the same), and
+        onto another only when the two are equal, a pair; these generate
+        every automorphism.
+        """
+        offsets, n = trace.offsets, len(trace.mate)
+        moves = []  # the generators as maps of the arrows' g
+        for c, circ in enumerate(circles):
+            turns = self.turns.get(circ)
+            if turns is None:
+                back, r = reversed_reading(circ)
+                turns = self.turns[circ] = _turns(circ, r if back == circ else None)
+            for turn in turns:
+                move = list(range(n))
+                move[offsets[c]:offsets[c] + len(circ)] = [offsets[c] + q for q in turn]
+                moves.append(move)
+            if c and circ == circles[c - 1]:
+                move = list(range(n))
+                lo, k = offsets[c - 1], len(circ)
+                move[lo:lo + 2 * k] = [*range(lo + k, lo + 2 * k), *range(lo, lo + k)]
+                moves.append(move)
+        if not moves:
+            return ()
+        group = {tuple(range(n))}
+        for move in moves:
+            group |= {tuple(map(g.__getitem__, move)) for g in group}
+        firsts = [bd.crossings[0] for bd in trace.components]
+        token_bd = trace.token_bd
+        identity = (tuple(range(len(circles))), tuple(range(len(firsts))))
+        found = set()
+        for g in group:
+            item = (
+                tuple([bisect_right(offsets, g[offset]) - 1 for offset in offsets]),
+                tuple([token_bd[2 * g[t >> 1] + (t & 1)] for t in firsts]),
+            )
+            if item != identity:
+                found.add(item)
+        return tuple(sorted(found))
+
+
+_ODD: dict = {}  # label -> the code of its forward arrow, in the order labels are met
+_TRACED = NormalForms(True)
+_UNTRACED = NormalForms(False, _TRACED)
+_FORMS_BOUND = 4096  # memo entries kept from one DAG build to the next
+
+
+def normal_forms(traced: bool) -> NormalForms:
+    """The memo of normal forms that every traced, or every untraced, DAG
+    shares, cleared before a build that finds it holding more than
+    ``_FORMS_BOUND`` forms and resolutions.  Past as many labels, the codes
+    start afresh and both memos are cleared."""
+    if len(_ODD) > _FORMS_BOUND:
+        _ODD.clear()
+        _TRACED.clear()
+        _UNTRACED.clear()
+    forms = _TRACED if traced else _UNTRACED
+    if len(forms.forms) + len(forms.resolved) > _FORMS_BOUND:
+        forms.clear()
+    return forms
+
+
+def _turns(circ: tuple, back: Optional[int]) -> tuple:
+    """The maps of positions by which the code circle ``circ``, in least
+    reading, is carried onto itself other than the identity: a half turn
+    when it is two equal halves, and when ``back`` is not ``None`` the
+    reading backward from that rotation, which gives ``circ`` again."""
+    n = len(circ)
+    turns = []
+    if n % 2 == 0 and circ[:n // 2] == circ[n // 2:]:
+        turns.append([(p + n // 2) % n for p in range(n)])
+    if back is not None:
+        turns.append([(n - 1 - p - back) % n for p in range(n)])
+    return tuple(turns)
+
+
 # The transition recursion's operations, in the order of its weights (a, b, c).
 TRANSITION_OPS = (contract_edge, delete_edge, penrose_contract_edge)
-
-
-def _strip_bare(ap: ArrowPresentation):
-    """Remove bare circles; return how many there were, as a 1-tuple."""
-    bare = sum(1 for circ in ap.circles if not circ)
-    if not bare:
-        return ap, (0,)
-    return ArrowPresentation(tuple(c for c in ap.circles if c), ap.edges), (bare,)
+# The arrow operation under each operation of either recursion.
+_ARROW_KIND = {
+    **{op: op.arrow_kind for op in OP_ORDER},
+    **dict(zip(TRANSITION_OPS, ("contract", "delete", "penrose"))),
+}
 
 
 @_capped_cache(64)
@@ -226,44 +483,103 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     (operations ``OP_ORDER``; isolated circles strip to alpha, beta, gamma
     exponents), a bare :class:`ArrowPresentation` the transition recursion
     (operations ``TRANSITION_OPS``; bare circles strip to a t exponent).
-    Only the ``live`` operations are followed.  Every node resolves its edge
-    of least rank in :func:`_edge_rank`, computed once from the root: the
-    edges of ``order`` first, then a greedy cut-width order.
+    Only the ``live`` operations are followed.  The edges are resolved in
+    the static order of :func:`_edge_rank`, computed once from the root: the
+    edges of ``order`` first, then a greedy cut-width order, so every node
+    at depth d resolves the d-th.
+
+    A node is a sub-presentation in the normal form of
+    :class:`NormalForms`, flat integers: its circles of arrow codes, each
+    in its least reading and sorted, and for the five-weight recursion the
+    restricted-growth vertex and boundary labels carried into that frame.
+    Equal nodes are isomorphic sub-presentations, so sub-presentations that
+    differ only in the order or the reading direction of their circles
+    share one node.  The memo of :func:`normal_forms` gives the circles of
+    a node their trace and their edge's surgeries, shared by the nodes with
+    those circles, in this DAG and in the DAGs built before it; a node adds
+    the partition updates of :func:`~ribbontensor.packaged.partition_ops`.
 
     Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
-    sub-presentation with edges once, keyed by value, children first, as
-    ``(label, refs)``: the edge resolved there and, per operation, ``None``
-    if it is not live, else a ref ``(child, strip)``.  ``child`` is a node
-    index, or -1 for an edgeless result; ``strip`` holds the exponents
-    stripped on the way, ``()`` when nothing was.
+    node with edges once, children first, as ``(label, refs)``: the edge
+    resolved there and, per operation, ``None`` if it is not live, else a
+    ref ``(child, strip)``.  ``child`` is a node index, or -1 for an
+    edgeless result; ``strip`` holds the exponents stripped on the way,
+    ``()`` when nothing was.
 
     A root with more edges than ``edge_cap(16)`` raises
     :class:`SizeLimitExceeded`, also when its DAG is cached.
     """
     packaged = isinstance(root, PackagedPresentation)
-    strip = _strip_isolated if packaged else _strip_bare
+    ap = root.ap if packaged else root
+    rank = _edge_rank(root, order)
     ops = OP_ORDER if packaged else TRANSITION_OPS
-    rank = _edge_rank(root, order).__getitem__
     live_ops = [op for op in ops if op in live]
+    # per operation in order, its arrow kind if it is live, else None
+    slots = [_ARROW_KIND[op] if op in live else None for op in ops]
+    kinds = tuple(dict.fromkeys(filter(None, slots)))
+    forms = normal_forms(packaged)
+    odd = {label: _ODD.setdefault(label, 2 * len(_ODD) + 1) for label in sorted(ap.edges)}
+    # by the number of edges left to resolve, less one: the label and its code
+    cut = [(label, odd[label]) for label in sorted(ap.edges, key=rank.__getitem__, reverse=True)]
     index: dict = {}
     nodes: list = []
 
-    def visit(x):
-        x, exps = strip(x)
-        exps = exps if any(exps) else ()
-        edges = x.ap.edges if packaged else x.edges
-        if not edges:
-            return -1, exps
-        i = index.get(x)
-        if i is None:
-            e = min(edges, key=rank)
-            results = iter(edge_ops(x, e, live_ops) if packaged else [op(x, e) for op in live_ops])
-            refs = tuple(visit(next(results)) if op in live else None for op in ops)
-            i = index[x] = len(nodes)
-            nodes.append((e, refs))
-        return i, exps
+    if not packaged:
 
-    return visit(root), tuple(nodes)
+        def enter(res):
+            return (visit(res.circles) if res.circles else -1, (res.bare,) if res.bare else ())
+
+        def visit(circles):
+            i = index.get(circles)
+            if i is None:
+                label, code = cut[sum(map(len, circles)) // 2 - 1]
+                _, results, _ = forms.resolve(circles, code, kinds)
+                refs = tuple([kind and enter(results[kind]) for kind in slots])
+                i = index[circles] = len(nodes)
+                nodes.append((label, refs))
+            return i
+
+        root_ref = enter(forms.root(ap, odd))
+        del enter, visit  # each closure holds the other: free them and the index now
+        return root_ref, tuple(nodes)
+
+    def enter(res, vlabels, blabels):
+        # Strip the empty circles, the last of either frame, and count the
+        # classes that go with them.
+        strip = ()
+        if res.bare:
+            n, nb = len(res.circles), res.boundaries
+            kept, bkept = vlabels[:n], blabels[:nb]
+            strip = (
+                res.bare,
+                max(vlabels, default=-1) - max(kept, default=-1),
+                max(blabels, default=-1) - max(bkept, default=-1),
+            )
+            if not n:
+                return -1, strip
+            vlabels, blabels = kept, bkept
+        if res.symmetries:
+            vlabels, blabels = least_labels(res.symmetries, vlabels, blabels)
+        return visit(res.circles, vlabels, blabels), strip if any(strip) else ()
+
+    def visit(circles, vlabels, blabels):
+        key = (circles, vlabels, blabels)
+        i = index.get(key)
+        if i is None:
+            label, code = cut[sum(map(len, circles)) // 2 - 1]
+            incident, results, _ = forms.resolve(circles, code, kinds)
+            parts = iter(partition_ops(vlabels, blabels, incident, results, live_ops))
+            refs = tuple([kind and enter(results[kind], *next(parts)) for kind in slots])
+            i = index[key] = len(nodes)
+            nodes.append((label, refs))
+        return i
+
+    res = forms.root(ap, odd)
+    vlabels = root.vparts.transfer(res.circle_map).labels
+    blabels = root.bparts.transfer(res.boundary_map).labels
+    root_ref = enter(res, vlabels, blabels)
+    del enter, visit  # each closure holds the other: free them and the index now
+    return root_ref, tuple(nodes)
 
 
 def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):

@@ -63,16 +63,20 @@ def packaged_with_empty_circles(draw, max_edges=3, max_empty=6):
     )
 
 
-def symmetry_image(pg, rng):
+def symmetry_image(pg, rng, relabel=True):
     """A random image of ``pg`` under the equivalence moves (circle
     permutation, rotations, reflections, flipping both arrows of an edge,
     relabelling), with both partitions carried through it by matching
-    endpoints."""
+    endpoints.  Without ``relabel`` the image keeps every label and every
+    edge's arrows: it is ``pg`` with its circles reordered and each read
+    from another start, some of them backward."""
     n = len(pg.ap.circles)
     perm = list(range(n))
     rng.shuffle(perm)  # old circle i becomes image circle perm[i]
-    flips = {label for label in sorted(pg.ap.edges) if rng.random() < 0.5}
-    rename = {label: f"r{label}" for label in sorted(pg.ap.edges) if rng.random() < 0.5}
+    flips, rename = set(), {}
+    if relabel:
+        flips = {label for label in sorted(pg.ap.edges) if rng.random() < 0.5}
+        rename = {label: f"r{label}" for label in sorted(pg.ap.edges) if rng.random() < 0.5}
     raw = [None] * n
     where = {}  # old (circle, position) -> position on the raw image circle
     for ci, circ in enumerate(pg.ap.circles):

@@ -351,8 +351,10 @@ def kernel_splice(p, removed, glue):
     def token(c, q, s):
         return 2 * (trace.offsets[c] + q) + s
 
+    codes = arrow_codes(p)
     circles, moves = _splice(
-        p, trace.offsets, arrow_codes(p), sorted(token(c, q, 0) >> 1 for c, q in removed),
+        p.circles, trace.offsets, codes.codes, codes.occs,
+        sorted(token(c, q, 0) >> 1 for c, q in removed),
         [(token(*a), token(*b), names.index(name)) for a, b, name in glue],
     )
     cut = {p.circles[c][q].label for c, q in removed}
@@ -672,7 +674,7 @@ def contraction_creating_a_boundary():
 
 checks = {
     # both arrows removed and their ends never glued
-    "splice": lambda: _splice(loop, (0,), arrow_codes(loop), (0, 1), []),
+    "splice": lambda: _splice(loop.circles, (0,), arrow_codes(loop).codes, None, (0, 1), []),
     "contract": contraction_creating_a_boundary,
 }
 for name, check in checks.items():

@@ -1,0 +1,111 @@
+"""The resolution DAG over normal-form integer nodes, against the builder it
+replaced (``dag_reference``), and the premise of the normal form: reading a
+presentation's circles in another order, from other starts or backward
+changes no value and no DAG."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ribbontensor import polynomials
+from ribbontensor.packaged import namespaced
+from ribbontensor.poly import MultiPoly, standard_registry
+from ribbontensor.polynomials import (
+    OP_ORDER,
+    TRANSITION_OPS,
+    WeightSystem,
+    _live,
+    fold_dag,
+    q_multivariate,
+    q_value,
+    resolution_dag,
+    root_terms,
+    transition_poly,
+)
+from ribbontensor.randgen import random_packaged
+import dag_reference as reference
+from strategies import packaged_presentations, packaged_with_empty_circles, symmetry_image
+
+# Every live set the package resolves: the five operations of the
+# five-weight kinds, the four of the vertex-partitioned kinds, those the z
+# and corz weights leave, and the transition recursion's three.
+PACKAGED_LIVE = (OP_ORDER, OP_ORDER[:4], _live(OP_ORDER, {"e": (1, 1, 0, 0, 0)}))
+
+# Packaged presentations with loops, bare circles and random partitions.
+ROOTS = st.one_of(packaged_presentations(0, 7), packaged_with_empty_circles(7, 3))
+
+
+def _rationals(rng, labels, width):
+    return {
+        l: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(width))
+        for l in labels
+    }
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    ROOTS,
+    st.sampled_from(PACKAGED_LIVE + (TRANSITION_OPS,)),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_dag_folds_as_the_reference_with_no_more_nodes(pg, live, first, rng):
+    # One live set per example, resolved with the least label first or not.
+    labels = sorted(pg.ap.edges)
+    root, width, n_bases = (pg.ap, 3, 1) if live is TRANSITION_OPS else (pg, 5, 3)
+    order = (labels[0],) if first and labels else None
+    dag = resolution_dag(root, order, live)
+    want = reference.resolution_dag(root, order, live)
+    assert len(dag[1]) <= len(want[1])
+    weights = _rationals(rng, labels, width)
+    bases = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n_bases))
+    assert fold_dag(dag, weights, bases) == fold_dag(want, weights, bases)
+    if order:
+        assert root_terms(dag, weights, bases) == root_terms(want, weights, bases)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(packaged_presentations(0, 4), packaged_with_empty_circles(4, 3)))
+def test_dag_polynomials_equal_the_reference(pg):
+    reg = standard_registry(pg.ap.edges)
+    w = WeightSystem.per_edge(reg)
+    weights = {l: w.for_edge(l) for l in pg.ap.edges}
+    bases = tuple(MultiPoly.var(reg, n) for n in ("alpha", "beta", "gamma"))
+    want = fold_dag(reference.resolution_dag(pg, None, OP_ORDER), weights, bases)
+    assert q_multivariate(pg, w) == want
+    tw = {l: ws[:3] for l, ws in weights.items()}
+    t = (MultiPoly.var(reg, "t"),)
+    want = fold_dag(reference.resolution_dag(pg.ap, None, TRANSITION_OPS), tw, t)
+    assert transition_poly(pg.ap, registry=reg) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(packaged_presentations(0, 6), packaged_with_empty_circles(5, 3)), st.randoms(use_true_random=False))
+def test_reading_the_circles_otherwise_changes_no_value_and_no_dag(pg, rng):
+    image = symmetry_image(pg, rng, relabel=False)
+    weights = _rationals(rng, pg.ap.edges, 5)
+    point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+    assert q_value(image, weights, *point) == q_value(pg, weights, *point)
+    assert transition_poly(image.ap) == transition_poly(pg.ap)
+    for live in PACKAGED_LIVE:
+        assert len(resolution_dag(image, None, live)[1]) == len(resolution_dag(pg, None, live)[1])
+    size = len(resolution_dag(pg.ap, None, TRANSITION_OPS)[1])
+    assert len(resolution_dag(image.ap, None, TRANSITION_OPS)[1]) == size
+
+
+def test_the_shared_memo_and_the_label_codes_stay_bounded(monkeypatch):
+    # Past the bound the memo is cleared before a build, and past as many
+    # labels the codes start afresh; values do not change.
+    monkeypatch.setattr(polynomials, "_FORMS_BOUND", 20)
+    rng = random.Random(12)
+    for i in range(12):
+        pg = namespaced(random_packaged(rng, max_edges=5, min_edges=3), f"n{i}")
+        weights = _rationals(rng, pg.ap.edges, 5)
+        point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
+        want = fold_dag(reference.resolution_dag(pg, None, OP_ORDER), weights, point)
+        assert q_value(pg, weights, *point) == want
+        assert len(polynomials._ODD) <= 20 + len(pg.ap.edges)
+        forms = polynomials._TRACED
+        assert len(forms.forms) + len(forms.resolved) <= 20 + 2 * 5 ** len(pg.ap.edges)

@@ -40,9 +40,9 @@ from ribbontensor.packaged import (
     two_sum,
     uniform_tensor,
 )
-from ribbontensor.polynomials import _strip_isolated
 from ribbontensor.randgen import random_packaged
 from canonical_reference import reference_canonical_form, reference_canonical_packaged
+from dag_reference import _strip_isolated
 from subset_reference import find
 from surgery_reference import as_dict, reference_form
 from strategies import (

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from ribbontensor import arrow
 from ribbontensor.arrow import (
     ArrowPresentation,
+    Occ,
     boundary_components,
+    boundary_trace,
     contract_edge,
     delete_edge,
     penrose_contract_edge,
@@ -43,7 +45,6 @@ from ribbontensor.polynomials import (
     WeightSystem,
     _edge_rank,
     _spanning_table,
-    _strip_isolated,
     _subset_counts,
     br_poly,
     fold_dag,
@@ -70,6 +71,7 @@ from ribbontensor.polynomials import (
 )
 from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
 import subset_reference as reference
+from dag_reference import _strip_isolated
 from state_sum_reference import state_sum_oracle, substitute
 from strategies import packaged_presentations, packaged_with_empty_circles, presentations
 
@@ -579,14 +581,66 @@ def test_deep_fold_matches_the_polynomial():
         assert q_poly(pg).eval_at(pt) == value and type(value) is Fraction
 
 
+def _least_readings(circ):
+    """The least reading of ``circ`` over its rotations and those of its
+    reverse with every arrow flipped, and each distinct way to get it, as
+    the new position of every old one."""
+    k = len(circ)
+    back = tuple(Occ(l, not f) for l, f in reversed(circ))
+    options = [(circ[r:] + circ[:r], tuple((p - r) % k for p in range(k))) for r in range(k)]
+    options += [
+        (back[r:] + back[:r], tuple((k - 1 - p - r) % k for p in range(k))) for r in range(k)
+    ]
+    least = min(options)[0] if k else ()
+    return least, sorted({places for reading, places in options if reading == least}) or [()]
+
+
+def _node_form(pg):
+    """``pg`` as the resolution DAG keys its nodes, at the ``Occ`` level:
+    each circle in its least reading, the nonempty circles sorted, the empty
+    ones stripped, and of all the ways to read ``pg`` so, the one that gives
+    the least partitions, carried along by endpoint."""
+    ap = pg.ap
+    readings = [_least_readings(circ) for circ in ap.circles]
+    ranked = sorted((c for c, circ in enumerate(ap.circles) if circ), key=lambda c: readings[c][0])
+    bare = [c for c, circ in enumerate(ap.circles) if not circ]
+    image = ArrowPresentation(tuple(readings[c][0] for c in ranked + bare), ap.edges)
+    old, new = boundary_trace(ap), boundary_trace(image)
+    # equal circles may come in either order
+    runs = [list(g) for _, g in itertools.groupby(ranked, key=lambda c: readings[c][0])]
+    best = None
+    for orders in itertools.product(*(itertools.permutations(run) for run in runs)):
+        order = [c for run in orders for c in run] + bare
+        place = {c: i for i, c in enumerate(order)}
+        for ways in itertools.product(*(readings[c][1] for c in range(len(ap.circles)))):
+
+            def carried(bd):
+                if bd.circle is not None:
+                    return new.bare_to_bd[place[bd.circle]]
+                c, p, slot = old.endpoint(bd.crossings[0])
+                return new.boundary_at(place[c], ways[c][p], slot)
+
+            bd_map = [carried(bd) for bd in old.components]
+            vblocks = [[place[x] for x in b] for b in pg.vparts.blocks]
+            bblocks = [[bd_map[x] for x in b] for b in pg.bparts.blocks]
+            node = _strip_isolated(PackagedPresentation(
+                image,
+                Partition.make(vblocks, range(len(order))),
+                Partition.make(bblocks, range(len(bd_map))),
+            ))[0]
+            best = node if best is None else min(best, node, key=lambda x: x[1:])
+    return best
+
+
 def _reachable(pg, kinds):
-    """Distinct stripped sub-presentations with edges that the recursion
-    reaches through ``kinds`` alone, resolving edges in the DAG's rank."""
+    """Distinct sub-presentations with edges, in the DAG's node form
+    (:func:`_node_form`), that the recursion reaches through ``kinds``
+    alone, resolving edges in the DAG's rank."""
     rank = _edge_rank(pg, None)
     seen = set()
 
     def visit(x):
-        x, _ = _strip_isolated(x)
+        x = _node_form(x)
         if x.ap.edges and x not in seen:
             seen.add(x)
             e = min(x.ap.edges, key=rank.__getitem__)
@@ -644,12 +698,40 @@ def test_cut_order_changes_no_value(pg, rng):
 
 
 def test_cut_order_shrinks_the_sixteen_edge_dags():
-    # Least label first, these two draws resolve to 22,015 and 20,789 nodes.
+    # Least label first, these two draws resolve to 22,015 and 20,789 nodes;
+    # in cut order to 665 and 208 presentations, and 288 and 120 normal-form
+    # nodes.
     rng = random.Random(16)
     for _ in range(2):
         pg = random_packaged(rng, max_edges=16, min_edges=16)
         _, nodes = resolution_dag(pg, None, OP_ORDER)
         assert len(nodes) <= 2000
+
+
+def test_normal_nodes_shrink_the_twenty_four_edge_dags(monkeypatch):
+    # Keyed by presentation, the first two draws resolve to 1,800 and 4,471
+    # nodes; in normal form to 599 and 1,391.
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "24")
+    rng = random.Random(24)
+    for bound in (700, 1500):
+        pg = random_packaged(rng, max_edges=24, min_edges=24)
+        _, nodes = resolution_dag(pg, None, OP_ORDER)
+        assert len(nodes) <= bound
+
+
+def test_dag_build_leaves_the_surgery_caches_alone():
+    # The DAG's nodes are flat normal forms with their own memo, so a cold
+    # build adds to the per-presentation caches at most the root's entries.
+    rng = random.Random(48)
+    caches = (arrow.boundary_trace, arrow.edge_op_traced, arrow.arrow_codes)
+    for _ in range(3):
+        pg = random_packaged(rng, max_edges=8, min_edges=8)
+        weights = dict.fromkeys(pg.ap.edges, (Fraction(1, 2), Fraction(2, 3), 3, 5, Fraction(7, 9)))
+        before = [c.cache_info().currsize for c in caches]
+        q_value(pg, weights, Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
+        transition_poly(pg.ap)
+        grown = [c.cache_info().currsize - b for c, b in zip(caches, before)]
+        assert grown[0] <= 1 and grown[1] == 0 and grown[2] <= 1, grown
 
 
 def test_twelve_edge_q_text_golden():
