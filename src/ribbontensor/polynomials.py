@@ -28,7 +28,10 @@ different histories meet in shared nodes.  A node is flat integers in the
 normal form of :class:`NormalForms` (arrow-code
 circles, each in its least reading, sorted, with the partitions' labels
 carried along), so sub-presentations that differ only in the order or the
-reading direction of their circles are one node.  :func:`root_terms`
+reading direction of their circles are one node.  The codes number the
+edges by their place in the cut order, not by name, so a node's sub-DAG
+depends only on its normal form, and one node memo lets a build copy every
+node that an earlier build has resolved.  :func:`root_terms`
 reads the root's unweighted terms off the same fold: resolved with an edge
 first, a presentation's DAG gives the values of all of that edge's
 operation results at once.  At a point the fold runs on integer
@@ -222,28 +225,34 @@ class CodeResult(NamedTuple):
 
 
 class NormalForms:
-    """Sub-presentations in a normal form, with their traces and surgeries,
-    memoised per circles for every resolution DAG.
+    """Sub-presentations in a normal form, with their traces, surgeries and
+    DAG nodes, memoised for every resolution DAG.
 
-    A normal form's circles hold arrow codes: a label's forward arrow has
-    the odd code ``_ODD[label]``, numbered as labels are first met, and its
-    backward arrow the even code below, so codes mean the same in every
-    DAG.  Each circle is stored in its least reading: the lesser of its
-    rotation-least form and that of its reverse with every code's low bit
-    flipped, which is the same circle read the other way round (slots are
-    intrinsic, so every boundary stays where it was); a tie keeps the
-    first.  The circles are sorted, ties in the order they come, and the
-    empty ones are counted and dropped.  Equal forms are therefore the same
-    presentation read differently; where a form can be read so in several
-    ways (its symmetries), the least labels are kept
+    A normal form's circles hold arrow codes.  A DAG numbers its root's
+    edges by their place in its static cut order: the edge resolved when j
+    edges are left has the forward code ``2j - 1`` and its backward arrow
+    the even code below.  So a form with j edges resolves its greatest
+    code, ``2j - 1``, and everything below it depends on the form alone,
+    whatever the labels were called.  Each circle is stored in its least
+    reading: the lesser of its rotation-least form and that of its reverse
+    with every code's low bit flipped, which is the same circle read the
+    other way round (slots are intrinsic, so every boundary stays where it
+    was); a tie keeps the first.  The circles are sorted, ties in the order
+    they come, and the empty ones are counted and dropped.  Equal forms are
+    therefore the same presentation read differently; where a form can be
+    read so in several ways (its symmetries), the least labels are kept
     (:func:`~ribbontensor.packaged.least_labels`).
 
-    :meth:`resolve` resolves a label of a form by each arrow operation
-    once, for whichever DAG meets it first.  ``traced`` forms also carry the
-    circle and boundary maps that the partitions follow; an untraced memo
-    takes a result from the ``shared`` traced one when it is there.  Only
-    the circles a surgery rebuilt are read afresh: the others come from a
-    normal form, so they already are.
+    :meth:`resolve` resolves the greatest code of a form by each arrow
+    operation once, for whichever DAG meets it first.  ``traced`` forms
+    also carry the circle and boundary maps that the partitions follow; an
+    untraced memo takes a result from the ``shared`` traced one when it is
+    there.  Only the circles a surgery rebuilt are read afresh: the others
+    come from a normal form, so they already are.  ``nodes`` maps each
+    tuple of live slots to the DAG nodes resolved under it: a node's key
+    (its circles, and for traced forms its vertex and boundary labels) to
+    its refs: per slot, ``None`` if the slot is not live, else its child's
+    key (``None`` when edgeless) and strip.
     """
 
     def __init__(self, traced: bool, shared=None):
@@ -255,6 +264,11 @@ class NormalForms:
         self.padded: dict = {}  # (circles, bare) -> the trace with bare circles after
         self.resolved: dict = {}
         self.turns: dict = {}
+        self.nodes: dict = {}  # live slots -> node key -> refs
+
+    def size(self) -> int:
+        """The entries of the forms, resolutions and nodes memos."""
+        return len(self.forms) + len(self.resolved) + sum(map(len, self.nodes.values()))
 
     def _form(self, circles: tuple) -> tuple:
         """The boundary trace of the normal form ``circles`` and, for traced
@@ -275,22 +289,23 @@ class NormalForms:
         old = boundary_trace(ap) if self.traced else None
         return self._normal(old, circles, moves, range(len(circles)), (), None)
 
-    def resolve(self, circles: tuple, odd: int, kinds) -> tuple:
-        """``(incident, results, source)`` for the label with forward code
-        ``odd`` of the normal form ``circles``: for traced forms the circles
-        and the boundaries through the heads of the label's two arrows, as
+    def resolve(self, circles: tuple, kinds) -> tuple:
+        """``(incident, results, source)`` for the label of the normal form
+        ``circles`` with the greatest code, the one its DAG resolves there:
+        for traced forms the circles and the boundaries through the heads of
+        the label's two arrows, as
         :func:`~ribbontensor.packaged.incident_items` gives them, else
         ``None``; the :class:`CodeResult` of each arrow operation of
         ``kinds`` (and of any other made before); and what a surgery of the
         label starts from."""
-        key = (circles, odd)
-        entry = self.resolved.get(key)
+        entry = self.resolved.get(circles)
         if entry is None:
             if self.shared is not None:
-                entry = self.shared.resolved.get(key)
+                entry = self.shared.resolved.get(circles)
                 if entry is not None and all(kind in entry[1] for kind in kinds):
                     return entry
             codes = tuple(itertools.chain.from_iterable(circles))
+            odd = len(codes) - 1
             g1, g2 = [g for g, code in enumerate(codes) if code | 1 == odd]
             if self.traced:
                 old = self._form(circles)[0]
@@ -302,7 +317,7 @@ class NormalForms:
                 offsets = list(itertools.accumulate(map(len, circles[:-1]), initial=0))
                 hosts = (bisect_right(offsets, g1) - 1, bisect_right(offsets, g2) - 1)
             source = (old, offsets, codes, g1, g2, hosts)
-            entry = self.resolved[key] = (incident, {}, source)
+            entry = self.resolved[circles] = (incident, {}, source)
         results = entry[1]
         for kind in kinds:
             if kind not in results:
@@ -431,7 +446,6 @@ class NormalForms:
         return tuple(sorted(found))
 
 
-_ODD: dict = {}  # label -> the code of its forward arrow, in the order labels are met
 _TRACED = NormalForms(True)
 _UNTRACED = NormalForms(False, _TRACED)
 _FORMS_BOUND = 4096  # memo entries kept from one DAG build to the next
@@ -440,14 +454,9 @@ _FORMS_BOUND = 4096  # memo entries kept from one DAG build to the next
 def normal_forms(traced: bool) -> NormalForms:
     """The memo of normal forms that every traced, or every untraced, DAG
     shares, cleared before a build that finds it holding more than
-    ``_FORMS_BOUND`` forms and resolutions.  Past as many labels, the codes
-    start afresh and both memos are cleared."""
-    if len(_ODD) > _FORMS_BOUND:
-        _ODD.clear()
-        _TRACED.clear()
-        _UNTRACED.clear()
+    ``_FORMS_BOUND`` forms, resolutions and nodes."""
     forms = _TRACED if traced else _UNTRACED
-    if len(forms.forms) + len(forms.resolved) > _FORMS_BOUND:
+    if forms.size() > _FORMS_BOUND:
         forms.clear()
     return forms
 
@@ -494,10 +503,13 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     restricted-growth vertex and boundary labels carried into that frame.
     Equal nodes are isomorphic sub-presentations, so sub-presentations that
     differ only in the order or the reading direction of their circles
-    share one node.  The memo of :func:`normal_forms` gives the circles of
-    a node their trace and their edge's surgeries, shared by the nodes with
-    those circles, in this DAG and in the DAGs built before it; a node adds
-    the partition updates of :func:`~ribbontensor.packaged.partition_ops`.
+    share one node.  The arrow codes number the edges by their place in the
+    cut order, so a node's whole sub-DAG depends only on its normal form and
+    the live operations.  The memo of :func:`normal_forms` therefore keeps
+    every node once for all DAGs: only a node that no earlier build has met
+    is resolved, through its circles' memoised surgeries and the partition
+    updates of :func:`~ribbontensor.packaged.partition_ops`; every other
+    node is copied from the memo under this DAG's labels.
 
     Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
     node with edges once, children first, as ``(label, refs)``: the edge
@@ -515,70 +527,79 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     ops = OP_ORDER if packaged else TRANSITION_OPS
     live_ops = [op for op in ops if op in live]
     # per operation in order, its arrow kind if it is live, else None
-    slots = [_ARROW_KIND[op] if op in live else None for op in ops]
+    slots = tuple([_ARROW_KIND[op] if op in live else None for op in ops])
     kinds = tuple(dict.fromkeys(filter(None, slots)))
     forms = normal_forms(packaged)
-    odd = {label: _ODD.setdefault(label, 2 * len(_ODD) + 1) for label in sorted(ap.edges)}
-    # by the number of edges left to resolve, less one: the label and its code
-    cut = [(label, odd[label]) for label in sorted(ap.edges, key=rank.__getitem__, reverse=True)]
+    memo = forms.nodes.setdefault(slots, {})
+    # by the number of edges left to resolve, less one: the label resolved
+    # then, whose forward code is 2 * j + 1
+    cut = sorted(ap.edges, key=rank.__getitem__, reverse=True)
+    odd = {label: 2 * j + 1 for j, label in enumerate(cut)}
+
+    if packaged:
+
+        def child(res, vlabels, blabels):
+            # The result's key, None when it is edgeless, and its strip: the
+            # empty circles, the last of either frame, and the classes that
+            # go with them.
+            strip = ()
+            if res.bare:
+                n, nb = len(res.circles), res.boundaries
+                kept, bkept = vlabels[:n], blabels[:nb]
+                strip = (
+                    res.bare,
+                    max(vlabels, default=-1) - max(kept, default=-1),
+                    max(blabels, default=-1) - max(bkept, default=-1),
+                )
+                if not n:
+                    return None, strip
+                vlabels, blabels = kept, bkept
+            if res.symmetries:
+                vlabels, blabels = least_labels(res.symmetries, vlabels, blabels)
+            return (res.circles, vlabels, blabels), strip if any(strip) else ()
+
+        def resolve(key):
+            circles, vlabels, blabels = key
+            incident, results, _ = forms.resolve(circles, kinds)
+            parts = iter(partition_ops(vlabels, blabels, incident, results, live_ops))
+            return tuple([kind and child(results[kind], *next(parts)) for kind in slots])
+
+        res = forms.root(ap, odd)
+        top = child(  # the root's key and strip
+            res,
+            root.vparts.transfer(res.circle_map).labels,
+            root.bparts.transfer(res.boundary_map).labels,
+        )
+    else:
+
+        def child(res):
+            return res.circles or None, (res.bare,) if res.bare else ()
+
+        def resolve(circles):
+            results = forms.resolve(circles, kinds)[1]
+            return tuple([kind and child(results[kind]) for kind in slots])
+
+        top = child(forms.root(ap, odd))
+
     index: dict = {}
     nodes: list = []
 
-    if not packaged:
-
-        def enter(res):
-            return (visit(res.circles) if res.circles else -1, (res.bare,) if res.bare else ())
-
-        def visit(circles):
-            i = index.get(circles)
-            if i is None:
-                label, code = cut[sum(map(len, circles)) // 2 - 1]
-                _, results, _ = forms.resolve(circles, code, kinds)
-                refs = tuple([kind and enter(results[kind]) for kind in slots])
-                i = index[circles] = len(nodes)
-                nodes.append((label, refs))
-            return i
-
-        root_ref = enter(forms.root(ap, odd))
-        del enter, visit  # each closure holds the other: free them and the index now
-        return root_ref, tuple(nodes)
-
-    def enter(res, vlabels, blabels):
-        # Strip the empty circles, the last of either frame, and count the
-        # classes that go with them.
-        strip = ()
-        if res.bare:
-            n, nb = len(res.circles), res.boundaries
-            kept, bkept = vlabels[:n], blabels[:nb]
-            strip = (
-                res.bare,
-                max(vlabels, default=-1) - max(kept, default=-1),
-                max(blabels, default=-1) - max(bkept, default=-1),
-            )
-            if not n:
-                return -1, strip
-            vlabels, blabels = kept, bkept
-        if res.symmetries:
-            vlabels, blabels = least_labels(res.symmetries, vlabels, blabels)
-        return visit(res.circles, vlabels, blabels), strip if any(strip) else ()
-
-    def visit(circles, vlabels, blabels):
-        key = (circles, vlabels, blabels)
+    def visit(key, j):
+        # The node of ``key``, which has j + 1 edges left; its children j.
         i = index.get(key)
         if i is None:
-            label, code = cut[sum(map(len, circles)) // 2 - 1]
-            incident, results, _ = forms.resolve(circles, code, kinds)
-            parts = iter(partition_ops(vlabels, blabels, incident, results, live_ops))
-            refs = tuple([kind and enter(results[kind], *next(parts)) for kind in slots])
+            refs = memo.get(key)
+            if refs is None:
+                refs = memo[key] = resolve(key)
+            refs = tuple([
+                ref and (-1 if ref[0] is None else visit(ref[0], j - 1), ref[1]) for ref in refs
+            ])
             i = index[key] = len(nodes)
-            nodes.append((label, refs))
+            nodes.append((cut[j], refs))
         return i
 
-    res = forms.root(ap, odd)
-    vlabels = root.vparts.transfer(res.circle_map).labels
-    blabels = root.bparts.transfer(res.boundary_map).labels
-    root_ref = enter(res, vlabels, blabels)
-    del enter, visit  # each closure holds the other: free them and the index now
+    root_ref = (-1 if top[0] is None else visit(top[0], len(cut) - 1), top[1])
+    del visit  # it holds itself: free it and the index now
     return root_ref, tuple(nodes)
 
 

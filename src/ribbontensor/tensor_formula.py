@@ -550,7 +550,7 @@ def random_instance(kind: TheoremKind, rng: random.Random, size_budget: int = 6)
             e = rng.choice(sorted(ph.ap.edges))
             if len(pg.ap.edges) * (len(ph.ap.edges) - 1) <= size_budget:
                 break
-        couplings = {f: rng.random() < 0.5 for f in pg.ap.edges}
+        couplings = {f: rng.random() < 0.5 for f in sorted(pg.ap.edges)}
         return pg, (ph, e), couplings, {"alpha", "beta", "a", "b"} | _UNIFORM[kind]
 
     if kind is TheoremKind.TWOSUM:

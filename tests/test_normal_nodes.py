@@ -5,6 +5,7 @@ changes no value and no DAG."""
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,9 +96,44 @@ def test_reading_the_circles_otherwise_changes_no_value_and_no_dag(pg, rng):
     assert len(resolution_dag(image.ap, None, TRANSITION_OPS)[1]) == size
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(ROOTS, max_size=3),
+    ROOTS,
+    st.sampled_from(PACKAGED_LIVE + (TRANSITION_OPS,)),
+    st.booleans(),
+)
+def test_a_warm_dag_equals_a_cold_one_and_a_renamed_copy_resolves_nothing(
+    others, pg, live, first
+):
+    bare = live is TRANSITION_OPS
+    root = pg.ap if bare else pg
+    labels = sorted(pg.ap.edges)
+    order = (labels[0],) if first and labels else None
+    build = resolution_dag.__wrapped__  # no DAG cache, so every call builds
+    forms = polynomials.normal_forms(not bare)
+    with patch.object(polynomials, "_FORMS_BOUND", 10**9):  # no clear between builds
+        for other in others:
+            for other_live in PACKAGED_LIVE:
+                build(other, None, other_live)
+            build(other.ap, None, TRANSITION_OPS)
+        warm = build(root, order, live)
+        polynomials._TRACED.clear()  # the untraced memo reads its surgeries too
+        polynomials._UNTRACED.clear()
+        assert build(root, order, live) == warm
+        # Codes are places in the cut order, so a renamed copy has the same
+        # nodes: every one comes from the memo and none is resolved.
+        size = forms.size()
+        copy = namespaced(pg, "n")
+        renamed = build(copy.ap if bare else copy, order and ("n." + order[0],), live)
+        assert forms.size() == size
+    assert renamed == (warm[0], tuple([("n." + label, refs) for label, refs in warm[1]]))
+
+
 def test_the_shared_memo_and_the_label_codes_stay_bounded(monkeypatch):
-    # Past the bound the memo is cleared before a build, and past as many
-    # labels the codes start afresh; values do not change.
+    # Past the bound the memo of forms, resolutions and nodes is cleared
+    # before a build; the codes are places in each DAG's cut order, so new
+    # labels add none.  Values do not change.
     monkeypatch.setattr(polynomials, "_FORMS_BOUND", 20)
     rng = random.Random(12)
     for i in range(12):
@@ -106,6 +142,9 @@ def test_the_shared_memo_and_the_label_codes_stay_bounded(monkeypatch):
         point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
         want = fold_dag(reference.resolution_dag(pg, None, OP_ORDER), weights, point)
         assert q_value(pg, weights, *point) == want
-        assert len(polynomials._ODD) <= 20 + len(pg.ap.edges)
         forms = polynomials._TRACED
+        nodes = len(resolution_dag(pg, None, _live(OP_ORDER, weights))[1])
+        assert sum(map(len, forms.nodes.values())) <= 20 + nodes
         assert len(forms.forms) + len(forms.resolved) <= 20 + 2 * 5 ** len(pg.ap.edges)
+        # no root has more than 5 edges, whatever its labels are called
+        assert max(code for circles in forms.forms for circ in circles for code in circ) < 10

@@ -354,6 +354,39 @@ def test_seeded_reports_reproducible():
     assert a.ok and b.ok
 
 
+# Prints random_instance for every kind and seeds 0-4 with sets sorted,
+# which is all the hash seed may change.
+INSTANCE_SCRIPT = """
+import random
+from ribbontensor.tensor_formula import TheoremKind, random_instance
+def plain(x):
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    if isinstance(x, dict):
+        return [(k, plain(v)) for k, v in x.items()]
+    if isinstance(x, (tuple, list)):
+        return [type(x).__name__, *map(plain, x)]
+    return x
+for kind in TheoremKind:
+    for s in range(5):
+        print(kind.value, s, plain(random_instance(kind, random.Random(s))))
+"""
+
+
+def test_random_instances_do_not_depend_on_the_hash_seed():
+    # A failing instance must reproduce in any process.
+    src = str(Path(ribbontensor.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", INSTANCE_SCRIPT], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed), check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].count("\n") == 5 * len(TheoremKind)
+    assert outputs[0] == outputs[1]
+
+
 def test_tutte_singular_classical_system_is_resampled():
     # (x - 1)(y - 1) = 1 makes the classical Tutte system singular; that is a
     # degenerate point to resample, not an error
