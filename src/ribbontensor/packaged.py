@@ -131,10 +131,6 @@ class Partition(NamedTuple):
         """
         return Partition(_transfer(self.labels, item_map, created, groups))
 
-    def restricted(self, items: Iterable[int]) -> "Partition":
-        """The partition of ``items``, increasing, renumbered 0, 1, ..."""
-        return Partition(_first_appearance(map(self.labels.__getitem__, items)))
-
 
 def _transfer(labels: tuple, item_map: Sequence[int], created: Sequence[int] = (), groups=()):
     """The restricted-growth labels of :meth:`Partition.transfer`."""

@@ -419,27 +419,33 @@ def common_denominator(values) -> tuple:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _eliminate(matrix, rhs):
-    """Bareiss's fraction-free elimination of ``[A | rhs]``, rows pivoted.
+def _eliminate(matrix, columns):
+    """Bareiss's fraction-free elimination of ``[A | b_1 ... b_k]``, rows
+    pivoted.
 
-    Each row is first scaled to integers by the lcm of its denominators;
-    every later entry is then an integer minor of the scaled matrix, and each
-    division is exact (Bareiss, Math. Comp. 1968).  Returns ``(rows, d,
-    scale)``: the eliminated rows, upper triangular in their first ``n``
-    columns; ``d``, the determinant of the scaled matrix (0 when A is
-    singular, the rows then left half eliminated); and ``scale``, the product
-    of the row scales, so that det(A) = d / scale.
+    A row holding a non-integer is first scaled to integers by the lcm of
+    its denominators; a row of integers is taken as it is.  Every later
+    entry is then an integer minor of the scaled matrix, and each division
+    is exact (Bareiss, Math. Comp. 1968).  Returns ``(rows, d, scale)``: the
+    eliminated rows, upper triangular in their first ``n`` columns; ``d``,
+    the determinant of the scaled A (0 when A is singular, the rows then
+    left half eliminated); and ``scale``, the product of the row scales, so
+    that det(A) = d / scale.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
+    if any(len(row) != n for row in matrix) or any(len(b) != n for b in columns):
+        raise ValueError("matrix must be square and match every column's length")
     rows = []
     scale = 1
-    for row in [[*row, b] for row, b in zip(matrix, rhs)] if rhs else matrix:
-        row, m = common_denominator([x if isinstance(x, _Rational) else Fraction(x) for x in row])
+    for i, row in enumerate(matrix):
+        row = [*row, *(b[i] for b in columns)]
+        if any(type(x) is not int for x in row):
+            row, m = common_denominator(
+                [x if isinstance(x, _Rational) else Fraction(x) for x in row]
+            )
+            scale *= m
         rows.append(row)
-        scale *= m
-    width = n + (1 if rhs else 0)
+    width = n + len(columns)
     sign = prev = 1
     for k in range(n):
         p = next((i for i in range(k, n) if rows[i][k]), None)
@@ -458,30 +464,35 @@ def _eliminate(matrix, rhs):
     return rows, sign * prev, scale
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], scale=1):
-    """Solve (scale * A) x = b exactly, by :func:`_eliminate`'s
-    fraction-free elimination of A.
+def solve_linear(
+    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]], scale=1
+) -> list:
+    """Solve (scale * A) x = b exactly for every column b of ``columns``, by
+    one :func:`_eliminate` of ``[A | b_1 ... b_k]``.
 
     With d the determinant of the row-scaled A, d * x is integral (Cramer's
     rule), so back substitution runs on d * x over the integers and each
     unknown becomes one ``Fraction`` at the end, ``scale`` folded into it.
-    Raises :class:`SingularMatrix` when the system has no unique solution.
+    Integer A and columns are eliminated as they are.  Returns one solution
+    per column.  Raises :class:`SingularMatrix` when the system has no
+    unique solution, a zero ``scale`` included.
     """
     n = len(matrix)
-    if len(rhs) != n:
-        raise ValueError("matrix must be square and match the rhs length")
-    rows, d, _ = _eliminate(matrix, rhs)
+    rows, d, _ = _eliminate(matrix, columns)
     if not (d and scale):
         raise SingularMatrix("matrix is singular")
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = d * row[n]
-        for j in range(i + 1, n):
-            acc -= row[j] * y[j]
-        y[i] = acc // row[i]
-    d *= scale.numerator
-    return [Fraction(v * scale.denominator, d) for v in y]
+    num, den = d * scale.numerator, scale.denominator
+    solutions = []
+    for c in range(n, n + len(columns)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            acc = d * row[c]
+            for j in range(i + 1, n):
+                acc -= row[j] * y[j]
+            y[i] = acc // row[i]
+        solutions.append([Fraction(v * den, num) for v in y])
+    return solutions
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -35,11 +35,13 @@ node that an earlier build has resolved.  :func:`root_terms`
 reads the root's unweighted terms off the same fold: resolved with an edge
 first, a presentation's DAG gives the values of all of that edge's
 operation results at once.  At a point the fold runs on integer
-numerators and divides once per root term: each label's weights are put
-over their common denominator ``d_e`` and the bases over ``d_b``, a node
-keeps its value times the ``d_e`` of its edges and ``d_b`` to its largest
-stripped base degree, and the root divides by ``d_root``, the ``d_e`` of
-the labels below it and that power of ``d_b``.  A ``MultiPoly`` fold is the
+numerators: each label's weights are put over their common denominator
+``d_e`` and the bases over ``d_b``, a node keeps its value times the
+``d_e`` of its edges and ``d_b`` to its largest stripped base degree, and
+the root's terms share one denominator, ``d_root``, the ``d_e`` of the
+labels below it and that power of ``d_b``.  :func:`fold_dag` divides their
+sum by it once; :func:`root_terms` hands back the numerators and that
+denominator, which the transfer systems keep as integers.  A ``MultiPoly`` fold is the
 same loop with every denominator 1.  The subset expansions follow the
 same scheme: :func:`_spanning_table` and :func:`_subset_counts` enumerate
 once the spanning sub-presentations of an arrow presentation and the edge
@@ -698,14 +700,6 @@ def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     return terms, scale, d_root * math.prod(d for _, d in below.values()) * d_b**top
 
 
-def _at_root(numerator, scale, denominator):
-    """A root numerator from :func:`_fold` as a value: times the root's
-    strip, over the root's denominator."""
-    if scale is not None:
-        numerator = scale * numerator
-    return numerator if denominator is None else Fraction(numerator, denominator)
-
-
 def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
     """Evaluate a resolution DAG in the ring of ``bases``: the root's terms
     from :func:`_fold`, summed, times its strip.
@@ -732,23 +726,28 @@ def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
         return math.prod(b**k for b, k in zip(bases, root_strip) if k) if root_strip else one
     terms, scale, den = _fold(dag, weights, bases, weights[nodes[root][0]])
     total = sum(terms[1:], terms[0]) if terms else bases[0] - bases[0]
-    return _at_root(total, scale, den)
+    if scale is not None:
+        total = scale * total
+    return total if den is None else Fraction(total, den)
 
 
-def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> list:
+def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> tuple:
     """The unweighted terms of a resolution DAG's root, one per live
     operation in operation order: the strip factor times the child's value,
     times the root's own strip.
 
     They are the values of the root's operation results, so a factor resolved
     once with its coupled edge first (``resolution_dag(x, (e,), ops)``) gives
-    all its operation values in one fold.  ``weights`` need not name the
-    root's edge.  The root must have edges.
+    all its operation values in one fold.  Returns them as :func:`_fold`
+    leaves them, ``(numerators, den)``: the terms are ``n / den`` over the
+    rationals, and ``den`` is ``None`` in any other ring, where the
+    numerators are the terms.  ``weights`` need not name the root's edge.
+    The root must have edges.
     """
     (root, _), nodes = dag
     one = bases[0] ** 0
     terms, scale, den = _fold(dag, weights, bases, (one,) * len(nodes[root][1]))
-    return [_at_root(t, scale, den) for t in terms]
+    return (terms if scale is None else [scale * t for t in terms]), den
 
 
 def _live(ops: tuple, weights: Mapping[str, tuple]) -> tuple:

@@ -7,12 +7,15 @@ from a small exact linear system over the factor's five (or four, three,
 two) operation values.  ``SPECS`` holds what differs between the kinds.
 A recursion kind reads its transfer matrix off the one-edge presentations
 that realise its operations (:func:`_read_off`); planemvbr and tutte type it.
+Either way its entries are monomials in the point's bases, and a point
+gives them as integer rows (:func:`_monomial_rows`).
 
 :func:`plan_instance` builds, once per instance, the composed object, the
 host and each distinct factor, resolved: one resolution DAG with the coupled
 edge first, whose root terms are the operation values, or for the subset
 expansions the operation results themselves.  :func:`verify_identity` then
-does the work of one point: evaluate, solve, compare.  Points are
+does the work of one point: evaluate, solve every factor's system in one
+elimination, compare.  Points are
 random rationals (numerators and denominators in [1, 10^4]); points where a
 system degenerates are resampled.  Agreement is required to be exact.
 """
@@ -40,11 +43,12 @@ from .packaged import (
     make_packaged,
     namespaced,
 )
-from .poly import determinant, solve_linear
+from .poly import common_denominator, determinant, solve_linear
 from .polynomials import (
     OP_ORDER,
     TRANSITION_OPS,
     Multigraph,
+    _powers,
     graph_tensor,
     mv_br_value,
     q_value,
@@ -133,7 +137,8 @@ def _tutte_finish(plan, phis, pt, lhs, rhs):
     the factor's operation results, and the prefactor phi^n(G) psi^r(G)."""
     x, y = pt["x"], pt["y"]
     t_del, t_con = (tutte_value(h, x, y) for h in plan.factors[0][0])
-    phi, psi = _solve(TheoremKind.TUTTE, [[x - 1, _ONE], [_ONE, y - 1]], [t_del, t_con])
+    rows = [[x - 1, _ONE], [_ONE, y - 1]]
+    ((phi, psi),) = _solve(TheoremKind.TUTTE, rows, [common_denominator([t_del, t_con])])
     if phi == 0 or psi == 0:
         raise SingularAtPoint("vanishing Tutte transfer coefficient")
     g = plan.host
@@ -157,9 +162,9 @@ def _shared_parts(labels, factor, swaps):
 class KindSpec(NamedTuple):
     """What one theorem kind adds to the shape every identity shares."""
 
-    rows: Callable  # pt -> (fresh unchecked rows, the common factor they leave out)
+    rows: Callable  # pt -> (fresh unchecked integer rows, the rational factor they leave out)
     resolve: Callable  # (factor, e) -> what every point reads its columns off
-    columns: Callable  # (resolved factor, weights, pt) -> one value per row
+    columns: Callable  # (resolved factor, weights, pt) -> (one integer per row, their denominator)
     weights: Callable  # (labels, pt) -> {label: weights}
     value: Callable  # (object, weights, pt) -> the invariant
     parts: Callable  # (host labels, factors, couplings) -> [(f, factor, e, swap)]
@@ -167,58 +172,74 @@ class KindSpec(NamedTuple):
     finish: Optional[Callable] = None  # (plan, coefficients, pt, lhs, rhs) -> comparisons
 
 
-def _product(b, ks):
-    """The product of ``b[k]`` over the base indexes ``ks``; 1 for none."""
-    return math.prod(map(b.__getitem__, ks[1:]), start=b[ks[0]]) if ks else _ONE
+def _table(rows) -> tuple:
+    """A matrix of monomials, each entry its exponent tuple over a kind's
+    bases, as :func:`_monomial_rows` reads it: the least exponent of each
+    base over the entries, which the rows leave out; the distinct entries
+    less those; each base's top exponent over them; and the rows as
+    positions among the entries."""
+    least = tuple(map(min, zip(*(m for row in rows for m in row))))
+    rows = [[tuple(map(int.__sub__, m, least)) for m in row] for row in rows]
+    entries = sorted({m for row in rows for m in row})
+    tops = tuple(map(max, zip(*entries)))
+    return least, entries, tops, [[entries.index(m) for m in row] for row in rows]
 
 
-def _read_off(basis, ops, free: int) -> tuple:
-    """A transfer matrix read off its basis: column j holds the operation
-    values of ``basis[j]``, which realises operation j of ``ops``.  Resolved
-    with its edge ``e`` first, it is one node whose live refs ``(-1, strip)``
-    hold the base exponents of its results; the first ``free`` are kept, the
-    other bases being 1.  The scale takes each base to its least exponent
-    over the entries, and an entry is its strip minus the scale.  Returns
-    the scale and then the distinct entries as base indexes (k repeated to
-    base k's exponent), and the rows as positions among those products.
-    """
+def _monomial_rows(names, exponents):
+    """A kind's ``rows``: a transfer matrix of monomials in the point's
+    values of ``names``, each entry's exponents given by ``exponents()``,
+    which is read once, when a point first asks for it (:func:`_table`).
+
+    At a point each base n/d is tabled to its top exponent as the integers
+    ``n**i * d**(top - i)`` (:func:`polynomials._powers`), so an entry is
+    one product of table values and every entry is over the same
+    denominator, the product of the ``d**top``.  The rows are those
+    integers; the factor they leave out is the bases to their least
+    exponents over that denominator."""
+    table = functools.cache(lambda: _table(exponents()))
+
+    def rows(pt):
+        least, entries, tops, positions = table()
+        tables, num, den = [], 1, 1
+        for name, top, k in zip(names, tops, least):
+            b = pt[name]
+            powers, d = _powers(b, top, True)
+            tables.append(powers)
+            num *= b.numerator**k
+            den *= d * b.denominator**k
+        at = [math.prod([t[i] for t, i in zip(tables, m)]) for m in entries]
+        return [[at[i] for i in row] for row in positions], Fraction(num, den)
+
+    return rows
+
+
+def _read_off(basis, ops, free: int) -> list:
+    """A transfer matrix read off its basis, each entry its exponents over
+    the free bases: column j holds the operation values of ``basis[j]``,
+    which realises operation j of ``ops``.  Resolved with its edge ``e``
+    first, it is one node whose live refs ``(-1, strip)`` hold the base
+    exponents of its results; the first ``free`` are kept, the other bases
+    being 1."""
     columns = []
     for x in basis:
         ((_, refs),) = resolution_dag(x, ("e",), ops)[1]
         columns.append([strip[:free] for _, strip in filter(None, refs)])
-    least = [min(exps) for exps in zip(*sum(columns, []))]
-
-    def indexes(exps):
-        return tuple(k for k, n in enumerate(exps) for _ in range(n))
-
-    rows = [[indexes(map(int.__sub__, s, least)) for s in row] for row in zip(*columns)]
-    products = [indexes(least)] + sorted({m for row in rows for m in row})
-    return products, [[products.index(m, 1) for m in row] for row in rows]
+    return list(zip(*columns))
 
 
 def _by_dag(ops, free, basis, value, fixed=()):
     """A recursion kind's factor is resolved once, its coupled edge first;
     at a point one fold gives the DAG root's terms, which are the values of
-    the factor's operation results ``ops``; ``value(x, weights, bases)`` is
-    the invariant.  The bases are the point's values of the names ``free``,
-    then ``fixed``, bases held at 1 (gamma for the four-weight kinds).  The
-    transfer matrix is read off ``basis()`` once, when a point first asks
-    for it, in the free bases only; a point then makes one product for the
-    scale and one per distinct entry, in one pass."""
-    table = functools.cache(lambda: _read_off(basis(), ops, len(free)))
-
+    the factor's operation results ``ops``, as integer numerators over one
+    denominator; ``value(x, weights, bases)`` is the invariant.  The bases
+    are the point's values of the names ``free``, then ``fixed``, bases held
+    at 1 (gamma for the four-weight kinds).  The transfer matrix is read off
+    ``basis()`` in the free bases only."""
     get = itemgetter(*free)
     free_bases = get if len(free) > 1 else lambda pt: (get(pt),)
     bases = (lambda pt: free_bases(pt) + fixed) if fixed else free_bases
-
-    def rows(pt):
-        products, positions = table()
-        b = free_bases(pt)
-        at = [_product(b, m) for m in products]
-        return [[at[i] for i in row] for row in positions], at[0]
-
     return {
-        "rows": rows,
+        "rows": _monomial_rows(free, lambda: _read_off(basis(), ops, len(free))),
         "resolve": lambda x, e: resolution_dag(x, (e,), ops),
         "columns": lambda dag, w, pt: root_terms(dag, w, bases(pt)),
         "value": lambda x, w, pt: value(x, w, bases(pt)),
@@ -227,10 +248,11 @@ def _by_dag(ops, free, basis, value, fixed=()):
 
 def _by_results(ops, value):
     """A subset-expansion kind keeps the factor's operation results and
-    evaluates each of them at a point with its invariant ``value``."""
+    evaluates each of them at a point with its invariant ``value``, the
+    values split over their common denominator."""
     return {
         "resolve": lambda x, e: tuple(op(x, e) for op in ops),
-        "columns": lambda results, w, pt: [value(r, w, pt) for r in results],
+        "columns": lambda results, w, pt: common_denominator([value(r, w, pt) for r in results]),
         "value": value,
     }
 
@@ -281,13 +303,13 @@ SPECS = {
         weights=_per_edge("a", "b", "c"), parts=_listed_parts,
     ),
     TheoremKind.PLANEMVBR: KindSpec(
-        lambda pt: ([[pt["a"] * pt["c"], _ONE], [_ONE, pt["c"]]], _ONE),
+        _monomial_rows(("a", "c"), lambda: [[(1, 1), (0, 0)], [(0, 0), (0, 1)]]),
         **_by_results((delete_edge, contract_edge), _plane_value),
         weights=lambda labels, pt: {l: pt[f"b_{l}"] for l in labels},
         parts=_listed_parts, host_weight=_plane_weight, finish=_plane_finish,
     ),
     TheoremKind.TUTTE: KindSpec(
-        lambda pt: ([[pt["a"], pt["a"] ** 2], [pt["a"], pt["a"]]], _ONE),
+        _monomial_rows(("a",), lambda: [[(1,), (2,)], [(1,), (1,)]]),
         **_by_results((Multigraph.delete, Multigraph.contract), _zdot_at),
         weights=_uniform("b", 1), parts=_shared_parts, finish=_tutte_finish,
     ),
@@ -330,8 +352,9 @@ def _resolve(spec: KindSpec, x, e) -> tuple:
     return spec.resolve(x, e), [l for l in _labels(x) if l != e]
 
 
-def _columns(spec: KindSpec, factor: tuple, pt) -> list:
-    """The right-hand side of a factor's transfer system at ``pt``."""
+def _columns(spec: KindSpec, factor: tuple, pt) -> tuple:
+    """The right-hand side of a factor's transfer system at ``pt``, as
+    ``(integer numerators, their denominator)``."""
     resolved, labels = factor
     return spec.columns(resolved, spec.weights(labels, pt), pt)
 
@@ -344,13 +367,17 @@ def _singular(kind: TheoremKind) -> SingularAtPoint:
     return SingularAtPoint(f"{kind.value} matrix singular at the sampled point")
 
 
-def _solve(kind: TheoremKind, rows, rhs, scale=_ONE) -> tuple:
-    """Solve ``(scale * rows) x = rhs`` exactly.  A singular system, a zero
-    ``scale`` included (the whole matrix then vanishes), marks a degenerate
-    point and raises :class:`SingularAtPoint`, so that the caller resamples
-    it."""
+def _solve(kind: TheoremKind, rows, columns, scale=_ONE) -> list:
+    """Solve ``(scale * rows) x = n / den`` exactly for every column
+    ``(n, den)``, in one elimination: the numerators are put over the
+    columns' least common denominator D, which joins ``scale``.  Returns one
+    tuple of coefficients per column.  A singular system, a zero ``scale``
+    included (the whole matrix then vanishes), marks a degenerate point and
+    raises :class:`SingularAtPoint`, so that the caller resamples it."""
+    den = math.lcm(*(d for _, d in columns))
+    rhs = [n if d == den else [v * (den // d) for v in n] for n, d in columns]
     try:
-        return tuple(solve_linear(rows, rhs, scale))
+        return list(map(tuple, solve_linear(rows, rhs, scale * den)))
     except SingularMatrix:
         raise _singular(kind) from None
 
@@ -377,9 +404,9 @@ def solve_phis(kind: TheoremKind, ph, e, pt: Mapping[str, Fraction]) -> tuple:
     Raises :class:`SingularAtPoint` when the transfer matrix degenerates.
     """
     spec = SPECS[kind]
-    rhs = _columns(spec, _resolve(spec, ph, e), pt)
+    columns = _columns(spec, _resolve(spec, ph, e), pt)
     rows, scale = spec.rows(pt)
-    return _solve(kind, rows, rhs, scale)
+    return _solve(kind, rows, [columns], scale)[0]
 
 
 def phi0_structural_zeros(
@@ -457,14 +484,14 @@ class VerifyOutcome(NamedTuple):
 def verify_identity(plan: InstancePlan, pt) -> VerifyOutcome:
     """Evaluate both sides of one planned identity at one point.
 
-    Solves each distinct factor's coefficients once and gives them to its
-    host edges.  Raises :class:`SingularAtPoint` when a transfer matrix, or a
-    coefficient the formula divides by, degenerates at ``pt``.
+    Solves every distinct factor's coefficients in one elimination and gives
+    them to its host edges.  Raises :class:`SingularAtPoint` when a transfer
+    matrix, or a coefficient the formula divides by, degenerates at ``pt``.
     """
     kind = plan.kind
     spec = SPECS[kind]
     rows, scale = spec.rows(pt)
-    phis = [_solve(kind, rows, _columns(spec, factor, pt), scale) for factor in plan.factors]
+    phis = _solve(kind, rows, [_columns(spec, factor, pt) for factor in plan.factors], scale)
     weights = spec.weights([l for l in _labels(plan.host) if l not in plan.tensored], pt)
     weights.update((f, spec.host_weight(phis[i])) for f, i in plan.tensored.items())
     lhs = _value(spec, plan.composed, pt)
@@ -646,10 +673,11 @@ def run_verification(
     for _ in range(instances):
         pg, factors, couplings, names = random_instance(kind, rng, size_budget)
         plan = plan_instance(kind, pg, factors, couplings)
+        names = sorted(names)
         for _ in range(points):
             outcome = None
             for _ in range(MAX_RESAMPLE):
-                pt = random_point(rng, sorted(names))
+                pt = random_point(rng, names)
                 try:
                     outcome = verify_identity(plan, pt)
                 except SingularAtPoint:

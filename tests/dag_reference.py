@@ -5,14 +5,21 @@ against: nodes are the stripped ``PackagedPresentation`` or bare
 edge of least rank through ``edge_ops`` or the three transition operations.
 
 The bodies are the replaced code, unchanged but for the cache: the
-reference ``resolution_dag`` is uncached and has no edge cap.
+reference ``resolution_dag`` is uncached and has no edge cap.  The
+restriction of a partition to some of its items, which only this reference
+uses, is a helper here (``_restricted``).
 """
 
 from typing import Optional
 
 from ribbontensor.arrow import ArrowPresentation
-from ribbontensor.packaged import PackagedPresentation, edge_ops
+from ribbontensor.packaged import Partition, PackagedPresentation, _first_appearance, edge_ops
 from ribbontensor.polynomials import OP_ORDER, TRANSITION_OPS, _edge_rank
+
+
+def _restricted(part: Partition, items) -> Partition:
+    """The partition of ``items``, increasing, renumbered 0, 1, ..."""
+    return Partition(_first_appearance(map(part.labels.__getitem__, items)))
 
 
 def _strip_isolated(pg: PackagedPresentation):
@@ -27,10 +34,10 @@ def _strip_isolated(pg: PackagedPresentation):
         return pg, (0, 0, 0)
     keep = [ci for ci, circ in enumerate(pg.ap.circles) if circ]
     da = len(pg.ap.circles) - len(keep)
-    vparts = pg.vparts.restricted(keep)
+    vparts = _restricted(pg.vparts, keep)
     # Token boundaries keep their canonical ids (they precede bare ones and
     # circle reindexing is monotone); the bare boundaries, the last da, drop.
-    bparts = pg.bparts.restricted(range(len(pg.bparts.labels) - da))
+    bparts = _restricted(pg.bparts, range(len(pg.bparts.labels) - da))
     stripped = PackagedPresentation(
         ArrowPresentation(tuple(filter(None, pg.ap.circles)), pg.ap.edges), vparts, bparts
     )

@@ -1,6 +1,7 @@
 """The package holds only what a command, the verifier or the benchmark runs:
-every module-level function and class in ``src/`` is used somewhere in
-``src/`` or ``bench/``, besides its own definition and the export table."""
+every module-level function and class in ``src/``, and every method of
+those classes, is used somewhere in ``src/`` or ``bench/``, besides its own
+definition and the export table."""
 
 import ast
 import re
@@ -8,41 +9,56 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Definitions kept without a caller, each with its reason.
+# Definitions kept without a caller, each with its reason; a method is
+# named ``Class.method``.
 ALLOWED = {
     "canonical_form": "documented public API (README, Canonical forms)",
     "phi0_structural_zeros": "the structural zeros that ROADMAP items 3 and 9 build on",
 }
 
 
+def _dunder(name: str) -> bool:
+    # module hooks such as __getattr__ and methods such as __eq__ are
+    # called by Python
+    return name.startswith("__") and name.endswith("__")
+
+
 def _references(tree: ast.Module, path: Path):
-    """Yield ``(top-level definition or None, name)`` for every identifier
-    the module reads: names, attributes and the words of string constants
-    (``bench/tracer.py`` names what it wraps in strings).  Docstrings and
-    the package's ``_EXPORTS`` table are not references."""
+    """Yield ``(owners, name)`` for every identifier the module reads:
+    names, attributes and the words of string constants (``bench/tracer.py``
+    names what it wraps in strings).  ``owners`` are the definitions the
+    reference sits in: its top-level function or class and, in a method,
+    ``Class.method``.  Docstrings and the package's ``_EXPORTS`` table are
+    not references."""
     for stmt in tree.body:
         if path.name == "__init__.py" and isinstance(stmt, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in stmt.targets
         ):
             continue
         owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        method = {}
+        if isinstance(stmt, ast.ClassDef):
+            for node in stmt.body:
+                if isinstance(node, ast.FunctionDef):
+                    method.update((id(n), f"{owner}.{node.name}") for n in ast.walk(node))
         docstrings = {
             id(node.value)
             for node in ast.walk(stmt)
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
         }
         for node in ast.walk(stmt):
+            owners = (owner, method.get(id(node)))
             if isinstance(node, ast.Name):
-                yield owner, node.id
+                yield owners, node.id
             elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
+                yield owners, node.attr
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and id(node) not in docstrings
             ):
                 for word in re.findall(r"[A-Za-z_]\w*", node.value):
-                    yield owner, word
+                    yield owners, word
 
 
 def test_every_definition_in_src_has_a_caller():
@@ -52,21 +68,34 @@ def test_every_definition_in_src_has_a_caller():
         (path, ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted((ROOT / "bench").glob("*.py"))
     )
-    # module hooks such as __getattr__ and __dir__ are called by Python
-    defined = {
-        stmt.name: path.name
-        for path in src
-        for stmt in trees[path].body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
-    }
-    used = {
-        name
-        for path, tree in trees.items()
-        for owner, name in _references(tree, path)
-        if not (owner == name and defined.get(name) == path.name)
-    }
-    unused = sorted(f"{defined[n]}: {n}" for n in defined.keys() - used - ALLOWED.keys())
+    # each definition's qualified name -> (its module, the name callers use)
+    defined = {}
+    for path in src:
+        for stmt in trees[path].body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or _dunder(stmt.name):
+                continue
+            defined[stmt.name] = path.name, stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                defined.update(
+                    (f"{stmt.name}.{node.name}", (path.name, node.name))
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef) and not _dunder(node.name)
+                )
+    # where each name is read, and inside which definitions
+    reads: dict = {}
+    for path, tree in trees.items():
+        for owners, name in _references(tree, path):
+            reads.setdefault(name, []).append((path.name, owners))
+
+    def used(qualified):
+        # read somewhere other than in its own definition
+        module, name = defined[qualified]
+        return any(
+            not (where == module and qualified in owners) for where, owners in reads.get(name, ())
+        )
+
+    unused = sorted(f"{defined[q][0]}: {q}" for q in defined.keys() - ALLOWED.keys() if not used(q))
     assert not unused, unused
     # the list stays minimal: each entry exists and still has no caller
-    assert ALLOWED.keys() <= defined.keys() - used, sorted(ALLOWED.keys() & used)
+    assert ALLOWED.keys() <= defined.keys(), sorted(ALLOWED.keys() - defined.keys())
+    assert not any(map(used, ALLOWED)), sorted(filter(used, ALLOWED))

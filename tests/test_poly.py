@@ -159,18 +159,25 @@ def test_canonical_string_injective():
 def test_solve_identity():
     rhs = [Fraction(3), Fraction(-5), Fraction(7, 2)]
     eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert solve_linear(eye, rhs) == rhs
+    assert solve_linear(eye, [rhs]) == [rhs]
 
 
 def test_solve_diagonal():
-    out = solve_linear([[Fraction(2), 0], [0, Fraction(3)]], [Fraction(1), Fraction(1)])
-    assert out == [Fraction(1, 2), Fraction(1, 3)]
+    out = solve_linear([[Fraction(2), 0], [0, Fraction(3)]], [[Fraction(1), Fraction(1)]])
+    assert out == [[Fraction(1, 2), Fraction(1, 3)]]
 
 
 def test_solve_singular():
     with pytest.raises(SingularMatrix):
         solve_linear([[Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)]],
-                     [Fraction(1), Fraction(1)])
+                     [[Fraction(1), Fraction(1)]])
+
+
+def test_solve_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        determinant([[1, 2]])
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0], [0, 1]], [[1, 2], [3]])
 
 
 def test_solve_then_multiply_round_trip():
@@ -185,7 +192,7 @@ def test_solve_then_multiply_round_trip():
             if determinant(a) != 0:
                 break
         rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-        x = solve_linear(a, rhs)
+        (x,) = solve_linear(a, [rhs])
         back = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
         assert back == rhs
 
@@ -205,31 +212,41 @@ _entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
 @st.composite
 def _square_systems(draw):
-    """Small ``(A, b)``: often a zero leading entry, which forces a row swap,
-    and often a row that is the sum of two others, which makes A singular."""
+    """Small ``(A, columns, scale)``: often a zero leading entry, which
+    forces a row swap, and often a row that is the sum of two others, which
+    makes A singular.  Half the systems are integers throughout, as the
+    verifier's are, and take no row scaling; one to three right-hand
+    columns; a scale of 1 or a rational, zero included."""
     n = draw(st.integers(1, 5))
-    a = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    entries = draw(st.sampled_from((st.integers(-3, 3), _entries)))
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     if draw(st.booleans()):
         a[0][0] = 0
     if n > 2 and draw(st.booleans()):
         i, j, k = draw(st.permutations(range(n)))[:3]
         a[k] = [x + y for x, y in zip(a[i], a[j])]
-    return a, draw(st.lists(_entries, min_size=n, max_size=n))
+    column = st.lists(entries, min_size=n, max_size=n)
+    columns = draw(st.lists(column, min_size=1, max_size=3))
+    scale = draw(st.one_of(st.just(1), st.fractions(-3, 3, max_denominator=4)))
+    return a, columns, scale
 
 
 @settings(deadline=None, max_examples=300)
 @given(_square_systems())
 def test_exact_solver(system):
-    a, b = system
+    a, columns, scale = system
     det = determinant(a)
     assert det == _laplace(a)
-    if det == 0:
+    if det == 0 or scale == 0:
         with pytest.raises(SingularMatrix):
-            solve_linear(a, b)
+            solve_linear(a, columns, scale)
     else:
-        x = solve_linear(a, b)
-        assert all(type(v) is Fraction for v in x)
-        assert [sum(row[j] * x[j] for j in range(len(x))) for row in a] == b
+        solutions = solve_linear(a, columns, scale)
+        assert len(solutions) == len(columns)
+        for b, x in zip(columns, solutions):
+            assert all(type(v) is Fraction for v in x)
+            assert [scale * sum(row[j] * x[j] for j in range(len(x))) for row in a] == b
+            assert solve_linear(a, [b], scale) == [x]
 
 
 def test_standard_registry_order():

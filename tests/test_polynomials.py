@@ -34,6 +34,7 @@ from ribbontensor.packaged import (
 from ribbontensor.poly import (
     MultiPoly,
     VarRegistry,
+    determinant,
     parse_poly,
     standard_registry,
     to_canonical_string,
@@ -69,7 +70,12 @@ from ribbontensor.polynomials import (
     zdot_value,
     zhat_poly,
 )
-from ribbontensor.randgen import random_blocks, random_packaged, random_presentation
+from ribbontensor.randgen import (
+    random_blocks,
+    random_connected_multigraph,
+    random_packaged,
+    random_presentation,
+)
 import subset_reference as reference
 from dag_reference import _strip_isolated
 from state_sum_reference import state_sum_oracle, substitute
@@ -326,10 +332,27 @@ def test_zdot_and_tutte_examples():
     assert tutte_poly(loop) == parse_poly("y", VarRegistry.of("x", "y"))
 
 
+def test_tutte_at_one_one_counts_spanning_trees():
+    # Kirchhoff's matrix-tree theorem, a pin that shares no code with the
+    # engines: T(G; 1, 1) is the number of spanning trees of a connected G,
+    # any cofactor of its Laplacian (loops add nothing to it), computed by
+    # the fraction-free elimination on integer rows
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_connected_multigraph(rng, max_edges=9, min_edges=1)
+        laplacian = [[0] * g.n for _ in range(g.n)]
+        for u, v in g.edge_list:
+            if u != v:
+                laplacian[u][u] += 1
+                laplacian[v][v] += 1
+                laplacian[u][v] -= 1
+                laplacian[v][u] -= 1
+        cofactor = determinant([row[1:] for row in laplacian[1:]])
+        assert tutte_value(g, Fraction(1), Fraction(1)) == cofactor
+
+
 def test_zdot_deletion_contraction():
     rng = random.Random(39)
-    from ribbontensor.randgen import random_connected_multigraph
-
     reg = VarRegistry.of("a", "b", "c")
     b, c = MultiPoly.var(reg, "b"), MultiPoly.var(reg, "c")
     for _ in range(40):
@@ -428,6 +451,13 @@ def _weights(rng, labels, width, zero_tail=0):
     }
 
 
+def _root_values(dag, weights, bases):
+    """:func:`root_terms` as values: each numerator over the shared
+    denominator."""
+    nums, den = root_terms(dag, weights, bases)
+    return [Fraction(n, den) for n in nums]
+
+
 @settings(deadline=None, max_examples=80)
 @given(packaged_presentations(min_edges=1, max_edges=3), st.integers(0, 2**32), st.booleans())
 def test_root_terms_are_the_operation_values(pg, seed, corz):
@@ -444,9 +474,9 @@ def test_root_terms_are_the_operation_values(pg, seed, corz):
         for e in sorted(pg.ap.edges):
             results = [apply_edge_op(pg, e, op) for op in OP_ORDER]
             values = [q_value(x, weights, *bases) for x in results]
-            assert root_terms(resolution_dag(pg, (e,), OP_ORDER), weights, bases) == values
+            assert _root_values(resolution_dag(pg, (e,), OP_ORDER), weights, bases) == values
             values = [q_value(x, no_y, *bases) for x in results[:4]]
-            assert root_terms(resolution_dag(pg, (e,), OP_ORDER[:4]), no_y, bases) == values
+            assert _root_values(resolution_dag(pg, (e,), OP_ORDER[:4]), no_y, bases) == values
 
 
 @settings(deadline=None, max_examples=80)
@@ -459,7 +489,7 @@ def test_transition_root_terms_are_the_operation_values(ap, seed):
             transition_table_value(transition_state_table(op(ap, e)), weights, t)
             for op in TRANSITION_OPS
         ]
-        assert root_terms(resolution_dag(ap, (e,), TRANSITION_OPS), weights, (t,)) == values
+        assert _root_values(resolution_dag(ap, (e,), TRANSITION_OPS), weights, (t,)) == values
 
 
 # ---- the integer-numerator fold against the Fraction fold ------------------
@@ -544,10 +574,10 @@ def fold_points(draw, labels, width, bases):
 def _check_against_reference(dag, weights, bases):
     expected, expected_terms = _reference_value_and_terms(dag, weights, bases)
     value = fold_dag(dag, weights, bases)
-    terms = root_terms(dag, weights, bases)
+    nums, den = root_terms(dag, weights, bases)
     assert value == expected and type(value) is Fraction
-    assert terms == expected_terms
-    assert all(type(t) is Fraction for t in terms)
+    assert [Fraction(n, den) for n in nums] == expected_terms
+    assert all(type(n) is int for n in [den, *nums])
 
 
 @settings(deadline=None, max_examples=80)

@@ -143,6 +143,27 @@ def test_matrix_read_off_the_basis_matches_the_typed_reference(kind):
     assert 0 in values and 1 in values and min(values) < 0
 
 
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_integer_rows_equal_the_fraction_rows(kind):
+    # the rows are integers, and with the factor they leave out they are the
+    # matrix that one Fraction product per entry gives, at 50 seeded points
+    # (0, 1 and negative coordinates included)
+    rows_at = tensor_formula.SPECS[kind].rows
+    rng = random.Random(50)
+    for _ in range(50):
+        pt = {
+            n: rng.choice((Fraction(0), Fraction(1), Fraction(-7, 3))) if rng.random() < 0.2
+            else Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
+            for n in ("alpha", "beta", "gamma", "t", "a", "c")
+        }
+        rows, scale = rows_at(pt)
+        assert all(type(x) is int for row in rows for x in row)
+        want, want_scale = transfer_reference.fraction_rows(kind, pt)
+        assert [[scale * x for x in row] for row in rows] == [
+            [want_scale * x for x in row] for row in want
+        ]
+
+
 def test_import_derives_no_transfer_matrix():
     # the matrices are read off the basis on first use, so importing the
     # module resolves no basis presentation
@@ -193,8 +214,10 @@ def test_coefficients_solve_the_whole_transfer_matrix(kind):
             e = min(ph.ap.edges)
             names = PT5
         pt = random_point(rng, names, bound=50)
-        rhs = tensor_formula._columns(spec, tensor_formula._resolve(spec, ph, e), pt)
-        assert solve_phis(kind, ph, e, pt) == tuple(solve_linear(build_phi_matrix(kind, pt), rhs))
+        nums, den = tensor_formula._columns(spec, tensor_formula._resolve(spec, ph, e), pt)
+        rhs = [Fraction(n, den) for n in nums]
+        (x,) = solve_linear(build_phi_matrix(kind, pt), [rhs])
+        assert solve_phis(kind, ph, e, pt) == tuple(x)
 
 
 def test_zero_beta_is_singular():
