@@ -126,13 +126,11 @@ class ArrowPresentation(NamedTuple):
     edges: frozenset
 
     @classmethod
-    def from_circles(cls, circles: Iterable[Iterable], edges: Optional[Iterable[str]] = None):
+    def from_circles(cls, circles: Iterable[Iterable]):
         circs = tuple(
             _rotmin(tuple(_as_occ(o) for o in circ))[0] for circ in circles
         )
-        if edges is None:
-            edges = [o.label for circ in circs for o in circ]
-        return cls(circs, frozenset(edges))
+        return cls(circs, frozenset([o.label for circ in circs for o in circ]))
 
     def occurrences(self, label: str):
         """The two ``(circle, position)`` slots of ``label``, in index order."""

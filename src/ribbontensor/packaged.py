@@ -291,22 +291,6 @@ def partition_ops(
     return tuple(done)
 
 
-def least_labels(symmetries: tuple, vlabels: tuple, blabels: tuple) -> tuple:
-    """The least of the labels ``(vlabels, blabels)`` and their images under
-    ``symmetries``, ``(circle permutation, boundary permutation)`` pairs, so
-    that every way of reading one presentation into a normal form
-    (:class:`~ribbontensor.polynomials.NormalForms`) gives one node."""
-    best = (vlabels, blabels)
-    for circles, boundaries in symmetries:
-        image = (
-            _first_appearance(map(vlabels.__getitem__, circles)),
-            _first_appearance(map(blabels.__getitem__, boundaries)),
-        )
-        if image < best:
-            best = image
-    return best
-
-
 def edge_ops(pg: PackagedPresentation, e: str, kinds: Sequence[EdgeOpKind]) -> tuple:
     """The operations ``kinds`` at ``e``, in that order, with the partition
     updates of :func:`partition_ops`: one arrow surgery per arrow kind

@@ -86,10 +86,6 @@ class VarRegistry:
         # A Struct does not pickle; the layout is rebuilt from the names.
         return VarRegistry, (self.names,)
 
-    @classmethod
-    def of(cls, *names: str) -> "VarRegistry":
-        return cls(tuple(names))
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -163,11 +159,6 @@ class MultiPoly:
     @classmethod
     def var(cls, registry: VarRegistry, name: str, power: int = 1) -> "MultiPoly":
         return cls._make(registry, {registry._pack({name: power}): 1})
-
-    @classmethod
-    def monomial(cls, registry: VarRegistry, powers: Mapping[str, int], coeff: int = 1):
-        key = registry._pack(powers)
-        return cls._make(registry, {key: coeff} if coeff else {})
 
     def items(self):
         """Yield ``(exponent tuple, coeff)`` pairs, exponents in registry

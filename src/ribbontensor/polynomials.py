@@ -25,13 +25,14 @@ presentation once into the DAG of its distinct sub-presentations, and
 polynomial or ``Fraction`` for its value at a point.  Its nodes resolve
 their edges in one static cut-width order, :func:`_edge_rank`, under which
 different histories meet in shared nodes.  A node is flat integers in the
-normal form of :class:`NormalForms` (arrow-code
-circles, each in its least reading, sorted, with the partitions' labels
-carried along), so sub-presentations that differ only in the order or the
-reading direction of their circles are one node.  The codes number the
-edges by their place in the cut order, not by name, so a node's sub-DAG
-depends only on its normal form, and one node memo lets a build copy every
-node that an earlier build has resolved.  :func:`root_terms`
+normal form of :class:`NormalForms` (arrow-code circles, each in its
+least reading, sorted with equal circles in the order they come, and the
+partitions' labels carried along), so sub-presentations that differ only
+in the order or the reading direction of their circles are one node,
+unless the labels tell apart two readings of a symmetric form.  The codes
+number the edges by their place in the cut order, not by name, so a node's
+sub-DAG depends only on its normal form, and one node memo lets a build
+copy every node that an earlier build has resolved.  :func:`root_terms`
 reads the root's unweighted terms off the same fold: resolved with an edge
 first, a presentation's DAG gives the values of all of that edge's
 operation results at once.  At a point the fold runs on integer
@@ -85,7 +86,7 @@ from .arrow import (
     reversed_reading,
     surgery_boundaries,
 )
-from .packaged import EdgeOpKind, PackagedPresentation, least_labels, partition_ops
+from .packaged import EdgeOpKind, PackagedPresentation, partition_ops
 from .poly import MultiPoly, VarRegistry, common_denominator, ring_sum, standard_registry
 
 OP_ORDER = (
@@ -211,10 +212,7 @@ class CodeResult(NamedTuple):
     empty ones.  The maps are laid out as in :class:`EdgeOpResult`, into
     the result's frame: the circles of ``circles``, then the empty ones;
     the ``boundaries`` boundaries of ``circles``, then those of the empty
-    circles.  ``symmetries`` are the automorphisms of ``circles`` that move
-    some circle or boundary (see
-    :func:`~ribbontensor.packaged.least_labels`).  Untraced forms carry no
-    maps (``None``) and no symmetries."""
+    circles.  Untraced forms carry no maps (``None``)."""
 
     circles: tuple
     circle_map: Optional[tuple]
@@ -223,7 +221,6 @@ class CodeResult(NamedTuple):
     created_boundaries: Optional[tuple]
     bare: int
     boundaries: Optional[int]
-    symmetries: tuple = ()
 
 
 class NormalForms:
@@ -241,9 +238,10 @@ class NormalForms:
     other way round (slots are intrinsic, so every boundary stays where it
     was); a tie keeps the first.  The circles are sorted, ties in the order
     they come, and the empty ones are counted and dropped.  Equal forms are
-    therefore the same presentation read differently; where a form can be
-    read so in several ways (its symmetries), the least labels are kept
-    (:func:`~ribbontensor.packaged.least_labels`).
+    therefore the same presentation read differently.  A node keeps the
+    labels its partitions carry into this frame, so where a form can be
+    read in several ways, two readings of one sub-presentation may key two
+    nodes with one value.
 
     :meth:`resolve` resolves the greatest code of a form by each arrow
     operation once, for whichever DAG meets it first.  ``traced`` forms
@@ -262,25 +260,21 @@ class NormalForms:
         self.clear()
 
     def clear(self) -> None:
-        self.forms: dict = {}
+        self.forms: dict = {}  # circles -> their boundary trace
         self.padded: dict = {}  # (circles, bare) -> the trace with bare circles after
         self.resolved: dict = {}
-        self.turns: dict = {}
         self.nodes: dict = {}  # live slots -> node key -> refs
 
     def size(self) -> int:
         """The entries of the forms, resolutions and nodes memos."""
         return len(self.forms) + len(self.resolved) + sum(map(len, self.nodes.values()))
 
-    def _form(self, circles: tuple) -> tuple:
-        """The boundary trace of the normal form ``circles`` and, for traced
-        forms, its symmetries."""
-        form = self.forms.get(circles)
-        if form is None:
-            trace = code_trace(circles)
-            symmetries = self._symmetries(circles, trace) if self.traced else ()
-            form = self.forms[circles] = (trace, symmetries)
-        return form
+    def _form(self, circles: tuple) -> BoundaryTrace:
+        """The boundary trace of the normal form ``circles``."""
+        trace = self.forms.get(circles)
+        if trace is None:
+            trace = self.forms[circles] = code_trace(circles)
+        return trace
 
     def root(self, ap: ArrowPresentation, odd) -> CodeResult:
         """The normal form of ``ap``, whose labels have the forward codes
@@ -310,7 +304,7 @@ class NormalForms:
             odd = len(codes) - 1
             g1, g2 = [g for g, code in enumerate(codes) if code | 1 == odd]
             if self.traced:
-                old = self._form(circles)[0]
+                old = self._form(circles)
                 offsets = old.offsets
                 hosts = (old.circle_of(g1), old.circle_of(g2))
                 incident = (hosts, (old.token_bd[2 * g1 + HEAD], old.token_bd[2 * g2 + HEAD]))
@@ -351,7 +345,7 @@ class NormalForms:
             return CodeResult(normal, None, None, None, None, bare, None)
         if bare:
             ranked += [c for c, circ in enumerate(circles) if not circ]
-        new, symmetries = self._form(normal)
+        new = self._form(normal)
         tokens = len(new.components)
         if turns or ranked != list(range(len(circles))):
             # Carry the moves into the new frame.  place[c] is the new index
@@ -398,54 +392,8 @@ class NormalForms:
         bmap, created_b = surgery_boundaries(old, new, moves, removed, kind)
         return CodeResult(
             normal, tuple(moves.circle_map), tuple(moves.created_circles), bmap, created_b, bare,
-            tokens, symmetries,
+            tokens,
         )
-
-    def _symmetries(self, circles: tuple, trace: BoundaryTrace) -> tuple:
-        """The automorphisms of the normal form ``circles``, traced as
-        ``trace``, that move some circle or boundary, each as ``(circle
-        permutation, boundary permutation)``.
-
-        An automorphism maps the circles to themselves, each read so that
-        its codes stay put.  Since a label has two arrows, a circle is
-        carried onto itself by at most a half turn (when it is two equal
-        halves) and a reading backward (when that reading is the same), and
-        onto another only when the two are equal, a pair; these generate
-        every automorphism.
-        """
-        offsets, n = trace.offsets, len(trace.mate)
-        moves = []  # the generators as maps of the arrows' g
-        for c, circ in enumerate(circles):
-            turns = self.turns.get(circ)
-            if turns is None:
-                back, r = reversed_reading(circ)
-                turns = self.turns[circ] = _turns(circ, r if back == circ else None)
-            for turn in turns:
-                move = list(range(n))
-                move[offsets[c]:offsets[c] + len(circ)] = [offsets[c] + q for q in turn]
-                moves.append(move)
-            if c and circ == circles[c - 1]:
-                move = list(range(n))
-                lo, k = offsets[c - 1], len(circ)
-                move[lo:lo + 2 * k] = [*range(lo + k, lo + 2 * k), *range(lo, lo + k)]
-                moves.append(move)
-        if not moves:
-            return ()
-        group = {tuple(range(n))}
-        for move in moves:
-            group |= {tuple(map(g.__getitem__, move)) for g in group}
-        firsts = [bd.crossings[0] for bd in trace.components]
-        token_bd = trace.token_bd
-        identity = (tuple(range(len(circles))), tuple(range(len(firsts))))
-        found = set()
-        for g in group:
-            item = (
-                tuple([bisect_right(offsets, g[offset]) - 1 for offset in offsets]),
-                tuple([token_bd[2 * g[t >> 1] + (t & 1)] for t in firsts]),
-            )
-            if item != identity:
-                found.add(item)
-        return tuple(sorted(found))
 
 
 _TRACED = NormalForms(True)
@@ -461,20 +409,6 @@ def normal_forms(traced: bool) -> NormalForms:
     if forms.size() > _FORMS_BOUND:
         forms.clear()
     return forms
-
-
-def _turns(circ: tuple, back: Optional[int]) -> tuple:
-    """The maps of positions by which the code circle ``circ``, in least
-    reading, is carried onto itself other than the identity: a half turn
-    when it is two equal halves, and when ``back`` is not ``None`` the
-    reading backward from that rotation, which gives ``circ`` again."""
-    n = len(circ)
-    turns = []
-    if n % 2 == 0 and circ[:n // 2] == circ[n // 2:]:
-        turns.append([(p + n // 2) % n for p in range(n)])
-    if back is not None:
-        turns.append([(n - 1 - p - back) % n for p in range(n)])
-    return tuple(turns)
 
 
 # The transition recursion's operations, in the order of its weights (a, b, c).
@@ -501,17 +435,19 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
 
     A node is a sub-presentation in the normal form of
     :class:`NormalForms`, flat integers: its circles of arrow codes, each
-    in its least reading and sorted, and for the five-weight recursion the
-    restricted-growth vertex and boundary labels carried into that frame.
-    Equal nodes are isomorphic sub-presentations, so sub-presentations that
-    differ only in the order or the reading direction of their circles
-    share one node.  The arrow codes number the edges by their place in the
-    cut order, so a node's whole sub-DAG depends only on its normal form and
-    the live operations.  The memo of :func:`normal_forms` therefore keeps
-    every node once for all DAGs: only a node that no earlier build has met
-    is resolved, through its circles' memoised surgeries and the partition
-    updates of :func:`~ribbontensor.packaged.partition_ops`; every other
-    node is copied from the memo under this DAG's labels.
+    in its least reading and sorted, equal circles in the order they come,
+    and for the five-weight recursion the restricted-growth vertex and
+    boundary labels carried into that frame.  Equal nodes are isomorphic
+    sub-presentations, so sub-presentations that differ only in the order
+    or the reading direction of their circles share one node, unless the
+    labels tell apart two readings of a symmetric form.  The arrow codes
+    number the edges by their place in the cut order, so a node's whole
+    sub-DAG depends only on its normal form and the live operations.  The
+    memo of :func:`normal_forms` therefore keeps every node once for all
+    DAGs: only a node that no earlier build has met is resolved, through
+    its circles' memoised surgeries and the partition updates of
+    :func:`~ribbontensor.packaged.partition_ops`; every other node is
+    copied from the memo under this DAG's labels.
 
     Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
     node with edges once, children first, as ``(label, refs)``: the edge
@@ -556,8 +492,6 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
                 if not n:
                     return None, strip
                 vlabels, blabels = kept, bkept
-            if res.symmetries:
-                vlabels, blabels = least_labels(res.symmetries, vlabels, blabels)
             return (res.circles, vlabels, blabels), strip if any(strip) else ()
 
         def resolve(key):
@@ -848,7 +782,7 @@ def q_table_value(table, weights, alpha, beta, gamma) -> Fraction:
 # transition polynomial
 
 
-def transition_poly(ap: ArrowPresentation, registry: Optional[VarRegistry] = None) -> MultiPoly:
+def transition_poly(ap: ArrowPresentation) -> MultiPoly:
     """Transition polynomial of a bare arrow presentation, with the per-edge
     weights (a_l, b_l, c_l), all live.
 
@@ -859,7 +793,7 @@ def transition_poly(ap: ArrowPresentation, registry: Optional[VarRegistry] = Non
     """
     check_edge_cap(len(ap.edges), 16, "resolution DAG")
     check_edge_cap(len(ap.edges), 12, "transition polynomial")
-    registry = registry or standard_registry(ap.edges)
+    registry = standard_registry(ap.edges)
     w = {
         label: tuple(MultiPoly.var(registry, f"{stem}_{label}") for stem in ("a", "b", "c"))
         for label in ap.edges

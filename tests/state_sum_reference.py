@@ -1,6 +1,7 @@
 """The state-sum oracle of the five-weight polynomial and polynomial
 substitution, kept as references the recursion and its specialisations are
-tested against.
+tested against, and the monomial and registry constructors the tests build
+polynomials with.
 
 The oracle shares no evaluation code with ``polynomials``: it applies every
 five-colouring of the edges operation by operation and reads the base value
@@ -9,8 +10,19 @@ off the fully resolved presentation.
 
 from ribbontensor.arrow import check_edge_cap
 from ribbontensor.packaged import apply_edge_op
-from ribbontensor.poly import MultiPoly
+from ribbontensor.poly import MultiPoly, VarRegistry
 from ribbontensor.polynomials import OP_ORDER
+
+
+def registry_of(*names: str) -> VarRegistry:
+    return VarRegistry(names)
+
+
+def monomial(registry: VarRegistry, powers, coeff: int = 1) -> MultiPoly:
+    """``coeff`` times the variables of ``registry`` to the ``powers``, a
+    mapping of names to exponents."""
+    key = registry._pack(powers)
+    return MultiPoly._make(registry, {key: coeff} if coeff else {})
 
 
 def state_sum_oracle(pg, w):
@@ -30,7 +42,7 @@ def state_sum_oracle(pg, w):
     def rec(pg, depth, weight):
         nonlocal total
         if depth == len(labels):
-            base = MultiPoly.monomial(
+            base = monomial(
                 registry,
                 {
                     "alpha": len(pg.ap.circles),

@@ -110,8 +110,7 @@ def occurrences(ap: ArrowPresentation, label: str):
 def _spanning(ap: ArrowPresentation, subset) -> ArrowPresentation:
     subset = frozenset(subset)
     return ArrowPresentation.from_circles(
-        (tuple(o for o in circ if o.label in subset) for circ in ap.circles),
-        subset,
+        tuple(o for o in circ if o.label in subset) for circ in ap.circles
     )
 
 

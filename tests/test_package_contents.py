@@ -4,7 +4,6 @@ those classes, is used somewhere in ``src/`` or ``bench/``, besides its own
 definition and the export table."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,11 +24,12 @@ def _dunder(name: str) -> bool:
 
 def _references(tree: ast.Module, path: Path):
     """Yield ``(owners, name)`` for every identifier the module reads:
-    names, attributes and the words of string constants (``bench/tracer.py``
-    names what it wraps in strings).  ``owners`` are the definitions the
-    reference sits in: its top-level function or class and, in a method,
-    ``Class.method``.  Docstrings and the package's ``_EXPORTS`` table are
-    not references."""
+    names, attributes and string constants that are one identifier each
+    (``bench/tracer.py`` names what it wraps in strings); a name inside a
+    longer string, such as a counter's, is no reference.  ``owners`` are
+    the definitions the reference sits in: its top-level function or class
+    and, in a method, ``Class.method``.  Docstrings and the package's
+    ``_EXPORTS`` table are not references."""
     for stmt in tree.body:
         if path.name == "__init__.py" and isinstance(stmt, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in stmt.targets
@@ -55,10 +55,10 @@ def _references(tree: ast.Module, path: Path):
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
+                and node.value.isidentifier()
                 and id(node) not in docstrings
             ):
-                for word in re.findall(r"[A-Za-z_]\w*", node.value):
-                    yield owners, word
+                yield owners, node.value
 
 
 def test_every_definition_in_src_has_a_caller():

@@ -61,7 +61,7 @@ SAMPLES = {
     "Partition": (lambda: Partition.make([[0, 2], [1], [3]], range(4)), True, True),
     "PackagedPresentation": (lambda: make_packaged(two()), True, True),
     "Coupling": (lambda: Coupling("f", "z", True), True, True),
-    "VarRegistry": (lambda: VarRegistry.of("a", "b", "x_e"), True, True),
+    "VarRegistry": (lambda: VarRegistry(("a", "b", "x_e")), True, True),
     "Multigraph": (lambda: Multigraph.make(3, [(1, 0), (2, 2)]), True, True),
     "KindSpec": (lambda: SPECS[TheoremKind.MAIN], True, False),  # holds closures
     "InstancePlan": (plan, False, True),
@@ -124,12 +124,12 @@ def test_partition_replace_with_three_blocks():
 
 
 def test_registry_is_frozen_and_ordered():
-    reg = VarRegistry.of("a", "b")
+    reg = VarRegistry(("a", "b"))
     with pytest.raises(AttributeError):
         del reg.names
     with pytest.raises(AttributeError):
         reg.extra = 1
-    assert reg != VarRegistry.of("b", "a")
-    assert VarRegistry.of("a") != ("a",)
+    assert reg != VarRegistry(("b", "a"))
+    assert VarRegistry(("a",)) != ("a",)
     with pytest.raises(ValueError):
-        VarRegistry.of("a", "a")
+        VarRegistry(("a", "a"))
