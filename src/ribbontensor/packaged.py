@@ -9,14 +9,11 @@ basis presentations that realise the operations as 2-sums.
 A partition of the items 0..n-1 is stored as its restricted-growth string
 ``labels``: ``labels[i]`` is the block of item ``i``, blocks numbered in the
 order of their least items, so equal partitions are equal flat tuples.
-Partition bookkeeping follows one scheme throughout, :meth:`Partition.transfer`:
-items destroyed by a surgery drop out of their blocks, freshly created items
-enter as singletons, and the operation merges prescribed groups of blocks
-(the classes of the items incident to the operated edge, plus whatever the
-surgery created).  It reads the surgery's flat maps in one pass, and fuses
-blocks only when there are groups to merge.  :func:`partition_ops` makes the
-updates of the operations of one edge together, on flat labels, for
-:func:`edge_ops` and for the resolution DAG's normal-form nodes alike.
+:meth:`Partition.transfer` moves a partition along a surgery's flat item
+map: items destroyed by the surgery drop out of their blocks.
+:func:`partition_ops` makes the updates of the operations of one edge
+together, on flat labels, for :func:`edge_ops` and for the resolution DAG's
+normal-form nodes alike.
 
 :class:`Partition`, :class:`PackagedPresentation` and :class:`Coupling` are
 ``typing.NamedTuple`` classes, so they compare equal to plain tuples of the
@@ -116,24 +113,24 @@ class Partition(NamedTuple):
             blocks[b].append(x)
         return tuple(map(tuple, blocks))
 
-    def transfer(
-        self, item_map: Sequence[int], created: Sequence[int] = (), groups: Iterable = ()
-    ) -> "Partition":
-        """Move the partition through a surgery.
-
-        ``item_map[x]`` is the new item of old item ``x``, or -1 when ``x``
-        dies and drops out of its block.  Each group ``(old items, new
-        items)``, the new items created ones, becomes one block together
-        with every old block its old items meet.  Groups meeting a common
-        old block fuse, even when every member of that block dies.  Created
-        items outside every group enter as singletons.  The renamed and
-        created items must be exactly 0..n'-1.
-        """
-        return Partition(_transfer(self.labels, item_map, created, groups))
+    def transfer(self, item_map: Sequence[int]) -> "Partition":
+        """Move the partition along ``item_map``: ``item_map[x]`` is the new
+        item of old item ``x``, or -1 when ``x`` dies and drops out of its
+        block.  The new items must be exactly 0..n'-1."""
+        return Partition(_transfer(self.labels, item_map))
 
 
 def _transfer(labels: tuple, item_map: Sequence[int], created: Sequence[int] = (), groups=()):
-    """The restricted-growth labels of :meth:`Partition.transfer`."""
+    """Move the restricted-growth ``labels`` through a surgery.
+
+    ``item_map[x]`` is the new item of old item ``x``, or -1 when ``x``
+    dies and drops out of its block.  Each group ``(old items, new
+    items)``, the new items created ones, becomes one block together with
+    every old block its old items meet.  Groups meeting a common old block
+    fuse, even when every member of that block dies.  Created items outside
+    every group enter as singletons.  The renamed and created items must be
+    exactly 0..n'-1.
+    """
     # Each new item's key: its old block number, or -1 - c for a
     # created item c.  keys[n] takes the dead items' keys; a gap, a
     # repeated or a misplaced target leaves some item of 0..n'-1 without

@@ -157,8 +157,8 @@ class MultiPoly:
         return cls._make(registry, {0: value} if value else {})
 
     @classmethod
-    def var(cls, registry: VarRegistry, name: str, power: int = 1) -> "MultiPoly":
-        return cls._make(registry, {registry._pack({name: power}): 1})
+    def var(cls, registry: VarRegistry, name: str) -> "MultiPoly":
+        return cls._make(registry, {registry._pack({name: 1}): 1})
 
     def items(self):
         """Yield ``(exponent tuple, coeff)`` pairs, exponents in registry

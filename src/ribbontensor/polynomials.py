@@ -489,10 +489,10 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
                     max(vlabels, default=-1) - max(kept, default=-1),
                     max(blabels, default=-1) - max(bkept, default=-1),
                 )
-                if not n:
-                    return None, strip
                 vlabels, blabels = kept, bkept
-            return (res.circles, vlabels, blabels), strip if any(strip) else ()
+            if not res.circles:
+                return None, strip
+            return (res.circles, vlabels, blabels), strip
 
         def resolve(key):
             circles, vlabels, blabels = key
@@ -691,17 +691,11 @@ def _live(ops: tuple, weights: Mapping[str, tuple]) -> tuple:
     )
 
 
-def q_multivariate(
-    pg: PackagedPresentation,
-    w: Optional[WeightSystem] = None,
-    order: Optional[Sequence[str]] = None,
-) -> MultiPoly:
+def q_multivariate(pg: PackagedPresentation, w: Optional[WeightSystem] = None) -> MultiPoly:
     """The five-weight polynomial, folded over the resolution DAG.
 
-    ``order`` names edges to resolve first, before the DAG's cut-width
-    order (:func:`_edge_rank`); the result is independent of it.  With the
-    default per-edge weights the result has up to 5^m terms for m edges, so
-    it is capped at ``edge_cap(8)`` edges (390,625 terms).
+    With the default per-edge weights the result has up to 5^m terms for m
+    edges, so it is capped at ``edge_cap(8)`` edges (390,625 terms).
     """
     if w is None:
         # the DAG's own cap first, so that a lowered cap names the DAG
@@ -709,8 +703,7 @@ def q_multivariate(
         check_edge_cap(len(pg.ap.edges), 8, "per-edge five-weight polynomial")
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
     weights = {label: w.for_edge(label) for label in pg.ap.edges}
-    order = None if order is None else tuple(order)
-    dag = resolution_dag(pg, order, _live(OP_ORDER, weights))
+    dag = resolution_dag(pg, None, _live(OP_ORDER, weights))
     bases = tuple(MultiPoly.var(w.registry, n) for n in ("alpha", "beta", "gamma"))
     return fold_dag(dag, weights, bases)
 
@@ -986,11 +979,8 @@ class Multigraph(NamedTuple):
 
 def graph_of_presentation(ap: ArrowPresentation) -> Multigraph:
     """Forget the embedding: circles become vertices, labels edges."""
-    edges = []
-    for label in sorted(ap.edges):
-        (c1, _), (c2, _) = ap.occurrences(label)
-        edges.append((c1, c2))
-    return Multigraph.make(len(ap.circles), edges)
+    links = edge_links(ap)
+    return Multigraph.make(len(ap.circles), [links[label][:2] for label in sorted(links)])
 
 
 @lru_cache(maxsize=64)

@@ -1,7 +1,8 @@
 """The state-sum oracle of the five-weight polynomial and polynomial
 substitution, kept as references the recursion and its specialisations are
-tested against, and the monomial and registry constructors the tests build
-polynomials with.
+tested against, the monomial and registry constructors the tests build
+polynomials with, and the five-weight polynomial folded with chosen edges
+resolved first (``q_in_order``).
 
 The oracle shares no evaluation code with ``polynomials``: it applies every
 five-colouring of the edges operation by operation and reads the base value
@@ -11,7 +12,7 @@ off the fully resolved presentation.
 from ribbontensor.arrow import check_edge_cap
 from ribbontensor.packaged import apply_edge_op
 from ribbontensor.poly import MultiPoly, VarRegistry
-from ribbontensor.polynomials import OP_ORDER
+from ribbontensor.polynomials import OP_ORDER, fold_dag, resolution_dag
 
 
 def registry_of(*names: str) -> VarRegistry:
@@ -72,6 +73,14 @@ def substitute(p, assignments):
             if name in assignments:
                 term = term * assignments[name] ** power
             else:
-                term = term * MultiPoly.var(p.registry, name, power)
+                term = term * monomial(p.registry, {name: power})
         result = result + term
     return result
+
+
+def q_in_order(pg, w, order):
+    """``q_multivariate(pg, w)`` with the edges of ``order`` resolved first,
+    before the DAG's cut-width order."""
+    weights = {label: w.for_edge(label) for label in pg.ap.edges}
+    bases = tuple(MultiPoly.var(w.registry, n) for n in ("alpha", "beta", "gamma"))
+    return fold_dag(resolution_dag(pg, tuple(order), OP_ORDER), weights, bases)

@@ -174,6 +174,13 @@ def test_poly_br_and_tutte(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "y"
 
 
+def test_every_poly_is_one_without_circles(tmp_path, capsys):
+    path = write(tmp_path, "none.json", {"circles": []})
+    for which in ("q", "qmv", "z", "zhat", "qhat", "transition", "mvbr", "br", "tutte", "zdot"):
+        assert main(["poly", path, "--which", which]) == 0, which
+        assert capsys.readouterr().out == "1\n", which
+
+
 def test_poly_json_format(tmp_path, capsys):
     assert main(
         ["poly", write(tmp_path, "l.json", ALIGNED), "--which", "zdot", "--format", "json"]

@@ -78,7 +78,7 @@ from ribbontensor.randgen import (
 )
 import subset_reference as reference
 from dag_reference import _strip_isolated
-from state_sum_reference import monomial, registry_of, state_sum_oracle, substitute
+from state_sum_reference import monomial, q_in_order, registry_of, state_sum_oracle, substitute
 from strategies import packaged_presentations, packaged_with_empty_circles, presentations
 
 REG = standard_registry()
@@ -118,6 +118,17 @@ def test_q_base_case():
     assert q_poly(pg) == P("alpha^2*beta^2*gamma")
 
 
+def test_q_family_is_one_without_circles():
+    # no circles, no edges: nothing to strip, so no base and no node
+    pg = make_packaged(ArrowPresentation.from_circles([]))
+    for q in (q_poly, q_multivariate, z_poly, zhat_poly, qhat_poly):
+        assert to_canonical_string(q(pg)) == "1"
+    point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
+    assert q_value(pg, {}, *point) == 1
+    assert q_state_table(pg) == ((-1, ()), ())
+    assert q_table_value(q_state_table(pg), {}, *point) == 1
+
+
 def test_q_zero_weights_vanish():
     w = WeightSystem(REG, {"e": tuple(MultiPoly.zero(REG) for _ in range(5))}.__getitem__)
     assert not q_multivariate(K3, w)
@@ -132,7 +143,7 @@ def test_q_order_independence():
         rng.shuffle(o1)
         rng.shuffle(o2)
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
-        assert q_multivariate(pg, w, order=o1) == q_multivariate(pg, w, order=o2)
+        assert q_in_order(pg, w, o1) == q_in_order(pg, w, o2)
 
 
 def test_state_sum_matches_recursion():
@@ -399,7 +410,7 @@ def test_fold_is_independent_of_edge_order():
         w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
         order = sorted(pg.ap.edges, reverse=True)
         rng.shuffle(order)
-        assert q_multivariate(pg, w, order=order) == q_multivariate(pg, w)
+        assert q_in_order(pg, w, order) == q_multivariate(pg, w)
         pt = _rational_point(rng, w.registry)
         weights = {l: tuple(pt[f"{s}_{l}"] for s in "abcxy") for l in pg.ap.edges}
         bases = (pt["alpha"], pt["beta"], pt["gamma"])
@@ -714,7 +725,7 @@ def test_cut_order_changes_no_value(pg, rng):
     # given order, which its rank must put first.
     labels = sorted(pg.ap.edges)
     w = WeightSystem.per_edge(standard_registry(pg.ap.edges))
-    assert q_multivariate(pg, w) == q_multivariate(pg, w, order=labels)
+    assert q_multivariate(pg, w) == q_in_order(pg, w, labels)
     order = rng.sample(labels, rng.randint(0, len(labels)))
     rank = _edge_rank(pg, order)
     assert sorted(rank.values()) == list(range(len(labels)))
