@@ -215,6 +215,14 @@ class BoundaryTrace(NamedTuple):
         # offset comes before it
         return bisect_right(self.offsets, g) - 1
 
+    def incident(self, g1: int, g2: int) -> tuple:
+        """The circles ``(u, v)`` holding arrows ``g1`` and ``g2`` and the
+        boundaries ``(a, b)`` through their heads."""
+        return (
+            (self.circle_of(g1), self.circle_of(g2)),
+            (self.token_bd[2 * g1 + HEAD], self.token_bd[2 * g2 + HEAD]),
+        )
+
 
 @lru_cache(maxsize=16384)
 def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:

@@ -29,7 +29,7 @@ class SizeLimitExceeded(RibbonTensorError):
 
 
 class InvalidArgument(RibbonTensorError):
-    """A count or setting lies outside the range it must have."""
+    """A count, setting or name lies outside the range it must have."""
 
 
 class InvariantViolation(RibbonTensorError):

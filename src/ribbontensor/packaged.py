@@ -222,12 +222,7 @@ class EdgeOpKind(Enum):
 def incident_items(pg: PackagedPresentation, e: str):
     """The circles ``(u, v)`` hosting the two arrows of ``e`` and the
     boundaries ``(a, b)`` through their heads, in occurrence order."""
-    trace = boundary_trace(pg.ap)
-    g1, g2 = arrow_codes(pg.ap).arrows(e)
-    return (
-        (trace.circle_of(g1), trace.circle_of(g2)),
-        (trace.token_bd[2 * g1 + HEAD], trace.token_bd[2 * g2 + HEAD]),
-    )
+    return boundary_trace(pg.ap).incident(*arrow_codes(pg.ap).arrows(e))
 
 
 def partition_ops(

@@ -37,6 +37,7 @@ from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    InvalidArgument,
     MissingVariable,
     ParseError,
     RegistryMismatch,
@@ -55,13 +56,21 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 class VarRegistry:
     """Ordered variable names and the packed-key layout they fix: each
     name's field offset, the guard bits of all fields, and the codec that
-    splits a key into its fields.  Immutable; equal and hashed by names."""
+    splits a key into its fields.  Immutable; equal and hashed by names.
+    A name the canonical text cannot carry, one that is empty, holds
+    ``*``, ``^`` or whitespace, starts with a sign or is all decimal
+    digits, raises :class:`InvalidArgument`."""
 
     __slots__ = ("names", "_shift", "_guard", "_codec")
 
     def __init__(self, names: tuple):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
+        for name in names:
+            # names the text would misread; the split catches whitespace and ""
+            bad = name.split() != [name] or name.isdecimal() or name[0] in "+-"
+            if bad or "*" in name or "^" in name:
+                raise InvalidArgument(f"polynomial text cannot carry the variable name {name!r}")
         n = len(names)
         shift = {name: FIELD_BITS * (n - 1 - i) for i, name in enumerate(names)}
         guard = sum(1 << (s + FIELD_BITS - 1) for s in shift.values())

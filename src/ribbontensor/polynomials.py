@@ -31,11 +31,12 @@ partitions' labels carried along), so sub-presentations that differ only
 in the order or the reading direction of their circles are one node,
 unless the labels tell apart two readings of a symmetric form.  The codes
 number the edges by their place in the cut order, not by name, so a node's
-sub-DAG depends only on its normal form, and one node memo lets a build
-copy every node that an earlier build has resolved.  :func:`root_terms`
-reads the root's unweighted terms off the same fold: resolved with an edge
-first, a presentation's DAG gives the values of all of that edge's
-operation results at once.  At a point the fold runs on integer
+sub-DAG depends only on its normal form, and one memo of forms, surgeries
+and nodes serves both recursions: a build copies every node and reuses
+every surgery that an earlier build of either has resolved.
+:func:`root_terms` reads the root's unweighted terms off the same fold:
+resolved with an edge first, a presentation's DAG gives the values of all
+of that edge's operation results at once.  At a point the fold runs on integer
 numerators: each label's weights are put over their common denominator
 ``d_e`` and the bases over ``d_b``, a node keeps its value times the
 ``d_e`` of its edges and ``d_b`` to its largest stripped base degree, and
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache, wraps
 from fractions import Fraction
@@ -68,7 +68,6 @@ from numbers import Rational
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .arrow import (
-    HEAD,
     ArrowPresentation,
     BoundaryComponent,
     BoundaryTrace,
@@ -212,15 +211,15 @@ class CodeResult(NamedTuple):
     empty ones.  The maps are laid out as in :class:`EdgeOpResult`, into
     the result's frame: the circles of ``circles``, then the empty ones;
     the ``boundaries`` boundaries of ``circles``, then those of the empty
-    circles.  Untraced forms carry no maps (``None``)."""
+    circles."""
 
     circles: tuple
-    circle_map: Optional[tuple]
-    created_circles: Optional[tuple]
-    boundary_map: Optional[tuple]
-    created_boundaries: Optional[tuple]
+    circle_map: tuple
+    created_circles: tuple
+    boundary_map: tuple
+    created_boundaries: tuple
     bare: int
-    boundaries: Optional[int]
+    boundaries: int
 
 
 class NormalForms:
@@ -244,19 +243,18 @@ class NormalForms:
     nodes with one value.
 
     :meth:`resolve` resolves the greatest code of a form by each arrow
-    operation once, for whichever DAG meets it first.  ``traced`` forms
-    also carry the circle and boundary maps that the partitions follow; an
-    untraced memo takes a result from the ``shared`` traced one when it is
-    there.  Only the circles a surgery rebuilt are read afresh: the others
-    come from a normal form, so they already are.  ``nodes`` maps each
-    tuple of live slots to the DAG nodes resolved under it: a node's key
-    (its circles, and for traced forms its vertex and boundary labels) to
-    its refs: per slot, ``None`` if the slot is not live, else its child's
-    key (``None`` when edgeless) and strip.
+    operation once, for whichever DAG meets it first, five-weight or
+    transition, with the circle and boundary maps that the partitions
+    follow; the transition fold reads none of them.  Only the circles a
+    surgery rebuilt are read afresh: the others come from a normal form, so
+    they already are.  ``nodes`` maps each tuple of live slots to the DAG
+    nodes resolved under it: a node's key (its circles, and for packaged
+    roots its vertex and boundary labels) to its refs: per slot, ``None``
+    if the slot is not live, else its child's key (``None`` when edgeless)
+    and strip.
     """
 
-    def __init__(self, traced: bool, shared=None):
-        self.traced, self.shared = traced, shared
+    def __init__(self):
         self.clear()
 
     def clear(self) -> None:
@@ -282,54 +280,38 @@ class NormalForms:
         boundaries."""
         circles, occ_map = code_circles(ap, odd)
         moves = OpTraceArrow(list(range(len(circles))), (), occ_map, [])
-        old = boundary_trace(ap) if self.traced else None
-        return self._normal(old, circles, moves, range(len(circles)), (), None)
+        return self._normal(boundary_trace(ap), circles, moves, range(len(circles)), (), None)
 
     def resolve(self, circles: tuple, kinds) -> tuple:
         """``(incident, results, source)`` for the label of the normal form
         ``circles`` with the greatest code, the one its DAG resolves there:
-        for traced forms the circles and the boundaries through the heads of
-        the label's two arrows, as
-        :func:`~ribbontensor.packaged.incident_items` gives them, else
-        ``None``; the :class:`CodeResult` of each arrow operation of
-        ``kinds`` (and of any other made before); and what a surgery of the
-        label starts from."""
+        the circles and the boundaries through the heads of the label's two
+        arrows, as :meth:`~ribbontensor.arrow.BoundaryTrace.incident` gives
+        them; the :class:`CodeResult` of each arrow operation of ``kinds``
+        (and of any other made before); and what a surgery of the label
+        starts from."""
         entry = self.resolved.get(circles)
         if entry is None:
-            if self.shared is not None:
-                entry = self.shared.resolved.get(circles)
-                if entry is not None and all(kind in entry[1] for kind in kinds):
-                    return entry
             codes = tuple(itertools.chain.from_iterable(circles))
             odd = len(codes) - 1
             g1, g2 = [g for g, code in enumerate(codes) if code | 1 == odd]
-            if self.traced:
-                old = self._form(circles)
-                offsets = old.offsets
-                hosts = (old.circle_of(g1), old.circle_of(g2))
-                incident = (hosts, (old.token_bd[2 * g1 + HEAD], old.token_bd[2 * g2 + HEAD]))
-            else:
-                old = incident = None
-                offsets = list(itertools.accumulate(map(len, circles[:-1]), initial=0))
-                hosts = (bisect_right(offsets, g1) - 1, bisect_right(offsets, g2) - 1)
-            source = (old, offsets, codes, g1, g2, hosts)
-            entry = self.resolved[circles] = (incident, {}, source)
-        results = entry[1]
+            old = self._form(circles)
+            entry = self.resolved[circles] = (old.incident(g1, g2), {}, (old, codes, g1, g2))
+        incident, results, (old, codes, g1, g2) = entry
         for kind in kinds:
             if kind not in results:
-                old, offsets, codes, g1, g2, hosts = entry[2]
-                pre, moves = code_surgery(circles, offsets, codes, g1, g2, kind)
+                pre, moves = code_surgery(circles, old.offsets, codes, g1, g2, kind)
                 # deletion rebuilds its hosts in place, the glues append
-                fresh = sorted(set(hosts)) if kind == "delete" else moves.created_circles
+                fresh = sorted(set(incident[0])) if kind == "delete" else moves.created_circles
                 results[kind] = self._normal(old, pre, moves, fresh, (g1, g2), kind)
         return entry
 
     def _normal(self, old, circles, moves: OpTraceArrow, fresh, removed, kind) -> CodeResult:
         """The code circles ``circles`` in normal form, those of ``fresh``
-        read afresh, the others in least reading and in order already.  For
-        traced forms, ``moves`` of the operation ``kind`` on the arrows
-        ``removed`` of the form traced as ``old`` are carried into the new
-        frame and give its maps."""
+        read afresh, the others in least reading and in order already, with
+        the maps of ``moves``, the operation ``kind`` on the arrows
+        ``removed`` of the form traced as ``old``, carried into the new
+        frame."""
         circles = list(circles)
         turns = {}  # a circle read backward -> the rotation of its reverse
         for c in fresh:
@@ -341,8 +323,6 @@ class NormalForms:
         ranked = sorted(filter(circles.__getitem__, range(len(circles))), key=circles.__getitem__)
         normal = tuple(map(circles.__getitem__, ranked))
         bare = len(circles) - len(ranked)
-        if not self.traced:
-            return CodeResult(normal, None, None, None, None, bare, None)
         if bare:
             ranked += [c for c, circ in enumerate(circles) if not circ]
         new = self._form(normal)
@@ -396,19 +376,17 @@ class NormalForms:
         )
 
 
-_TRACED = NormalForms(True)
-_UNTRACED = NormalForms(False, _TRACED)
+_FORMS = NormalForms()
 _FORMS_BOUND = 4096  # memo entries kept from one DAG build to the next
 
 
-def normal_forms(traced: bool) -> NormalForms:
-    """The memo of normal forms that every traced, or every untraced, DAG
-    shares, cleared before a build that finds it holding more than
-    ``_FORMS_BOUND`` forms, resolutions and nodes."""
-    forms = _TRACED if traced else _UNTRACED
-    if forms.size() > _FORMS_BOUND:
-        forms.clear()
-    return forms
+def normal_forms() -> NormalForms:
+    """The memo of normal forms that every DAG shares, cleared before a
+    build that finds it holding more than ``_FORMS_BOUND`` forms,
+    resolutions and nodes."""
+    if _FORMS.size() > _FORMS_BOUND:
+        _FORMS.clear()
+    return _FORMS
 
 
 # The transition recursion's operations, in the order of its weights (a, b, c).
@@ -467,7 +445,7 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     # per operation in order, its arrow kind if it is live, else None
     slots = tuple([_ARROW_KIND[op] if op in live else None for op in ops])
     kinds = tuple(dict.fromkeys(filter(None, slots)))
-    forms = normal_forms(packaged)
+    forms = normal_forms()
     memo = forms.nodes.setdefault(slots, {})
     # by the number of edges left to resolve, less one: the label resolved
     # then, whose forward code is 2 * j + 1
@@ -517,26 +495,32 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
 
         top = child(forms.root(ap, odd))
 
+    def frame(key, j):
+        # A node met first, with j + 1 edges left, and its refs to walk.
+        refs = memo.get(key)
+        if refs is None:
+            refs = memo[key] = resolve(key)
+        return key, j, refs, iter(refs)
+
+    # Children first, each child's whole sub-DAG before the next child's, on
+    # an explicit stack: a DAG is as deep as its root has edges.
     index: dict = {}
     nodes: list = []
-
-    def visit(key, j):
-        # The node of ``key``, which has j + 1 edges left; its children j.
-        i = index.get(key)
-        if i is None:
-            refs = memo.get(key)
-            if refs is None:
-                refs = memo[key] = resolve(key)
-            refs = tuple([
-                ref and (-1 if ref[0] is None else visit(ref[0], j - 1), ref[1]) for ref in refs
-            ])
-            i = index[key] = len(nodes)
-            nodes.append((cut[j], refs))
-        return i
-
-    root_ref = (-1 if top[0] is None else visit(top[0], len(cut) - 1), top[1])
-    del visit  # it holds itself: free it and the index now
-    return root_ref, tuple(nodes)
+    stack = [] if top[0] is None else [frame(top[0], len(cut) - 1)]
+    while stack:
+        key, j, refs, rest = stack[-1]
+        for ref in rest:
+            if ref and ref[0] is not None and ref[0] not in index:
+                stack.append(frame(ref[0], j - 1))
+                break
+        else:
+            stack.pop()
+            index[key] = len(nodes)
+            nodes.append((cut[j], tuple([
+                ref and (-1 if ref[0] is None else index[ref[0]], ref[1]) for ref in refs
+            ])))
+    # the root, if it has edges, comes last
+    return (len(nodes) - 1, top[1]), tuple(nodes)
 
 
 def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):

@@ -181,6 +181,18 @@ def test_every_poly_is_one_without_circles(tmp_path, capsys):
         assert capsys.readouterr().out == "1\n", which
 
 
+def test_per_edge_polynomials_refuse_labels_their_text_cannot_carry(tmp_path, capsys):
+    # a_e^2 would read back as a_e squared
+    path = write(tmp_path, "power.json", {"circles": [["e^2+", "e^2-"]]})
+    for which in ("qmv", "transition", "mvbr"):
+        assert main(["poly", path, "--which", which]) == 2, which
+        err = capsys.readouterr().err
+        assert "e^2" in err and "Traceback" not in err, which
+    for argv in (["info", path], ["poly", path, "--which", "q"]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def test_poly_json_format(tmp_path, capsys):
     assert main(
         ["poly", write(tmp_path, "l.json", ALIGNED), "--which", "zdot", "--format", "json"]

@@ -3,7 +3,9 @@ replaced (``dag_reference``), and the premise of the normal form: reading a
 presentation's circles in another order, from other starts or backward
 changes no value and no DAG."""
 
+import inspect
 import random
+import sys
 import time
 from fractions import Fraction
 from unittest.mock import patch
@@ -114,15 +116,14 @@ def test_a_warm_dag_equals_a_cold_one_and_a_renamed_copy_resolves_nothing(
     labels = sorted(pg.ap.edges)
     order = (labels[0],) if first and labels else None
     build = resolution_dag.__wrapped__  # no DAG cache, so every call builds
-    forms = polynomials.normal_forms(not bare)
+    forms = polynomials.normal_forms()
     with patch.object(polynomials, "_FORMS_BOUND", 10**9):  # no clear between builds
         for other in others:
             for other_live in PACKAGED_LIVE:
                 build(other, None, other_live)
             build(other.ap, None, TRANSITION_OPS)
         warm = build(root, order, live)
-        polynomials._TRACED.clear()  # the untraced memo reads its surgeries too
-        polynomials._UNTRACED.clear()
+        forms.clear()
         assert build(root, order, live) == warm
         # Codes are places in the cut order, so a renamed copy has the same
         # nodes: every one comes from the memo and none is resolved.
@@ -145,7 +146,7 @@ def test_the_shared_memo_and_the_label_codes_stay_bounded(monkeypatch):
         point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
         want = fold_dag(reference.resolution_dag(pg, None, OP_ORDER), weights, point)
         assert q_value(pg, weights, *point) == want
-        forms = polynomials._TRACED
+        forms = polynomials._FORMS
         nodes = len(resolution_dag(pg, None, _live(OP_ORDER, weights))[1])
         assert sum(map(len, forms.nodes.values())) <= 20 + nodes
         assert len(forms.forms) + len(forms.resolved) <= 20 + 2 * 5 ** len(pg.ap.edges)
@@ -172,3 +173,56 @@ def test_disjoint_copies_multiply_and_resolve_quickly():
     start = time.perf_counter()
     assert q_value(union, weights, *point) == want
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_dag_deeper_than_the_recursion_limit_folds(monkeypatch):
+    # 300 disjoint copies of K1 resolve into a chain of 300 nodes.  The walk
+    # keeps its own stack, so a recursion limit 100 frames above this test's
+    # depth still builds and folds it.
+    monkeypatch.setenv("RIBBONTENSOR_EDGE_CAP", "300")
+    rng = random.Random(30)
+    k1 = [[[(f"e{i}", True)], [(f"e{i}", True)]] for i in range(300)]
+    union = make_packaged(ArrowPresentation.from_circles([c for circles in k1 for c in circles]))
+    weights = _rationals(rng, union.ap.edges, 5)
+    point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
+    want = Fraction(1)
+    for circles in k1:
+        want *= q_value(make_packaged(ArrowPresentation.from_circles(circles)), weights, *point)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        value = q_value(union, weights, *point)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == want
+
+
+def test_q_and_transition_dags_share_one_memo_in_either_order(monkeypatch):
+    # A presentation's five-weight DAG and its transition DAG resolve through
+    # one memo, and the transition operations are among the five: whichever
+    # is built first, the memo ends with the forms and resolutions of the
+    # five-weight build alone, and neither DAG changes.
+    monkeypatch.setattr(polynomials, "_FORMS_BOUND", 10**9)  # no clear between builds
+    build = resolution_dag.__wrapped__  # no DAG cache, so every call builds
+    forms = polynomials.normal_forms()
+
+    def memo():  # clear() makes new dicts, so these stay as they are
+        return forms.forms, {circles: entry[1] for circles, entry in forms.resolved.items()}
+
+    rng = random.Random(29)
+    for _ in range(20):
+        pg = random_packaged(rng, max_edges=6, min_edges=1)
+        q, t = (pg, None, OP_ORDER), (pg.ap, None, TRANSITION_OPS)
+        forms.clear()
+        q_dag, q_memo = build(*q), memo()
+        t_dags = []
+        for builds in ((q, t), (t, q)):
+            forms.clear()
+            dags = {}
+            for args in builds:
+                dags[args] = build(*args)
+                assert forms.resolved  # whichever comes first fills the one memo
+            assert dags[q] == q_dag
+            assert memo() == q_memo
+            t_dags.append(dags[t])
+        assert t_dags[0] == t_dags[1]

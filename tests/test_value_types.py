@@ -7,6 +7,7 @@ import ast
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from ribbontensor.arrow import (
     surface_stats,
     two_sum_traced,
 )
+from ribbontensor.errors import InvalidArgument
 from ribbontensor.packaged import Coupling, Partition, make_packaged
 from ribbontensor.poly import VarRegistry
 from ribbontensor.polynomials import Multigraph
@@ -133,3 +135,12 @@ def test_registry_is_frozen_and_ordered():
     assert VarRegistry(("a",)) != ("a",)
     with pytest.raises(ValueError):
         VarRegistry(("a", "a"))
+
+
+@pytest.mark.parametrize("name", ["a_e^2", "a_e*f", "a e", "a_e\t", "+a", "-a", "12", ""])
+def test_registry_refuses_names_the_text_cannot_carry(name):
+    # each would read back as a power, a product, two terms, a sign, a
+    # coefficient or an empty factor
+    with pytest.raises(InvalidArgument, match=re.escape(repr(name))):
+        VarRegistry(("a", name))
+    VarRegistry(("a", "a_5", "b_n.e-1", "x2"))  # signs and digits inside a name are fine
