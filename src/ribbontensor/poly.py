@@ -419,6 +419,9 @@ def common_denominator(values) -> tuple:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
+_INT = frozenset({int})  # the types of a row of integers
+
+
 def _eliminate(matrix, columns):
     """Bareiss's fraction-free elimination of ``[A | b_1 ... b_k]``, rows
     pivoted.
@@ -439,7 +442,7 @@ def _eliminate(matrix, columns):
     scale = 1
     for i, row in enumerate(matrix):
         row = [*row, *(b[i] for b in columns)]
-        if any(type(x) is not int for x in row):
+        if not _INT.issuperset(map(type, row)):
             row, m = common_denominator(
                 [x if isinstance(x, _Rational) else Fraction(x) for x in row]
             )

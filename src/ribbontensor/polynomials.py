@@ -138,6 +138,10 @@ def _edge_rank(root, order: Optional[Sequence[str]]) -> dict:
     the edge whose two arrows add the fewest runs, ties by label.  Edges
     resolved near each other let different histories reach the same
     sub-presentation, which the DAG then shares.
+
+    What an arrow at slot p adds depends only on slots p - 1, p and p + 1
+    of its circle, so a step rescores only the edges with an arrow next to
+    one of the resolved edge's, cyclically on the same circle.
     """
     ap = root.ap if isinstance(root, PackagedPresentation) else root
     rank: dict = {}
@@ -165,11 +169,20 @@ def _edge_rank(root, order: Optional[Sequence[str]]) -> dict:
             done.difference_update(places[label])
             return after - before
 
+        score = {label: added(label) for label in rest}
         while len(rest) > 1:
-            label = min(rest, key=added)
+            label = min(rest, key=score.__getitem__)
             rest.remove(label)
+            del score[label]
             rank[label] = len(rank)
             done.update(places[label])
+            beside = {
+                ap.circles[c][q % lengths[c]].label
+                for c, p in places[label]
+                for q in (p - 1, p + 1)
+            }
+            for other in beside.intersection(score):
+                score[other] = added(other)
     for label in rest:
         rank[label] = len(rank)
     return rank
@@ -523,14 +536,53 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     return (len(nodes) - 1, top[1]), tuple(nodes)
 
 
+_PLANS: dict = {}  # id(dag) -> (dag, its plan), least recently used first
+# Plans kept: a verify point folds at most a few DAGs, and on two verify
+# passes a store of 8 already builds as few plans as one of 64.
+_PLANS_BOUND = 16
+
+
+def _plan(dag) -> tuple:
+    """The fold's reading of ``dag``, built once per DAG: ``(root, root
+    strip, strips, their degrees, nodes)``.  The DAG's distinct nonempty
+    strips are tabled once, each with its degree, the sum of its exponents,
+    and a node's refs are compacted to its live ones, ``(slot, child,
+    strip)`` with ``slot`` the operation's place and ``strip`` an index into
+    the table, -1 for an empty strip.
+
+    Plans are kept by the DAG's identity, at most ``_PLANS_BOUND`` of them,
+    the least recently used dropped first.  An entry holds its DAG, so no
+    other object can take that id while the entry is kept.
+    """
+    key = id(dag)
+    entry = _PLANS.pop(key, None)
+    if entry is None:
+        (root, root_strip), nodes = dag
+        table: dict = {}
+
+        def at(strip):
+            return table.setdefault(strip, len(table)) if strip else -1
+
+        compact = tuple([
+            (label, tuple([(slot, ref[0], at(ref[1])) for slot, ref in enumerate(refs) if ref]))
+            for label, refs in nodes
+        ])
+        plan = (root, at(root_strip), tuple(table), tuple(map(sum, table)), compact)
+        entry = (dag, plan)
+        if len(_PLANS) >= _PLANS_BOUND:
+            del _PLANS[next(iter(_PLANS))]
+    _PLANS[key] = entry
+    return entry[1]
+
+
 def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     """The one evaluation loop under :func:`fold_dag` and :func:`root_terms`.
 
     Evaluates every node below the root reached through a nonzero weight,
-    children first, reading the root's weights from ``root_weights``.  Over
-    the rationals it folds the integer numerators :func:`fold_dag`
-    describes; in any other ring, ``MultiPoly``, every denominator is 1 and
-    the numerators are the values.
+    children first, reading the root's weights from ``root_weights`` and
+    the DAG through its :func:`_plan`.  Over the rationals it folds the
+    integer numerators :func:`fold_dag` describes; in any other ring,
+    ``MultiPoly``, every denominator is 1 and the numerators are the values.
 
     Returns the numerators of the root's terms (weight times strip factor
     times child value), one per live operation whose root weight is nonzero;
@@ -542,58 +594,52 @@ def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     per-call values free of reference cycles, so they go as soon as the call
     returns.
     """
-    (root, root_strip), nodes = dag
+    root, root_strip, strips, strip_degrees, nodes = _plan(dag)
     rational = isinstance(bases[0], Rational)
-    split = common_denominator if rational else (lambda ws: (ws, 1))
-    bases, d_b = split(bases)
+    if rational:
+        bases, d_b = common_denominator(bases)
+        root_nums, d_root = common_denominator(root_weights)
+    else:
+        d_b, root_nums = 1, root_weights
     zero = bases[0] - bases[0]
-    pads = [1]  # pads[j] is d_b ** j
-    strips: dict = {}
+    # each strip's numerator, over d_b to its degree
+    factors = [math.prod([b**k for b, k in zip(bases, strip) if k]) for strip in strips]
 
-    def factor(strip):
-        # The strip's numerator and its degree, the power of d_b under it.
-        value = strips.get(strip)
-        if value is None:
-            value = strips[strip] = (
-                math.prod(b**k for b, k in zip(bases, strip) if k),
-                sum(strip),
-            )
-        return value
-
-    # Children precede parents, so one descending sweep marks every node
-    # reached from the root and splits the weights of their labels.
-    root_nums, d_root = split(root_weights)
+    # Children precede parents, so one descending sweep finds every node
+    # reached from the root and the numerators of its weights, split once
+    # per label.
     below: dict = {}
-    needed = [False] * (root + 1)
-    needed[root] = True
+    rows: list = [None] * (root + 1)
+    rows[root] = root_nums
     for i in range(root, -1, -1):
-        if needed[i]:
-            label, refs = nodes[i]
-            if i == root:
-                nums = root_nums
-            else:
-                if label not in below:
-                    below[label] = split(weights[label])
-                nums = below[label][0]
-            for n, ref in zip(nums, refs):
-                if ref is not None and n and ref[0] >= 0:
-                    needed[ref[0]] = True
+        nums = rows[i]
+        if nums is None:
+            continue
+        for slot, child, _ in nodes[i][1]:
+            if child >= 0 and nums[slot] and rows[child] is None:
+                label = nodes[child][0]
+                split = below.get(label)
+                if split is None:
+                    ws = weights[label]
+                    split = below[label] = common_denominator(ws) if rational else (ws, 1)
+                rows[child] = split[0]
     values: list = [None] * root
     degrees = [0] * root
+    pads = [1]  # pads[j] is d_b ** j
     for i in range(root + 1):
-        if not needed[i]:
+        nums = rows[i]
+        if nums is None:
             continue
-        label, refs = nodes[i]
         terms = []
         top = 0
-        for n, ref in zip(root_nums if i == root else below[label][0], refs):
-            if ref is None or not n:
+        for slot, child, s in nodes[i][1]:
+            n = nums[slot]
+            if not n:
                 continue
-            child, strip = ref
             k = 0
-            if strip:
-                m, k = factor(strip)
-                n = n * m
+            if s >= 0:
+                n = n * factors[s]
+                k = strip_degrees[s]
             if child >= 0:
                 n = n * values[child]
                 k += degrees[child]
@@ -610,9 +656,9 @@ def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
             values[i] = sum(terms, zero)
             degrees[i] = top
     scale = None
-    if root_strip:
-        scale, k = factor(root_strip)
-        top += k
+    if root_strip >= 0:
+        scale = factors[root_strip]
+        top += strip_degrees[root_strip]
     if not rational:
         return terms, scale, None
     return terms, scale, d_root * math.prod(d for _, d in below.values()) * d_b**top
@@ -669,10 +715,10 @@ def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> tuple:
 
 
 def _live(ops: tuple, weights: Mapping[str, tuple]) -> tuple:
-    """The operations whose weight is nonzero on some edge."""
-    return tuple(
-        op for i, op in enumerate(ops) if any(ws[i] for ws in weights.values())
-    )
+    """The operations whose weight is nonzero on some edge: the weights
+    transposed into one column per operation, each scanned up to its first
+    nonzero."""
+    return tuple(op for op, column in zip(ops, zip(*weights.values())) if any(column))
 
 
 def q_multivariate(pg: PackagedPresentation, w: Optional[WeightSystem] = None) -> MultiPoly:

@@ -117,7 +117,24 @@ def random_connected_multigraph(
 
 
 def random_point(rng: random.Random, names, bound: int = 10000):
-    """Uniform rationals with numerator/denominator in [1, bound]."""
-    return {
-        name: Fraction(rng.randint(1, bound), rng.randint(1, bound)) for name in names
-    }
+    """Uniform rationals with numerator/denominator in [1, bound].
+
+    Each is drawn as ``rng.randint(1, bound)`` draws it, from the same
+    calls: ``getrandbits`` of the bound's bit length, redrawn while it is
+    ``bound`` or more, plus one.  Raises ``ValueError`` when ``bound`` is
+    below 1, as ``randint`` does, before the redrawing could run forever.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
+    bits = rng.getrandbits
+    k = bound.bit_length()
+    point = {}
+    for name in names:
+        n = bits(k)
+        while n >= bound:
+            n = bits(k)
+        d = bits(k)
+        while d >= bound:
+            d = bits(k)
+        point[name] = Fraction(n + 1, d + 1)
+    return point

@@ -96,8 +96,15 @@ _ONE = Fraction(1)
 
 
 def _per_edge(*stems):
-    """Weights read per label: stem ``s`` of label ``l`` is ``pt["s_l"]``."""
-    return lambda labels, pt: {l: tuple(pt[f"{s}_{l}"] for s in stems) for l in labels}
+    """Weights read per label: stem ``s`` of label ``l`` is ``pt["s_l"]``,
+    the names of a label built once into one getter (two stems at least, so
+    it returns a tuple)."""
+
+    @functools.lru_cache(maxsize=1024)
+    def names(label):
+        return itemgetter(*[f"{s}_{label}" for s in stems])
+
+    return lambda labels, pt: {l: names(l)(pt) for l in labels}
 
 
 def _uniform(*stems):

@@ -8,13 +8,65 @@ The bodies are the replaced code, unchanged but for the cache: the
 reference ``resolution_dag`` is uncached and has no edge cap.  The
 restriction of a partition to some of its items, which only this reference
 uses, is a helper here (``_restricted``).
+
+``edge_rank`` is the greedy cut-width order as it ran before its steps
+rescored only the edges next to the one just resolved: every step rescores
+every remaining edge.  The ranks it gives are the ones
+``ribbontensor.polynomials._edge_rank`` must give.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ribbontensor.arrow import ArrowPresentation
 from ribbontensor.packaged import Partition, PackagedPresentation, _first_appearance, edge_ops
 from ribbontensor.polynomials import OP_ORDER, TRANSITION_OPS, _edge_rank
+
+
+def edge_rank(root, order: Optional[Sequence[str]]) -> dict:
+    """The rank of each edge of ``root``, packaged or bare, in the order a
+    resolution DAG resolves them: the edges of ``order`` first, as given,
+    then a greedy cut-width order.
+
+    A run is a maximal cyclic stretch of resolved arrows on a circle; a
+    circle whose arrows are all resolved holds none.  Each step resolves
+    the edge whose two arrows add the fewest runs, ties by label.  Edges
+    resolved near each other let different histories reach the same
+    sub-presentation, which the DAG then shares.
+    """
+    ap = root.ap if isinstance(root, PackagedPresentation) else root
+    rank: dict = {}
+    for label in order or ():
+        if label in ap.edges and label not in rank:
+            rank[label] = len(rank)
+    rest = sorted(ap.edges.difference(rank))
+    if len(rest) > 2:
+        places = {label: ap.occurrences(label) for label in ap.edges}
+        lengths = [len(circ) for circ in ap.circles]
+        # An arrow's slot and the next one are where its runs can start.
+        near = {
+            label: {(c, q % lengths[c]) for c, p in places[label] for q in (p, p + 1)}
+            for label in rest
+        }
+        done = {slot for label in rank for slot in places[label]}
+
+        def starts(slots):
+            return sum((c, p) in done and (c, (p or lengths[c]) - 1) not in done for c, p in slots)
+
+        def added(label):
+            before = starts(near[label])
+            done.update(places[label])
+            after = starts(near[label])
+            done.difference_update(places[label])
+            return after - before
+
+        while len(rest) > 1:
+            label = min(rest, key=added)
+            rest.remove(label)
+            rank[label] = len(rank)
+            done.update(places[label])
+    for label in rest:
+        rank[label] = len(rank)
+    return rank
 
 
 def _restricted(part: Partition, items) -> Partition:

@@ -29,7 +29,7 @@ from ribbontensor.polynomials import (
     root_terms,
     transition_poly,
 )
-from ribbontensor.randgen import random_packaged
+from ribbontensor.randgen import random_packaged, random_presentation
 import dag_reference as reference
 from strategies import packaged_presentations, packaged_with_empty_circles, symmetry_image
 
@@ -70,6 +70,19 @@ def test_dag_folds_as_the_reference_with_no_more_nodes(pg, live, first, rng):
     if order:
         (nums, den), (want_nums, want_den) = (root_terms(d, weights, bases) for d in (dag, want))
         assert [Fraction(n, den) for n in nums] == [Fraction(n, want_den) for n in want_nums]
+
+
+def test_edge_rank_equals_the_reference_that_rescores_every_edge():
+    # A step rescores only the edges next to the one it resolved; the ranks
+    # are those of rescoring every remaining edge, with an order or not.
+    rng = random.Random(31)
+    for _ in range(40):
+        m = rng.randint(3, 40)
+        for root in (random_packaged(rng, m, m), random_presentation(rng, m, m)):
+            labels = sorted(getattr(root, "ap", root).edges)
+            order = tuple(rng.sample(labels, rng.randint(1, m // 2)))
+            for o in (None, order):
+                assert polynomials._edge_rank(root, o) == reference.edge_rank(root, o)
 
 
 @settings(deadline=None, max_examples=40)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbontensor import arrow
+from ribbontensor import arrow, polynomials
 from ribbontensor.arrow import (
     ArrowPresentation,
     Occ,
@@ -548,9 +548,10 @@ def reference_fold(dag, weights, bases, root_weights):
 
 def _reference_value_and_terms(dag, weights, bases):
     (root, _), nodes = dag
+    one = bases[0] ** 0
     terms, scale = reference_fold(dag, weights, bases, weights[nodes[root][0]])
-    total = sum(terms, Fraction(0))
-    ones = (Fraction(1),) * len(nodes[root][1])
+    total = sum(terms, one - one)
+    ones = (one,) * len(nodes[root][1])
     unweighted, _ = reference_fold(dag, weights, bases, ones)
     if scale is None:
         return total, unweighted
@@ -586,6 +587,9 @@ def _check_against_reference(dag, weights, bases):
     expected, expected_terms = _reference_value_and_terms(dag, weights, bases)
     value = fold_dag(dag, weights, bases)
     nums, den = root_terms(dag, weights, bases)
+    if den is None:  # outside the rationals the numerators are the terms
+        assert value == expected and list(nums) == expected_terms
+        return
     assert value == expected and type(value) is Fraction
     assert [Fraction(n, den) for n in nums] == expected_terms
     assert all(type(n) is int for n in [den, *nums])
@@ -620,6 +624,70 @@ def test_deep_fold_matches_the_polynomial():
         weights = dict.fromkeys(pg.ap.edges, tuple(pt[s] for s in "abcxy"))
         value = q_value(pg, weights, pt["alpha"], pt["beta"], pt["gamma"])
         assert q_poly(pg).eval_at(pt) == value and type(value) is Fraction
+
+
+def _zeroed_points(labels, root_label, weights):
+    """``weights`` as drawn, then with zeros where a fold reaches other
+    nodes: each slot on every label, each slot of the root's label alone,
+    and every weight of each label."""
+    zero = weights[root_label][0] * 0
+    yield weights
+    for j in range(len(weights[root_label])):
+        blank = lambda ws: ws[:j] + (zero,) + ws[j + 1 :]
+        yield {l: blank(ws) for l, ws in weights.items()}
+        yield {**weights, root_label: blank(weights[root_label])}
+    for label in labels:
+        yield {**weights, label: (zero,) * len(weights[label])}
+
+
+def test_one_plan_folds_every_point_whatever_it_reaches():
+    # A DAG's plan is built at its first fold and read at every later one,
+    # while the nodes each fold reaches change with the point's zeros.  Over
+    # Fraction and over MultiPoly, every fold equals the reference fold.
+    rng = random.Random(53)
+    while True:
+        pg = random_packaged(rng, max_edges=5, min_edges=5)
+        ap = pg.ap
+        dags = [
+            (
+                resolution_dag(pg, (sorted(ap.edges)[0],), OP_ORDER),
+                "abcxy",
+                ("alpha", "beta", "gamma"),
+            ),
+            (resolution_dag(ap, None, TRANSITION_OPS), "abc", ("t",)),
+        ]
+        if all(len(dag[1]) >= 8 and any(ref and ref[1] for _, refs in dag[1] for ref in refs)
+               for dag, _, _ in dags):
+            break
+    labels = sorted(ap.edges)
+    reg = standard_registry(labels)
+    var = lambda n: MultiPoly.var(reg, n)
+    for dag, stems, names in dags:
+        (root, _), nodes = dag
+        plan = polynomials._plan(dag)
+        rationals = {
+            l: tuple(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in stems)
+            for l in labels
+        }
+        bases = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in names)
+        symbols = {l: tuple(var(f"{s}_{l}") for s in stems) for l in labels}
+        for weights, ring_bases in ((rationals, bases), (symbols, tuple(map(var, names)))):
+            for point in _zeroed_points(labels, nodes[root][0], weights):
+                _check_against_reference(dag, point, ring_bases)
+        assert polynomials._plan(dag) is plan
+
+
+def test_the_plan_store_keeps_at_most_its_bound():
+    build = resolution_dag.__wrapped__  # uncached, so every call is a new DAG
+    rng = random.Random(54)
+    dags = []
+    for _ in range(polynomials._PLANS_BOUND + 16):
+        pg = random_packaged(rng, max_edges=3, min_edges=1)
+        dags.append(build(pg, None, OP_ORDER))  # all kept alive, so all ids differ
+        weights = dict.fromkeys(pg.ap.edges, (Fraction(1, 2), Fraction(2, 3), 3, 5, 7))
+        fold_dag(dags[-1], weights, (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11)))
+    assert len(polynomials._PLANS) <= polynomials._PLANS_BOUND
+    assert id(dags[-1]) in polynomials._PLANS and id(dags[0]) not in polynomials._PLANS
 
 
 def _least_readings(circ):

@@ -551,6 +551,30 @@ def test_verification_gives_up_after_max_resample_singular_draws(monkeypatch, ca
     assert err.count("\n") == 1 and err.startswith("error: ") and "in 50 samples" in err
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 100, 10_000, 2**20 + 1])
+def test_point_draws_are_randint_draws(bound):
+    # A coordinate is drawn from getrandbits as randint(1, bound) draws it:
+    # the same values from the same calls, leaving the generator in the
+    # same state.
+    names = ["a", "alpha", "b_e0", "t"]
+    for s in range(20):
+        rng, twin = random.Random(s), random.Random(s)
+        want = {n: Fraction(twin.randint(1, bound), twin.randint(1, bound)) for n in names}
+        assert random_point(rng, names, bound) == want
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_point_draws_refuse_an_empty_range(bound):
+    # getrandbits(0) is always 0, so without the check the redrawing of a
+    # bound below 1 would never end.
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="bound"):
+        random_point(rng, ["a"], bound)
+    assert rng.getstate() == state
+
+
 def test_verification_outputs_are_pinned(monkeypatch):
     # Every comparison of 90 attempts over the ten kinds, exact values
     # included, hashed: a faster evaluation path must give the same
