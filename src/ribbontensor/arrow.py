@@ -224,20 +224,25 @@ class BoundaryTrace(NamedTuple):
         )
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=1024)
 def boundary_trace(ap: ArrowPresentation) -> BoundaryTrace:
     """The boundary components of ``ap`` and their indexes, cached per
     presentation (``boundary_trace.__wrapped__`` traces without the cache).
 
     An entry, with the presentation it keys, takes about 2.8 KB on the
-    surgery workload's tensor products of up to 24 edges (tracemalloc,
-    pinned below 3.6 KB by ``test_surgery_cache_bytes_per_entry``), so at
-    that size the 16,384-entry bound admits about 47 MB (59 MB at the
-    pinned bound).  A result presentation's arrows are shared ``Occ``
-    objects (see :func:`_splice`), which is most of what it keys.  One
-    surgery workload pass holds about 3,600 entries (3,619 on seed 1; a
-    2-sum's union is read off its two sides' traces, not traced), so no
-    pass evicts any.
+    surgery workload's tensor products of up to 24 edges (2,847 B,
+    tracemalloc, pinned below 3.6 KB by
+    ``test_surgery_cache_bytes_per_entry``), so at that size the
+    1,024-entry bound admits about 2.9 MB (3.7 MB at the pinned bound,
+    about what it holds after a surgery workload pass).  A
+    result presentation's arrows are shared ``Occ`` objects (see
+    :func:`_splice`), which is most of what it keys.  The bound is the
+    measured reuse: one surgery workload pass (seed 1) makes 18,038
+    lookups, and 14,470 of its 14,496 repeats come within 1,024 distinct
+    presentations of the last one, so it traces 3,762 presentations where
+    an unbounded cache would trace 3,619; most of the difference is inputs
+    traced when they were drawn, long before their 2-sum reads them.
+    Every repeat on the verify and symbolic workloads comes within 256.
     """
     return _trace(ap.circles, ap.circles)
 
@@ -714,7 +719,7 @@ class EdgeOpResult(NamedTuple):
     created_boundaries: tuple
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=64)
 def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     """Apply an arrow-level operation and report the natural identifications.
 
@@ -727,8 +732,11 @@ def edge_op_traced(ap: ArrowPresentation, e: str, kind: str) -> EdgeOpResult:
     An entry takes about 0.36 KB on the surgery workload's tensor
     products, besides its result presentation, which :func:`boundary_trace`
     keys too (tracemalloc, pinned below 1.5 KB by
-    ``test_surgery_cache_bytes_per_entry``), so at that size the
-    16,384-entry bound admits about 6 MB (25 MB at the pinned bound).
+    ``test_surgery_cache_bytes_per_entry``), so at that size the 64-entry
+    bound admits about 23 KB (96 KB at the pinned bound).  The operations
+    on one presentation run together, so its repeats come soon: on one
+    surgery workload pass (seed 1), 1,848 of its 1,866 repeats come within
+    16 distinct surgeries of the last one.
     """
     old, arrows = boundary_trace(ap), arrow_codes(ap)
     new_ap, moves = _edge_surgery(ap, old.offsets, arrows, e, kind)

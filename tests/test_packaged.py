@@ -37,6 +37,7 @@ from ribbontensor.packaged import (
     canonical_packaged,
     k_presentations,
     make_packaged,
+    namespaced,
     tensor_product,
     two_sum,
     uniform_tensor,
@@ -696,8 +697,42 @@ def test_surgery_cache_bytes_per_entry():
     # about 360 and 2,850 bytes on CPython 3.11
     assert per_entry["edge_op_traced"] < 1500, per_entry
     assert per_entry["boundary_trace"] < 3600, per_entry
-    # boundary_trace's entry bound at the pinned size stays near 50 MB
-    assert arrow.boundary_trace.cache_info().maxsize * 3600 < 60e6
+    # at the pinned sizes the entry bounds admit about 3.7 MB and 96 KB
+    assert arrow.boundary_trace.cache_info().maxsize * 3600 < 4e6
+    assert arrow.edge_op_traced.cache_info().maxsize * 1500 < 0.1e6
+
+
+def test_surgery_caches_evict_exactly():
+    # The 2-sums of 42 seeded tensor products of the surgery workload's
+    # sizes and every operation on every edge of each make more distinct
+    # presentations and surgeries than either cache holds, so both evict.
+    # Each result must equal the one computed again with both caches
+    # cleared.
+    caches = (arrow.boundary_trace, arrow.edge_op_traced)
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random(2)
+    calls = []  # (function, args, result)
+    for i in range(42):
+        host = random_packaged(rng, max_edges=2 + i % 7, min_edges=2 + i % 7)
+        factor = random_packaged(rng, max_edges=2 + i % 3, min_edges=2 + i % 3)
+        e = rng.choice(sorted(factor.ap.edges))
+        # uniform_tensor's 2-sums, one at a time
+        tensor = host
+        for f in sorted(host.ap.edges):
+            args = (tensor, namespaced(factor, f), Coupling(f, f"{f}.{e}", rng.random() < 0.5))
+            tensor = two_sum(*args)
+            calls.append((two_sum, args, tensor))
+        for label in sorted(tensor.ap.edges):
+            for kind in EdgeOpKind:
+                calls.append((apply_edge_op, (tensor, label, kind), apply_edge_op(tensor, label, kind)))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize >= info.currsize, (cache.__name__, info)
+    for fn, args, result in calls:
+        for cache in caches:
+            cache.cache_clear()
+        assert fn(*args) == result, (fn.__name__, args)
 
 
 # ---- presentation files ----------------------------------------------------
