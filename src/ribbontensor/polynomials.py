@@ -22,9 +22,11 @@ Both deletion-style recursions, that of Q and that of the transition
 polynomial, run through one engine: :func:`resolution_dag` resolves a
 presentation once into the DAG of its distinct sub-presentations, and
 :func:`fold_dag` evaluates that DAG over a ring, ``MultiPoly`` for the
-polynomial or ``Fraction`` for its value at a point.  Its nodes resolve
-their edges in one static cut-width order, :func:`_edge_rank`, under which
-different histories meet in shared nodes.  A node is flat integers in the
+polynomial or ``Fraction`` for its value at a point.  The build emits the
+DAG in the form the fold reads: its distinct strips tabled once, and each
+node's refs only its live operations.  Its nodes resolve their edges in
+one static cut-width order, :func:`_edge_rank`, under which different
+histories meet in shared nodes.  A node is flat integers in the
 normal form of :class:`NormalForms` (arrow-code circles, each in its
 least reading, sorted with equal circles in the order they come, and the
 partitions' labels carried along), so sub-presentations that differ only
@@ -440,12 +442,17 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     :func:`~ribbontensor.packaged.partition_ops`; every other node is
     copied from the memo under this DAG's labels.
 
-    Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
-    node with edges once, children first, as ``(label, refs)``: the edge
-    resolved there and, per operation, ``None`` if it is not live, else a
-    ref ``(child, strip)``.  ``child`` is a node index, or -1 for an
-    edgeless result; ``strip`` holds the exponents stripped on the way,
-    ``()`` when nothing was.
+    Returns ``((root, root_strip, strips), nodes)``, the form
+    :func:`fold_dag` reads.  ``nodes`` holds every distinct stripped node
+    with edges once, children first, as ``(label, refs)``: the edge
+    resolved there and one ref ``(slot, child, strip)`` per live operation,
+    in operation order.  ``slot`` is the operation's place in ``OP_ORDER``
+    or ``TRANSITION_OPS``; ``child`` is a node index, or -1 for an edgeless
+    result; ``strip`` is an index into ``strips``, or -1 when nothing was
+    stripped on the way.  ``strips`` holds the DAG's distinct nonempty
+    strips, the exponents stripped, in the order of first use.  ``root`` is
+    the root's index, the last, or -1 for an edgeless root, and
+    ``root_strip`` the index of its own strip, or -1.
 
     A root with more edges than ``edge_cap(16)`` raises
     :class:`SizeLimitExceeded`, also when its DAG is cached.
@@ -515,6 +522,11 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
             refs = memo[key] = resolve(key)
         return key, j, refs, iter(refs)
 
+    table: dict = {}  # each distinct nonempty strip -> its index
+
+    def at(strip):
+        return table.setdefault(strip, len(table)) if strip else -1
+
     # Children first, each child's whole sub-DAG before the next child's, on
     # an explicit stack: a DAG is as deep as its root has edges.
     index: dict = {}
@@ -530,57 +542,19 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
             stack.pop()
             index[key] = len(nodes)
             nodes.append((cut[j], tuple([
-                ref and (-1 if ref[0] is None else index[ref[0]], ref[1]) for ref in refs
+                (slot, -1 if ref[0] is None else index[ref[0]], at(ref[1]))
+                for slot, ref in enumerate(refs) if ref
             ])))
     # the root, if it has edges, comes last
-    return (len(nodes) - 1, top[1]), tuple(nodes)
-
-
-_PLANS: dict = {}  # id(dag) -> (dag, its plan), least recently used first
-# Plans kept: a verify point folds at most a few DAGs, and on two verify
-# passes a store of 8 already builds as few plans as one of 64.
-_PLANS_BOUND = 16
-
-
-def _plan(dag) -> tuple:
-    """The fold's reading of ``dag``, built once per DAG: ``(root, root
-    strip, strips, their degrees, nodes)``.  The DAG's distinct nonempty
-    strips are tabled once, each with its degree, the sum of its exponents,
-    and a node's refs are compacted to its live ones, ``(slot, child,
-    strip)`` with ``slot`` the operation's place and ``strip`` an index into
-    the table, -1 for an empty strip.
-
-    Plans are kept by the DAG's identity, at most ``_PLANS_BOUND`` of them,
-    the least recently used dropped first.  An entry holds its DAG, so no
-    other object can take that id while the entry is kept.
-    """
-    key = id(dag)
-    entry = _PLANS.pop(key, None)
-    if entry is None:
-        (root, root_strip), nodes = dag
-        table: dict = {}
-
-        def at(strip):
-            return table.setdefault(strip, len(table)) if strip else -1
-
-        compact = tuple([
-            (label, tuple([(slot, ref[0], at(ref[1])) for slot, ref in enumerate(refs) if ref]))
-            for label, refs in nodes
-        ])
-        plan = (root, at(root_strip), tuple(table), tuple(map(sum, table)), compact)
-        entry = (dag, plan)
-        if len(_PLANS) >= _PLANS_BOUND:
-            del _PLANS[next(iter(_PLANS))]
-    _PLANS[key] = entry
-    return entry[1]
+    return (len(nodes) - 1, at(top[1]), tuple(table)), tuple(nodes)
 
 
 def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     """The one evaluation loop under :func:`fold_dag` and :func:`root_terms`.
 
     Evaluates every node below the root reached through a nonzero weight,
-    children first, reading the root's weights from ``root_weights`` and
-    the DAG through its :func:`_plan`.  Over the rationals it folds the
+    children first, reading the root's weights from ``root_weights``, which
+    it indexes by operation slot.  Over the rationals it folds the
     integer numerators :func:`fold_dag` describes; in any other ring,
     ``MultiPoly``, every denominator is 1 and the numerators are the values.
 
@@ -594,7 +568,7 @@ def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     per-call values free of reference cycles, so they go as soon as the call
     returns.
     """
-    root, root_strip, strips, strip_degrees, nodes = _plan(dag)
+    (root, root_strip, strips), nodes = dag
     rational = isinstance(bases[0], Rational)
     if rational:
         bases, d_b = common_denominator(bases)
@@ -602,8 +576,9 @@ def _fold(dag, weights: Mapping[str, tuple], bases: tuple, root_weights):
     else:
         d_b, root_nums = 1, root_weights
     zero = bases[0] - bases[0]
-    # each strip's numerator, over d_b to its degree
+    # each strip's numerator, over d_b to its degree, the sum of its exponents
     factors = [math.prod([b**k for b, k in zip(bases, strip) if k]) for strip in strips]
+    strip_degrees = list(map(sum, strips))
 
     # Children precede parents, so one descending sweep finds every node
     # reached from the root and the numerators of its weights, split once
@@ -684,10 +659,11 @@ def fold_dag(dag, weights: Mapping[str, tuple], bases: tuple):
     is divided by ``d_root``, the ``d_e`` of the distinct labels below the
     root and ``d_b`` to the root's degree, in one ``Fraction``.
     """
-    (root, root_strip), nodes = dag
+    (root, root_strip, strips), nodes = dag
     if root < 0:  # an edgeless presentation: the value of its strip
-        one = bases[0] ** 0
-        return math.prod(b**k for b, k in zip(bases, root_strip) if k) if root_strip else one
+        if root_strip < 0:
+            return bases[0] ** 0
+        return math.prod(b**k for b, k in zip(bases, strips[root_strip]) if k)
     terms, scale, den = _fold(dag, weights, bases, weights[nodes[root][0]])
     total = sum(terms[1:], terms[0]) if terms else bases[0] - bases[0]
     if scale is not None:
@@ -706,11 +682,13 @@ def root_terms(dag, weights: Mapping[str, tuple], bases: tuple) -> tuple:
     leaves them, ``(numerators, den)``: the terms are ``n / den`` over the
     rationals, and ``den`` is ``None`` in any other ring, where the
     numerators are the terms.  ``weights`` need not name the root's edge.
-    The root must have edges.
+    The root must have edges; its weights are all 1, one per operation up
+    to its last live slot.
     """
-    (root, _), nodes = dag
+    (root, _, _), nodes = dag
+    refs = nodes[root][1]
     one = bases[0] ** 0
-    terms, scale, den = _fold(dag, weights, bases, (one,) * len(nodes[root][1]))
+    terms, scale, den = _fold(dag, weights, bases, (one,) * (refs[-1][0] + 1 if refs else 0))
     return (terms if scale is None else [scale * t for t in terms]), den
 
 

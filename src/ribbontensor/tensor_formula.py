@@ -224,13 +224,13 @@ def _read_off(basis, ops, free: int) -> list:
     """A transfer matrix read off its basis, each entry its exponents over
     the free bases: column j holds the operation values of ``basis[j]``,
     which realises operation j of ``ops``.  Resolved with its edge ``e``
-    first, it is one node whose live refs ``(-1, strip)`` hold the base
-    exponents of its results; the first ``free`` are kept, the other bases
-    being 1."""
+    first, it is one node whose live refs ``(slot, -1, s)`` point to the
+    base exponents of its results, ``strips[s]``; the first ``free`` are
+    kept, the other bases being 1."""
     columns = []
     for x in basis:
-        ((_, refs),) = resolution_dag(x, ("e",), ops)[1]
-        columns.append([strip[:free] for _, strip in filter(None, refs)])
+        (_, _, strips), ((_, refs),) = resolution_dag(x, ("e",), ops)
+        columns.append([strips[s][:free] for _, _, s in refs])
     return list(zip(*columns))
 
 

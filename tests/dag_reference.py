@@ -4,8 +4,9 @@ against: nodes are the stripped ``PackagedPresentation`` or bare
 ``ArrowPresentation`` values themselves, keyed by value, each resolving its
 edge of least rank through ``edge_ops`` or the three transition operations.
 
-The bodies are the replaced code, unchanged but for the cache: the
-reference ``resolution_dag`` is uncached and has no edge cap.  The
+The bodies are the replaced code, unchanged but for the cache and the
+form it returns: the reference ``resolution_dag`` is uncached, has no edge
+cap, and tables its strips as the builder does.  The
 restriction of a partition to some of its items, which only this reference
 uses, is a helper here (``_restricted``).
 
@@ -117,12 +118,14 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     of least rank in :func:`_edge_rank`, computed once from the root: the
     edges of ``order`` first, then a greedy cut-width order.
 
-    Returns ``(root_ref, nodes)``.  ``nodes`` holds every distinct stripped
-    sub-presentation with edges once, keyed by value, children first, as
-    ``(label, refs)``: the edge resolved there and, per operation, ``None``
-    if it is not live, else a ref ``(child, strip)``.  ``child`` is a node
-    index, or -1 for an edgeless result; ``strip`` holds the exponents
-    stripped on the way, ``()`` when nothing was.
+    Returns ``((root, root_strip, strips), nodes)``.  ``nodes`` holds every
+    distinct stripped sub-presentation with edges once, keyed by value,
+    children first, as ``(label, refs)``: the edge resolved there and one
+    ref ``(slot, child, strip)`` per live operation, ``slot`` its place in
+    the operation order.  ``child`` is a node index, or -1 for an edgeless
+    result; ``strip`` is an index into ``strips``, the distinct nonempty
+    exponents stripped on the way in the order of first use, or -1 when
+    nothing was.
 
     A root with more edges than ``edge_cap(16)`` raises
     :class:`SizeLimitExceeded`, also when its DAG is cached.
@@ -134,6 +137,10 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
     live_ops = [op for op in ops if op in live]
     index: dict = {}
     nodes: list = []
+    table: dict = {}
+
+    def at(exps):
+        return table.setdefault(exps, len(table)) if exps else -1
 
     def visit(x):
         x, exps = strip(x)
@@ -145,9 +152,10 @@ def resolution_dag(root, order: Optional[tuple], live: tuple):
         if i is None:
             e = min(edges, key=rank)
             results = iter(edge_ops(x, e, live_ops) if packaged else [op(x, e) for op in live_ops])
-            refs = tuple(visit(next(results)) if op in live else None for op in ops)
+            refs = [(slot, *visit(next(results))) for slot, op in enumerate(ops) if op in live]
             i = index[x] = len(nodes)
-            nodes.append((e, refs))
+            nodes.append((e, tuple((slot, child, at(exps)) for slot, child, exps in refs)))
         return i, exps
 
-    return visit(root), tuple(nodes)
+    root, exps = visit(root)
+    return (root, at(exps), tuple(table)), tuple(nodes)

@@ -72,6 +72,29 @@ def test_dag_folds_as_the_reference_with_no_more_nodes(pg, live, first, rng):
         assert [Fraction(n, den) for n in nums] == [Fraction(n, want_den) for n in want_nums]
 
 
+@settings(deadline=None, max_examples=80)
+@given(ROOTS, st.sampled_from(PACKAGED_LIVE + (TRANSITION_OPS,)), st.booleans())
+def test_dag_form_keeps_its_invariants(pg, live, first):
+    # The form the fold reads, from the builder and from the reference: live
+    # slots only and in order, children before parents, strip indexes in
+    # range, and each strip distinct, nonempty and used.
+    root, ops = (pg.ap, TRANSITION_OPS) if live is TRANSITION_OPS else (pg, OP_ORDER)
+    labels = sorted(pg.ap.edges)
+    order = (labels[0],) if first and labels else None
+    slots = [slot for slot, op in enumerate(ops) if op in live]
+    for dag in (resolution_dag(root, order, live), reference.resolution_dag(root, order, live)):
+        (top, top_strip, strips), nodes = dag
+        assert top == len(nodes) - 1
+        used = {top_strip}
+        for i, (_, refs) in enumerate(nodes):
+            assert [slot for slot, _, _ in refs] == slots
+            assert all(-1 <= child < i for _, child, _ in refs)
+            used.update(s for _, _, s in refs)
+        assert all(-1 <= s < len(strips) for s in used)
+        assert used - {-1} == set(range(len(strips)))
+        assert len(set(strips)) == len(strips) and all(strips)
+
+
 def test_edge_rank_equals_the_reference_that_rescores_every_edge():
     # A step rescores only the edges next to the one it resolved; the ranks
     # are those of rescoring every remaining edge, with an order or not.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbontensor import arrow, polynomials
+from ribbontensor import arrow
 from ribbontensor.arrow import (
     ArrowPresentation,
     Occ,
@@ -125,7 +125,7 @@ def test_q_family_is_one_without_circles():
         assert to_canonical_string(q(pg)) == "1"
     point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
     assert q_value(pg, {}, *point) == 1
-    assert q_state_table(pg) == ((-1, ()), ())
+    assert q_state_table(pg) == ((-1, -1, ()), ())
     assert q_table_value(q_state_table(pg), {}, *point) == 1
 
 
@@ -519,39 +519,41 @@ def reference_fold(dag, weights, bases, root_weights):
             value = powers[strip] = math.prod(b**k for b, k in zip(bases, strip) if k)
         return value
 
-    (root, root_strip), nodes = dag
+    (root, root_strip, strips), nodes = dag
     needed = [False] * (root + 1)
     needed[root] = True
     for i in range(root, -1, -1):
         if needed[i]:
             label, refs = nodes[i]
-            for w, ref in zip(root_weights if i == root else weights[label], refs):
-                if ref is not None and w and ref[0] >= 0:
-                    needed[ref[0]] = True
+            ws = root_weights if i == root else weights[label]
+            for slot, child, _ in refs:
+                if ws[slot] and child >= 0:
+                    needed[child] = True
     values: list = [None] * root
     for i in range(root + 1):
         if not needed[i]:
             continue
         label, refs = nodes[i]
+        ws = root_weights if i == root else weights[label]
         terms = []
-        for w, ref in zip(root_weights if i == root else weights[label], refs):
-            if ref is None or not w:
+        for slot, child, s in refs:
+            w = ws[slot]
+            if not w:
                 continue
-            child, strip = ref
-            if strip:
-                w = w * factor(strip)
+            if s >= 0:
+                w = w * factor(strips[s])
             terms.append(w if child < 0 else w * values[child])
         if i < root:
             values[i] = sum(terms, zero)
-    return terms, factor(root_strip) if root_strip else None
+    return terms, factor(strips[root_strip]) if root_strip >= 0 else None
 
 
 def _reference_value_and_terms(dag, weights, bases):
-    (root, _), nodes = dag
+    (root, _, _), nodes = dag
     one = bases[0] ** 0
     terms, scale = reference_fold(dag, weights, bases, weights[nodes[root][0]])
     total = sum(terms, one - one)
-    ones = (one,) * len(nodes[root][1])
+    ones = (one,) * (1 + max((slot for slot, _, _ in nodes[root][1]), default=-1))
     unweighted, _ = reference_fold(dag, weights, bases, ones)
     if scale is None:
         return total, unweighted
@@ -640,10 +642,10 @@ def _zeroed_points(labels, root_label, weights):
         yield {**weights, label: (zero,) * len(weights[label])}
 
 
-def test_one_plan_folds_every_point_whatever_it_reaches():
-    # A DAG's plan is built at its first fold and read at every later one,
-    # while the nodes each fold reaches change with the point's zeros.  Over
-    # Fraction and over MultiPoly, every fold equals the reference fold.
+def test_one_dag_folds_every_point_whatever_it_reaches():
+    # A DAG is built once and folded at every point, while the nodes each
+    # fold reaches change with the point's zeros.  Over Fraction and over
+    # MultiPoly, every fold equals the reference fold.
     rng = random.Random(53)
     while True:
         pg = random_packaged(rng, max_edges=5, min_edges=5)
@@ -656,15 +658,14 @@ def test_one_plan_folds_every_point_whatever_it_reaches():
             ),
             (resolution_dag(ap, None, TRANSITION_OPS), "abc", ("t",)),
         ]
-        if all(len(dag[1]) >= 8 and any(ref and ref[1] for _, refs in dag[1] for ref in refs)
+        if all(len(dag[1]) >= 8 and any(s >= 0 for _, refs in dag[1] for _, _, s in refs)
                for dag, _, _ in dags):
             break
     labels = sorted(ap.edges)
     reg = standard_registry(labels)
     var = lambda n: MultiPoly.var(reg, n)
     for dag, stems, names in dags:
-        (root, _), nodes = dag
-        plan = polynomials._plan(dag)
+        (root, _, _), nodes = dag
         rationals = {
             l: tuple(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in stems)
             for l in labels
@@ -674,20 +675,6 @@ def test_one_plan_folds_every_point_whatever_it_reaches():
         for weights, ring_bases in ((rationals, bases), (symbols, tuple(map(var, names)))):
             for point in _zeroed_points(labels, nodes[root][0], weights):
                 _check_against_reference(dag, point, ring_bases)
-        assert polynomials._plan(dag) is plan
-
-
-def test_the_plan_store_keeps_at_most_its_bound():
-    build = resolution_dag.__wrapped__  # uncached, so every call is a new DAG
-    rng = random.Random(54)
-    dags = []
-    for _ in range(polynomials._PLANS_BOUND + 16):
-        pg = random_packaged(rng, max_edges=3, min_edges=1)
-        dags.append(build(pg, None, OP_ORDER))  # all kept alive, so all ids differ
-        weights = dict.fromkeys(pg.ap.edges, (Fraction(1, 2), Fraction(2, 3), 3, 5, 7))
-        fold_dag(dags[-1], weights, (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11)))
-    assert len(polynomials._PLANS) <= polynomials._PLANS_BOUND
-    assert id(dags[-1]) in polynomials._PLANS and id(dags[0]) not in polynomials._PLANS
 
 
 def _least_readings(circ):
@@ -769,8 +756,7 @@ def test_dag_resolves_live_operations_only():
         assert len(nodes) == len(_reachable(pg, live))
         assert len(nodes) <= len(q_state_table(pg)[1])
         for _, refs in nodes:
-            assert all(ref is None for ref in refs[2:])
-            assert all(ref is not None for ref in refs[:2])
+            assert [slot for slot, _, _ in refs] == [0, 1]
 
 
 def test_dag_is_no_larger_than_the_state_table():
@@ -781,7 +767,7 @@ def test_dag_is_no_larger_than_the_state_table():
         # Nodes are distinct and children come first.
         assert len(nodes) == len(_reachable(pg, OP_ORDER)) <= 5 ** len(pg.ap.edges)
         for i, (_, refs) in enumerate(nodes):
-            assert all(child < i for child, _ in refs)
+            assert all(child < i for _, child, _ in refs)
         _, tnodes = transition_state_table(pg.ap)
         assert len(tnodes) <= 3 ** len(pg.ap.edges)
 

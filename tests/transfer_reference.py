@@ -83,17 +83,17 @@ def _product(b, ks):
 def _read_off(basis, ops, free: int) -> tuple:
     """A transfer matrix read off its basis: column j holds the operation
     values of ``basis[j]``, which realises operation j of ``ops``.  Resolved
-    with its edge ``e`` first, it is one node whose live refs ``(-1, strip)``
-    hold the base exponents of its results; the first ``free`` are kept, the
-    other bases being 1.  The scale takes each base to its least exponent
+    with its edge ``e`` first, it is one node whose live refs ``(slot, -1,
+    s)`` point to the base exponents of its results, ``strips[s]``; the
+    first ``free`` are kept, the other bases being 1.  The scale takes each base to its least exponent
     over the entries, and an entry is its strip minus the scale.  Returns
     the scale and then the distinct entries as base indexes (k repeated to
     base k's exponent), and the rows as positions among those products.
     """
     columns = []
     for x in basis:
-        ((_, refs),) = resolution_dag(x, ("e",), ops)[1]
-        columns.append([strip[:free] for _, strip in filter(None, refs)])
+        (_, _, strips), ((_, refs),) = resolution_dag(x, ("e",), ops)
+        columns.append([strips[s][:free] for _, _, s in refs])
     least = [min(exps) for exps in zip(*sum(columns, []))]
 
     def indexes(exps):
