@@ -54,6 +54,8 @@ Conventions fixed here:
   ``g`` or old boundary id, holding the new index or -1 for an item the
   surgery destroyed.  An arrow on a circle that survives unchanged keeps
   its position there and has no entry of its own in the arrow map.
+* A canonical form codes each connected component by its least rooted
+  walk (:func:`_walk`) and is read straight off the sorted codes.
 * Value types (:class:`ArrowPresentation`, :class:`SurfaceStats`, the
   surgery records) are ``typing.NamedTuple`` classes: immutable, compared and
   hashed by value, and so equal to a plain tuple of the same fields.
@@ -65,7 +67,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -1036,45 +1038,6 @@ def _component_codes(ap: ArrowPresentation):
     return result
 
 
-def _encoding(components):
-    """The presentation's code: the sorted component codes, each
-    component's label codes offset past those of the components before it."""
-    enc: list = []
-    offset = 0
-    for code, walks in components:
-        enc += [item if type(item) is int else (item[0] + offset, item[1]) for item in code]
-        offset += len(walks[0][1])
-    return tuple(enc)
-
-
-def _rebuild_from_encoding(enc, empty_count):
-    """Materialise the canonical presentation; also report, per circle, the
-    rotation applied to reach the stored lex-least representative."""
-    circles = []
-    offsets = []
-    i = 0
-    seen: dict = {}
-    enc = list(enc)
-    while i < len(enc):
-        k = enc[i]
-        i += 1
-        occs = []
-        for _ in range(k):
-            code, bit = enc[i]
-            i += 1
-            if code not in seen:
-                seen[code] = True
-                occs.append(Occ(f"e{code}", True))
-            else:
-                occs.append(Occ(f"e{code}", bit == 0))
-        normalized, offset = _rotmin(occs)
-        circles.append(normalized)
-        offsets.append(offset)
-    circles.extend(() for _ in range(empty_count))
-    ap = ArrowPresentation(tuple(circles), frozenset(o.label for c in circles for o in c))
-    return ap, tuple(offsets)
-
-
 def canonical_form(ap: ArrowPresentation) -> ArrowPresentation:
     """Least presentation over roots in the equivalence class of ``ap``.
 
@@ -1101,9 +1064,26 @@ def canonical_transforms(ap: ArrowPresentation):
     both arrows reversed in the form, which swaps its tail and head slots.
     ``offsets`` gives, per canonical circle, the rotation applied to store
     it rotation-least.
+
+    The form is read in one pass over the sorted codes: a circle's length
+    ``k`` and ``k`` pairs ``(code, bit)``, each the arrow ``e{base + code}``
+    (``base`` counts the labels of the components before it) pointing
+    forward exactly when ``bit`` is 0.
     """
     check_edge_cap(len(ap.edges), 16, "canonical form")
     components = _component_codes(ap)
-    empty = sum(1 for circ in ap.circles if not circ)
-    canon, offsets = _rebuild_from_encoding(_encoding(components), empty)
-    return canon, components, offsets
+    circles: list = []
+    offsets: list = []
+    base = 0
+    for code, walks in components:
+        items = iter(code)
+        for k in items:
+            circ, offset = _rotmin(
+                [Occ(f"e{base + x}", bit == 0) for x, bit in islice(items, k)]
+            )
+            circles.append(circ)
+            offsets.append(offset)
+        base += len(walks[0][1])
+    circles += [()] * sum(1 for circ in ap.circles if not circ)
+    edges = frozenset([f"e{i}" for i in range(base)])
+    return ArrowPresentation(tuple(circles), edges), components, tuple(offsets)

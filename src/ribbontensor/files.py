@@ -14,7 +14,9 @@ partitions are optional; omitted blocks default to singletons.  Each one
 given is ``null`` or a list of blocks, each block a list of distinct integer
 ids (``true``/``false`` and ``0.0`` are not ids), which together cover the
 circles (vertex) or the boundary components (boundary) exactly once.
-Boundary ids refer to the canonical enumeration (``info`` prints it).
+Boundary ids refer to the canonical enumeration (``info`` prints it).  Any
+other key is a parse error, so a misspelt partition key is not silently
+read as singletons.
 """
 
 from __future__ import annotations
@@ -63,9 +65,18 @@ def _partition_blocks(data: Mapping, key: str):
     return blocks
 
 
+_KEYS = ("circles", "vertex_partition", "boundary_partition")
+
+
 def presentation_from_dict(data: Mapping) -> PackagedPresentation:
     if not isinstance(data, Mapping) or "circles" not in data:
         raise ParseError("presentation file must be an object with a 'circles' key")
+    unknown = [key for key in data if key not in _KEYS]
+    if unknown:
+        raise ParseError(
+            f"unknown key {unknown[0]!r} in presentation file; "
+            f"the keys are {', '.join(map(repr, _KEYS))}"
+        )
     circles = data["circles"]
     if not isinstance(circles, list) or not all(isinstance(c, list) for c in circles):
         raise ParseError("'circles' must be a list of lists of arrow tokens")

@@ -120,8 +120,9 @@ class Partition(NamedTuple):
         return Partition(_transfer(self.labels, item_map))
 
 
-def _transfer(labels: tuple, item_map: Sequence[int], created: Sequence[int] = (), groups=()):
-    """Move the restricted-growth ``labels`` through a surgery.
+def _transfer(labels: Sequence[int], item_map: Sequence[int], created: Sequence[int] = (), groups=()):
+    """Move ``labels``, any non-negative block keys, through a surgery into
+    restricted-growth labels.
 
     ``item_map[x]`` is the new item of old item ``x``, or -1 when ``x``
     dies and drops out of its block.  Each group ``(old items, new
@@ -131,7 +132,7 @@ def _transfer(labels: tuple, item_map: Sequence[int], created: Sequence[int] = (
     every group enter as singletons.  The renamed and created items must be
     exactly 0..n'-1.
     """
-    # Each new item's key: its old block number, or -1 - c for a
+    # Each new item's key: its old block key, or -1 - c for a
     # created item c.  keys[n] takes the dead items' keys; a gap, a
     # repeated or a misplaced target leaves some item of 0..n'-1 without
     # a key.
@@ -235,8 +236,9 @@ def partition_ops(
     ``vlabels`` and ``blabels`` label the source; ``incident`` gives the
     circles ``(u, v)`` and boundaries ``(a, b)`` of the edge, as
     :func:`incident_items` does; ``results`` maps each arrow kind that
-    ``kinds`` need to its surgery, an
-    :class:`~ribbontensor.arrow.EdgeOpResult` or a record laid out like one,
+    ``kinds`` need to its surgery, any record with the fields
+    ``circle_map``, ``created_circles``, ``boundary_map`` and
+    ``created_boundaries`` of an :class:`~ribbontensor.arrow.EdgeOpResult`,
     whose maps lead into the result's frame.
 
     Deletion merges the classes of the two incident boundaries together with
@@ -251,22 +253,25 @@ def partition_ops(
     """
     (u, v), (a, b) = incident
     if "delete" in results:
-        _, cmap, _, bmap, created = results["delete"][:5]
+        res = results["delete"]
+        cmap, bmap, created = res.circle_map, res.boundary_map, res.created_boundaries
         deleted = _transfer(blabels, bmap, created, (((a, b), created),))
         kept = vlabels if cmap == tuple(range(len(cmap))) else _transfer(vlabels, cmap)
         if EdgeOpKind.MERGE_DELETE in kinds:
             merged_v = _merged(kept, cmap[u], cmap[v])
     if "contract" in results:
-        _, cmap, created, bmap, _ = results["contract"][:5]
+        res = results["contract"]
+        cmap, bmap, created = res.circle_map, res.boundary_map, res.created_circles
         contracted = _transfer(vlabels, cmap, created, (((u, v), created),))
         renamed = _transfer(blabels, bmap)
         if EdgeOpKind.MERGE_CONTRACT in kinds:
             merged_b = _merged(renamed, bmap[a], bmap[b])
     if "penrose" in results:
-        _, cmap, circles, bmap, bds = results["penrose"][:5]
+        res = results["penrose"]
+        circles, bds = res.created_circles, res.created_boundaries
         penrose = (
-            _transfer(vlabels, cmap, circles, (((u, v), circles),)),
-            _transfer(blabels, bmap, bds, (((a, b), bds),)),
+            _transfer(vlabels, res.circle_map, circles, (((u, v), circles),)),
+            _transfer(blabels, res.boundary_map, bds, (((a, b), bds),)),
         )
     done = []
     for kind in kinds:  # identity tests: an Enum member hashes in Python
@@ -346,7 +351,6 @@ def two_sum(
         keys[u] = label
     for label, u in zip(ph.bparts.labels, res.h_boundaries):
         keys[u] = offset + label
-    ball = _first_appearance(keys)
 
     # fo1 is glued to t1 at m1 (tails) and m2 (heads), fo2 to t2 at m3 and
     # m4.  The circles hosting each glued pair merge with the new circles
@@ -368,7 +372,7 @@ def two_sum(
     m1, m2, m3, m4 = res.marker_boundaries
     token_bd = union.token_bd
     bparts = _transfer(
-        ball,
+        keys,
         res.boundary_map,
         res.created_boundaries,
         [

@@ -1,12 +1,14 @@
 """The greedy backtracking canonical form and the packaged loop over its
 transforms and every arrangement of the empty circles, kept as the
-reference the rooted-walk and refinement forms are tested against.
+reference the rooted-walk and refinement forms are tested against.  It
+decodes its flat code with its own decoder and shares no canonical-form
+code with the package.
 
 Forms from the two differ as presentations; only the equivalence they
 induce must agree.
 """
 
-from ribbontensor.arrow import _rebuild_from_encoding, boundary_trace, check_edge_cap
+from ribbontensor.arrow import ArrowPresentation, Occ, boundary_trace, check_edge_cap
 from ribbontensor.packaged import PackagedPresentation, Partition
 
 
@@ -129,18 +131,58 @@ def canonical_search(ap):
     return best["enc"] or (), best["transforms"] or [((), {}, {})]
 
 
+def flat_code(components):
+    """The flat code of ``canonical_transforms``'s sorted components: their
+    codes in order, each component's label codes offset past those of the
+    components before it."""
+    enc: list = []
+    base = 0
+    for code, walks in components:
+        enc += [item if type(item) is int else (item[0] + base, item[1]) for item in code]
+        base += len(walks[0][1])
+    return tuple(enc)
+
+
+def rebuild_from_encoding(enc, empty_count):
+    """Materialise the presentation a flat code describes; also report, per
+    circle, the rotation applied to reach its lex-least representative.
+
+    The code is a run of circles, each its length ``k`` followed by ``k``
+    ``(code, bit)`` pairs.  A code's first pair gives its arrow forward;
+    a later one gives it forward exactly when its bit is 0.
+    """
+    circles = []
+    offsets = []
+    i = 0
+    seen = set()
+    while i < len(enc):
+        k = enc[i]
+        i += 1
+        occs = []
+        for code, bit in enc[i:i + k]:
+            occs.append(Occ(f"e{code}", code not in seen or bit == 0))
+            seen.add(code)
+        i += k
+        offset = min(range(k), key=lambda r: occs[r:] + occs[:r])
+        circles.append(tuple(occs[offset:] + occs[:offset]))
+        offsets.append(offset)
+    circles.extend(() for _ in range(empty_count))
+    ap = ArrowPresentation(tuple(circles), frozenset(o.label for c in circles for o in c))
+    return ap, tuple(offsets)
+
+
 def reference_canonical_form(ap):
     check_edge_cap(len(ap.edges), 8, "canonical form")
     enc, _ = canonical_search(ap)
     empty = sum(1 for circ in ap.circles if not circ)
-    return _rebuild_from_encoding(enc, empty)[0]
+    return rebuild_from_encoding(enc, empty)[0]
 
 
 def reference_canonical_packaged(pg):
     check_edge_cap(len(pg.ap.edges), 8, "canonical form")
     enc, transforms = canonical_search(pg.ap)
     empty = sum(1 for circ in pg.ap.circles if not circ)
-    canon_ap, rebuild_offsets = _rebuild_from_encoding(enc, empty)
+    canon_ap, rebuild_offsets = rebuild_from_encoding(enc, empty)
     old = boundary_trace(pg.ap)
     new = boundary_trace(canon_ap)
     nonempty_count = sum(1 for c in canon_ap.circles if c)

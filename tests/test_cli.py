@@ -66,6 +66,19 @@ def test_bad_partition_rejected(tmp_path, capsys, key, blocks):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["vertex_partiton", "boundary_partitions", "Circles", ""])
+def test_unknown_key_rejected(tmp_path, capsys, key):
+    data = {"circles": [["e+", "e-"]], key: [[0]]}
+    with pytest.raises(ParseError) as err:
+        loads_presentation(json.dumps(data))
+    for name in (key, "circles", "vertex_partition", "boundary_partition"):
+        assert repr(name) in str(err.value)
+    path = write(tmp_path, "p.json", data)
+    for command in (["info", path], ["poly", path, "--which", "q"]):
+        assert main(command) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_parse_error_has_location():
     with pytest.raises(ParseError) as err:
         loads_presentation("{bad json")

@@ -14,6 +14,7 @@ from ribbontensor.arrow import (
     ArrowPresentation,
     boundary_components,
     canonical_form,
+    canonical_transforms,
     edge_op_traced,
     edge_surgery,
     surface_stats,
@@ -43,13 +44,19 @@ from ribbontensor.packaged import (
     uniform_tensor,
 )
 from ribbontensor.randgen import random_packaged
-from canonical_reference import reference_canonical_form, reference_canonical_packaged
+from canonical_reference import (
+    flat_code,
+    rebuild_from_encoding,
+    reference_canonical_form,
+    reference_canonical_packaged,
+)
 from dag_reference import _strip_isolated
 from subset_reference import find
 from surgery_reference import as_dict, reference_form
 from strategies import (
     packaged_presentations,
     packaged_with_empty_circles,
+    presentations,
     symmetry_image,
 )
 
@@ -552,6 +559,47 @@ _TWO_SIXES = make_packaged(
     ArrowPresentation.from_circles([[(f"{c}{label}", f) for label, f in _SIX] for c in "ab"]),
     [[0, 1]], [[0, 1, 4], [2, 5], [3]],
 )
+
+
+@st.composite
+def repeated_components(draw):
+    """A presentation (empty circles, loops and anti-aligned loops likely)
+    beside 0-2 relabelled copies of itself, so that equal components are
+    likely, and 0-3 more empty circles."""
+    circles = [list(circ) for circ in draw(presentations(0, 5)).circles]
+    circles += [
+        [(f"c{i}{label}", forward) for label, forward in circ]
+        for i in range(draw(st.integers(0, 2)))
+        for circ in circles
+    ]
+    return ArrowPresentation.from_circles(circles + [[]] * draw(st.integers(0, 3)))
+
+
+# An anti-aligned loop and two copies of a two-circle component whose
+# circles are joined by two edges, the second read against the first.
+_BACKWARD = ArrowPresentation.from_circles(
+    [[("e", True), ("e", False)], []]
+    + [[(f"{c}f", True), (f"{c}g", True)] for c in "ab"]
+    + [[(f"{c}f", True), (f"{c}g", False)] for c in "ab"]
+)
+
+
+def test_the_backward_example_reads_a_second_emission_backward():
+    # some label's second emission in the least code has bit 1
+    codes = [code for code, _ in canonical_transforms(_BACKWARD)[1]]
+    assert any(type(item) is tuple and item[1] for code in codes for item in code)
+
+
+@settings(deadline=None, max_examples=300)
+@given(repeated_components())
+@example(_BACKWARD)
+@example(_TWO_SIXES.ap)
+def test_canonical_transforms_reads_what_the_reference_decoder_reads(ap):
+    # the form and its rotations, built in one pass over the sorted codes,
+    # are those the flat code's decoder gives on the same components
+    form, components, offsets = canonical_transforms(ap)
+    empty = sum(not circ for circ in ap.circles)
+    assert (form, offsets) == rebuild_from_encoding(flat_code(components), empty)
 
 
 @settings(deadline=None, max_examples=100)
